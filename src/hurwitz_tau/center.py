@@ -48,9 +48,6 @@ class CenterElement:
     def coeff(self, lam: Partition):
         return self.coords.get(tuple(lam), Fraction(0))
 
-    def map_coords(self, fn) -> "CenterElement":
-        return CenterElement(self.n, self.basis, {k: fn(v) for k, v in self.coords.items()})
-
     def __add__(self, other: "CenterElement") -> "CenterElement":
         if (self.n, self.basis) != (other.n, other.basis):
             raise ValueError("mismatched center elements")

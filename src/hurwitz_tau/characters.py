@@ -89,6 +89,24 @@ class CharacterTable:
     def row(self, lam: Partition) -> tuple[int, ...]:
         return self.chi[self.index(lam)]
 
+    def character_sum(self, values, zero) -> dict:
+        """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu)} for every
+        ordered pair of classes, skipping nu whose weight chi_nu(lam)
+        chi_nu(mu) vanishes.  ``values`` maps each nu to an element of any
+        ring that ``zero`` belongs to and that ints scale; callers apply
+        their own normalisation."""
+        weighted = [(row, values[nu]) for row, nu in zip(self.chi, self.parts)]
+        out = {}
+        for a, lam in enumerate(self.parts):
+            for b, mu in enumerate(self.parts):
+                total = zero
+                for row, value in weighted:
+                    weight = row[a] * row[b]
+                    if weight:
+                        total = total + value * weight
+                out[(lam, mu)] = total
+        return out
+
     def validate(self) -> None:
         """Check both orthogonality relations and the dimension column."""
         parts = self.parts
@@ -135,11 +153,3 @@ def character_table(n: int, cap: int = CHARTABLE_CAP) -> CharacterTable:
     table.validate()
     return table
 
-
-def chi_over_z_matrix(n: int) -> list[list[Fraction]]:
-    """Rows lam, columns mu: chi_lam(mu)/Z_mu (handy for basis changes)."""
-    table = character_table(n)
-    return [
-        [Fraction(value, z_of(mu)) for value, mu in zip(row, table.parts)]
-        for row in table.chi
-    ]

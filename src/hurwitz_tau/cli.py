@@ -185,7 +185,8 @@ def cmd_tau(args) -> int:
             )
             emit(report, args.out)
             return 0
-        t = tauseries.alpha_q_tau(Fraction(args.alpha), args.N, min(args.qcap, 8))
+        n_max = min(args.qcap, tauseries.TAU_NMAX_CAP)
+        t = tauseries.alpha_q_tau(Fraction(args.alpha), args.N, n_max)
         series = tauseries.tau_eval(t, a_vals, b_vals)
         emit(
             {

@@ -19,9 +19,11 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import character_table
+from .config import TAU_NMAX_CAP
 from .errors import VandermondeError
 from .partitions import (
     Partition,
+    format_partition,
     partitions_of,
     z_of,
 )
@@ -34,14 +36,11 @@ from .twists import (
     ExpConvolution,
     H,
     Scale,
+    TwistSpec,
     alpha_q_coeff,
-    multimonotone_coeff,
-    okounkov_coeff,
     twist,
     twist_eigenvalue,
 )
-
-TAU_NMAX_CAP = 8
 
 
 class TauSeries:
@@ -63,20 +62,12 @@ class TauSeries:
         terms = {}
         for n in range(n_max + 1):
             table = character_table(n)
-            parts = table.parts
-            r_vals = [r_of(nu) for nu in parts]
-            for nu, r in zip(parts, r_vals):
-                self.r[nu] = r
-            for a, lam in enumerate(parts):
-                for b, mu in enumerate(parts):
-                    total = space.zero()
-                    for c in range(len(parts)):
-                        weight = table.chi[c][a] * table.chi[c][b]
-                        if weight:
-                            total = total + r_vals[c] * weight
-                    total = total * Fraction(1, z_of(lam) * z_of(mu))
-                    if total:
-                        terms[(lam, mu)] = total
+            r_vals = {nu: r_of(nu) for nu in table.parts}
+            self.r.update(r_vals)
+            for (lam, mu), total in table.character_sum(r_vals, space.zero()).items():
+                total = total * Fraction(1, z_of(lam) * z_of(mu))
+                if total:
+                    terms[(lam, mu)] = total
         self.tensor = TensorSymFunc(terms)
 
     def coeff(self, lam, mu) -> TruncSeries:
@@ -100,43 +91,39 @@ def vacuum_tau(n_max: int) -> TauSeries:
     return TauSeries(space, n_max, lambda nu: space.one())
 
 
+def twist_tau(spec: TwistSpec, n_max: int) -> TauSeries:
+    """Tau series whose Schur coefficient r_nu is the twist's eigenvalue on
+    F_nu."""
+    space = spec.space()
+    return TauSeries(space, n_max, lambda nu: twist_eigenvalue(spec, nu, space))
+
+
 def okounkov_tau(n_max: int, beta_cap: int) -> TauSeries:
-    space = SeriesSpace(("q", "beta"), (n_max, beta_cap))
-    return TauSeries(space, n_max, lambda nu: okounkov_coeff(nu, space))
+    """Plain walks: q^{|nu|} e^{beta cont(nu)}."""
+    return twist_tau(twist((Exp("q", "beta"),), (n_max, beta_cap)), n_max)
 
 
 def monotone_tau(n_max: int, z_cap: int) -> TauSeries:
     """Weakly monotone walks: Scale(q) * H(z) eigenvalues."""
-    spec = twist((Scale("q"), H("z")), (n_max, z_cap))
-    space = spec.space()
-    return TauSeries(space, n_max, lambda nu: twist_eigenvalue(spec, nu, space))
+    return twist_tau(twist((Scale("q"), H("z")), (n_max, z_cap)), n_max)
 
 
 def strict_tau(n_max: int, w_cap: int) -> TauSeries:
-    spec = twist((Scale("q"), E("w")), (n_max, w_cap))
-    space = spec.space()
-    return TauSeries(space, n_max, lambda nu: twist_eigenvalue(spec, nu, space))
+    return twist_tau(twist((Scale("q"), E("w")), (n_max, w_cap)), n_max)
 
 
 def mixed_tau(n_max: int, z_cap: int, beta_cap: int) -> TauSeries:
-    spec = twist((Exp("q", "beta"), H("z")), (n_max, beta_cap, z_cap))
-    space = spec.space()
-    return TauSeries(space, n_max, lambda nu: twist_eigenvalue(spec, nu, space))
+    return twist_tau(twist((Exp("q", "beta"), H("z")), (n_max, beta_cap, z_cap)), n_max)
 
 
 def weak_strict_tau(n_max: int, z_cap: int, w_cap: int) -> TauSeries:
-    spec = twist((Scale("q"), H("z"), E("w")), (n_max, z_cap, w_cap))
-    space = spec.space()
-    return TauSeries(space, n_max, lambda nu: twist_eigenvalue(spec, nu, space))
+    return twist_tau(twist((Scale("q"), H("z"), E("w")), (n_max, z_cap, w_cap)), n_max)
 
 
 def multimonotone_tau(n_max: int, w_caps: dict) -> TauSeries:
     """Strictly monotone segments, one w parameter per segment."""
-    names = tuple(w_caps)
-    space = SeriesSpace(("q",) + names, (n_max,) + tuple(w_caps[k] for k in names))
-    return TauSeries(
-        space, n_max, lambda nu: multimonotone_coeff(nu, space, names)
-    )
+    factors = (Scale("q"), *(E(name) for name in w_caps))
+    return twist_tau(twist(factors, (n_max, *w_caps.values())), n_max)
 
 
 def hciz_tau(N: int, n_max: int, z_cap: int | None = None) -> TauSeries:
@@ -288,7 +275,10 @@ def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
     if len(a_vals) != N or len(b_vals) != N:
         raise ValueError("need exactly N evaluation points on each side")
     shift = N * (N - 1) // 2
-    guard = SeriesSpace(("z",), (z_cap + shift,))
+    # Bareiss ends by dividing by the leading (N-2)x(N-2) minor, which
+    # vanishes to order m(m-1)/2 in z and costs that many top degrees.
+    m = max(N - 2, 0)
+    guard = SeriesSpace(("z",), (z_cap + shift + m * (m - 1) // 2,))
     rows = [
         [guard.exp_linear(-N * ai * bj, "z") for bj in b_vals] for ai in a_vals
     ]
@@ -385,13 +375,9 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
     the twist coefficients; connected ones from the formal logarithm (and
     are validated against the transitive oracle by the verify suite).
     """
-    from math import factorial as _f
-
-    from .partitions import format_partition
-
     if kind == "plain":
         tau = okounkov_tau(n_max, step_cap)
-        steps = [({"b": b}, lambda c, n, b=b: c.coeff(q=n, beta=b) * _f(b))
+        steps = [({"b": b}, lambda c, n, b=b: c.coeff(q=n, beta=b) * factorial(b))
                  for b in range(step_cap + 1)]
     elif kind == "monotone":
         tau = monotone_tau(n_max, step_cap)
@@ -404,7 +390,7 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
     elif kind == "mixed":
         tau = mixed_tau(n_max, step_cap, step_cap)
         steps = [
-            ({"p": p, "k": k}, lambda c, n, p=p, j=k - p: c.coeff(q=n, z=p, beta=j) * _f(j))
+            ({"p": p, "k": k}, lambda c, n, p=p, j=k - p: c.coeff(q=n, z=p, beta=j) * factorial(j))
             for k in range(step_cap + 1)
             for p in range(k + 1)
         ]

@@ -130,19 +130,11 @@ def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partitio
     """G_{lam mu} for all lam, mu of n, via the character sum."""
     space = spec.space()
     table = character_table(n)
-    parts = table.parts
-    eig = {nu: twist_eigenvalue(spec, nu, space) for nu in parts}
-    out = {}
-    for a, lam in enumerate(parts):
-        inv_z = Fraction(1, z_of(lam))
-        for b, mu in enumerate(parts):
-            total = space.zero()
-            for c, nu in enumerate(parts):
-                factor = table.chi[c][a] * table.chi[c][b]
-                if factor:
-                    total = total + eig[nu] * factor
-            out[(lam, mu)] = total * inv_z
-    return out
+    eig = {nu: twist_eigenvalue(spec, nu, space) for nu in table.parts}
+    sums = table.character_sum(eig, space.zero())
+    return {
+        (lam, mu): total * Fraction(1, z_of(lam)) for (lam, mu), total in sums.items()
+    }
 
 
 def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = None) -> CenterElement:
@@ -174,6 +166,9 @@ class QPow:
     def inverse(self) -> "QPow":
         return QPow(-self.qexp, self.series.inverse())
 
+    def __truediv__(self, other: "QPow") -> "QPow":
+        return self * other.inverse()
+
     def __eq__(self, other):
         return (
             isinstance(other, QPow)
@@ -184,7 +179,10 @@ class QPow:
 
 class ConvolutionCoeffs:
     """Shared shape of the rho_j / r_j = rho_j/rho_{j-1} families and the
-    shifted content product r_lam(N) = r_0(N) prod r_{N+j-i}."""
+    shifted content product r_lam(N) = r_0(N) prod r_{N+j-i}.
+
+    Values live in any ring with one(), * and /: QPow for the formal
+    families, Fraction for NumericHConvolution."""
 
     def rho(self, j: int) -> QPow:
         raise NotImplementedError
@@ -202,7 +200,7 @@ class ConvolutionCoeffs:
                 value = value * self.rho(j)
         elif N < 0:
             for j in range(N, 0):
-                value = value * self.rho(j).inverse()
+                value = value / self.rho(j)
         return value
 
     def r_lambda(self, lam: Partition, N: int) -> QPow:
@@ -212,10 +210,11 @@ class ConvolutionCoeffs:
         return value
 
     def check_ratio(self, j_lo: int, j_hi: int) -> None:
-        """Assert r_j * rho_{j-1} = rho_j on a range of indices."""
+        """Check r_j * rho_{j-1} = rho_j on a range of indices; raises
+        ArithmeticError at the first index where it fails."""
         for j in range(j_lo, j_hi + 1):
-            lhs = self.r(j) * self.rho(j - 1)
-            assert lhs == self.rho(j), f"r_{j} * rho_{j-1} != rho_{j}"
+            if self.r(j) * self.rho(j - 1) != self.rho(j):
+                raise ArithmeticError(f"r_{j} * rho_{j-1} != rho_{j}")
 
 
 class HTwistConvolution(ConvolutionCoeffs):
@@ -318,22 +317,6 @@ class NumericHConvolution(ConvolutionCoeffs):
                     f"r_{j} hits the pole 1 - {j}*z = 0 at z = {z}"
                 )
             value /= d
-        return value
-
-    def r0(self, N: int) -> Fraction:
-        value = Fraction(1)
-        if N > 0:
-            for j in range(N):
-                value *= self.rho(j)
-        elif N < 0:
-            for j in range(N, 0):
-                value /= self.rho(j)
-        return value
-
-    def r_lambda(self, lam: Partition, N: int) -> Fraction:
-        value = self.r0(N)
-        for i, j in cells(lam):
-            value *= self.r(N + j - i)
         return value
 
 

@@ -31,6 +31,7 @@ from .groupalg import (
     weakly_monotone,
 )
 from .partitions import (
+    cells,
     dimension,
     format_partition,
     hook_product,
@@ -522,25 +523,16 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
         # component matrices computed in the joint space
         table = character_table(n)
         parts = table.parts
-        eig_h = {
-            nu: twist_eigenvalue(twist((H("z"),), (caps[0],)), nu) for nu in parts
-        }
-        eig_e = {
-            nu: twist_eigenvalue(twist((E("w"),), (caps[1],)), nu) for nu in parts
-        }
-        mat_h = {}
-        mat_e = {}
-        for a, lam in enumerate(parts):
-            for b, mu in enumerate(parts):
-                th = space.zero()
-                te = space.zero()
-                for c, nu in enumerate(parts):
-                    w = table.chi[c][a] * table.chi[c][b]
-                    if w:
-                        th = th + _embed(eig_h[nu], space, "z") * w
-                        te = te + _embed(eig_e[nu], space, "w") * w
-                mat_h[(lam, mu)] = th * Fraction(1, z_of(lam))
-                mat_e[(lam, mu)] = te * Fraction(1, z_of(lam))
+
+        def component(spec):
+            eig = {nu: twist_eigenvalue(spec, nu, space) for nu in parts}
+            sums = table.character_sum(eig, space.zero())
+            return {
+                (lam, mu): total * Fraction(1, z_of(lam)) for (lam, mu), total in sums.items()
+            }
+
+        mat_h = component(twist((H("z"),), (caps[0],)))
+        mat_e = component(twist((E("w"),), (caps[1],)))
         for lam in parts:
             for mu in parts:
                 total = space.zero()
@@ -630,14 +622,6 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
     checks.append(_run("walks.element_level_twist", element_level_twist))
 
     return checks
-
-
-def _embed(series, space, name):
-    """Re-express a single-parameter series inside a larger space."""
-    out = space.zero()
-    for exps, c in series.terms.items():
-        out = out + space.monomial(c, **{name: exps[0]})
-    return out
 
 
 def _complete_jm(n: int, cap: int) -> list[GroupAlgebraElement]:
@@ -877,11 +861,11 @@ def tau_suite(
                 for lam in partitions_of(n):
                     direct = s_val ** sum(lam)
                     for u in us:
-                        for i, j in _cells(lam):
+                        for i, j in cells(lam):
                             direct *= u + i - j
                     reparam = q_val ** sum(lam)
                     for w in ws:
-                        for i, j in _cells(lam):
+                        for i, j in cells(lam):
                             reparam *= 1 + w * (j - i)
                     if m % 2 == 0:
                         assert direct == reparam, f"even-m reparametrization fails at {lam}"
@@ -929,12 +913,6 @@ def tau_suite(
     add("tau.alpha_q_report", alpha_q_report)
 
     return checks
-
-
-def _cells(lam):
-    for i, part in enumerate(lam, start=1):
-        for j in range(1, part + 1):
-            yield i, j
 
 
 def build_alpha_q_report(seed: int = 2014) -> dict:

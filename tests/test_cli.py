@@ -81,6 +81,17 @@ def test_tau_hciz_with_determinant(capsys):
     assert data["series"]["z^1"] == "-5/2"
 
 
+def test_tau_hciz_determinant_n4(capsys):
+    # N = 4 needs a guard degree for the Bareiss division by the 2x2 minor
+    code, out = run_cli(
+        capsys,
+        "tau", "--family", "hciz", "--N", "4", "--a=1/2,-2/3,5/4,2/9",
+        "--b=3/5,4/7,-1/3,7/2", "--zcap", "6", "--check-determinant",
+    )
+    assert code == 0
+    assert json.loads(out)["determinant_matches"] is True
+
+
 def test_tau_alpha_q_report(capsys):
     code, out = run_cli(
         capsys,

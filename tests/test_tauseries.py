@@ -77,7 +77,7 @@ def test_hciz_n1_is_exponential():
 
 def test_hciz_determinant_identity():
     rng = random.Random(23)
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4):
         a_vals = random_rationals(rng, N, distinct=True)
         b_vals = random_rationals(rng, N, distinct=True)
         t = hciz_tau(N, 6, 6)

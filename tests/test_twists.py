@@ -141,6 +141,28 @@ def test_numeric_family_and_singularities():
         NumericHConvolution([Fraction(-1, 2)]).rho(-3)
 
 
+def test_r0_recursion_on_both_rings():
+    # r0(N+1) = r0(N) rho(N) on both sides of N = 0, over Fraction and QPow
+    numeric = NumericHConvolution([Fraction(1, 3)])
+    formal = intertwine(twist((Scale("q"), H("z")), (4, 4)))
+    for conv, top in ((numeric, 2), (formal, 3)):
+        for N in range(-4, top + 1):
+            assert conv.r0(N + 1) == conv.r0(N) * conv.rho(N)
+    # rho(3) has the pole 1 - 3z = 0 at z = 1/3, so r0(4) is singular
+    with pytest.raises(SingularParameterError):
+        numeric.r0(4)
+
+
+def test_check_ratio_raises_on_wrong_r():
+    class WrongR(NumericHConvolution):
+        def r(self, j):
+            return 2 * super().r(j)
+
+    NumericHConvolution([Fraction(1, 3)]).check_ratio(-3, 2)
+    with pytest.raises(ArithmeticError):
+        WrongR([Fraction(1, 3)]).check_ratio(-3, 2)
+
+
 def test_alpha_q_rejects_positive_integer_alpha():
     space = SeriesSpace(("q",), (8,))
     with pytest.raises(ValueError):
