@@ -114,9 +114,10 @@ class CharacterTable:
             for b, nu in enumerate(parts):
                 dot = sum(row[a] * row[b] for row in self.chi)
                 expected = z_of(mu) if a == b else 0
-                assert dot == expected, (
-                    f"column orthogonality fails at n={self.n}, {mu}, {nu}"
-                )
+                if dot != expected:
+                    raise ArithmeticError(
+                        f"column orthogonality fails at n={self.n}, {mu}, {nu}"
+                    )
         for a, lam in enumerate(parts):
             for b, kap in enumerate(parts):
                 dot = sum(
@@ -124,14 +125,14 @@ class CharacterTable:
                     for m, mu in enumerate(parts)
                 )
                 expected = 1 if a == b else 0
-                assert dot == expected, (
-                    f"row orthogonality fails at n={self.n}, {lam}, {kap}"
-                )
+                if dot != expected:
+                    raise ArithmeticError(
+                        f"row orthogonality fails at n={self.n}, {lam}, {kap}"
+                    )
         identity_col = parts.index((1,) * self.n)
         for a, lam in enumerate(parts):
-            assert self.chi[a][identity_col] == dimension(lam), (
-                f"dimension column fails at n={self.n}, {lam}"
-            )
+            if self.chi[a][identity_col] != dimension(lam):
+                raise ArithmeticError(f"dimension column fails at n={self.n}, {lam}")
 
     def as_json_dict(self) -> dict:
         return {

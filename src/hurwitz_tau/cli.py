@@ -322,7 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad input: unparsable values, sizes over a cap, singular points
+        print(f"hurwitz-tau: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

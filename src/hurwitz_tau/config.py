@@ -30,7 +30,8 @@ DEFAULT_SEED = 2014
 def walk_cap() -> int:
     """Effective n cap for the walk oracle.
 
-    HURWITZ_MAX_N overrides the default, but never beyond WALK_CAP_HARD.
+    HURWITZ_MAX_N overrides the default, but never beyond WALK_CAP_HARD;
+    a value that is not an integer raises ValueError.
     """
     raw = os.environ.get("HURWITZ_MAX_N")
     if raw is None:
@@ -38,5 +39,5 @@ def walk_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return WALK_CAP_DEFAULT
+        raise ValueError(f"HURWITZ_MAX_N must be an integer, got {raw!r}") from None
     return max(0, min(value, WALK_CAP_HARD))

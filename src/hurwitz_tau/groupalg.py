@@ -2,17 +2,22 @@
 
 Permutations are tuples of images on {1..n} (images[i-1] = image of i),
 composed apply-right-first: (g*h)(x) = g(h(x)).  Walks in the Cayley graph
-generated by transpositions are counted by brute force: a memo-free forward
-dynamic program over (current permutation, last maximum-entry used) for the
-monotone constraint families, and full enumeration with a per-factorization
-union-find check when transitivity is required.  These counts are the
-independent oracle against which the character-sum coefficients are tested.
+generated by transpositions are counted by a forward dynamic program on
+permutation indices: S_n is ranked once per n, with one action table per
+transposition, and the count vectors are keyed by the last maximum entry
+used in the current segment (the floor), which the monotone steps merge by
+prefix sums.  When transitivity is required the state also carries the set
+partition of {1..n} generated by the transpositions so far; equal states are
+merged, and g's cycles complete the partition at the end.  These counts are
+the independent oracle against which the character-sum coefficients are
+tested; nothing here uses characters.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_perms
+from typing import NamedTuple
 
 from . import config
 from .errors import CentralityError, SizeLimitError
@@ -329,13 +334,7 @@ def count_walks_all_targets(
     cap: int | None = None,
 ) -> dict[Partition, int]:
     """Batch walk counts from one start class to every target class."""
-    from_type = check_partition(from_type)
-    if sum(from_type) != n:
-        raise ValueError(f"{from_type} is not a partition of {n}")
-    if cap is None:
-        cap = config.walk_cap()
-    if n > min(cap, config.WALK_CAP_HARD):
-        raise SizeLimitError(f"walk counting capped at n <= {cap}, got {n}")
+    from_type = _check_walk_args(n, from_type, cap)
     segments = tuple(seg for seg in segments if seg.length > 0)
     if transitive:
         return _count_transitive(n, from_type, segments)
@@ -347,125 +346,185 @@ def count_walks_to_elements(
 ) -> dict[Perm, int]:
     """Walk counts from the start class to every individual end permutation
     (used to confirm independence of the representative choice)."""
+    from_type = _check_walk_args(n, from_type, cap)
+    indexed = ranked(n)
+    layers = _walk(n, _class_layer(n, from_type), segments)
+    totals = _merge_floors(layers).get((0, None), {})
+    return {indexed.perms[i]: c for i, c in totals.items()}
+
+
+def _check_walk_args(n, from_type, cap) -> Partition:
     from_type = check_partition(from_type)
+    if sum(from_type) != n:
+        raise ValueError(f"{from_type} is not a partition of {n}")
     if cap is None:
         cap = config.walk_cap()
     if n > min(cap, config.WALK_CAP_HARD):
         raise SizeLimitError(f"walk counting capped at n <= {cap}, got {n}")
-    segments = tuple(seg for seg in segments if seg.length > 0)
-    taus = transpositions(n)
-    dist = {(g, 0): 1 for g in conjugacy_classes(n)[from_type]}
+    return from_type
+
+
+class Ranking(NamedTuple):
+    perms: list[Perm]
+    index: dict[bytes, int]
+    act: dict[tuple[int, int], list[int]]
+
+
+@lru_cache(maxsize=None)
+def ranked(n: int) -> Ranking:
+    """S_n in lexicographic order, the index of each permutation (keyed by
+    bytes(perm)) and the transposition action tables: act[(a, b)][i] is the
+    index of (a b) * perms[i].  Left multiplication by (a b) swaps the values
+    a and b in the image tuple, one bytes.translate per entry."""
+    perms = list(_all_perms(range(1, n + 1)))
+    keys = [bytes(g) for g in perms]
+    index = {key: i for i, key in enumerate(keys)}
+    act = {}
+    for a, b, _ in transpositions(n):
+        swap = bytes.maketrans(bytes((a, b)), bytes((b, a)))
+        act[(a, b)] = [index[key.translate(swap)] for key in keys]
+    return Ranking(perms, index, act)
+
+
+# A DP layer maps (floor, blocks) to a sparse count vector {perm index: count}.
+# floor is the largest b used so far in the current segment (0 at its start).
+# blocks is the set partition of {1..n} generated by the transpositions so far,
+# as a tuple labelling each point (0-based) by the least point of its block,
+# or None when transitivity is not tracked.  Equal states are merged.
+
+def _class_layer(n, from_type):
+    index = ranked(n).index
+    return {(0, None): {index[bytes(g)]: 1 for g in conjugacy_classes(n)[from_type]}}
+
+
+def _walk(n, layers, segments):
+    """Advance a layer through the segments; each segment starts afresh
+    from floor 0."""
+    act = ranked(n).act
     for seg in segments:
-        dist = {(g, 0): c for (g, _), c in _merge(dist).items()}
+        layers = _merge_floors(layers)
         for _ in range(seg.length):
-            new: dict[tuple[Perm, int], int] = {}
-            for (g, floor), cnt in dist.items():
-                for _, b, tau in taus:
-                    if seg.kind == WEAK and b < floor:
-                        continue
-                    if seg.kind == STRICT and b <= floor:
-                        continue
-                    key = (compose(tau, g), b if seg.kind != PLAIN else 0)
-                    new[key] = new.get(key, 0) + cnt
-            dist = new
-    return {g: c for (g, _), c in _merge(dist).items()}
+            layers = _step(n, act, layers, seg.kind)
+    return layers
 
 
-def _count_dp(n, from_type, segments) -> dict[Partition, int]:
-    totals = count_walks_to_elements(n, from_type, segments, cap=config.WALK_CAP_HARD)
-    out: dict[Partition, int] = {}
-    for mu in conjugacy_classes(n):
-        c = totals.get(class_representative(mu, n), 0)
-        if c:
-            out[mu] = c
-    return out
+def _step(n, act, layers, kind):
+    # A weak step to b leaves from every floor <= b and a strict one from
+    # every floor < b, so the source floors are merged in order of b and
+    # each transposition row is applied once per b.  Plain steps only ever
+    # see floor 0.
+    by_floor: dict[int, list] = {}
+    for (floor, blocks), vec in layers.items():
+        by_floor.setdefault(floor, []).append((blocks, vec))
+    source: dict = {}
+
+    def absorb(floor):
+        for blocks, vec in by_floor.get(floor, ()):
+            _accumulate(source, blocks, vec)
+
+    absorb(0)
+    new: dict = {}
+    for b in range(2, n + 1):
+        if kind == WEAK:
+            absorb(b)
+        to_floor = b if kind != PLAIN else 0
+        for blocks, vec in source.items():
+            items = vec.items()
+            for a in range(1, b):
+                row = act[(a, b)]
+                key = (to_floor, blocks if blocks is None else _join(blocks, a, b))
+                out = new.setdefault(key, {})
+                get = out.get
+                for i, c in items:
+                    j = row[i]
+                    out[j] = get(j, 0) + c
+        if kind == STRICT:
+            absorb(b)
+    return new
 
 
-def _merge(dist) -> dict[tuple[Perm, int], int]:
-    merged: dict[tuple[Perm, int], int] = {}
-    for (g, _), c in dist.items():
-        key = (g, 0)
-        merged[key] = merged.get(key, 0) + c
+def _accumulate(acc, key, vec):
+    target = acc.get(key)
+    if target is None:
+        acc[key] = dict(vec)
+        return
+    get = target.get
+    for i, c in vec.items():
+        target[i] = get(i, 0) + c
+
+
+def _merge_floors(layers):
+    merged: dict = {}
+    for (_, blocks), vec in layers.items():
+        _accumulate(merged, (0, blocks), vec)
     return merged
 
 
-def _count_transitive(n, from_type, segments) -> dict[Partition, int]:
-    # Enumerate every admissible transposition sequence once, tallied by
-    # (product permutation, set partition of {1..n} generated by the pairs);
-    # then sweep the start class and finish the union-find with g's cycles.
-    buckets: dict[Perm, dict[tuple, int]] = {}
-    taus = transpositions(n)
-
-    def blocks_key(parent):
-        groups: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            groups.setdefault(_find(parent, x), []).append(x)
-        return tuple(tuple(g) for g in sorted(groups.values()))
-
-    def rec(seg_idx, pos, floor, prod, parent):
-        if seg_idx == len(segments):
-            per_perm = buckets.setdefault(prod, {})
-            key = blocks_key(parent)
-            per_perm[key] = per_perm.get(key, 0) + 1
-            return
-        seg = segments[seg_idx]
-        if pos == seg.length:
-            rec(seg_idx + 1, 0, 0, prod, parent)
-            return
-        for a, b, tau in taus:
-            if seg.kind == WEAK and b < floor:
-                continue
-            if seg.kind == STRICT and b <= floor:
-                continue
-            new_parent = dict(parent)
-            _union(new_parent, a, b)
-            rec(
-                seg_idx,
-                pos + 1,
-                b if seg.kind != PLAIN else 0,
-                compose(tau, prod),
-                new_parent,
+def _count_dp(n, from_type, segments) -> dict[Partition, int]:
+    # Only the class representatives are read, so the last step is pulled
+    # into them: a transposition is an involution, so the walks that end at
+    # index j come from act[t][j].
+    indexed = ranked(n)
+    reps = {
+        mu: indexed.index[bytes(class_representative(mu, n))]
+        for mu in conjugacy_classes(n)
+    }
+    start = _class_layer(n, from_type)
+    if not segments:
+        counts = {mu: start[(0, None)].get(j, 0) for mu, j in reps.items()}
+    else:
+        *head, last = segments
+        layers = _walk(n, start, (*head, Segment(last.kind, last.length - 1)))
+        counts = {
+            mu: sum(
+                vec.get(row[j], 0)
+                for (floor, _), vec in layers.items()
+                for (_, b), row in indexed.act.items()
+                if b > floor or (last.kind == WEAK and b == floor)
             )
+            for mu, j in reps.items()
+        }
+    return {mu: c for mu, c in counts.items() if c}
 
-    rec(0, 0, 0, identity(n), {x: x for x in range(1, n + 1)})
+
+def _count_transitive(n, from_type, segments) -> dict[Partition, int]:
+    # Walk from the identity, tallied by (product permutation, blocks
+    # generated by the transpositions), merging equal states; then sweep the
+    # start class and finish the blocks with g's cycles.
+    index = ranked(n).index
+    start = {(0, tuple(range(n))): {index[bytes(identity(n))]: 1}}
+    products: dict[int, dict[tuple, int]] = {}
+    for (_, blocks), vec in _walk(n, start, segments).items():
+        for i, c in vec.items():
+            per_perm = products.setdefault(i, {})
+            per_perm[blocks] = per_perm.get(blocks, 0) + c
 
     out: dict[Partition, int] = {}
     classes = conjugacy_classes(n)
-    for mu in classes:
-        rep = class_representative(mu, n)
-        total = 0
-        for g in classes[from_type]:
-            needed = compose(rep, inverse(g))
-            per_perm = buckets.get(needed)
+    reps = [(mu, class_representative(mu, n)) for mu in classes]
+    for g in classes[from_type]:
+        g_inv = inverse(g)
+        links = [(cyc[0], other) for cyc in cycles(g) for other in cyc[1:]]
+        for mu, rep in reps:
+            per_perm = products.get(index[bytes(compose(rep, g_inv))])
             if not per_perm:
                 continue
-            for key, cnt in per_perm.items():
-                parent = {x: x for x in range(1, n + 1)}
-                for block in key:
-                    for other in block[1:]:
-                        _union(parent, block[0], other)
-                for cyc in cycles(g):
-                    for other in cyc[1:]:
-                        _union(parent, cyc[0], other)
-                roots = {_find(parent, x) for x in range(1, n + 1)}
-                if len(roots) == 1:
-                    total += cnt
-        if total:
-            out[mu] = total
+            for blocks, cnt in per_perm.items():
+                for a, b in links:
+                    blocks = _join(blocks, a, b)
+                if len(set(blocks)) == 1:
+                    out[mu] = out.get(mu, 0) + cnt
     return out
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent, a, b):
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
+@lru_cache(maxsize=None)
+def _join(blocks, a, b):
+    """Blocks after joining the blocks of points a and b (1-based)."""
+    la, lb = blocks[a - 1], blocks[b - 1]
+    if la == lb:
+        return blocks
+    low, high = min(la, lb), max(la, lb)
+    return tuple(low if label == high else label for label in blocks)
 
 
 def transposition_class_matrix(n: int) -> dict[Partition, dict[Partition, int]]:

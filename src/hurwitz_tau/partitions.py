@@ -123,7 +123,8 @@ def content_sum(lam: Partition) -> int:
     closed = Fraction(
         sum(part * (part - 2 * i + 1) for i, part in enumerate(lam, start=1)), 2
     )
-    assert closed == direct, f"content sum formulas disagree on {lam}"
+    if closed != direct:
+        raise ArithmeticError(f"content sum formulas disagree on {lam}")
     return direct
 
 
@@ -174,5 +175,6 @@ def pochhammer_partition(a, lam: Partition, validate: bool = False) -> Fraction:
         cell_value = Fraction(1)
         for i, j in cells(lam):
             cell_value *= a + j - i
-        assert cell_value == value, f"Pochhammer formulas disagree on a={a}, {lam}"
+        if cell_value != value:
+            raise ArithmeticError(f"Pochhammer formulas disagree on a={a}, {lam}")
     return value

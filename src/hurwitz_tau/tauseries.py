@@ -416,7 +416,10 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
                         value = Fraction(0)
                     else:
                         value = extract(series, n) * z_of(mu)
-                    assert value.denominator == 1, (lam, mu, step_data, value)
+                    if value.denominator != 1:
+                        raise ArithmeticError(
+                            f"non-integral count {value} at {lam}->{mu}, {step_data}"
+                        )
                     rows.append(
                         {
                             "n": n,

@@ -454,7 +454,8 @@ def alpha_q_coeff(lam: Partition, family: AlphaQConvolution, N: int) -> TruncSer
     if len(lam) > N:
         return family.space.zero()
     value = family.closed_form_r_lambda(lam, N)
-    assert value.qexp == 0
+    if value.qexp != 0:
+        raise ArithmeticError(f"r_lambda of {lam} carries q^{value.qexp}")
     return value.series
 
 

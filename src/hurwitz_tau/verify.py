@@ -781,7 +781,7 @@ def tau_suite(
     add("tau.hciz_determinant", hciz)
 
     def connectivity():
-        top = min(walk_nmax, 5)
+        top = walk_nmax
         t_plain = tauseries.okounkov_tau(top, 4)
         log_plain = tauseries.log_tau(t_plain)
         for n in range(1, top + 1):

@@ -104,12 +104,12 @@ def test_criterion_6_hciz_determinant():
 
 def test_criterion_7_connectivity():
     results = verify.tau_suite(
-        nmax=4, walk_nmax=5,
+        nmax=4, walk_nmax=6,
         only={"tau.log_connectivity", "tau.exp_log_roundtrip"},
     )
     _criterion(
         7,
-        "log tau coefficients = transitive counts (plain b<=4, monotone k<=5), n<=5",
+        "log tau coefficients = transitive counts (plain b<=4, monotone k<=5), n<=6",
         300.0,
         results,
     )

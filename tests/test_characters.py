@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz_tau.characters import border_strip_removals, character, character_table
+from hurwitz_tau.characters import (
+    CharacterTable,
+    border_strip_removals,
+    character,
+    character_table,
+)
 from hurwitz_tau.errors import SizeLimitError
 from hurwitz_tau.oracles import character_via_alternant
 from hurwitz_tau.partitions import dimension, partitions_of, z_of
@@ -106,3 +111,13 @@ def test_concurrent_callers_see_identical_values():
     with ThreadPoolExecutor(max_workers=4) as pool:
         tables = list(pool.map(character_table, [6] * 8))
     assert all(t is tables[0] or t.chi == tables[0].chi for t in tables)
+
+
+def test_validate_raises_on_a_corrupted_table():
+    # explicit raises, so that python -O still validates
+    table = character_table(3)
+    chi = [list(row) for row in table.chi]
+    chi[0][0] += 1
+    broken = CharacterTable(3, table.parts, tuple(tuple(row) for row in chi))
+    with pytest.raises(ArithmeticError, match="orthogonality"):
+        broken.validate()

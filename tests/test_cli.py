@@ -167,3 +167,30 @@ def test_mixed_requires_p(capsys):
         ["walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "mixed", "--steps", "2"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walks", "--n", "3", "--from", "3,x", "--to", "3"),
+        ("walks", "--n", "3", "--from", "3", "--to", "3", "--steps", "-1"),
+        ("walks", "--n", "9", "--from", "9", "--to", "9"),
+        (
+            "tau", "--family", "hciz", "--N", "2", "--a=1,1", "--b=1,2",
+            "--zcap", "4", "--check-determinant",
+        ),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_unparsable_walk_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("HURWITZ_MAX_N", "abc")
+    code = main(["walks", "--n", "3", "--from", "3", "--to", "3"])
+    assert code == 2
+    assert "HURWITZ_MAX_N" in capsys.readouterr().err

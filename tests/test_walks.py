@@ -1,15 +1,20 @@
 import os
 import subprocess
 import sys
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hurwitz_tau import config
 from hurwitz_tau.errors import SizeLimitError
 from hurwitz_tau.groupalg import (
     Segment,
     WalkQuery,
     class_representative,
     conjugacy_classes,
+    cycle_type,
     count_walks,
     count_walks_all_targets,
     count_walks_to_elements,
@@ -180,3 +185,80 @@ def test_classical_factorization_counts():
             == catalan[n - 1]
         )
         assert count_walks(WalkQuery(n, one_n, full, strictly_monotone(n - 1))) == 1
+
+
+def test_walk_args_are_checked_before_counting(monkeypatch):
+    with pytest.raises(ValueError, match="not a partition of 5"):
+        count_walks_to_elements(5, (3,), plain(1))
+    with pytest.raises(SizeLimitError):
+        count_walks_to_elements(8, (8,), plain(0))
+    monkeypatch.setenv("HURWITZ_MAX_N", "abc")
+    with pytest.raises(ValueError, match="HURWITZ_MAX_N"):
+        config.walk_cap()
+    with pytest.raises(ValueError, match="HURWITZ_MAX_N"):
+        count_walks_all_targets(3, (3,), plain(1))
+
+
+# -- differential test against a direct enumeration ------------------------------
+
+def brute_force_counts(n, lam, segments, transitive):
+    """Walk counts by trying every start permutation of type lam and every
+    sequence of transpositions, one by one."""
+    pairs = [(a, b) for b in range(2, n + 1) for a in range(1, b)]
+    kinds = [seg.kind for seg in segments for _ in range(seg.length)]
+    starts = [step == 0 for seg in segments for step in range(seg.length)]
+    reps = {class_representative(mu, n): mu for mu in partitions_of(n)}
+    members = [g for g in permutations(range(1, n + 1)) if cycle_type(g) == lam]
+    counts = {}
+    for seq in product(pairs, repeat=len(kinds)):
+        if not all(
+            first or kind == "plain"
+            or (kind == "weak" and prev[1] <= cur[1])
+            or (kind == "strict" and prev[1] < cur[1])
+            for kind, first, prev, cur in zip(kinds, starts, (None,) + seq, seq)
+        ):
+            continue
+        for g in members:
+            end = list(g)
+            for a, b in seq:  # (a b) * end swaps the values a and b
+                end = [b if x == a else a if x == b else x for x in end]
+            mu = reps.get(tuple(end))
+            if mu is None:
+                continue
+            if transitive:
+                label = list(range(n + 1))
+                links = list(seq) + [(x, g[x - 1]) for x in range(1, n + 1)]
+                for _ in range(n):
+                    for a, b in links:
+                        label[a] = label[b] = min(label[a], label[b])
+                if any(label[x] != 1 for x in range(1, n + 1)):
+                    continue
+            counts[mu] = counts.get(mu, 0) + 1
+    return counts
+
+
+@st.composite
+def walk_cases(draw):
+    n = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from(partitions_of(n)))
+    lengths = draw(st.lists(st.integers(0, 4), max_size=3).filter(lambda ls: sum(ls) <= 4))
+    kinds = draw(st.lists(
+        st.sampled_from(("plain", "weak", "strict")),
+        min_size=len(lengths), max_size=len(lengths),
+    ))
+    return n, lam, tuple(Segment(kind, length) for kind, length in zip(kinds, lengths))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(walk_cases())
+def test_dp_matches_direct_enumeration(case):
+    n, lam, segments = case
+    for transitive in (False, True):
+        assert count_walks_all_targets(n, lam, segments, transitive) == brute_force_counts(
+            n, lam, segments, transitive
+        )
+    if all(seg.kind == "plain" for seg in segments):
+        k = sum(seg.length for seg in segments)
+        counts = count_walks_all_targets(n, lam, segments)
+        for mu in partitions_of(n):
+            assert plain_count_via_class_dp(n, lam, mu, k) == counts.get(mu, 0)
