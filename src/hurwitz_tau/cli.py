@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -27,16 +28,10 @@ from .groupalg import (
 )
 from .partitions import format_partition, parse_partition, partitions_of
 from .series import monomial_label
-from .twists import E, Exp, H, connection_coeffs, twist
+from .twists import connection_coeffs
 
-CLI_TWISTS = {
-    "exp": ("Exp", lambda cap, n: twist((Exp("q", "beta"),), (max(n, 1), cap))),
-    "monotone": ("H", lambda cap, n: twist((H("z"),), (cap,))),
-    "strict": ("E", lambda cap, n: twist((E("w"),), (cap,))),
-    "mixed": ("Exp*H", lambda cap, n: twist((Exp("q", "beta"), H("z")), (max(n, 1), cap, cap))),
-    "weakstrict": ("H*E", lambda cap, n: twist((H("z"), E("w")), (cap, cap))),
-    "multi": ("E*E", lambda cap, n: twist((E("w1"), E("w2")), (cap, cap))),
-}
+# gmatrix spells the twist of the plain walks "exp"
+GMATRIX_KINDS = {("exp" if kind == "plain" else kind): kind for kind in tauseries.WALK_KINDS}
 
 
 def frac_str(value) -> str:
@@ -51,10 +46,6 @@ def series_json(series) -> dict:
         monomial_label(series.space.params, exps): frac_str(coeff)
         for exps, coeff in sorted(series.terms.items())
     }
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def parse_fraction_list(text: str) -> list[Fraction]:
@@ -126,9 +117,8 @@ def cmd_walks(args) -> int:
 
 
 def cmd_gmatrix(args) -> int:
-    label, make = CLI_TWISTS[args.twist]
-    spec = make(args.cap, args.n)
-    coeffs = connection_coeffs(spec, args.n)
+    kind = tauseries.WALK_KINDS[GMATRIX_KINDS[args.twist]]
+    coeffs = connection_coeffs(kind.twist(args.n, args.cap), args.n)
     entries = []
     for lam in partitions_of(args.n):
         for mu in partitions_of(args.n):
@@ -142,7 +132,7 @@ def cmd_gmatrix(args) -> int:
                     "series": series_json(series),
                 }
             )
-    emit({"n": args.n, "twist": label, "entries": entries}, args.out)
+    emit({"n": args.n, "twist": kind.label, "entries": entries}, args.out)
     return 0
 
 
@@ -207,36 +197,21 @@ def cmd_tau(args) -> int:
 
 def cmd_table(args) -> int:
     kind = {"okounkov": "plain"}.get(args.family, args.family)
-    if kind not in tauseries.TABLE_KINDS:
-        print(f"unknown table family {args.family}", file=sys.stderr)
-        return 2
     cap = args.bmax if args.bmax is not None else args.kmax
     rows = tauseries.hurwitz_table(kind, args.nmax, cap, connected=args.connected)
     if args.format == "json":
         emit(rows, args.out)
         return 0
-    # CSV: flatten the step columns per kind
-    step_cols = {
-        "plain": ["b"],
-        "monotone": ["k"],
-        "strict": ["k"],
-        "mixed": ["p", "k"],
-        "multi": ["segments"],
-    }[kind]
+    # CSV: one column per step datum (plain's b prints under the header k)
+    columns = tauseries.WALK_KINDS[kind].steps(0)[0][0]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    header = ["n", "from", "to"] + (["k"] if step_cols == ["b"] else step_cols) + ["count"]
-    writer.writerow(header)
+    writer.writerow(["n", "from", "to", *("k" if c == "b" else c for c in columns), "count"])
     for row in rows:
-        steps = row["steps"]
-        if kind == "plain":
-            step_values = [steps["b"]]
-        elif kind in ("monotone", "strict"):
-            step_values = [steps["k"]]
-        elif kind == "mixed":
-            step_values = [steps["p"], steps["k"]]
-        else:
-            step_values = [",".join(str(d) for d in steps["segments"])]
+        step_values = [
+            ",".join(str(d) for d in v) if isinstance(v, list) else v
+            for v in row["steps"].values()
+        ]
         writer.writerow([row["n"], row["from"], row["to"], *step_values, row["count"]])
     text = buffer.getvalue()
     if args.out:
@@ -247,6 +222,7 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hurwitz-tau",
@@ -285,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gmatrix", help="connection coefficients of a twist")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--twist", choices=sorted(CLI_TWISTS), default="monotone")
+    p.add_argument("--twist", choices=sorted(GMATRIX_KINDS), default="monotone")
     p.add_argument("--cap", type=int, default=config.SERIES_CAP_DEFAULT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gmatrix)

@@ -86,14 +86,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_part(self, n: int) -> "SymFunc":
-        return SymFunc(
-            self.basis,
-            {lam: c for lam, c in self.terms.items() if sum(lam) == n},
-            self.degree_cap,
-            self.truncated,
-        )
-
     def as_json_dict(self) -> dict:
         rows = [
             {"part": format_partition(lam), "coeff": str(self.terms[lam])}
@@ -305,8 +297,3 @@ class TensorSymFunc:
                 elif c:
                     terms[key] = c
         return TensorSymFunc(terms)
-
-    def grade(self, n: int) -> "TensorSymFunc":
-        return TensorSymFunc(
-            {k: v for k, v in self.terms.items() if sum(k[0]) == n}
-        )

@@ -10,17 +10,33 @@ family r.  Walk generating tables read D(lam,mu) = Z_mu * c(lam,mu); the
 formal logarithm of tau produces the connected (transitive) counts in the
 same normalisation.
 
+WALK_KINDS is the one dictionary between walk kinds and twists: for each
+kind (plain, monotone, strict, mixed, weakstrict, multi) it holds the twist
+atoms, the walk segments of every step datum and how the count is read off
+the coefficient series.  hurwitz_table, the gmatrix command and the verify
+sweeps all read it.
+
 Determinantal cross-checks evaluate the same series at numeric points via
 exact N x N determinants over truncated series (fraction-free Bareiss
 elimination with exact division).
 """
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .characters import character_table
 from .config import TAU_NMAX_CAP
 from .errors import VandermondeError
+from .groupalg import (
+    mixed,
+    multi_monotone,
+    plain,
+    strictly_monotone,
+    weak_then_strict,
+    weakly_monotone,
+)
 from .partitions import (
     Partition,
     format_partition,
@@ -47,10 +63,9 @@ class TauSeries:
     """Double power-sum expansion of a diagonal double Schur series.
 
     The constant (n = 0) term equals the family's empty-partition
-    coefficient: 1 for the unshifted twist families (vacuum, okounkov,
-    monotone, strict, multimonotone), and the normalisation r_0(N) for the
-    N-shifted convolution families (hciz, alpha_q).  log_tau requires the
-    former.
+    coefficient: 1 for vacuum_tau and every twist_tau, and the
+    normalisation r_0(N) for the N-shifted convolution families (hciz,
+    alpha_q).  log_tau requires the former.
     """
 
     def __init__(self, space: SeriesSpace, n_max: int, r_of):
@@ -106,24 +121,6 @@ def okounkov_tau(n_max: int, beta_cap: int) -> TauSeries:
 def monotone_tau(n_max: int, z_cap: int) -> TauSeries:
     """Weakly monotone walks: Scale(q) * H(z) eigenvalues."""
     return twist_tau(twist((Scale("q"), H("z")), (n_max, z_cap)), n_max)
-
-
-def strict_tau(n_max: int, w_cap: int) -> TauSeries:
-    return twist_tau(twist((Scale("q"), E("w")), (n_max, w_cap)), n_max)
-
-
-def mixed_tau(n_max: int, z_cap: int, beta_cap: int) -> TauSeries:
-    return twist_tau(twist((Exp("q", "beta"), H("z")), (n_max, beta_cap, z_cap)), n_max)
-
-
-def weak_strict_tau(n_max: int, z_cap: int, w_cap: int) -> TauSeries:
-    return twist_tau(twist((Scale("q"), H("z"), E("w")), (n_max, z_cap, w_cap)), n_max)
-
-
-def multimonotone_tau(n_max: int, w_caps: dict) -> TauSeries:
-    """Strictly monotone segments, one w parameter per segment."""
-    factors = (Scale("q"), *(E(name) for name in w_caps))
-    return twist_tau(twist(factors, (n_max, *w_caps.values())), n_max)
 
 
 def hciz_tau(N: int, n_max: int, z_cap: int | None = None) -> TauSeries:
@@ -362,9 +359,78 @@ def _series_table(series: TruncSeries) -> dict[str, str]:
     }
 
 
-# -- walk-count tables ---------------------------------------------------------
+# -- walk kinds and walk-count tables -------------------------------------------
 
-TABLE_KINDS = ("plain", "monotone", "strict", "mixed", "multi")
+@dataclass(frozen=True)
+class WalkKind:
+    """One kind of constrained walk and the twist whose coefficients count it.
+
+    `walks(cap)` lists (step data as tables print it, groupalg segments,
+    series exponents) for every step datum of total length <= cap."""
+
+    label: str  # the twist as gmatrix prints it
+    atoms: tuple
+    walks: Callable[[int], list]
+
+    def twist(self, n: int, cap: int) -> TwistSpec:
+        """The twist for sheet n: q capped at max(n, 1), every other
+        parameter at cap."""
+        params = TwistSpec(self.atoms, ()).params()
+        return twist(self.atoms, [max(n, 1) if p == "q" else cap for p in params])
+
+    def steps(self, cap: int) -> list:
+        """(step data, segments, read) for every step datum of total length
+        <= cap; read(series, n) is the walk count held by the coefficient
+        series of a sheet-n class pair: q = n, times k! per beta^k."""
+        sheet = "q" in TwistSpec(self.atoms, ()).params()
+
+        def reader(exps):
+            scale = factorial(exps.get("beta", 0))
+            return lambda series, n: series.coeff(**exps, **({"q": n} if sheet else {})) * scale
+
+        return [(data, segments, reader(exps)) for data, segments, exps in self.walks(cap)]
+
+
+def _splits(cap: int) -> list[tuple[int, int]]:
+    """(d1, d2) with d1 + d2 <= cap, by total, then by d1."""
+    return [(d1, total - d1) for total in range(cap + 1) for d1 in range(total + 1)]
+
+
+WALK_KINDS = {
+    "plain": WalkKind(
+        "Exp", (Exp("q", "beta"),),
+        lambda cap: [({"b": b}, plain(b), {"beta": b}) for b in range(cap + 1)],
+    ),
+    "monotone": WalkKind(
+        "H", (H("z"),),
+        lambda cap: [({"k": k}, weakly_monotone(k), {"z": k}) for k in range(cap + 1)],
+    ),
+    "strict": WalkKind(
+        "E", (E("w"),),
+        lambda cap: [({"k": k}, strictly_monotone(k), {"w": k}) for k in range(cap + 1)],
+    ),
+    "mixed": WalkKind(
+        "Exp*H", (Exp("q", "beta"), H("z")),
+        lambda cap: [
+            ({"p": p, "k": p + j}, mixed(p, p + j), {"z": p, "beta": j})
+            for p, j in _splits(cap)
+        ],
+    ),
+    "weakstrict": WalkKind(
+        "H*E", (H("z"), E("w")),
+        lambda cap: [
+            ({"segments": [k, l]}, weak_then_strict(k, l), {"z": k, "w": l})
+            for k, l in _splits(cap)
+        ],
+    ),
+    "multi": WalkKind(
+        "E*E", (E("w1"), E("w2")),
+        lambda cap: [
+            ({"segments": [d1, d2]}, multi_monotone([d1, d2]), {"w1": d1, "w2": d2})
+            for d1, d2 in _splits(cap)
+        ],
+    ),
+}
 
 
 def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False) -> list[dict]:
@@ -375,47 +441,19 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
     the twist coefficients; connected ones from the formal logarithm (and
     are validated against the transitive oracle by the verify suite).
     """
-    if kind == "plain":
-        tau = okounkov_tau(n_max, step_cap)
-        steps = [({"b": b}, lambda c, n, b=b: c.coeff(q=n, beta=b) * factorial(b))
-                 for b in range(step_cap + 1)]
-    elif kind == "monotone":
-        tau = monotone_tau(n_max, step_cap)
-        steps = [({"k": k}, lambda c, n, k=k: c.coeff(q=n, z=k))
-                 for k in range(step_cap + 1)]
-    elif kind == "strict":
-        tau = strict_tau(n_max, step_cap)
-        steps = [({"k": k}, lambda c, n, k=k: c.coeff(q=n, w=k))
-                 for k in range(step_cap + 1)]
-    elif kind == "mixed":
-        tau = mixed_tau(n_max, step_cap, step_cap)
-        steps = [
-            ({"p": p, "k": k}, lambda c, n, p=p, j=k - p: c.coeff(q=n, z=p, beta=j) * factorial(j))
-            for k in range(step_cap + 1)
-            for p in range(k + 1)
-        ]
-    elif kind == "multi":
-        tau = multimonotone_tau(n_max, {"w1": step_cap, "w2": step_cap})
-        steps = [
-            ({"segments": [d1, d2]}, lambda c, n, d1=d1, d2=d2: c.coeff(q=n, w1=d1, w2=d2))
-            for total in range(step_cap + 1)
-            for d1 in range(total + 1)
-            for d2 in (total - d1,)
-        ]
-    else:
+    if kind not in WALK_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
-
+    walk = WALK_KINDS[kind]
+    steps = walk.steps(step_cap)
+    tau = twist_tau(walk.twist(n_max, step_cap), n_max)
     source = log_tau(tau) if connected else tau.tensor
     rows = []
     for n in range(1, n_max + 1):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 series = source.coeff(lam, mu)
-                for step_data, extract in steps:
-                    if series is None:
-                        value = Fraction(0)
-                    else:
-                        value = extract(series, n) * z_of(mu)
+                for step_data, _, read in steps:
+                    value = Fraction(0) if series is None else read(series, n) * z_of(mu)
                     if value.denominator != 1:
                         raise ArithmeticError(
                             f"non-integral count {value} at {lam}->{mu}, {step_data}"

@@ -459,29 +459,6 @@ def alpha_q_coeff(lam: Partition, family: AlphaQConvolution, N: int) -> TruncSer
     return value.series
 
 
-def family_coeffs(family: str, lam: Partition, N: int, space: SeriesSpace, **params):
-    """Named coefficient families, dispatched by name.
-
-    okounkov(q,beta): at N=0, q^{|lam|} e^{beta cont}; use okounkov_exponents
-    for the exponent arithmetic at general N.  hciz_exp(z,N) and
-    alpha_q(alpha,q,N) return the Schur-expansion coefficient, with the
-    defined-zero convention for l(lam) > N; multimonotone(q,w_1..w_m)
-    returns the segmented strict-monotone eigenvalue."""
-    lam = tuple(lam)
-    if family == "okounkov":
-        if N != 0:
-            raise ValueError("series form of the okounkov family is defined at N=0")
-        return okounkov_coeff(lam, space, **params)
-    if family == "hciz_exp":
-        return ExpConvolution(N, space, **params).schur_expansion_r_lambda(lam)
-    if family == "alpha_q":
-        alpha = params.pop("alpha")
-        return alpha_q_coeff(lam, AlphaQConvolution(alpha, space, **params), N)
-    if family == "multimonotone":
-        return multimonotone_coeff(lam, space, **params)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def symmetry_check(coeffs: dict, n: int) -> bool:
     """Z_mu^{-1} G_{lam mu} = Z_lam^{-1} G_{mu lam} for all computed pairs."""
     for lam in partitions_of(n):

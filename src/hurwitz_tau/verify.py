@@ -27,7 +27,6 @@ from .groupalg import (
     plain,
     plain_count_via_class_dp,
     strictly_monotone,
-    weak_then_strict,
     weakly_monotone,
 )
 from .partitions import (
@@ -39,7 +38,7 @@ from .partitions import (
     z_of,
 )
 from .series import SeriesSpace
-from .twists import E, Exp, H, connection_coeffs, twist, twist_eigenvalue
+from .twists import E, H, connection_coeffs, twist, twist_eigenvalue
 
 
 @dataclass
@@ -69,6 +68,12 @@ def _run(name: str, fn) -> CheckResult:
     return CheckResult(name, ok, time.perf_counter() - start, detail)
 
 
+def _require(ok, detail: str) -> None:
+    """A check's condition, raised explicitly so that python -O keeps it."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _seeded_points(seed: int, count: int, distinct=True):
     rng = random.Random(seed)
     return oracles.random_rationals(rng, count, distinct=distinct)
@@ -89,7 +94,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
     def dims():
         for n in range(nmax + 1):
             total = sum(dimension(lam) ** 2 for lam in partitions_of(n))
-            assert total == factorial(n), f"sum of dim^2 fails at n={n}"
+            _require(total == factorial(n), f"sum of dim^2 fails at n={n}")
         return f"sum_lam dim^2 = n! for n<={nmax}"
 
     checks.append(_run("characters.dimension_squares", dims))
@@ -98,7 +103,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
         for n in range(1, nmax + 1):
             for lam in partitions_of(n):
                 det = oracles.hook_product_via_determinant(lam)
-                assert det == hook_product(lam), f"hook determinant fails at {lam}"
+                _require(det == hook_product(lam), f"hook determinant fails at {lam}")
         return f"h_lam = 1/det(1/(lam_i-i+j)!) for n<={nmax}"
 
     checks.append(_run("characters.hook_determinant", hook_det))
@@ -110,8 +115,8 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 for mu in partitions_of(n):
                     got = character(lam, mu)
                     want = oracles.character_via_alternant(lam, mu)
-                    assert got == want, (
-                        f"chi_{lam}({mu}): border-strip {got} vs alternant {want}"
+                    _require(
+                        got == want, f"chi_{lam}({mu}): border-strip {got} vs alternant {want}"
                     )
         return f"per-entry alternant coefficient oracle, n<={top}"
 
@@ -128,7 +133,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                         character(lam, mu) * oracles.schur_via_alternant(lam, xs)
                         for lam in partitions_of(n)
                     )
-                    assert lhs == rhs, f"alternant-ratio identity fails at n={n}, {mu}"
+                    _require(lhs == rhs, f"alternant-ratio identity fails at n={n}, {mu}")
             # the 3-variable projection of the same identity
             xs3 = _seeded_points(seed + 7 * n, 3)
             for mu in partitions_of(n):
@@ -137,7 +142,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                     character(lam, mu) * oracles.schur_via_alternant(lam, xs3)
                     for lam in partitions_of(n)
                 )
-                assert lhs == rhs, f"3-variable alternant identity fails at {mu}"
+                _require(lhs == rhs, f"3-variable alternant identity fails at {mu}")
         return f"P_mu = sum chi S_lam at seeded points, n<={top}"
 
     checks.append(_run("characters.alternant_ratio_points", alternant_ratio_points))
@@ -150,7 +155,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                     for mu in partitions_of(n)
                 )
                 expected = factorial(n) if lam == (n,) else 0
-                assert total == expected, f"row sum fails at {lam}"
+                _require(total == expected, f"row sum fails at {lam}")
         return f"sum_mu |C_mu| chi_lam(mu) = n! delta(lam,(n)), n<={nmax}"
 
     checks.append(_run("characters.row_sums", row_sums))
@@ -160,7 +165,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
             for mu in partitions_of(n):
                 f = symfunc.powersum_to_schur(mu)
                 back = symfunc.to_powersum(f)
-                assert back.terms == {mu: Fraction(1)}, f"round trip fails at {mu}"
+                _require(back.terms == {mu: Fraction(1)}, f"round trip fails at {mu}")
         return f"p -> s -> p round trip, n<={nmax}"
 
     checks.append(_run("characters.basis_roundtrip", sym_roundtrip))
@@ -172,28 +177,36 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 ys = _seeded_points(seed + 31 * n + trial + 1, 3)
                 p_side, s_side = symfunc.cauchy_sides(n, xs, ys)
                 kernel = symfunc.cauchy_kernel_coeff(n, xs, ys)
-                assert p_side == s_side == kernel, f"Cauchy identity fails at n={n}"
+                _require(p_side == s_side == kernel, f"Cauchy identity fails at n={n}")
         return f"Cauchy-Littlewood degree slices, n<={nmax}, 3 points each"
 
     checks.append(_run("characters.cauchy_littlewood", cauchy))
 
     def evaluation():
-        assert symfunc.evaluate_schur((2, 1), [1, 1, 1]) == oracles.ssyt_count((2, 1), 3)
+        _require(
+            symfunc.evaluate_schur((2, 1), [1, 1, 1]) == oracles.ssyt_count((2, 1), 3),
+            "SSYT count fails at (2, 1), 3 variables",
+        )
         for lam in partitions_of(4):
             for m in (1, 2, 3, 5):
                 xs = [Fraction(1)] * m
-                assert symfunc.evaluate_schur(lam, xs) == oracles.ssyt_count(lam, m), (
-                    f"SSYT count fails at {lam}, {m} variables"
+                _require(
+                    symfunc.evaluate_schur(lam, xs) == oracles.ssyt_count(lam, m),
+                    f"SSYT count fails at {lam}, {m} variables",
                 )
         # vanishing for more rows than variables
-        assert symfunc.evaluate_schur((1, 1, 1), [1, 2]) == 0
+        _require(
+            symfunc.evaluate_schur((1, 1, 1), [1, 2]) == 0,
+            "S_(1,1,1) does not vanish in 2 variables",
+        )
         rng = random.Random(seed)
         for _ in range(5):
             xs = oracles.random_rationals(rng, 3, distinct=True)
             for lam in ((2, 1), (3,), (2, 2)):
-                assert symfunc.evaluate_schur(lam, xs) == oracles.schur_via_alternant(
-                    lam, xs
-                ), f"p-basis and alternant Schur evaluations disagree at {lam}"
+                _require(
+                    symfunc.evaluate_schur(lam, xs) == oracles.schur_via_alternant(lam, xs),
+                    f"p-basis and alternant Schur evaluations disagree at {lam}",
+                )
         return "Schur evaluation vs SSYT enumeration and alternant ratio"
 
     checks.append(_run("characters.schur_evaluation", evaluation))
@@ -211,7 +224,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
             xs = oracles.random_rationals(rng, 3)
             lhs = symfunc.evaluate(symfunc.multiply(f, g), xs)
             rhs = symfunc.evaluate(f, xs) * symfunc.evaluate(g, xs)
-            assert lhs == rhs, "evaluate is not multiplicative"
+            _require(lhs == rhs, "evaluate is not multiplicative")
         return "evaluate(f*g) = evaluate(f)*evaluate(g) on random pairs"
 
     checks.append(_run("characters.evaluation_ring_hom", ring_hom))
@@ -234,10 +247,10 @@ def center_suite(
             for lam in partitions_of(n):
                 v = center.unit_idempotent(n, lam)
                 back = center.class_to_idem(center.idem_to_class(v))
-                assert back.coords == v.coords, f"F round trip fails at {lam}"
+                _require(back.coords == v.coords, f"F round trip fails at {lam}")
                 w = center.unit_class(n, lam)
                 back = center.idem_to_class(center.class_to_idem(w))
-                assert back.coords == w.coords, f"C round trip fails at {lam}"
+                _require(back.coords == w.coords, f"C round trip fails at {lam}")
         return f"class <-> idempotent basis round trips, n<={roundtrip_nmax}"
 
     checks.append(_run("center.basis_roundtrips", roundtrips))
@@ -258,9 +271,7 @@ def center_suite(
                                 product[kappa] = product.get(kappa, Fraction(0)) + c1 * c2 * s
                     product = {k: v for k, v in product.items() if v}
                     expected = f_class[lam] if lam == nu else {}
-                    assert product == expected, (
-                        f"F_{lam} F_{nu} fails at n={n}"
-                    )
+                    _require(product == expected, f"F_{lam} F_{nu} fails at n={n}")
         return f"F idempotency/orthogonality in explicit C[S_n], n<={idem_nmax}"
 
     checks.append(_run("center.idempotents", idempotency))
@@ -271,22 +282,20 @@ def center_suite(
             p0 = Fraction(n)
             p1 = jm_power_sum(n, 1)
             p2 = jm_power_sum(n, 2)
-            assert p1 == class_sum(n, (2,) + (1,) * (n - 2)), f"P1 fails at n={n}"
+            _require(p1 == class_sum(n, (2,) + (1,) * (n - 2)), f"P1 fails at n={n}")
             lhs = p2 - ident.scale(p0 * (p0 - 1) / 2)
-            assert lhs == class_sum(n, (3,) + (1,) * (n - 3)), f"P2 identity fails at n={n}"
+            _require(lhs == class_sum(n, (3,) + (1,) * (n - 3)), f"P2 identity fails at n={n}")
             lhs = (p1 * p1).scale(Fraction(1, 2)) - p2.scale(Fraction(3, 2)) + ident.scale(
                 p0 * (p0 - 1) / 2
             )
-            assert lhs == class_sum(n, (2, 2) + (1,) * (n - 4)), (
-                f"P1^2 identity fails at n={n}"
-            )
+            _require(lhs == class_sum(n, (2, 2) + (1,) * (n - 4)), f"P1^2 identity fails at n={n}")
             c2 = class_sum(n, (2,) + (1,) * (n - 2))
             want = (
                 class_sum(n, (3,) + (1,) * (n - 3)).scale(3)
                 + class_sum(n, (2, 2) + (1,) * (n - 4)).scale(2)
                 + ident.scale(Fraction(n * (n - 1), 2))
             )
-            assert c2 * c2 == want, f"C2*C2 identity fails at n={n}"
+            _require(c2 * c2 == want, f"C2*C2 identity fails at n={n}")
         return f"power-sum class expressions and C2*C2 product, 4<=n<={remark_nmax}"
 
     checks.append(_run("center.jm_class_identities", remark_identities))
@@ -299,7 +308,7 @@ def center_suite(
             for i in range(5):
                 p = jm_power_sum(n, i)
                 center.project_to_classes(p)  # raises on non-centrality
-                assert p.commutes_with(c2), f"P_{i} does not commute at n={n}"
+                _require(p.commutes_with(c2), f"P_{i} does not commute at n={n}")
         # a lone JM element is not central
         try:
             center.project_to_classes(groupalg.jm_element(3, 3))
@@ -317,12 +326,15 @@ def center_suite(
                 via_idem = center.characteristic_map(
                     center.class_to_idem(center.unit_class(n, mu))
                 )
-                assert via_class == via_idem, f"ch basis consistency fails at {mu}"
+                _require(via_class == via_idem, f"ch basis consistency fails at {mu}")
                 schur_form = symfunc.to_schur(via_class)
                 table = character_table(n)
                 for lam in partitions_of(n):
                     expected = Fraction(table.value(lam, mu), z_of(mu))
-                    assert schur_form.terms.get(lam, Fraction(0)) == expected
+                    _require(
+                        schur_form.terms.get(lam, Fraction(0)) == expected,
+                        f"ch of C_{mu} has the wrong Schur coefficient at {lam}",
+                    )
         return f"characteristic map agrees across bases, n<={idem_nmax}"
 
     checks.append(_run("center.characteristic_map", characteristic_consistency))
@@ -333,7 +345,7 @@ def center_suite(
             for mu in partitions_of(n):
                 f = center.characteristic_map(center.unit_class(n, mu))
                 euler = center.euler_operator(f)
-                assert euler == f.scale(n), f"Euler operator fails at {mu}"
+                _require(euler == f.scale(n), f"Euler operator fails at {mu}")
                 if c2 is None:
                     continue
                 lhs = center.cut_and_join_operator(f)
@@ -341,7 +353,7 @@ def center_suite(
                     center.unit_class(n, c2), center.unit_class(n, mu)
                 )
                 rhs = center.characteristic_map(product)
-                assert lhs == rhs, f"cut-and-join fails at {mu}"
+                _require(lhs == rhs, f"cut-and-join fails at {mu}")
         return f"cut-and-join = multiplication by C2 under ch, n<={idem_nmax}"
 
     checks.append(_run("center.cut_and_join", cut_and_join))
@@ -354,8 +366,9 @@ def center_suite(
                         center.unit_class(n, mu), center.unit_class(n, nu)
                     )
                     slow = center.project_to_classes(class_sum(n, mu) * class_sum(n, nu))
-                    assert fast.coords == slow.coords, (
-                        f"center_multiply vs convolution fails at {mu} * {nu}"
+                    _require(
+                        fast.coords == slow.coords,
+                        f"center_multiply vs convolution fails at {mu} * {nu}",
                     )
         return f"diagonalised multiplication = raw convolution, n<={oracle_nmax}"
 
@@ -366,74 +379,34 @@ def center_suite(
 
 # -- walks suite ---------------------------------------------------------------
 
-def _family_cases(n: int, plain_cap=4, weak_cap=6, mixed_cap=5, multi_cap=5):
-    """(family, twist spec, [(segments, extractor kwargs, factor)]) tuples."""
-    cases = []
-    t_exp = twist((Exp("q", "beta"),), (n, plain_cap))
-    cases.append(
-        (
-            "plain",
-            t_exp,
-            [
-                (plain(k), {"q": n, "beta": k}, factorial(k))
-                for k in range(plain_cap + 1)
-            ],
-        )
-    )
-    t_h = twist((H("z"),), (weak_cap,))
-    cases.append(
-        (
-            "monotone",
-            t_h,
-            [(weakly_monotone(k), {"z": k}, 1) for k in range(weak_cap + 1)],
-        )
-    )
-    t_e = twist((E("w"),), (n,))
-    cases.append(
-        (
-            "strict",
-            t_e,
-            [(strictly_monotone(k), {"w": k}, 1) for k in range(n)],
-        )
-    )
-    t_mixed = twist((Exp("q", "beta"), H("z")), (n, mixed_cap, mixed_cap))
-    cases.append(
-        (
-            "mixed",
-            t_mixed,
-            [
-                (mixed(p, k), {"q": n, "z": p, "beta": k - p}, factorial(k - p))
-                for k in range(mixed_cap + 1)
-                for p in range(k + 1)
-            ],
-        )
-    )
-    t_multi = twist((E("w1"), E("w2")), (multi_cap, multi_cap))
-    cases.append(
-        (
-            "multi",
-            t_multi,
-            [
-                (multi_monotone([d1, d2]), {"w1": d1, "w2": d2}, 1)
-                for total in range(multi_cap + 1)
-                for d1 in range(total + 1)
-                for d2 in (total - d1,)
-            ],
-        )
-    )
-    t_ws = twist((H("z"), E("w")), (4, 4))
-    cases.append(
-        (
-            "weak_then_strict",
-            t_ws,
-            [
-                (weak_then_strict(k, l), {"z": k, "w": l}, 1)
-                for k in range(5)
-                for l in range(5 - k)
-            ],
-        )
-    )
-    return cases
+def _oracle_counts(kind: str, n: int, cap: int, transitive: bool = False):
+    """(lam, mu, step data, read, oracle count) for every class pair of n and
+    every step datum of the walk kind of total length <= cap."""
+    parts = partitions_of(n)
+    for data, segments, read in tauseries.WALK_KINDS[kind].steps(cap):
+        for lam in parts:
+            counts = count_walks_all_targets(n, lam, segments, transitive=transitive)
+            for mu in parts:
+                yield lam, mu, data, read, counts.get(mu, 0)
+
+
+def _twist_matches_oracle(kind: str, n: int, cap: int) -> None:
+    """Connection coefficients of the walk kind's twist = oracle counts."""
+    coeffs = connection_coeffs(tauseries.WALK_KINDS[kind].twist(n, cap), n)
+    for lam, mu, data, read, want in _oracle_counts(kind, n, cap):
+        got = read(coeffs[(lam, mu)], n)
+        _require(got == want, f"{kind} n={n} {lam}->{mu} {data}: twist {got} vs oracle {want}")
+
+
+def _table_matches_oracle(kind: str, n_max: int, cap: int, connected: bool = False) -> None:
+    """Every hurwitz_table row = the oracle count; transitive walks when
+    connected, so this checks exactly what `table --connected` prints."""
+    rows = tauseries.hurwitz_table(kind, n_max, cap, connected=connected)
+    table = {(r["from"], r["to"], repr(r["steps"])): int(r["count"]) for r in rows}
+    for n in range(1, n_max + 1):
+        for lam, mu, data, _, want in _oracle_counts(kind, n, cap, connected):
+            got = table[(format_partition(lam), format_partition(mu), repr(data))]
+            _require(got == want, f"{kind} table {lam}->{mu} {data}: {got} vs oracle {want}")
 
 
 def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
@@ -441,24 +414,11 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
 
     def sweep():
         for n in range(1, nmax + 1):
-            parts = partitions_of(n)
-            for family, spec, entries in _family_cases(n):
-                coeffs = connection_coeffs(spec, n)
-                oracle_cache = {}
-                for segments, kwargs, factor in entries:
-                    for lam in parts:
-                        if (lam, segments) not in oracle_cache:
-                            oracle_cache[(lam, segments)] = count_walks_all_targets(
-                                n, lam, segments
-                            )
-                        counts = oracle_cache[(lam, segments)]
-                        for mu in parts:
-                            got = coeffs[(lam, mu)].coeff(**kwargs) * factor
-                            want = counts.get(mu, 0)
-                            assert got == want, (
-                                f"{family} n={n} {lam}->{mu} {kwargs}: "
-                                f"twist {got} vs oracle {want}"
-                            )
+            for kind, cap in (
+                ("plain", 4), ("monotone", 6), ("strict", n - 1),
+                ("mixed", 5), ("multi", 5), ("weakstrict", 4),
+            ):
+                _twist_matches_oracle(kind, n, cap)
         return f"all families, all pairs, n<={nmax}"
 
     checks.append(_run("walks.twist_vs_oracle", sweep))
@@ -466,41 +426,8 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
     if spot_n6:
 
         def spot():
-            n = 6
-            parts = partitions_of(n)
-            spec = twist((H("z"),), (4,))
-            coeffs = connection_coeffs(spec, n)
-            for lam in parts:
-                counts = {
-                    k: count_walks_all_targets(n, lam, weakly_monotone(k))
-                    for k in range(5)
-                }
-                for mu in parts:
-                    for k in range(5):
-                        got = coeffs[(lam, mu)].coeff(z=k)
-                        want = counts[k].get(mu, 0)
-                        assert got == want, f"n=6 weak {lam}->{mu} k={k}"
-            spec_e = twist((E("w"),), (3,))
-            coeffs_e = connection_coeffs(spec_e, n)
-            for lam in parts:
-                counts = {
-                    k: count_walks_all_targets(n, lam, strictly_monotone(k))
-                    for k in range(4)
-                }
-                for mu in parts:
-                    for k in range(4):
-                        got = coeffs_e[(lam, mu)].coeff(w=k)
-                        assert got == counts[k].get(mu, 0), f"n=6 strict {lam}->{mu} k={k}"
-            spec_p = twist((Exp("q", "beta"),), (n, 3))
-            coeffs_p = connection_coeffs(spec_p, n)
-            for lam in parts:
-                counts = {
-                    k: count_walks_all_targets(n, lam, plain(k)) for k in range(4)
-                }
-                for mu in parts:
-                    for k in range(4):
-                        got = coeffs_p[(lam, mu)].coeff(q=n, beta=k) * factorial(k)
-                        assert got == counts[k].get(mu, 0), f"n=6 plain {lam}->{mu} k={k}"
+            for kind, cap in (("monotone", 4), ("strict", 3), ("plain", 3)):
+                _twist_matches_oracle(kind, 6, cap)
             return "full n=6 sweeps: plain k<=3, weak k<=4, strict k<=3, all pairs"
 
         checks.append(_run("walks.n6_spot_checks", spot))
@@ -509,7 +436,7 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
         for n in range(1, min(nmax, 5) + 1):
             spec = twist((H("z"), E("w")), (4, 4))
             coeffs = connection_coeffs(spec, n)
-            assert twists.symmetry_check(coeffs, n), f"symmetry fails at n={n}"
+            _require(twists.symmetry_check(coeffs, n), f"symmetry fails at n={n}")
         return "Z_mu^-1 G(lam,mu) = Z_lam^-1 G(mu,lam)"
 
     checks.append(_run("walks.symmetry", symmetry))
@@ -538,9 +465,7 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                 total = space.zero()
                 for kap in parts:
                     total = total + mat_h[(lam, kap)] * mat_e[(kap, mu)]
-                assert total == coeffs_joint[(lam, mu)], (
-                    f"composition fails at {lam}->{mu}"
-                )
+                _require(total == coeffs_joint[(lam, mu)], f"composition fails at {lam}->{mu}")
         return "G(H*E) = G(H) G(E) as matrices in the class basis, n=4"
 
     checks.append(_run("walks.composition", composition))
@@ -554,8 +479,8 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                 for mu in partitions_of(n):
                     for k in range(5):
                         dp = plain_count_via_class_dp(n, lam, mu, k)
-                        assert dp == counts[k].get(mu, 0), (
-                            f"class DP disagrees at {lam}->{mu}, k={k}"
+                        _require(
+                            dp == counts[k].get(mu, 0), f"class DP disagrees at {lam}->{mu}, k={k}"
                         )
         return "plain counts equal the class-matrix DP"
 
@@ -569,8 +494,8 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                     counts = groupalg.count_walks_to_elements(n, lam, segs)
                     members = groupalg.conjugacy_classes(n)[mu]
                     sample = {counts.get(members[0], 0), counts.get(members[-1], 0)}
-                    assert len(sample) == 1, (
-                        f"count depends on the representative for {lam}->{mu}"
+                    _require(
+                        len(sample) == 1, f"count depends on the representative for {lam}->{mu}"
                     )
         return "counts independent of the target representative (two samples)"
 
@@ -580,18 +505,25 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
         n = 4
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert count_walks(WalkQuery(n, lam, mu, multi_monotone([3]))) == count_walks(
-                    WalkQuery(n, lam, mu, strictly_monotone(3))
+
+                def count(segments):
+                    return count_walks(WalkQuery(n, lam, mu, segments))
+
+                _require(
+                    count(multi_monotone([3])) == count(strictly_monotone(3)),
+                    f"multi(1 segment) != strict at {lam}->{mu}",
                 )
-                assert count_walks(WalkQuery(n, lam, mu, mixed(4, 4))) == count_walks(
-                    WalkQuery(n, lam, mu, weakly_monotone(4))
+                _require(
+                    count(mixed(4, 4)) == count(weakly_monotone(4)),
+                    f"mixed(p=k) != weak at {lam}->{mu}",
                 )
-                assert count_walks(WalkQuery(n, lam, mu, mixed(0, 3))) == count_walks(
-                    WalkQuery(n, lam, mu, plain(3))
+                _require(
+                    count(mixed(0, 3)) == count(plain(3)), f"mixed(p=0) != plain at {lam}->{mu}"
                 )
-                assert count_walks(
-                    WalkQuery(n, lam, mu, strictly_monotone(n))
-                ) == 0
+                _require(
+                    count(strictly_monotone(n)) == 0,
+                    f"strict walks of length n do not vanish at {lam}->{mu}",
+                )
         return "multi(1 segment)=strict, mixed(p=k)=weak, mixed(0)=plain, strict(n)=0"
 
     checks.append(_run("walks.degenerations", degenerations))
@@ -614,8 +546,9 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                     for mu in partitions_of(n):
                         got = twisted.coeff(mu)
                         got_k = got.coeff(z=k) if got else Fraction(0)
-                        assert got_k == slow.get(mu, Fraction(0)), (
-                            f"element-level twist fails at n={n}, {lam}->{mu}, z^{k}"
+                        _require(
+                            got_k == slow.get(mu, Fraction(0)),
+                            f"element-level twist fails at n={n}, {lam}->{mu}, z^{k}",
                         )
         return "apply_twist = multiplication by truncated H(z, J) in C[S_n], n<=4"
 
@@ -647,13 +580,8 @@ def _complete_jm(n: int, cap: int) -> list[GroupAlgebraElement]:
 
 # -- tau suite -------------------------------------------------------------------
 
-TWIST_FAMILIES = {
-    "Exp": lambda n: twist((Exp("q", "beta"),), (n, 4)),
-    "H": lambda n: twist((H("z"),), (5,)),
-    "E": lambda n: twist((E("w"),), (n,)),
-    "H*E": lambda n: twist((H("z"), E("w")), (4, 4)),
-    "E*E": lambda n: twist((E("w1"), E("w2")), (4, 4)),
-}
+# walk kind -> series cap of its twist in tau.twisted_cauchy (None: the sheet n)
+TWIST_FAMILIES = {"plain": 4, "monotone": 5, "strict": None, "weakstrict": 4, "multi": 4}
 
 
 def tau_suite(
@@ -666,9 +594,10 @@ def tau_suite(
             checks.append(_run(name, fn))
 
     def twisted_cauchy():
-        for name, make in TWIST_FAMILIES.items():
+        for kind, cap in TWIST_FAMILIES.items():
+            walk = tauseries.WALK_KINDS[kind]
             for n in range(min(nmax, 6) + 1):
-                spec = make(n)
+                spec = walk.twist(n, n if cap is None else cap)
                 space = spec.space()
                 parts = partitions_of(n)
                 coeffs = connection_coeffs(spec, n)
@@ -679,8 +608,9 @@ def tau_suite(
                         got = twisted.coeff(mu)
                         if not got:
                             got = space.zero()
-                        assert got == coeffs[(lam, mu)], (
-                            f"{name}: matrix route disagrees at n={n}, {lam}->{mu}"
+                        _require(
+                            got == coeffs[(lam, mu)],
+                            f"{walk.label}: matrix route disagrees at n={n}, {lam}->{mu}",
                         )
                 # random-point identity with 3 variables per side
                 rng = random.Random(seed + n)
@@ -701,7 +631,7 @@ def tau_suite(
                     )
                     if weight:
                         rhs = rhs + twist_eigenvalue(spec, nu, space) * weight
-                assert lhs == rhs, f"{name}: point identity fails at n={n}"
+                _require(lhs == rhs, f"{walk.label}: point identity fails at n={n}")
         return f"corrected twisted Cauchy identity, all families, n<={min(nmax, 6)}"
 
     add("tau.twisted_cauchy", twisted_cauchy)
@@ -715,10 +645,10 @@ def tau_suite(
         for n in range(min(nmax, 6) + 1):
             p_side, s_side = symfunc.cauchy_sides(n, xs, ys)
             kernel = symfunc.cauchy_kernel_coeff(n, xs, ys)
-            assert p_side == s_side == kernel
+            _require(p_side == s_side == kernel, f"Cauchy identity fails at n={n}")
             per_degree += kernel
         value = tauseries.tau_eval(t0, xs, ys).constant_term()
-        assert value == per_degree, "vacuum tau disagrees with the Cauchy kernel"
+        _require(value == per_degree, "vacuum tau disagrees with the Cauchy kernel")
         return "vacuum tau = Cauchy kernel degree slices"
 
     add("tau.vacuum_cauchy", vacuum)
@@ -731,10 +661,10 @@ def tau_suite(
             for n in range(9):
                 for lam in partitions_of(n):
                     got = conv.r_lambda(lam, 0)
-                    assert got.qexp == 0
+                    _require(got.qexp == 0, f"r_lambda(0) carries q^{got.qexp} at {lam}")
                     want = twist_eigenvalue(spec, lam, spec.space())
-                    assert got.series == want, (
-                        f"intertwining fails at {lam} with {len(names)} z's"
+                    _require(
+                        got.series == want, f"intertwining fails at {lam} with {len(names)} z's"
                     )
         return "r_lambda(0) from the rho branches = content-product eigenvalue, |lam|<=8"
 
@@ -749,14 +679,16 @@ def tau_suite(
                 for n in range(7):
                     for lam in partitions_of(n):
                         if len(lam) > N:
-                            assert (
-                                twists.alpha_q_coeff(lam, fam, N).is_zero()
-                            ), f"defined-zero flag fails at {lam}, N={N}"
+                            _require(
+                                twists.alpha_q_coeff(lam, fam, N).is_zero(),
+                                f"defined-zero flag fails at {lam}, N={N}",
+                            )
                             continue
                         branch = fam.r_lambda(lam, N)
                         closed = fam.closed_form_r_lambda(lam, N)
-                        assert branch == closed, (
-                            f"alpha-q branches disagree at {lam}, N={N}, alpha={alpha}"
+                        _require(
+                            branch == closed,
+                            f"alpha-q branches disagree at {lam}, N={N}, alpha={alpha}",
                         )
         return "branch r_lambda = r0 q^|lam| (N-a)_lam/(N)_lam, |lam|<=6, N<=5"
 
@@ -770,57 +702,21 @@ def tau_suite(
             t = tauseries.hciz_tau(N, 6, 6)
             det_side = tauseries.hciz_determinant(N, a_vals, b_vals, 6)
             schur_side = tauseries.tau_eval(t, a_vals, b_vals)
-            assert det_side == schur_side.truncate_to(det_side.space), (
-                f"determinant identity fails at N={N}"
+            _require(
+                det_side == schur_side.truncate_to(det_side.space),
+                f"determinant identity fails at N={N}",
             )
             # p-side and Schur-side assemblies agree at the points too
             other = tauseries.tau_eval_schur_side(t, a_vals, b_vals)
-            assert schur_side == other
+            _require(schur_side == other, f"p-side and Schur-side evaluations disagree at N={N}")
         return "det route = Schur expansion through z^6, N=1,2,3"
 
     add("tau.hciz_determinant", hciz)
 
     def connectivity():
-        top = walk_nmax
-        t_plain = tauseries.okounkov_tau(top, 4)
-        log_plain = tauseries.log_tau(t_plain)
-        for n in range(1, top + 1):
-            for lam in partitions_of(n):
-                transitive = {
-                    b: count_walks_all_targets(n, lam, plain(b), transitive=True)
-                    for b in range(5)
-                }
-                for mu in partitions_of(n):
-                    series = log_plain.coeff(lam, mu)
-                    for b in range(5):
-                        got = (
-                            series.coeff(q=n, beta=b) if series is not None else Fraction(0)
-                        ) * factorial(b) * z_of(mu)
-                        want = transitive[b].get(mu, 0)
-                        assert got == want, (
-                            f"connected plain fails at {lam}->{mu}, b={b}: {got} vs {want}"
-                        )
-        t_mono = tauseries.monotone_tau(top, 5)
-        log_mono = tauseries.log_tau(t_mono)
-        for n in range(1, top + 1):
-            for lam in partitions_of(n):
-                transitive = {
-                    k: count_walks_all_targets(
-                        n, lam, weakly_monotone(k), transitive=True
-                    )
-                    for k in range(6)
-                }
-                for mu in partitions_of(n):
-                    series = log_mono.coeff(lam, mu)
-                    for k in range(6):
-                        got = (
-                            series.coeff(q=n, z=k) if series is not None else Fraction(0)
-                        ) * z_of(mu)
-                        want = transitive[k].get(mu, 0)
-                        assert got == want, (
-                            f"connected monotone fails at {lam}->{mu}, k={k}"
-                        )
-        return f"log tau = transitive counts (plain b<=4, monotone k<=5), n<={top}"
+        _table_matches_oracle("plain", walk_nmax, 4, connected=True)
+        _table_matches_oracle("monotone", walk_nmax, 5, connected=True)
+        return f"log tau = transitive counts (plain b<=4, monotone k<=5), n<={walk_nmax}"
 
     add("tau.log_connectivity", connectivity)
 
@@ -828,7 +724,7 @@ def tau_suite(
         t = tauseries.okounkov_tau(4, 3)
         log = tauseries.log_tau(t)
         back = tauseries.exp_tensor(log, 4)
-        assert back == t.tensor, "exp(log tau) != tau"
+        _require(back == t.tensor, "exp(log tau) != tau")
         return "exp(log tau) = tau to the sheet cap"
 
     add("tau.exp_log_roundtrip", log_roundtrip)
@@ -840,9 +736,12 @@ def tau_suite(
             for n in range(7):
                 for lam in partitions_of(n):
                     qe, be = twists.okounkov_exponents(lam, N)
-                    assert qe == N * (N - 1) // 2 + psize(lam)
-                    assert be == N * (N * N - 1) // 6 + N * psize(lam) + content_sum(lam), (
-                        f"beta exponent law fails at {lam}, N={N}"
+                    _require(
+                        qe == N * (N - 1) // 2 + psize(lam), f"q exponent law fails at {lam}, N={N}"
+                    )
+                    _require(
+                        be == N * (N * N - 1) // 6 + N * psize(lam) + content_sum(lam),
+                        f"beta exponent law fails at {lam}, N={N}",
                     )
         return "q-exponent N(N-1)/2+|lam|; beta-exponent N(N^2-1)/6+N|lam|+cont"
 
@@ -868,38 +767,18 @@ def tau_suite(
                         for i, j in cells(lam):
                             reparam *= 1 + w * (j - i)
                     if m % 2 == 0:
-                        assert direct == reparam, f"even-m reparametrization fails at {lam}"
+                        _require(direct == reparam, f"even-m reparametrization fails at {lam}")
                     else:
-                        assert direct == reparam * Fraction(-1) ** (m * sum(lam) % 2), (
-                            f"odd-m sign law fails at {lam}"
+                        _require(
+                            direct == reparam * Fraction(-1) ** (m * sum(lam) % 2),
+                            f"odd-m sign law fails at {lam}",
                         )
         return "Z-coefficients match the q,w form (exact for even m; odd m flips by (-1)^(m|lam|))"
 
     add("tau.multimonotone_reparametrization", multimonotone_reparam)
 
     def multimonotone_table():
-        rows = tauseries.hurwitz_table("multi", min(walk_nmax, 5), 4)
-        indexed = {
-            (r["n"], r["from"], r["to"], tuple(r["steps"]["segments"])): int(r["count"])
-            for r in rows
-        }
-        for n in range(1, min(walk_nmax, 5) + 1):
-            for lam in partitions_of(n):
-                cache = {}
-                for mu in partitions_of(n):
-                    for d1 in range(5):
-                        for d2 in range(5 - d1):
-                            if (d1, d2) not in cache:
-                                cache[(d1, d2)] = count_walks_all_targets(
-                                    n, lam, multi_monotone([d1, d2])
-                                )
-                            want = cache[(d1, d2)].get(mu, 0)
-                            got = indexed[
-                                (n, format_partition(lam), format_partition(mu), (d1, d2))
-                            ]
-                            assert got == want, (
-                                f"multimonotone table fails at {lam}->{mu}, ({d1},{d2})"
-                            )
+        _table_matches_oracle("multi", min(walk_nmax, 5), 4)
         return f"E*E table = segmented oracle, n<={min(walk_nmax, 5)}, d1+d2<=4"
 
     add("tau.multimonotone_table", multimonotone_table)
@@ -907,7 +786,10 @@ def tau_suite(
     def alpha_q_report():
         report = build_alpha_q_report(seed)
         for entry in report["cases"]:
-            assert isinstance(entry["entrywise_matches_schur_expansion"], bool)
+            _require(
+                isinstance(entry["entrywise_matches_schur_expansion"], bool),
+                "report entry lacks a boolean match flag",
+            )
         return "exploratory determinant comparison report generated"
 
     add("tau.alpha_q_report", alpha_q_report)

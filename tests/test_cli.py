@@ -122,16 +122,42 @@ def test_tau_zcap_guard(capsys):
     assert code == 2
 
 
-def test_table_csv_header(capsys):
+# table --family -> (CSV header, the row 1,1,1 -> 3 with two steps)
+TABLE_CSV = {
+    "okounkov": ("n,from,to,k,count", '3,"1,1,1",3,2,3'),
+    "plain": ("n,from,to,k,count", '3,"1,1,1",3,2,3'),
+    "monotone": ("n,from,to,k,count", '3,"1,1,1",3,2,2'),
+    "strict": ("n,from,to,k,count", '3,"1,1,1",3,2,1'),
+    "mixed": ("n,from,to,p,k,count", '3,"1,1,1",3,0,2,3'),
+    "multi": ("n,from,to,segments,count", '3,"1,1,1",3,"2,0",1'),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_CSV))
+def test_table_csv_header(capsys, family):
     code, out = run_cli(
         capsys,
-        "table", "--family", "monotone", "--nmax", "3", "--kmax", "3",
+        "table", "--family", family, "--nmax", "3", "--kmax", "3",
         "--format", "csv",
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,from,to,k,count"
-    assert '3,"1,1,1",3,2,2' in lines
+    header, row = TABLE_CSV[family]
+    assert lines[0] == header
+    assert row in lines
+
+
+@pytest.mark.parametrize(
+    ("twist", "label"),
+    [
+        ("exp", "Exp"), ("monotone", "H"), ("strict", "E"),
+        ("mixed", "Exp*H"), ("weakstrict", "H*E"), ("multi", "E*E"),
+    ],
+)
+def test_gmatrix_twist_label(capsys, twist, label):
+    code, out = run_cli(capsys, "gmatrix", "--n", "3", "--twist", twist, "--cap", "2")
+    assert code == 0
+    assert json.loads(out)["twist"] == label
 
 
 def test_table_json_okounkov(capsys):

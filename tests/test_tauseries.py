@@ -17,6 +17,7 @@ from hurwitz_tau.partitions import partitions_of, z_of
 from hurwitz_tau.series import SeriesSpace
 from hurwitz_tau.symfunc import cauchy_kernel_coeff, evaluate_powersums
 from hurwitz_tau.tauseries import (
+    WALK_KINDS,
     alpha_q_determinant,
     alpha_q_tau,
     bareiss_determinant,
@@ -26,10 +27,10 @@ from hurwitz_tau.tauseries import (
     hurwitz_table,
     log_tau,
     monotone_tau,
-    multimonotone_tau,
     okounkov_tau,
     tau_eval,
     tau_eval_schur_side,
+    twist_tau,
     vacuum_tau,
     vandermonde,
 )
@@ -206,16 +207,15 @@ def test_log_requires_unit_constant():
 
 def test_weak_strict_tau_matches_oracle():
     from hurwitz_tau.groupalg import weak_then_strict
-    from hurwitz_tau.tauseries import weak_strict_tau
 
-    t = weak_strict_tau(4, 3, 3)
+    t = twist_tau(WALK_KINDS["weakstrict"].twist(4, 3), 4)
     for n in range(1, 5):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 series = t.walk_generating_value(lam, mu)
                 for k in range(3):
                     for l in range(3):
-                        got = series.coeff(q=n, z=k, w=l)
+                        got = series.coeff(z=k, w=l)
                         want = count_walks(
                             WalkQuery(n, lam, mu, weak_then_strict(k, l))
                         )
@@ -223,14 +223,14 @@ def test_weak_strict_tau_matches_oracle():
 
 
 def test_multimonotone_tau_matches_oracle():
-    t = multimonotone_tau(4, {"w1": 3, "w2": 3})
+    t = twist_tau(WALK_KINDS["multi"].twist(4, 3), 4)
     for n in range(1, 5):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 series = t.walk_generating_value(lam, mu)
                 for d1 in range(3):
                     for d2 in range(3):
-                        got = series.coeff(q=n, w1=d1, w2=d2)
+                        got = series.coeff(w1=d1, w2=d2)
                         want = count_walks(
                             WalkQuery(n, lam, mu, multi_monotone([d1, d2]))
                         )

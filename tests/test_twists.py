@@ -16,9 +16,11 @@ from hurwitz_tau.twists import (
     H,
     NumericHConvolution,
     Scale,
+    alpha_q_coeff,
     apply_twist,
     connection_coeffs,
     intertwine,
+    multimonotone_coeff,
     okounkov_coeff,
     okounkov_exponents,
     symmetry_check,
@@ -246,23 +248,19 @@ def test_okounkov_series_and_exponents():
 
 
 def test_family_coeffs_dispatcher():
-    from hurwitz_tau.twists import family_coeffs
-
+    # the named coefficient families, each called directly
     sp_qb = SeriesSpace(("q", "beta"), (5, 3))
-    assert family_coeffs("okounkov", (2, 1), 0, sp_qb).coeff(q=3) == 1
+    assert okounkov_coeff((2, 1), sp_qb).coeff(q=3) == 1
     sp_z = SeriesSpace(("z",), (6,))
-    assert family_coeffs("hciz_exp", (1, 1, 1), 2, sp_z).is_zero()
+    assert ExpConvolution(2, sp_z).schur_expansion_r_lambda((1, 1, 1)).is_zero()
     sp_q = SeriesSpace(("q",), (8,))
-    value = family_coeffs("alpha_q", (2,), 1, sp_q, alpha=Fraction(1, 2))
     fam = AlphaQConvolution(Fraction(1, 2), sp_q)
-    assert value == fam.closed_form_r_lambda((2,), 1).series
-    assert family_coeffs("alpha_q", (1, 1), 1, sp_q, alpha=Fraction(1, 2)).is_zero()
+    assert alpha_q_coeff((2,), fam, 1) == fam.closed_form_r_lambda((2,), 1).series
+    assert alpha_q_coeff((1, 1), fam, 1).is_zero()
     sp_w = SeriesSpace(("q", "w1"), (4, 3))
-    mm = family_coeffs("multimonotone", (2,), 0, sp_w, w_params=("w1",))
+    mm = multimonotone_coeff((2,), sp_w, w_params=("w1",))
     spec = twist((Scale("q"), E("w1")), (4, 3))
     assert mm == twist_eigenvalue(spec, (2,), sp_w)
-    with pytest.raises(ValueError):
-        family_coeffs("nope", (1,), 0, sp_q)
 
 
 def test_twist_param_validation():

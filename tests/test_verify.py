@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+
+
+def test_verify_checks_survive_python_O():
+    # a corrupted walk oracle must fail the sweep even with asserts stripped
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(repo, "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "from hurwitz_tau import verify\n"
+        "verify.count_walks_all_targets = lambda *args, **kwargs: {}\n"
+        "results = {r.name: r for r in verify.walks_suite(nmax=2, spot_n6=False)}\n"
+        "print(__debug__, results['walks.twist_vs_oracle'].passed)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        cwd=repo,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]

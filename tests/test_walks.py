@@ -4,7 +4,7 @@ import sys
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz_tau import config
@@ -27,6 +27,8 @@ from hurwitz_tau.groupalg import (
     weakly_monotone,
 )
 from hurwitz_tau.partitions import partitions_of
+from hurwitz_tau.tauseries import WALK_KINDS
+from hurwitz_tau.twists import connection_coeffs
 
 
 def test_three_step_examples_in_s3():
@@ -262,3 +264,27 @@ def test_dp_matches_direct_enumeration(case):
         counts = count_walks_all_targets(n, lam, segments)
         for mu in partitions_of(n):
             assert plain_count_via_class_dp(n, lam, mu, k) == counts.get(mu, 0)
+
+
+@st.composite
+def twist_cases(draw):
+    kind = draw(st.sampled_from(sorted(WALK_KINDS)))
+    n = draw(st.integers(1, 6))
+    return kind, n, draw(st.integers(0, 3)), draw(st.sampled_from(partitions_of(n)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(twist_cases())
+@example(("mixed", 6, 3, (2, 2, 1, 1)))
+@example(("weakstrict", 6, 3, (3, 1, 1, 1)))
+@example(("multi", 6, 3, (1, 1, 1, 1, 1, 1)))
+def test_twist_coefficients_match_oracle(case):
+    # every walk kind against the walk oracle; the examples pin each
+    # two-parameter kind at n = 6
+    kind, n, cap, lam = case
+    walk = WALK_KINDS[kind]
+    coeffs = connection_coeffs(walk.twist(n, cap), n)
+    for step_data, segments, read in walk.steps(cap):
+        counts = count_walks_all_targets(n, lam, segments)
+        for mu in partitions_of(n):
+            assert read(coeffs[(lam, mu)], n) == counts.get(mu, 0), (kind, lam, mu, step_data)
