@@ -27,29 +27,22 @@ from .groupalg import (
     weakly_monotone,
 )
 from .partitions import format_partition, parse_partition, partitions_of
-from .series import monomial_label
+from .series import series_json
 from .twists import connection_coeffs
 
 # gmatrix spells the twist of the plain walks "exp"
 GMATRIX_KINDS = {("exp" if kind == "plain" else kind): kind for kind in tauseries.WALK_KINDS}
 
 
-def frac_str(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def series_json(series) -> dict:
-    return {
-        monomial_label(series.space.params, exps): frac_str(coeff)
-        for exps, coeff in sorted(series.terms.items())
-    }
+def parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(piece) for piece in text.split(",") if piece.strip()]
+    return [parse_fraction(piece) for piece in text.split(",") if piece.strip()]
 
 
 def emit(payload, out_path=None):
@@ -150,8 +143,8 @@ def cmd_tau(args) -> int:
         payload = {
             "family": "hciz",
             "N": args.N,
-            "a": [frac_str(x) for x in a_vals],
-            "b": [frac_str(x) for x in b_vals],
+            "a": [str(x) for x in a_vals],
+            "b": [str(x) for x in b_vals],
             "zcap": args.zcap,
             "series": series_json(series),
         }
@@ -169,22 +162,21 @@ def cmd_tau(args) -> int:
             print("alpha_q needs --N, --alpha, --a, --b", file=sys.stderr)
             return 2
         a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
+        alpha = parse_fraction(args.alpha)
         if args.check_determinant:
-            report = tauseries.alpha_q_determinant(
-                args.N, Fraction(args.alpha), a_vals, b_vals, args.qcap
-            )
+            report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
             emit(report, args.out)
             return 0
         n_max = min(args.qcap, tauseries.TAU_NMAX_CAP)
-        t = tauseries.alpha_q_tau(Fraction(args.alpha), args.N, n_max)
+        t = tauseries.alpha_q_tau(alpha, args.N, n_max)
         series = tauseries.tau_eval(t, a_vals, b_vals)
         emit(
             {
                 "family": "alpha_q",
                 "N": args.N,
-                "alpha": frac_str(Fraction(args.alpha)),
-                "a": [frac_str(x) for x in a_vals],
-                "b": [frac_str(x) for x in b_vals],
+                "alpha": str(alpha),
+                "a": [str(x) for x in a_vals],
+                "b": [str(x) for x in b_vals],
                 "qcap": args.qcap,
                 "series": series_json(series),
             },
@@ -281,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="walk-count tables")
     p.add_argument(
         "--family",
-        choices=("okounkov", "plain", "monotone", "strict", "mixed", "multi"),
+        choices=("okounkov", *tauseries.WALK_KINDS),
         required=True,
     )
     p.add_argument("--nmax", type=int, default=4)

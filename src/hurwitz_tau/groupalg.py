@@ -145,11 +145,7 @@ class GroupAlgebraElement:
         self._check(other)
         terms = dict(self.terms)
         for g, c in other.terms.items():
-            merged = terms.get(g, Fraction(0)) + c
-            if merged:
-                terms[g] = merged
-            else:
-                terms.pop(g, None)
+            terms[g] = terms.get(g, 0) + c
         return GroupAlgebraElement(self.n, terms)
 
     def __sub__(self, other):
@@ -170,11 +166,7 @@ class GroupAlgebraElement:
         for g, cg in self.terms.items():
             for h, ch in other.terms.items():
                 key = compose(g, h)
-                merged = terms.get(key, Fraction(0)) + cg * ch
-                if merged:
-                    terms[key] = merged
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, 0) + cg * ch
         return GroupAlgebraElement(self.n, terms)
 
     def __pow__(self, k: int):

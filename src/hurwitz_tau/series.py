@@ -25,6 +25,8 @@ class SeriesSpace:
             raise ValueError("one cap per parameter required")
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"parameter names must be distinct: {self.params}")
+        if any(c < 0 for c in self.caps):
+            raise ValueError(f"degree caps must be >= 0, got {self.caps}")
         self._index = {name: k for k, name in enumerate(self.params)}
 
     def __repr__(self):
@@ -67,19 +69,23 @@ class SeriesSpace:
     def gen(self, name: str) -> "TruncSeries":
         return self.monomial(1, **{name: 1})
 
+    def axis_series(self, name: str, ratio) -> "TruncSeries":
+        """sum_k a_k x^k up to the cap of x, with a_0 = 1 and
+        a_{k+1} = a_k * ratio(k)."""
+        axis = self.axis(name)
+        terms = {}
+        coeff = Fraction(1)
+        for k in range(self.caps[axis] + 1):
+            exps = [0] * len(self.params)
+            exps[axis] = k
+            terms[tuple(exps)] = coeff
+            coeff = coeff * ratio(k)
+        return TruncSeries(self, terms)
+
     def geom(self, c, name: str) -> "TruncSeries":
         """1/(1 - c*x) = sum_k c^k x^k up to the cap of x."""
         c = Fraction(c)
-        axis = self.axis(name)
-        terms = {}
-        power = Fraction(1)
-        for k in range(self.caps[axis] + 1):
-            if power:
-                exps = [0] * len(self.params)
-                exps[axis] = k
-                terms[tuple(exps)] = power
-            power *= c
-        return TruncSeries(self, terms)
+        return self.axis_series(name, lambda k: c)
 
     def linear(self, c, name: str) -> "TruncSeries":
         """1 + c*x."""
@@ -88,16 +94,7 @@ class SeriesSpace:
     def exp_linear(self, c, name: str) -> "TruncSeries":
         """exp(c*x) = sum_k c^k x^k / k! up to the cap of x."""
         c = Fraction(c)
-        axis = self.axis(name)
-        terms = {}
-        coeff = Fraction(1)
-        for k in range(self.caps[axis] + 1):
-            if coeff:
-                exps = [0] * len(self.params)
-                exps[axis] = k
-                terms[tuple(exps)] = coeff
-            coeff = coeff * c / (k + 1)
-        return TruncSeries(self, terms)
+        return self.axis_series(name, lambda k: c / (k + 1))
 
 
 class TruncSeries:
@@ -167,11 +164,7 @@ class TruncSeries:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged = terms.get(exps, 0) + coeff
-            if merged:
-                terms[exps] = merged
-            else:
-                terms.pop(exps, None)
+            terms[exps] = terms.get(exps, 0) + coeff
         return TruncSeries(self.space, terms)
 
     __radd__ = __add__
@@ -203,11 +196,7 @@ class TruncSeries:
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 if any(e > cap for e, cap in zip(exps, caps)):
                     continue
-                merged = terms.get(exps, 0) + ca * cb
-                if merged:
-                    terms[exps] = merged
-                else:
-                    terms.pop(exps, None)
+                terms[exps] = terms.get(exps, 0) + ca * cb
         return TruncSeries(self.space, terms)
 
     __rmul__ = __mul__
@@ -299,36 +288,10 @@ def monomial_label(params, exps) -> str:
     return " ".join(bits) if bits else "1"
 
 
-def series_exp(u: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term (finite in the truncation)."""
-    if u.constant_term():
-        raise ValueError("series_exp needs a zero constant term")
-    result = u.space.one()
-    power = u.space.one()
-    k = 0
-    bound = sum(u.space.caps) + 1
-    while k < bound:
-        k += 1
-        power = power * u * Fraction(1, k)
-        if power.is_zero():
-            break
-        result = result + power
-    return result
-
-
-def series_log(u: TruncSeries) -> TruncSeries:
-    """log of a series with constant term 1."""
-    if u.constant_term() != 1:
-        raise ValueError("series_log needs constant term 1")
-    v = u - 1
-    result = u.space.zero()
-    power = u.space.one()
-    sign = 1
-    bound = sum(u.space.caps) + 1
-    for k in range(1, bound + 1):
-        power = power * v
-        if power.is_zero():
-            break
-        result = result + power * Fraction(sign, k)
-        sign = -sign
-    return result
+def series_json(series: TruncSeries) -> dict[str, str]:
+    """The series as {monomial label: "num/den"} in exponent order; integer
+    coefficients print without a denominator."""
+    return {
+        monomial_label(series.space.params, exps): str(coeff)
+        for exps, coeff in sorted(series.terms.items())
+    }

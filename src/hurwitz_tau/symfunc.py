@@ -262,14 +262,7 @@ class TensorSymFunc:
     def __add__(self, other):
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            if key in terms:
-                merged = terms[key] + c
-                if merged:
-                    terms[key] = merged
-                else:
-                    del terms[key]
-            else:
-                terms[key] = c
+            terms[key] = terms[key] + c if key in terms else c
         return TensorSymFunc(terms)
 
     def scale(self, c):
@@ -288,12 +281,5 @@ class TensorSymFunc:
                     tuple(sorted(ma + mb, reverse=True)),
                 )
                 c = ca * cb
-                if key in terms:
-                    merged = terms[key] + c
-                    if merged:
-                        terms[key] = merged
-                    else:
-                        del terms[key]
-                elif c:
-                    terms[key] = c
+                terms[key] = terms[key] + c if key in terms else c
         return TensorSymFunc(terms)

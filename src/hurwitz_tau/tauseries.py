@@ -43,7 +43,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries
+from .series import SeriesSpace, TruncSeries, series_json
 from .symfunc import TensorSymFunc, evaluate_powersums, evaluate_schur
 from .twists import (
     AlphaQConvolution,
@@ -69,8 +69,8 @@ class TauSeries:
     """
 
     def __init__(self, space: SeriesSpace, n_max: int, r_of):
-        if n_max > TAU_NMAX_CAP:
-            raise ValueError(f"n_max capped at {TAU_NMAX_CAP}")
+        if not 0 <= n_max <= TAU_NMAX_CAP:
+            raise ValueError(f"n_max must lie in 0..{TAU_NMAX_CAP}, got {n_max}")
         self.space = space
         self.n_max = n_max
         self.r = {}
@@ -132,6 +132,8 @@ def hciz_tau(N: int, n_max: int, z_cap: int | None = None) -> TauSeries:
 
 
 def alpha_q_tau(alpha, N: int, n_max: int, q_cap: int | None = None) -> TauSeries:
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     if q_cap is None:
         q_cap = n_max + N * (N - 1) // 2
     space = SeriesSpace(("q",), (q_cap,))
@@ -188,27 +190,24 @@ def log_tau(t: TauSeries) -> TensorSymFunc:
     u = TensorSymFunc(
         {k: v for k, v in t.tensor.terms.items() if k != ((), ())}
     )
-    result = TensorSymFunc({})
-    power = tensor_one()
-    sign = 1
-    for k in range(1, t.n_max + 1):
-        power = power.mul(u, t.n_max)
-        if not power.terms:
-            break
-        result = result + power.scale(Fraction(sign, k))
-        sign = -sign
-    return result
+    return _tensor_power_sum(u, t.n_max, lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def exp_tensor(f: TensorSymFunc, n_max: int) -> TensorSymFunc:
     """Inverse of log_tau on formal tensor series without constant term."""
-    result = tensor_one()
+    return tensor_one() + _tensor_power_sum(f, n_max, lambda k: Fraction(1, factorial(k)))
+
+
+def _tensor_power_sum(u: TensorSymFunc, n_max: int, coeff) -> TensorSymFunc:
+    """sum_{k >= 1} coeff(k) u^k through sheet n_max.  u has no constant
+    term, so u^k vanishes for k > n_max and the sum is finite."""
+    result = TensorSymFunc({})
     power = tensor_one()
     for k in range(1, n_max + 1):
-        power = power.mul(f, n_max)
+        power = power.mul(u, n_max)
         if not power.terms:
             break
-        result = result + power.scale(Fraction(1, factorial(k)))
+        result = result + power.scale(coeff(k))
     return result
 
 
@@ -281,13 +280,8 @@ def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
     ]
     det = bareiss_determinant(rows, "z")
     det = det / (vandermonde(a_vals) * vandermonde(b_vals))
-    if shift:
-        for exps, coeff in det.terms.items():
-            if exps[0] < shift and coeff:
-                raise ArithmeticError(
-                    "determinant does not vanish to the expected order"
-                )
-        det = det.shift_down("z", shift) * Fraction(1, (-N) ** shift)
+    # shift_down raises ExactDivisionError unless det vanishes to that order
+    det = det.shift_down("z", shift) * Fraction(1, (-N) ** shift)
     target = SeriesSpace(("z",), (z_cap,))
     return det.truncate_to(target)
 
@@ -310,12 +304,7 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
 
     def entry(ai, bj):
         # (1 - q ai bj)^(alpha-1) as a binomial series in q
-        term = Fraction(1)
-        total = work.zero()
-        for k in range(work.caps[0] + 1):
-            total = total + work.monomial(term, q=k)
-            term = term * (alpha - 1 - k) * (-ai * bj) / (k + 1)
-        return total
+        return work.axis_series("q", lambda k: (alpha - 1 - k) * (-ai * bj) / (k + 1))
 
     rows = [[entry(ai, bj) for bj in b_vals] for ai in a_vals]
     det = bareiss_determinant(rows, "q")
@@ -336,8 +325,8 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
         "b": [str(x) for x in b_vals],
         "q_cap": target.caps[0],
         "entrywise_matches_schur_expansion": det_t == schur_t,
-        "entrywise_determinant": _series_table(det_t),
-        "schur_expansion": _series_table(schur_t),
+        "entrywise_determinant": series_json(det_t),
+        "schur_expansion": series_json(schur_t),
         "det_power_reading_defined": N == 1 or det_constant != 0,
         "notes": (
             "the whole-determinant reading (det M)^(alpha-1) needs an"
@@ -347,15 +336,6 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
             if N >= 2
             else "for N = 1 both readings coincide with the binomial series"
         ),
-    }
-
-
-def _series_table(series: TruncSeries) -> dict[str, str]:
-    from .series import monomial_label
-
-    return {
-        monomial_label(series.space.params, exps): str(coeff)
-        for exps, coeff in sorted(series.terms.items())
     }
 
 

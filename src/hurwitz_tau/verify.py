@@ -836,21 +836,30 @@ SUITES = ("characters", "center", "walks", "tau", "all")
 
 
 def run_suite(name: str, nmax: int | None = None, seed: int = 2014) -> list[CheckResult]:
+    """Run one named suite; nmax (>= 1) replaces a single suite's default
+    size, while "all" always runs the default sizes."""
+    if nmax is not None and nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
+
+    def top(default: int) -> int:
+        return default if nmax is None else nmax
+
     if name == "characters":
-        return characters_suite(nmax=nmax or 6, oracle_nmax=min(nmax or 6, 6), seed=seed)
+        return characters_suite(nmax=top(6), oracle_nmax=min(top(6), 6), seed=seed)
     if name == "center":
-        top = nmax or 6
         return center_suite(
-            roundtrip_nmax=max(top, 6),
-            idem_nmax=min(top, 6),
-            remark_nmax=max(min(top + 1, 7), 4),
-            oracle_nmax=min(top, 5),
+            roundtrip_nmax=max(top(6), 6),
+            idem_nmax=min(top(6), 6),
+            remark_nmax=max(min(top(6) + 1, 7), 4),
+            oracle_nmax=min(top(6), 5),
         )
     if name == "walks":
-        return walks_suite(nmax=min(nmax or 5, 5), spot_n6=(nmax or 5) >= 5)
+        return walks_suite(nmax=min(top(5), 5), spot_n6=top(5) >= 5)
     if name == "tau":
-        return tau_suite(nmax=min(nmax or 6, 6), seed=seed, walk_nmax=min(nmax or 5, 5))
+        return tau_suite(nmax=min(top(6), 6), seed=seed, walk_nmax=min(top(5), 5))
     if name == "all":
+        if nmax is not None:
+            raise ValueError("the all suite runs its default sizes and takes no nmax")
         out = []
         out.extend(characters_suite(seed=seed))
         out.extend(center_suite())

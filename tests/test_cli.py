@@ -1,8 +1,16 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau.cli import main
+from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
+from hurwitz_tau.partitions import partitions_of
+from hurwitz_tau.tauseries import WALK_KINDS
+from hurwitz_tau.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +138,11 @@ TABLE_CSV = {
     "strict": ("n,from,to,k,count", '3,"1,1,1",3,2,1'),
     "mixed": ("n,from,to,p,k,count", '3,"1,1,1",3,0,2,3'),
     "multi": ("n,from,to,segments,count", '3,"1,1,1",3,"2,0",1'),
+    "weakstrict": (
+        "n,from,to,segments,count",
+        '3,"1,1,1",3,"1,1",'
+        + str(count_walks(WalkQuery(3, (1, 1, 1), (3,), weak_then_strict(1, 1)))),
+    ),
 }
 
 
@@ -205,6 +218,22 @@ def test_mixed_requires_p(capsys):
             "tau", "--family", "hciz", "--N", "2", "--a=1,1", "--b=1,2",
             "--zcap", "4", "--check-determinant",
         ),
+        ("tau", "--family", "hciz", "--N", "2", "--a", "1/0,1", "--b", "1,2"),
+        (
+            "tau", "--family", "alpha_q", "--N", "2", "--alpha", "1/0",
+            "--a", "1/2,1/3", "--b", "1,2",
+        ),
+        ("gmatrix", "--n", "3", "--cap", "-1"),
+        ("table", "--family", "plain", "--nmax", "2", "--kmax", "-2"),
+        ("table", "--family", "plain", "--nmax", "-1"),
+        ("tau", "--family", "hciz", "--N", "2", "--a", "1,2", "--b", "1/2,1/3", "--zcap", "-1"),
+        (
+            "tau", "--family", "alpha_q", "--N", "2", "--alpha", "1/2",
+            "--a", "1/2,1/3", "--b", "1,2", "--qcap", "-1",
+        ),
+        ("verify", "characters", "--nmax", "-1"),
+        ("verify", "characters", "--nmax", "0"),
+        ("verify", "all", "--nmax", "3"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -220,3 +249,103 @@ def test_unparsable_walk_cap_exits_2(capsys, monkeypatch):
     code = main(["walks", "--n", "3", "--from", "3", "--to", "3"])
     assert code == 2
     assert "HURWITZ_MAX_N" in capsys.readouterr().err
+
+
+SIZE = st.integers(-2, 4)
+CAP = st.integers(-2, 3)
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, bad) for one of the six subcommands: sizes <= 4, caps <= 3,
+    rationals that may have a zero denominator.  bad is true when a drawn
+    size or cap is negative or a denominator is zero.  The tau and all
+    suites of verify only get an nmax that is rejected: they cost seconds
+    at any size."""
+    ints = []
+
+    def number(flag, strategy):
+        value = draw(strategy)
+        ints.append(value)
+        return f"{flag}={value}"
+
+    def partition(n):
+        size = n if n >= 0 and draw(st.booleans()) else draw(st.integers(0, 4))
+        return ",".join(map(str, draw(st.sampled_from(partitions_of(size)))))
+
+    command = draw(st.sampled_from(("verify", "chartable", "walks", "gmatrix", "tau", "table")))
+    zero_denominator = False
+    if command == "verify":
+        suite = draw(st.sampled_from(SUITES))
+        sizes = SIZE if suite in ("characters", "center", "walks") else st.integers(-2, 0)
+        argv = ["verify", suite, number("--nmax", sizes)]
+    elif command == "chartable":
+        argv = ["chartable", number("--n", SIZE)]
+    elif command == "walks":
+        kind = draw(st.sampled_from(("plain", "monotone", "strict", "mixed", "multi")))
+        n = draw(SIZE)
+        ints.append(n)
+        argv = [
+            "walks", f"--n={n}", f"--from={partition(n)}", f"--to={partition(n)}",
+            f"--kind={kind}",
+        ]
+        if kind == "multi" and draw(st.booleans()):
+            segments = [draw(CAP), draw(CAP)]
+            ints.extend(segments)
+            argv.append(f"--segments={segments[0]},{segments[1]}")
+        else:
+            argv.append(number("--steps", CAP))
+        if kind == "mixed":
+            argv.append(number("--p", CAP))
+        if draw(st.booleans()):
+            argv.append("--transitive")
+    elif command == "gmatrix":
+        twist = draw(st.sampled_from(("exp", "monotone", "strict", "mixed", "weakstrict", "multi")))
+        argv = ["gmatrix", number("--n", SIZE), f"--twist={twist}", number("--cap", CAP)]
+    elif command == "table":
+        family = draw(st.sampled_from(("okounkov", *WALK_KINDS)))
+        argv = [
+            "table", f"--family={family}", number("--nmax", SIZE),
+            number(draw(st.sampled_from(("--kmax", "--bmax"))), CAP),
+            f"--format={draw(st.sampled_from(('json', 'csv')))}",
+        ]
+        if draw(st.booleans()):
+            argv.append("--connected")
+    else:
+        family = draw(st.sampled_from(("hciz", "alpha_q")))
+        N = draw(SIZE)
+        ints.append(N)
+        length = draw(st.sampled_from((max(N, 0), 0, 1, 2, 3, 4)))
+        count = 2 * length + (family == "alpha_q")
+        rationals = [
+            [draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3)))] for _ in range(count)
+        ]
+        if count and draw(st.booleans()):
+            rationals[draw(st.integers(0, count - 1))][1] = 0
+            zero_denominator = True
+        texts = [f"{num}/{den}" for num, den in rationals]
+        argv = [
+            "tau", f"--family={family}", f"--N={N}",
+            "--a=" + ",".join(texts[:length]), "--b=" + ",".join(texts[length:2 * length]),
+        ]
+        if family == "hciz":
+            argv.append(number("--zcap", CAP))
+        else:
+            argv += [f"--alpha={texts[-1]}", number("--qcap", CAP)]
+        if draw(st.booleans()):
+            argv.append("--check-determinant")
+    return argv, zero_denominator or any(v < 0 for v in ints)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(cli_cases())
+def test_cli_fuzz_exit_codes(case):
+    argv, bad = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if bad:
+        assert code == 2, (argv, out.getvalue())
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

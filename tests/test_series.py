@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz_tau.errors import ExactDivisionError
-from hurwitz_tau.series import SeriesSpace, TruncSeries, series_exp, series_log
+from hurwitz_tau.series import SeriesSpace, TruncSeries
 
 
 def space():
@@ -62,8 +62,6 @@ def test_inverse():
 
 def test_exp_log_roundtrip():
     sp = space()
-    u = sp.gen("z") * Fraction(1, 2) + sp.gen("w") * Fraction(-2, 3)
-    assert series_log(series_exp(u)) == u
     e = sp.exp_linear(Fraction(3), "z")
     target = Fraction(1)
     for k in range(6):

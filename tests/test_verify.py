@@ -2,6 +2,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from hurwitz_tau import verify
+
 
 def test_verify_checks_survive_python_O():
     # a corrupted walk oracle must fail the sweep even with asserts stripped
@@ -25,3 +29,20 @@ def test_verify_checks_survive_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    ("suite", "nmax"),
+    [("characters", -1), ("walks", 0), ("all", 3)],
+)
+def test_run_suite_rejects_bad_nmax(suite, nmax):
+    # below 1 nothing would be checked, 0 used to mean the default, and
+    # "all" runs fixed sizes
+    with pytest.raises(ValueError):
+        verify.run_suite(suite, nmax=nmax)
+
+
+def test_run_suite_nmax_sets_the_size():
+    results = verify.run_suite("characters", nmax=1)
+    assert all(r.passed for r in results)
+    assert "n<=1" in next(r for r in results if r.name == "characters.orthogonality").detail
