@@ -94,7 +94,8 @@ class CharacterTable:
         ordered pair of classes, skipping nu whose weight chi_nu(lam)
         chi_nu(mu) vanishes.  ``values`` maps each nu to an element of any
         ring that ``zero`` belongs to and that ints scale; callers apply
-        their own normalisation."""
+        their own normalisation.  twists.series_character_sum calls it on
+        packed integers."""
         weighted = [(row, values[nu]) for row, nu in zip(self.chi, self.parts)]
         out = {}
         for a, lam in enumerate(self.parts):

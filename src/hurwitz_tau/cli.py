@@ -24,6 +24,7 @@ from .groupalg import (
     multi_monotone,
     plain,
     strictly_monotone,
+    weak_then_strict,
     weakly_monotone,
 )
 from .partitions import format_partition, parse_partition, partitions_of
@@ -72,19 +73,38 @@ def cmd_chartable(args) -> int:
     return 0
 
 
+def _lengths(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _mixed(args):
+    if args.p is None:
+        raise ValueError("--kind mixed needs --p (length of the monotone prefix)")
+    return mixed(args.p, args.steps)
+
+
+def _weakstrict(args):
+    lengths = _lengths(args.segments) if args.segments else []
+    if len(lengths) != 2:
+        raise ValueError("--kind weakstrict needs --segments k,l (weak, then strict length)")
+    return weak_then_strict(*lengths)
+
+
+# walks --kind: the groupalg segments of each tauseries.WALK_KINDS kind
+WALK_SEGMENTS = {
+    "plain": lambda args: plain(args.steps),
+    "monotone": lambda args: weakly_monotone(args.steps),
+    "strict": lambda args: strictly_monotone(args.steps),
+    "mixed": _mixed,
+    "weakstrict": _weakstrict,
+    "multi": lambda args: multi_monotone(
+        _lengths(args.segments) if args.segments else [args.steps]
+    ),
+}
+
+
 def cmd_walks(args) -> int:
-    if args.kind == "mixed" and args.p is None:
-        print("--kind mixed needs --p (length of the monotone prefix)", file=sys.stderr)
-        return 2
-    segments = {
-        "plain": lambda: plain(args.steps),
-        "monotone": lambda: weakly_monotone(args.steps),
-        "strict": lambda: strictly_monotone(args.steps),
-        "mixed": lambda: mixed(args.p, args.steps),
-        "multi": lambda: multi_monotone(
-            [int(x) for x in args.segments.split(",")] if args.segments else [args.steps]
-        ),
-    }[args.kind]()
+    segments = WALK_SEGMENTS[args.kind](args)
     query = WalkQuery(
         args.n,
         parse_partition(getattr(args, "from")),
@@ -189,6 +209,9 @@ def cmd_tau(args) -> int:
 
 def cmd_table(args) -> int:
     kind = {"okounkov": "plain"}.get(args.family, args.family)
+    for flag, value in (("--kmax", args.kmax), ("--bmax", args.bmax)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     cap = args.bmax if args.bmax is not None else args.kmax
     rows = tauseries.hurwitz_table(kind, args.nmax, cap, connected=args.connected)
     if args.format == "json":
@@ -240,14 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument(
-        "--kind",
-        choices=("plain", "monotone", "strict", "mixed", "multi"),
-        default="plain",
-    )
+    p.add_argument("--kind", choices=tuple(tauseries.WALK_KINDS), default="plain")
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--p", type=int, default=None, help="monotone prefix length for --kind mixed")
-    p.add_argument("--segments", default=None, help="comma-separated lengths for --kind multi")
+    p.add_argument(
+        "--segments",
+        default=None,
+        help="comma-separated lengths for --kind multi; weak and strict lengths k,l"
+        " for --kind weakstrict",
+    )
     p.add_argument("--transitive", action="store_true")
     p.set_defaults(func=cmd_walks)
 

@@ -177,9 +177,6 @@ class TruncSeries:
             other = self.space.scalar(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self.space.scalar(other) - self
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             c = Fraction(other)

@@ -54,6 +54,7 @@ from .twists import (
     Scale,
     TwistSpec,
     alpha_q_coeff,
+    series_character_sum,
     twist,
     twist_eigenvalue,
 )
@@ -79,10 +80,8 @@ class TauSeries:
             table = character_table(n)
             r_vals = {nu: r_of(nu) for nu in table.parts}
             self.r.update(r_vals)
-            for (lam, mu), total in table.character_sum(r_vals, space.zero()).items():
-                total = total * Fraction(1, z_of(lam) * z_of(mu))
-                if total:
-                    terms[(lam, mu)] = total
+            sums = series_character_sum(table, r_vals, space, lambda lam, mu: z_of(lam) * z_of(mu))
+            terms.update((pair, total) for pair, total in sums.items() if total)
         self.tensor = TensorSymFunc(terms)
 
     def coeff(self, lam, mu) -> TruncSeries:

@@ -15,6 +15,8 @@ coefficients
     G_{lam mu} = (1/Z_lam) sum_nu G(cont(nu)) chi_nu(lam) chi_nu(mu),
 
 whose series coefficients count constrained transposition walks.  The
+eigenvalues are built from integer content sequences and the sum runs on
+packed integers (series_character_sum), dividing once at the end.  The
 convolution side parametrises the same eigenvalues through families
 rho_j / r_j = rho_j/rho_{j-1} and the shifted content product
 
@@ -26,10 +28,10 @@ QPow); only genuinely formal directions (z, w, beta) are series-expanded.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .center import IDEMPOTENTS, CenterElement, class_to_idem, idem_to_class
-from .characters import character_table
+from .characters import CharacterTable, character_table
 from .errors import SingularParameterError
 from .partitions import (
     Partition,
@@ -105,25 +107,99 @@ def twist(factors, caps) -> TwistSpec:
 
 
 def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None = None) -> TruncSeries:
-    """Content-product eigenvalue of the twist on F_lam, as a series."""
+    """Content-product eigenvalue of the twist on F_lam, as a series.
+
+    Each parameter axis carries an integer sequence a_0..a_cap over a
+    denominator.  H multiplies its axis by 1/(1 - c x) for every content c,
+    giving h_k(contents); E multiplies it by 1 + c x, giving e_k(contents);
+    Exp shifts its q axis by |lam| and convolves its beta axis with
+    C^k cap!/k! over cap!, C the content sum; Scale shifts its q axis by
+    |lam|.  Atoms on one axis compose by convolution, and the series is the
+    outer product of the axes over the product of their denominators."""
     lam = tuple(lam)
     if space is None:
         space = spec.space()
     cs = contents(lam)
-    result = space.one()
+    axes = [[1] + [0] * cap for cap in space.caps]
+    denominator = 1
     for f in spec.factors:
         if isinstance(f, H):
+            seq = axes[space.axis(f.param)]
             for c in cs:
-                result = result * space.geom(c, f.param)
+                for k in range(1, len(seq)):
+                    seq[k] += c * seq[k - 1]
         elif isinstance(f, E):
+            seq = axes[space.axis(f.param)]
             for c in cs:
-                result = result * space.linear(c, f.param)
-        elif isinstance(f, Exp):
-            result = result * space.monomial(1, **{f.q_param: size(lam)})
-            result = result * space.exp_linear(content_sum(lam), f.beta_param)
-        elif isinstance(f, Scale):
-            result = result * space.monomial(1, **{f.q_param: size(lam)})
-    return result
+                for k in range(len(seq) - 1, 0, -1):
+                    seq[k] += c * seq[k - 1]
+        elif isinstance(f, (Exp, Scale)):
+            axis = space.axis(f.q_param)
+            axes[axis] = _convolve(axes[axis], [0] * size(lam) + [1])
+            if isinstance(f, Exp):
+                axis = space.axis(f.beta_param)
+                top = factorial(space.caps[axis])
+                c = content_sum(lam)
+                axes[axis] = _convolve(
+                    axes[axis], [c**k * (top // factorial(k)) for k in range(len(axes[axis]))]
+                )
+                denominator *= top
+        else:
+            raise TypeError(f"unknown twist factor {f!r}")
+    terms = {(): 1}
+    for seq in axes:
+        terms = {e + (k,): x * a for e, x in terms.items() for k, a in enumerate(seq) if a}
+    return TruncSeries(space, {e: Fraction(x, denominator) for e, x in terms.items()})
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer sequences, truncated to the length of a."""
+    return [
+        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), k + 1)) for k in range(len(a))
+    ]
+
+
+def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scale) -> dict:
+    """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
+    for every ordered pair of classes, each a series in ``space``.
+
+    The sum runs on exact integers.  Every coefficient is brought onto one
+    common denominator D, and each value's numerators are packed into one
+    int: a signed slot of W bits per exponent tuple occurring in any value.
+    CharacterTable.character_sum then adds and scales whole packed ints, and
+    each pair's slots are read back once as Fraction(x, D scale(lam, mu)).
+    Cauchy-Schwarz and column orthogonality give
+    sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu) <= n!, so a slot
+    never exceeds n! M in size, M the largest numerator; W =
+    bit_length(n! M) + 1 holds that with its sign, and no slot carries into
+    the next."""
+    support = sorted({exps for value in values.values() for exps in value.terms})
+    slot = {exps: k for k, exps in enumerate(support)}
+    denom = lcm(*(c.denominator for value in values.values() for c in value.terms.values()))
+    numerators = {
+        nu: [(slot[e], c.numerator * (denom // c.denominator)) for e, c in value.terms.items()]
+        for nu, value in values.items()
+    }
+    largest = max((abs(x) for nums in numerators.values() for _, x in nums), default=0)
+    width = (factorial(table.n) * largest).bit_length() + 1
+    packed = {nu: sum(x << (width * k) for k, x in nums) for nu, nums in numerators.items()}
+    # biasing every slot by 2^(W-1) makes each one a nonnegative W-bit field
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = sum(half << (width * k) for k in range(len(support)))
+    out = {}
+    for (lam, mu), total in table.character_sum(packed, 0).items():
+        terms = {}
+        if total:
+            total += bias
+            d = denom * scale(lam, mu)
+            for exps in support:
+                x = (total & mask) - half
+                if x:
+                    terms[exps] = Fraction(x, d)
+                total >>= width
+        out[(lam, mu)] = TruncSeries(space, terms)
+    return out
 
 
 def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
@@ -131,10 +207,7 @@ def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partitio
     space = spec.space()
     table = character_table(n)
     eig = {nu: twist_eigenvalue(spec, nu, space) for nu in table.parts}
-    sums = table.character_sum(eig, space.zero())
-    return {
-        (lam, mu): total * Fraction(1, z_of(lam)) for (lam, mu), total in sums.items()
-    }
+    return series_character_sum(table, eig, space, lambda lam, mu: z_of(lam))
 
 
 def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = None) -> CenterElement:

@@ -453,10 +453,7 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
 
         def component(spec):
             eig = {nu: twist_eigenvalue(spec, nu, space) for nu in parts}
-            sums = table.character_sum(eig, space.zero())
-            return {
-                (lam, mu): total * Fraction(1, z_of(lam)) for (lam, mu), total in sums.items()
-            }
+            return twists.series_character_sum(table, eig, space, lambda lam, mu: z_of(lam))
 
         mat_h = component(twist((H("z"),), (caps[0],)))
         mat_e = component(twist((E("w"),), (caps[1],)))
@@ -585,7 +582,7 @@ TWIST_FAMILIES = {"plain": 4, "monotone": 5, "strict": None, "weakstrict": 4, "m
 
 
 def tau_suite(
-    nmax: int = 6, seed: int = 2014, walk_nmax: int = 5, only=None
+    nmax: int = 6, seed: int = 2014, walk_nmax: int = 5, intertwining_nmax: int = 8, only=None
 ) -> list[CheckResult]:
     checks = []
 
@@ -658,7 +655,7 @@ def tau_suite(
             spec = twist(tuple(H(z) for z in names), caps)
             conv = twists.intertwine(spec)
             conv.check_ratio(-4, 6)
-            for n in range(9):
+            for n in range(intertwining_nmax + 1):
                 for lam in partitions_of(n):
                     got = conv.r_lambda(lam, 0)
                     _require(got.qexp == 0, f"r_lambda(0) carries q^{got.qexp} at {lam}")
@@ -666,7 +663,10 @@ def tau_suite(
                     _require(
                         got.series == want, f"intertwining fails at {lam} with {len(names)} z's"
                     )
-        return "r_lambda(0) from the rho branches = content-product eigenvalue, |lam|<=8"
+        return (
+            "r_lambda(0) from the rho branches = content-product eigenvalue,"
+            f" |lam|<={intertwining_nmax}"
+        )
 
     add("tau.intertwining_theorem", intertwining)
 
@@ -856,7 +856,12 @@ def run_suite(name: str, nmax: int | None = None, seed: int = 2014) -> list[Chec
     if name == "walks":
         return walks_suite(nmax=min(top(5), 5), spot_n6=top(5) >= 5)
     if name == "tau":
-        return tau_suite(nmax=min(top(6), 6), seed=seed, walk_nmax=min(top(5), 5))
+        return tau_suite(
+            nmax=min(top(6), 6),
+            seed=seed,
+            walk_nmax=min(top(5), 5),
+            intertwining_nmax=min(top(8), 8),
+        )
     if name == "all":
         if nmax is not None:
             raise ValueError("the all suite runs its default sizes and takes no nmax")

@@ -201,6 +201,38 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("kind", sorted(WALK_KINDS))
+def test_walks_accepts_every_walk_kind(capsys, kind):
+    code, out = run_cli(
+        capsys,
+        "walks", "--n", "3", "--from", "1,1,1", "--to", "3", "--kind", kind,
+        "--steps", "2", "--p", "1", "--segments", "1,1",
+    )
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[1])["kind"] == kind
+
+
+def test_walks_weakstrict_matches_table_row(capsys):
+    code, out = run_cli(
+        capsys,
+        "walks", "--n", "4", "--from", "1,1,1,1", "--to", "4",
+        "--kind", "weakstrict", "--segments", "2,1",
+    )
+    assert code == 0
+    count, record = out.strip().splitlines()
+    assert [(s["kind"], s["length"]) for s in json.loads(record)["steps"]] == [
+        ("weak", 2), ("strict", 1),
+    ]
+    code, out = run_cli(capsys, "table", "--family", "weakstrict", "--nmax", "4", "--kmax", "3")
+    assert code == 0
+    row = next(
+        r
+        for r in json.loads(out)
+        if r["from"] == "1,1,1,1" and r["to"] == "4" and r["steps"] == {"segments": [2, 1]}
+    )
+    assert row["count"] == count != "0"
+
+
 def test_mixed_requires_p(capsys):
     code = main(
         ["walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "mixed", "--steps", "2"]
@@ -234,6 +266,10 @@ def test_mixed_requires_p(capsys):
         ("verify", "characters", "--nmax", "-1"),
         ("verify", "characters", "--nmax", "0"),
         ("verify", "all", "--nmax", "3"),
+        ("table", "--family", "plain", "--nmax", "2", "--kmax=-1", "--bmax", "2"),
+        ("table", "--family", "plain", "--nmax", "2", "--kmax", "2", "--bmax=-1"),
+        ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "weakstrict"),
+        ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind=weakstrict", "--segments=1,1,1"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -282,14 +318,14 @@ def cli_cases(draw):
     elif command == "chartable":
         argv = ["chartable", number("--n", SIZE)]
     elif command == "walks":
-        kind = draw(st.sampled_from(("plain", "monotone", "strict", "mixed", "multi")))
+        kind = draw(st.sampled_from(tuple(WALK_KINDS)))
         n = draw(SIZE)
         ints.append(n)
         argv = [
             "walks", f"--n={n}", f"--from={partition(n)}", f"--to={partition(n)}",
             f"--kind={kind}",
         ]
-        if kind == "multi" and draw(st.booleans()):
+        if kind in ("multi", "weakstrict") and draw(st.booleans()):
             segments = [draw(CAP), draw(CAP)]
             ints.extend(segments)
             argv.append(f"--segments={segments[0]},{segments[1]}")
@@ -304,9 +340,10 @@ def cli_cases(draw):
         argv = ["gmatrix", number("--n", SIZE), f"--twist={twist}", number("--cap", CAP)]
     elif command == "table":
         family = draw(st.sampled_from(("okounkov", *WALK_KINDS)))
+        flags = [flag for flag in ("--kmax", "--bmax") if draw(st.booleans())]
         argv = [
             "table", f"--family={family}", number("--nmax", SIZE),
-            number(draw(st.sampled_from(("--kmax", "--bmax"))), CAP),
+            *(number(flag, CAP) for flag in flags),
             f"--format={draw(st.sampled_from(('json', 'csv')))}",
         ]
         if draw(st.booleans()):

@@ -46,3 +46,12 @@ def test_run_suite_nmax_sets_the_size():
     results = verify.run_suite("characters", nmax=1)
     assert all(r.passed for r in results)
     assert "n<=1" in next(r for r in results if r.name == "characters.orthogonality").detail
+
+
+def test_run_suite_nmax_sets_the_intertwining_size():
+    results = verify.run_suite("tau", nmax=2)
+    assert all(r.passed for r in results)
+    check = next(r for r in results if r.name == "tau.intertwining_theorem")
+    assert check.detail.endswith("|lam|<=2")
+    direct = verify.tau_suite(only={"tau.intertwining_theorem"}, intertwining_nmax=3)
+    assert direct[0].detail.endswith("|lam|<=3")
