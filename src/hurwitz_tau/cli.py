@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure,
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -58,6 +59,11 @@ def emit(payload, out_path=None):
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, nmax=args.nmax, seed=args.seed)
     failed = [r for r in results if not r.passed]
+    if args.json:
+        for r in results:
+            print(json.dumps(dataclasses.asdict(r)))
+        print(json.dumps({"checks": len(results), "failed": len(failed)}))
+        return 1 if failed else 0
     for r in results:
         print(r.line())
     if failed:
@@ -150,12 +156,12 @@ def cmd_gmatrix(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    flag, cap = ("--zcap", args.zcap) if args.family == "hciz" else ("--qcap", args.qcap)
+    if cap > tauseries.TAU_NMAX_CAP:
+        raise ValueError(f"{flag} is capped at {tauseries.TAU_NMAX_CAP}, got {cap}")
     if args.family == "hciz":
         if args.N is None or args.a is None or args.b is None:
             print("hciz needs --N, --a, --b", file=sys.stderr)
-            return 2
-        if args.zcap > tauseries.TAU_NMAX_CAP:
-            print(f"--zcap is capped at {tauseries.TAU_NMAX_CAP}", file=sys.stderr)
             return 2
         a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
         t = tauseries.hciz_tau(args.N, args.zcap, args.zcap)
@@ -187,8 +193,7 @@ def cmd_tau(args) -> int:
             report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
             emit(report, args.out)
             return 0
-        n_max = min(args.qcap, tauseries.TAU_NMAX_CAP)
-        t = tauseries.alpha_q_tau(alpha, args.N, n_max)
+        t = tauseries.alpha_q_tau(alpha, args.N, args.qcap)
         series = tauseries.tau_eval(t, a_vals, b_vals)
         emit(
             {
@@ -252,6 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=verify.SUITES, nargs="?", default="all")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
+    p.add_argument(
+        "--json", action="store_true",
+        help="one JSON object per check (name, passed, seconds, detail), then the summary",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chartable", help="character table as JSON")

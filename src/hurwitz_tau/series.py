@@ -7,6 +7,7 @@ truncation).  Coefficients are Fractions throughout.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import ExactDivisionError
 
@@ -216,21 +217,28 @@ class TruncSeries:
         return result
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
+        """Multiplicative inverse; requires an invertible constant term.
+
+        One pass over the exponent box: b_0 = 1/a_0 and
+        b_e = -(1/a_0) sum_{0 != f <= e} a_f b_{e-f}.  The box is walked in
+        lexicographic order, which lists every e - f before e."""
         c0 = self.constant_term()
         if not c0:
             raise ExactDivisionError("series has no constant term; not a unit")
-        # self = c0 (1 + v) with v truncation-nilpotent.
-        v = self * (1 / c0) - 1
-        bound = sum(self.space.caps) + 1
-        result = self.space.one()
-        power = self.space.one()
-        for _ in range(bound):
-            power = power * (-v)
-            if power.is_zero():
-                break
-            result = result + power
-        return result * (1 / c0)
+        zero = (0,) * len(self.space.params)
+        rest = [(f, c) for f, c in self.terms.items() if f != zero]
+        inv0 = 1 / c0
+        b = {zero: inv0}
+        for e in product(*(range(c + 1) for c in self.space.caps)):
+            total = 0
+            for f, c in rest:
+                if all(x <= y for x, y in zip(f, e)):
+                    prev = b.get(tuple(y - x for x, y in zip(f, e)))
+                    if prev is not None:
+                        total += c * prev
+            if total:
+                b[e] = -inv0 * total
+        return TruncSeries(self.space, b)
 
     # -- univariate helpers (used by determinant code) ----------------------
 

@@ -270,16 +270,24 @@ class TensorSymFunc:
 
     def mul(self, other, grade_cap: int) -> "TensorSymFunc":
         """Bilinear product; p-monomials concatenate on each tensor leg.
-        Terms whose x-degree exceeds grade_cap are dropped."""
+        Terms whose x-degree exceeds grade_cap are dropped, so other's terms
+        are bucketed by x-degree once and each left term visits only the
+        buckets that fit under the cap."""
+        buckets = {}
+        for (lb, mb), cb in other.terms.items():
+            buckets.setdefault(sum(lb), []).append((lb, mb, cb))
+        buckets = sorted(buckets.items())
         terms = {}
         for (la, ma), ca in self.terms.items():
-            for (lb, mb), cb in other.terms.items():
-                if sum(la) + sum(lb) > grade_cap:
-                    continue
-                key = (
-                    tuple(sorted(la + lb, reverse=True)),
-                    tuple(sorted(ma + mb, reverse=True)),
-                )
-                c = ca * cb
-                terms[key] = terms[key] + c if key in terms else c
+            room = grade_cap - sum(la)
+            for degree, bucket in buckets:
+                if degree > room:
+                    break
+                for lb, mb, cb in bucket:
+                    key = (
+                        tuple(sorted(la + lb, reverse=True)),
+                        tuple(sorted(ma + mb, reverse=True)),
+                    )
+                    c = ca * cb
+                    terms[key] = terms[key] + c if key in terms else c
         return TensorSymFunc(terms)

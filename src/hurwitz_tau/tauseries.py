@@ -44,7 +44,7 @@ from .partitions import (
     z_of,
 )
 from .series import SeriesSpace, TruncSeries, series_json
-from .symfunc import TensorSymFunc, evaluate_powersums, evaluate_schur
+from .symfunc import TensorSymFunc, evaluate_schur
 from .twists import (
     AlphaQConvolution,
     E,
@@ -80,7 +80,8 @@ class TauSeries:
             table = character_table(n)
             r_vals = {nu: r_of(nu) for nu in table.parts}
             self.r.update(r_vals)
-            sums = series_character_sum(table, r_vals, space, lambda lam, mu: z_of(lam) * z_of(mu))
+            z = {lam: z_of(lam) for lam in table.parts}
+            sums = series_character_sum(table, r_vals, space, lambda lam, mu: z[lam] * z[mu])
             terms.update((pair, total) for pair, total in sums.items() if total)
         self.tensor = TensorSymFunc(terms)
 
@@ -143,21 +144,32 @@ def alpha_q_tau(alpha, N: int, n_max: int, q_cap: int | None = None) -> TauSerie
 # -- evaluation ---------------------------------------------------------------
 
 def tau_eval(t: TauSeries, a_vals, b_vals) -> TruncSeries:
-    """Specialise x -> a, y -> b; returns a series in the family parameters."""
-    total = t.space.zero()
-    p_cache_a: dict[Partition, Fraction] = {}
-    p_cache_b: dict[Partition, Fraction] = {}
+    """Specialise x -> a, y -> b; returns a series in the family parameters.
+
+    p_lam(a) and p_mu(b) come from one table of power-sum products per
+    side, and every coefficient times its weight lands in one exponent ->
+    value dict."""
+    pa = _powersum_products(a_vals, t.n_max)
+    pb = _powersum_products(b_vals, t.n_max)
+    total = {}
     for (lam, mu), series in t.tensor.terms.items():
-        pa = p_cache_a.get(lam)
-        if pa is None:
-            pa = p_cache_a[lam] = evaluate_powersums(lam, a_vals)
-        pb = p_cache_b.get(mu)
-        if pb is None:
-            pb = p_cache_b[mu] = evaluate_powersums(mu, b_vals)
-        weight = pa * pb
+        weight = pa[lam] * pb[mu]
         if weight:
-            total = total + series * weight
-    return total
+            for exps, coeff in series.terms.items():
+                total[exps] = total.get(exps, 0) + coeff * weight
+    return TruncSeries(t.space, total)
+
+
+def _powersum_products(values, n_max: int) -> dict[Partition, Fraction]:
+    """{lam: p_lam(values)} for every partition of size <= n_max; p_lam is
+    p_{lam without its last part} times p_{last part}."""
+    values = [Fraction(x) for x in values]
+    p_k = [sum((x**k for x in values), Fraction(0)) for k in range(n_max + 1)]
+    products = {(): Fraction(1)}
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            products[lam] = products[lam[:-1]] * p_k[lam[-1]]
+    return products
 
 
 def tau_eval_schur_side(t: TauSeries, a_vals, b_vals) -> TruncSeries:
@@ -186,28 +198,54 @@ def log_tau(t: TauSeries) -> TensorSymFunc:
     const = t.tensor.coeff((), ())
     if const is None or const != t.space.one():
         raise ValueError("log_tau needs constant term 1")
-    u = TensorSymFunc(
-        {k: v for k, v in t.tensor.terms.items() if k != ((), ())}
-    )
-    return _tensor_power_sum(u, t.n_max, lambda k: Fraction((-1) ** (k + 1), k))
+    taus = _slices(t.tensor, t.n_max)
+    logs, dlogs = [TensorSymFunc({})], []
+    for n in range(1, t.n_max + 1):
+        dlogs.append(logs[n - 1].scale(n - 1))
+        logs.append(taus[n] + _euler_sum(dlogs, taus, n, -1))
+    return _join(logs)
 
 
 def exp_tensor(f: TensorSymFunc, n_max: int) -> TensorSymFunc:
-    """Inverse of log_tau on formal tensor series without constant term."""
-    return tensor_one() + _tensor_power_sum(f, n_max, lambda k: Fraction(1, factorial(k)))
+    """Inverse of log_tau on formal tensor series without constant term;
+    f must have no term of x-degree 0."""
+    if any(not lam for lam, _ in f.terms):
+        raise ValueError("exp_tensor needs a series without x-degree-0 terms")
+    logs = _slices(f, n_max)
+    dlogs = [logs[k].scale(k) for k in range(n_max)]
+    exps = [tensor_one()]
+    for n in range(1, n_max + 1):
+        exps.append(logs[n] + _euler_sum(dlogs, exps, n, 1))
+    return _join(exps)
 
 
-def _tensor_power_sum(u: TensorSymFunc, n_max: int, coeff) -> TensorSymFunc:
-    """sum_{k >= 1} coeff(k) u^k through sheet n_max.  u has no constant
-    term, so u^k vanishes for k > n_max and the sum is finite."""
-    result = TensorSymFunc({})
-    power = tensor_one()
-    for k in range(1, n_max + 1):
-        power = power.mul(u, n_max)
-        if not power.terms:
-            break
-        result = result + power.scale(coeff(k))
-    return result
+# log and exp solve D tau = tau DF slice by slice, D the Euler operator in
+# the x-degree (the sheet grading, |lam| = |mu|).  At x-degree n it reads
+# n tau_n = sum_{k=1}^{n} k F_k tau_{n-k}, so with tau_0 = 1
+#     F_n = tau_n - (1/n) sum_{k=1}^{n-1} k F_k tau_{n-k}   (log),
+#     tau_n = F_n + (1/n) sum_{k=1}^{n-1} k F_k tau_{n-k}   (exp).
+
+def _slices(f: TensorSymFunc, n_max: int) -> list[TensorSymFunc]:
+    """f split into its homogeneous x-degree slices 0..n_max; terms of
+    higher degree are dropped."""
+    slices = [{} for _ in range(n_max + 1)]
+    for key, c in f.terms.items():
+        degree = sum(key[0])
+        if degree <= n_max:
+            slices[degree][key] = c
+    return [TensorSymFunc(terms) for terms in slices]
+
+
+def _euler_sum(dlogs, taus, n: int, sign: int) -> TensorSymFunc:
+    """sign/n * sum_{k=1}^{n-1} dlogs[k] taus[n-k], with dlogs[k] = k F_k."""
+    total = TensorSymFunc({})
+    for k in range(1, n):
+        total = total + dlogs[k].mul(taus[n - k], n)
+    return total.scale(Fraction(sign, n))
+
+
+def _join(slices) -> TensorSymFunc:
+    return TensorSymFunc({key: c for part in slices for key, c in part.terms.items()})
 
 
 # -- determinants over truncated series ----------------------------------------
@@ -428,11 +466,12 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
     source = log_tau(tau) if connected else tau.tensor
     rows = []
     for n in range(1, n_max + 1):
+        z = {mu: z_of(mu) for mu in partitions_of(n)}
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 series = source.coeff(lam, mu)
                 for step_data, _, read in steps:
-                    value = Fraction(0) if series is None else read(series, n) * z_of(mu)
+                    value = Fraction(0) if series is None else read(series, n) * z[mu]
                     if value.denominator != 1:
                         raise ArithmeticError(
                             f"non-integral count {value} at {lam}->{mu}, {step_data}"

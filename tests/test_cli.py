@@ -10,7 +10,7 @@ from hurwitz_tau.cli import main
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
-from hurwitz_tau.verify import SUITES
+from hurwitz_tau.verify import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +128,22 @@ def test_tau_zcap_guard(capsys):
         ["tau", "--family", "hciz", "--N", "2", "--a", "1,2", "--b", "3,4", "--zcap", "9"]
     )
     assert code == 2
+    assert capsys.readouterr().err.startswith("hurwitz-tau: error: --zcap")
+
+
+@pytest.mark.parametrize("check", [(), ("--check-determinant",)])
+def test_tau_qcap_guard(capsys, check):
+    code = main(
+        [
+            "tau", "--family", "alpha_q", "--N", "2", "--alpha", "1/2",
+            "--a", "1/2,1/3", "--b", "1,2", "--qcap", "9", *check,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("hurwitz-tau: error: --qcap")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 # table --family -> (CSV header, the row 1,1,1 -> 3 with two steps)
@@ -193,6 +209,17 @@ def test_verify_small_suite(capsys):
     assert code == 0
     assert "PASS characters.orthogonality" in out
     assert "all" in out.splitlines()[-1]
+
+
+def test_verify_json_lists_every_check(capsys):
+    code, out = run_cli(capsys, "verify", "characters", "--nmax", "2", "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    checks, summary = records[:-1], records[-1]
+    names = [r.name for r in run_suite("characters", nmax=2)]
+    assert code == 0
+    assert [c["name"] for c in checks] == names
+    assert all(set(c) == {"name", "passed", "seconds", "detail"} and c["passed"] for c in checks)
+    assert summary == {"checks": len(names), "failed": 0}
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau.errors import ExactDivisionError
 from hurwitz_tau.series import SeriesSpace, TruncSeries
@@ -87,3 +89,38 @@ def test_space_mismatch_guard():
     b = SeriesSpace(("w",), (3,)).one()
     with pytest.raises(ValueError):
         a + b
+
+
+def _neumann_inverse(a):
+    """1/a as c0^-1 sum_k (-v)^k with a = c0 (1 + v); v is nilpotent
+    under truncation, so sum(caps) + 1 powers suffice."""
+    c0 = a.constant_term()
+    v = a * (1 / c0) - 1
+    result = power = a.space.one()
+    for _ in range(sum(a.space.caps) + 1):
+        power = power * (-v)
+        result = result + power
+    return result * (1 / c0)
+
+
+RATIONAL = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+
+
+@st.composite
+def units(draw):
+    """A series with a nonzero rational constant term over a random space
+    of 0-3 parameters, caps 0-3."""
+    caps = draw(st.lists(st.integers(0, 3), max_size=3))
+    space = SeriesSpace([f"x{k}" for k in range(len(caps))], caps)
+    exponent = st.tuples(*(st.integers(0, c) for c in caps))
+    terms = draw(st.dictionaries(exponent, RATIONAL, max_size=8))
+    terms[(0,) * len(caps)] = draw(RATIONAL.filter(bool))
+    return TruncSeries(space, terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(units())
+def test_inverse_is_the_neumann_series(a):
+    b = a.inverse()
+    assert a * b == 1
+    assert b == _neumann_inverse(a)

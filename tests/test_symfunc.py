@@ -148,3 +148,33 @@ def test_tensor_product_grading():
     assert ab.terms == {((2, 1), (1, 1, 1)): Fraction(6)}
     assert a.mul(one, 4) == a
     assert a.mul(b, 2).terms == {}
+
+
+def _mul_by_pairs(a, b, grade_cap):
+    """Every term pair, dropped when its x-degree exceeds grade_cap."""
+    terms = {}
+    for (la, ma), ca in a.terms.items():
+        for (lb, mb), cb in b.terms.items():
+            if sum(la) + sum(lb) > grade_cap:
+                continue
+            key = (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ma + mb, reverse=True)))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return TensorSymFunc(terms)
+
+
+def _random_tensor(rng, max_degree):
+    parts = [lam for n in range(max_degree + 1) for lam in partitions_of(n)]
+    return TensorSymFunc(
+        {
+            (rng.choice(parts), rng.choice(parts)): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 12))
+        }
+    )
+
+
+def test_tensor_mul_matches_every_pair():
+    rng = random.Random(7)
+    for _ in range(40):
+        a, b = _random_tensor(rng, 4), _random_tensor(rng, 4)
+        for cap in (0, 1, 3, 5, 8):
+            assert a.mul(b, cap) == _mul_by_pairs(a, b, cap)

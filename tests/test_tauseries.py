@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau.errors import VandermondeError
 from hurwitz_tau.groupalg import (
@@ -14,8 +17,8 @@ from hurwitz_tau.groupalg import (
 )
 from hurwitz_tau.oracles import random_rationals
 from hurwitz_tau.partitions import partitions_of, z_of
-from hurwitz_tau.series import SeriesSpace
-from hurwitz_tau.symfunc import cauchy_kernel_coeff, evaluate_powersums
+from hurwitz_tau.series import SeriesSpace, TruncSeries
+from hurwitz_tau.symfunc import TensorSymFunc, cauchy_kernel_coeff, evaluate_powersums
 from hurwitz_tau.tauseries import (
     WALK_KINDS,
     alpha_q_determinant,
@@ -30,6 +33,7 @@ from hurwitz_tau.tauseries import (
     okounkov_tau,
     tau_eval,
     tau_eval_schur_side,
+    tensor_one,
     twist_tau,
     vacuum_tau,
     vandermonde,
@@ -196,6 +200,74 @@ def test_log_tau_connected_counts():
 def test_exp_log_roundtrip():
     t = okounkov_tau(4, 3)
     assert exp_tensor(log_tau(t), 4) == t.tensor
+
+
+def _power_sum(u, n_max, coeff):
+    """sum_{k >= 1} coeff(k) u^k through x-degree n_max, u without constant
+    term: the series definition of log and exp, kept as their oracle."""
+    result = TensorSymFunc({})
+    power = tensor_one()
+    for k in range(1, n_max + 1):
+        power = power.mul(u, n_max)
+        result = result + power.scale(coeff(k))
+    return result
+
+
+def _log_by_power_sum(tensor, n_max):
+    u = TensorSymFunc({k: v for k, v in tensor.terms.items() if k != ((), ())})
+    return _power_sum(u, n_max, lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def _exp_by_power_sum(f, n_max):
+    return tensor_one() + _power_sum(f, n_max, lambda k: Fraction(1, factorial(k)))
+
+
+RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+SPACES = (SeriesSpace((), ()), SeriesSpace(("q",), (2,)), SeriesSpace(("q", "z"), (2, 1)))
+
+
+@st.composite
+def sheet_series(draw):
+    """(space, n_max, F): n_max <= 5 and F a tensor series with |lam| = |mu|
+    in 1..n_max, its coefficients Fractions or series over a space of 0, 1
+    or 2 parameters."""
+    space = draw(st.sampled_from(SPACES))
+    n_max = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        coeff = RATIONAL
+    else:
+        exponent = st.tuples(*(st.integers(0, c) for c in space.caps))
+        coeff = st.builds(
+            lambda terms: TruncSeries(space, terms),
+            st.dictionaries(exponent, RATIONAL, max_size=3),
+        )
+    key = st.integers(1, max(n_max, 1)).flatmap(
+        lambda n: st.tuples(st.sampled_from(partitions_of(n)), st.sampled_from(partitions_of(n)))
+    )
+    terms = draw(st.dictionaries(key, coeff, max_size=6)) if n_max else {}
+    return space, n_max, TensorSymFunc(terms)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(sheet_series())
+def test_log_and_exp_match_power_sums(case):
+    space, n_max, f = case
+    tau = _exp_by_power_sum(f, n_max)
+    assert exp_tensor(f, n_max) == tau
+    t = SimpleNamespace(tensor=tau, space=space, n_max=n_max)
+    log = log_tau(t)
+    assert log == _log_by_power_sum(tau, n_max)
+    assert exp_tensor(log, n_max) == tau
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(sheet_series(), st.sampled_from(partitions_of(0) + partitions_of(1) + partitions_of(2)))
+def test_exp_rejects_x_degree_0(case, mu):
+    _, n_max, f = case
+    terms = dict(f.terms)
+    terms[((), mu)] = Fraction(1)
+    with pytest.raises(ValueError):
+        exp_tensor(TensorSymFunc(terms), n_max)
 
 
 def test_log_requires_unit_constant():
