@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import character_table
-from .groupalg import GroupAlgebraElement, class_sum
+from .groupalg import (
+    GroupAlgebraElement,
+    class_representative,
+    class_sum,
+    compose,
+    conjugacy_classes,
+    cycle_type,
+)
 from .partitions import Partition, hook_product, partitions_of, z_of
 from .symfunc import SymFunc, p_basis, s_basis
 
@@ -148,15 +155,30 @@ def project_to_classes(a: GroupAlgebraElement) -> CenterElement:
     return CenterElement(a.n, CLASS_SUMS, a.class_coordinates())
 
 
-def class_structure_constants(n: int) -> dict[tuple[Partition, Partition], dict[Partition, Fraction]]:
-    """Structure constants of the class-sum basis from raw convolution in
-    C[S_n]; exponential in n, used as the independent multiplication oracle."""
-    out = {}
+def class_structure_constants(n: int) -> dict[tuple[Partition, Partition], dict[Partition, int]]:
+    """Structure constants C_mu C_nu = sum_kappa c^kappa_{mu nu} C_kappa of
+    the class-sum basis, counted in S_n; used as the independent
+    multiplication oracle (raw group arithmetic, no characters).
+
+    c^kappa_{mu nu} counts the factorizations g_kappa = x y with x in C_mu
+    and y in C_nu.  Since C_mu is closed under inverses this is
+    #{y in C_mu : y g_kappa in C_nu} for one representative g_kappa, so the
+    count takes one compose and one cycle type per (kappa, y): p(n) n!
+    steps.  Only kappa with a nonzero count are listed.  Counting at one
+    representative assumes C_mu C_nu is central; that is certified apart
+    from this function, by verify's center.multiply_oracle (n <= 5), which
+    projects the raw convolution C_mu * C_nu onto classes and raises on
+    any non-central product.
+    """
     parts = partitions_of(n)
-    sums = {mu: class_sum(n, mu) for mu in parts}
-    for mu in parts:
-        for nu in parts:
-            out[(mu, nu)] = (sums[mu] * sums[nu]).class_coordinates()
+    classes = conjugacy_classes(n)
+    out = {(mu, nu): {} for mu in parts for nu in parts}
+    for kappa in parts:
+        g = class_representative(kappa)
+        for mu in parts:
+            for y in classes[mu]:
+                row = out[(mu, cycle_type(compose(y, g)))]
+                row[kappa] = row.get(kappa, 0) + 1
     return out
 
 

@@ -204,18 +204,6 @@ class TruncSeries:
             return self * other.inverse()
         return self * (1 / Fraction(other))
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.space.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; requires an invertible constant term.
 

@@ -251,9 +251,12 @@ def _join(slices) -> TensorSymFunc:
 # -- determinants over truncated series ----------------------------------------
 
 def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries:
-    """Fraction-free (Bareiss) determinant over the truncated-series ring;
-    divisions are exact by construction and checked by the division routine.
-    The named parameter controls valuation-aware division."""
+    """Fraction-free (Bareiss) determinant over the truncated-series ring.
+
+    Each step divides by the previous pivot prev = x^v u (x the named
+    parameter, u a unit): u is inverted once per step, and each entry is
+    shifted down by v before the product, so a term of too low an x-degree
+    raises ExactDivisionError."""
     size_n = len(rows)
     m = [list(r) for r in rows]
     if size_n == 0:
@@ -272,10 +275,12 @@ def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries
             # a row swap flips the sign; fold it into the swapped-in row
             m[k] = [entry * Fraction(-1) for entry in m[k]]
             pivot = m[k][k]
+        v = prev.valuation(name)
+        unit_inv = (prev.shift_down(name, v) if v else prev).inverse()
         for i in range(k + 1, size_n):
             for j in range(k + 1, size_n):
                 numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = numerator.divide_exact(prev, name)
+                m[i][j] = (numerator.shift_down(name, v) if v else numerator) * unit_inv
         prev = pivot
     return m[size_n - 1][size_n - 1]
 

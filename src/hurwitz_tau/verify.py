@@ -256,21 +256,33 @@ def center_suite(
     checks.append(_run("center.basis_roundtrips", roundtrips))
 
     def idempotency():
+        # In integers: X_lam = h_lam F_lam = sum_mu chi_lam(mu) C_mu, read off
+        # the basis change, must satisfy X_lam X_nu = delta_{lam nu} h_lam X_lam
+        # under the counted class structure constants.
         for n in range(1, idem_nmax + 1):
+            parts = partitions_of(n)
             constants = center.class_structure_constants(n)
-            f_class = {
-                lam: center.idem_to_class(center.unit_idempotent(n, lam)).coords
-                for lam in partitions_of(n)
-            }
-            for lam in partitions_of(n):
-                for nu in partitions_of(n):
-                    product: dict = {}
-                    for m1, c1 in f_class[lam].items():
-                        for m2, c2 in f_class[nu].items():
+            hooks = {lam: hook_product(lam) for lam in parts}
+            x = {}
+            for lam in parts:
+                f = center.idem_to_class(center.unit_idempotent(n, lam)).coords
+                scaled = {mu: c * hooks[lam] for mu, c in f.items()}
+                _require(
+                    all(c.denominator == 1 for c in scaled.values()),
+                    f"h_{lam} F_{lam} is not integral at n={n}",
+                )
+                x[lam] = {mu: int(c) for mu, c in scaled.items()}
+            for lam in parts:
+                for nu in parts:
+                    product = {}
+                    for m1, c1 in x[lam].items():
+                        for m2, c2 in x[nu].items():
                             for kappa, s in constants[(m1, m2)].items():
-                                product[kappa] = product.get(kappa, Fraction(0)) + c1 * c2 * s
+                                product[kappa] = product.get(kappa, 0) + c1 * c2 * s
                     product = {k: v for k, v in product.items() if v}
-                    expected = f_class[lam] if lam == nu else {}
+                    expected = (
+                        {mu: hooks[lam] * c for mu, c in x[lam].items()} if lam == nu else {}
+                    )
                     _require(product == expected, f"F_{lam} F_{nu} fails at n={n}")
         return f"F idempotency/orthogonality in explicit C[S_n], n<={idem_nmax}"
 

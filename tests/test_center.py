@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,9 +17,10 @@ from hurwitz_tau.center import (
     unit_class,
     unit_idempotent,
 )
+from hurwitz_tau.characters import character_table
 from hurwitz_tau.errors import CentralityError
 from hurwitz_tau.groupalg import class_sum, jm_element, jm_power_sum
-from hurwitz_tau.partitions import partitions_of
+from hurwitz_tau.partitions import class_size, partitions_of
 from hurwitz_tau.symfunc import p_basis, s_basis, to_schur
 
 
@@ -71,6 +73,50 @@ def test_structure_constants_are_nonnegative_integers():
     for table in constants.values():
         for value in table.values():
             assert value.denominator == 1 and value >= 0
+
+
+def test_structure_constants_equal_convolution():
+    # the raw product C_mu * C_nu in C[S_n] is the reference
+    for n in range(1, 6):
+        constants = class_structure_constants(n)
+        assert len(constants) == len(partitions_of(n)) ** 2
+        for mu in partitions_of(n):
+            for nu in partitions_of(n):
+                slow = project_to_classes(class_sum(n, mu) * class_sum(n, nu))
+                assert constants[(mu, nu)] == slow.coords, (mu, nu)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_structure_constants_frobenius_formula(n):
+    # c^kappa_{mu nu} = |C_mu||C_nu|/n! sum_lam chi(mu) chi(nu) chi(kappa) / chi(1)
+    table = character_table(n)
+    parts = partitions_of(n)
+    one = (1,) * n
+    constants = class_structure_constants(n)
+    for mu in parts:
+        for nu in parts:
+            for kappa in parts:
+                total = sum(
+                    Fraction(
+                        table.value(lam, mu) * table.value(lam, nu) * table.value(lam, kappa),
+                        table.value(lam, one),
+                    )
+                    for lam in parts
+                )
+                want = total * class_size(mu) * class_size(nu) / factorial(n)
+                assert constants[(mu, nu)].get(kappa, 0) == want, (mu, nu, kappa)
+
+
+def test_structure_constants_invariants():
+    for n in range(1, 7):
+        constants = class_structure_constants(n)
+        parts = partitions_of(n)
+        for mu in parts:
+            for nu in parts:
+                assert constants[(mu, nu)] == constants[(nu, mu)]
+            # every x in C_mu gives one y = x^-1 g_kappa, in some class
+            for kappa in parts:
+                assert sum(constants[(mu, nu)].get(kappa, 0) for nu in parts) == class_size(mu)
 
 
 def test_characteristic_map_examples():

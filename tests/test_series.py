@@ -26,8 +26,9 @@ def test_cap_truncation_silent():
     high = sp.monomial(1, z=9)
     assert high.is_zero()
     g = sp.gen("z")
-    assert (g**5).coeff(z=5) == 1
-    assert (g**6).is_zero()
+    g5 = g * g * g * g * g
+    assert g5.coeff(z=5) == 1
+    assert (g5 * g).is_zero()
 
 
 def test_geom_and_linear():

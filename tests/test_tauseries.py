@@ -127,6 +127,25 @@ def test_bareiss_against_cofactor_expansion():
         assert got == cofactor
 
 
+def test_bareiss_inverts_each_pivot_once(monkeypatch):
+    # one inverse per elimination step: at most N - 1 for an N x N matrix
+    calls = []
+    inverse = TruncSeries.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(TruncSeries, "inverse", counting)
+    rng = random.Random(31)
+    for N in (1, 2, 3, 4):
+        calls.clear()
+        a_vals = random_rationals(rng, N, distinct=True)
+        b_vals = random_rationals(rng, N, distinct=True)
+        hciz_determinant(N, a_vals, b_vals, 8)
+        assert len(calls) <= N - 1, (N, len(calls))
+
+
 def test_alpha_q_determinant_n1_binomial():
     report = alpha_q_determinant(
         1, Fraction(1, 2), [Fraction(2, 3)], [Fraction(1, 5)], 5

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hurwitz_tau import verify
+from hurwitz_tau import center, verify
 
 
 def test_verify_checks_survive_python_O():
@@ -55,3 +55,33 @@ def test_run_suite_nmax_sets_the_intertwining_size():
     assert check.detail.endswith("|lam|<=2")
     direct = verify.tau_suite(only={"tau.intertwining_theorem"}, intertwining_nmax=3)
     assert direct[0].detail.endswith("|lam|<=3")
+
+
+def _idempotents_check():
+    results = verify.center_suite(roundtrip_nmax=2, idem_nmax=4, remark_nmax=4, oracle_nmax=2)
+    return {r.name: r for r in results}["center.idempotents"]
+
+
+def test_idempotents_check_catches_a_wrong_structure_constant(monkeypatch):
+    counted = center.class_structure_constants
+
+    def off_by_one(n):
+        constants = counted(n)
+        if n == 4:
+            row = constants[((2, 1, 1), (2, 1, 1))]
+            row[(1, 1, 1, 1)] += 1
+        return constants
+
+    assert _idempotents_check().passed
+    monkeypatch.setattr(center, "class_structure_constants", off_by_one)
+    check = _idempotents_check()
+    assert not check.passed
+    assert "fails at n=4" in check.detail
+
+
+def test_idempotents_check_requires_integral_scaling(monkeypatch):
+    # with h_lam replaced by 1, F_(2) = (C_(1,1) + C_(2))/2 is not integral
+    monkeypatch.setattr(verify, "hook_product", lambda lam: 1)
+    check = _idempotents_check()
+    assert not check.passed
+    assert check.detail == "h_(2,) F_(2,) is not integral at n=2"
