@@ -6,8 +6,10 @@ The two bases are related through the character table,
     F_lam = (1/h_lam) sum_mu  chi_lam(mu) C_mu,
 
 and multiplication is diagonal on the idempotent side (F_lam F_lam =
-F_lam, F_lam F_nu = 0).  Coordinates may be Fractions or TruncSeries; the
-basis changes only ever scale by rationals, so both work unchanged.
+F_lam, F_lam F_nu = 0).  Each basis change is one product with the character
+matrix between diagonal scalings.  Coordinates may be Fractions or
+TruncSeries; the changes only ever scale by rationals, so both work
+unchanged.
 
 The characteristic map sends C_mu to P_mu/Z_mu and F_lam to S_lam/h_lam;
 it identifies the center with the homogeneous degree-n symmetric
@@ -28,7 +30,7 @@ from .groupalg import (
     cycle_type,
 )
 from .partitions import Partition, hook_product, partitions_of, z_of
-from .symfunc import SymFunc, p_basis, s_basis
+from .symfunc import SymFunc, p_basis, s_basis, to_powersum
 
 CLASS_SUMS = "C"
 IDEMPOTENTS = "F"
@@ -73,43 +75,24 @@ def unit_idempotent(n: int, lam) -> CenterElement:
 
 
 def class_to_idem(v: CenterElement) -> CenterElement:
-    """Rewrite class-sum coordinates on the idempotent basis."""
+    """Rewrite class-sum coordinates on the idempotent basis: scale by
+    1/Z_mu, multiply by chi, scale by h_lam."""
     if v.basis == IDEMPOTENTS:
         return v
-    table = character_table(v.n)
-    coords = {}
-    for mu, c in v.coords.items():
-        zc = Fraction(1, z_of(mu))
-        for lam in table.parts:
-            chi = table.value(lam, mu)
-            if not chi:
-                continue
-            weight = Fraction(hook_product(lam) * chi) * zc
-            if lam in coords:
-                coords[lam] = coords[lam] + c * weight
-            else:
-                coords[lam] = c * weight
-    return CenterElement(v.n, IDEMPOTENTS, coords)
+    scaled = {mu: c * Fraction(1, z_of(mu)) for mu, c in v.coords.items()}
+    coords = character_table(v.n).times(scaled)
+    return CenterElement(
+        v.n, IDEMPOTENTS, {lam: c * hook_product(lam) for lam, c in coords.items()}
+    )
 
 
 def idem_to_class(v: CenterElement) -> CenterElement:
-    """Rewrite idempotent coordinates on the class-sum basis."""
+    """Rewrite idempotent coordinates on the class-sum basis: scale by
+    1/h_lam, multiply by chi^T."""
     if v.basis == CLASS_SUMS:
         return v
-    table = character_table(v.n)
-    coords = {}
-    for lam, c in v.coords.items():
-        h = Fraction(1, hook_product(lam))
-        for mu in table.parts:
-            chi = table.value(lam, mu)
-            if not chi:
-                continue
-            weight = Fraction(chi) * h
-            if mu in coords:
-                coords[mu] = coords[mu] + c * weight
-            else:
-                coords[mu] = c * weight
-    return CenterElement(v.n, CLASS_SUMS, coords)
+    scaled = {lam: c * Fraction(1, hook_product(lam)) for lam, c in v.coords.items()}
+    return CenterElement(v.n, CLASS_SUMS, character_table(v.n).transpose_times(scaled))
 
 
 def center_multiply(u: CenterElement, v: CenterElement) -> CenterElement:
@@ -127,17 +110,12 @@ def center_multiply(u: CenterElement, v: CenterElement) -> CenterElement:
     return product if u.basis == IDEMPOTENTS else idem_to_class(product)
 
 
-def characteristic_map(v: CenterElement, degree_cap: int | None = None) -> SymFunc:
+def characteristic_map(v: CenterElement) -> SymFunc:
     """C_mu -> P_mu/Z_mu on the class basis, F_lam -> S_lam/h_lam on the
     idempotent basis; the two agree through the basis change."""
-    cap = degree_cap if degree_cap is not None else max(v.n, 1)
     if v.basis == CLASS_SUMS:
-        return p_basis(
-            {mu: Fraction(c, 1) / z_of(mu) for mu, c in v.coords.items()}, cap
-        )
-    return s_basis(
-        {lam: Fraction(c, 1) / hook_product(lam) for lam, c in v.coords.items()}, cap
-    )
+        return p_basis({mu: Fraction(c, 1) / z_of(mu) for mu, c in v.coords.items()})
+    return s_basis({lam: Fraction(c, 1) / hook_product(lam) for lam, c in v.coords.items()})
 
 
 def group_algebra_of(v: CenterElement) -> GroupAlgebraElement:
@@ -186,10 +164,7 @@ def class_structure_constants(n: int) -> dict[tuple[Partition, Partition], dict[
 
 def euler_operator(f: SymFunc) -> SymFunc:
     """sum_k k p_k d/dp_k: multiplies a degree-n homogeneous term by n."""
-    g = f if f.basis == "p" else _to_p(f)
-    return p_basis(
-        {lam: c * sum(lam) for lam, c in g.terms.items()}, g.degree_cap
-    )
+    return p_basis({lam: c * sum(lam) for lam, c in to_powersum(f).terms.items()})
 
 
 def cut_and_join_operator(f: SymFunc) -> SymFunc:
@@ -198,7 +173,7 @@ def cut_and_join_operator(f: SymFunc) -> SymFunc:
     On the image of the characteristic map this is multiplication by the
     transposition class sum.
     """
-    g = f if f.basis == "p" else _to_p(f)
+    g = to_powersum(f)
     out: dict[Partition, Fraction] = {}
 
     def add(lam, c):
@@ -229,7 +204,7 @@ def cut_and_join_operator(f: SymFunc) -> SymFunc:
                     ways = mi * mj
                     removed = _remove(lam, (i, j))
                 add(removed + (i + j,), coeff * ways * i * j * Fraction(1, 2))
-    return p_basis(out, g.degree_cap)
+    return p_basis(out)
 
 
 def _remove(lam: Partition, parts) -> Partition:
@@ -237,9 +212,3 @@ def _remove(lam: Partition, parts) -> Partition:
     for p in parts:
         rest.remove(p)
     return tuple(rest)
-
-
-def _to_p(f: SymFunc) -> SymFunc:
-    from .symfunc import to_powersum
-
-    return to_powersum(f)

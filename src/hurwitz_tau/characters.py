@@ -3,7 +3,9 @@
 Single values come from a recursive border-strip (Murnaghan-Nakayama)
 evaluation, memoized on (shape, remaining cycle lengths); full tables are
 built once per n and cached.  Orthogonality makes the tables
-self-checking: see CharacterTable.validate().
+self-checking: see CharacterTable.validate().  Every change of basis
+through the table (class sums <-> idempotents in the center, power sums
+<-> Schur functions) is one of its two products, chi . v and chi^T . v.
 
 Everything is a pure function of its arguments; the memo caches only ever
 publish finished values, so concurrent callers read identical results.
@@ -11,7 +13,7 @@ publish finished values, so concurrent callers read identical results.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .config import CHARTABLE_CAP
 from .errors import SizeLimitError
@@ -80,31 +82,55 @@ class CharacterTable:
     parts: tuple[Partition, ...]
     chi: tuple[tuple[int, ...], ...]  # chi[row lam][col mu]
 
-    def index(self, lam: Partition) -> int:
-        return self.parts.index(tuple(lam))
+    @cached_property
+    def position(self) -> dict[Partition, int]:
+        return {p: i for i, p in enumerate(self.parts)}
 
     def value(self, lam: Partition, mu: Partition) -> int:
-        return self.chi[self.index(lam)][self.index(mu)]
+        return self.chi[self.position[tuple(lam)]][self.position[tuple(mu)]]
 
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.chi[self.index(lam)]
+    def times(self, v) -> dict:
+        """chi . v = {lam: sum_mu chi_lam(mu) v[mu]} for v = {mu: coefficient}."""
+        return self._product(self.chi, v)
 
-    def character_sum(self, values, zero) -> dict:
+    def transpose_times(self, v) -> dict:
+        """chi^T . v = {mu: sum_lam chi_lam(mu) v[lam]} for v = {lam: coefficient}."""
+        return self._product(zip(*self.chi), v)
+
+    def _product(self, rows, v) -> dict:
+        """Coefficients lie in any ring that ints scale (Fraction,
+        TruncSeries); each entry starts from its first nonzero term and
+        zero entries are dropped."""
+        entries = [(self.position[k], c) for k, c in v.items()]
+        out = {}
+        for key, row in zip(self.parts, rows):
+            total = None
+            for j, c in entries:
+                if row[j]:
+                    term = c * row[j]
+                    total = term if total is None else total + term
+            if total:
+                out[key] = total
+        return out
+
+    def character_sum(self, values) -> dict:
         """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu)} for every
         ordered pair of classes, skipping nu whose weight chi_nu(lam)
         chi_nu(mu) vanishes.  ``values`` maps each nu to an element of any
-        ring that ``zero`` belongs to and that ints scale; callers apply
-        their own normalisation.  twists.series_character_sum calls it on
-        packed integers."""
+        ring that ints scale; callers apply their own normalisation.  The
+        trivial character gives every pair a nonzero weight, so each sum
+        starts from its first term.  twists.series_character_sum calls it
+        on packed integers."""
         weighted = [(row, values[nu]) for row, nu in zip(self.chi, self.parts)]
         out = {}
         for a, lam in enumerate(self.parts):
             for b, mu in enumerate(self.parts):
-                total = zero
+                total = None
                 for row, value in weighted:
                     weight = row[a] * row[b]
                     if weight:
-                        total = total + value * weight
+                        term = value * weight
+                        total = term if total is None else total + term
                 out[(lam, mu)] = total
         return out
 
@@ -130,7 +156,7 @@ class CharacterTable:
                     raise ArithmeticError(
                         f"row orthogonality fails at n={self.n}, {lam}, {kap}"
                     )
-        identity_col = parts.index((1,) * self.n)
+        identity_col = self.position[(1,) * self.n]
         for a, lam in enumerate(parts):
             if self.chi[a][identity_col] != dimension(lam):
                 raise ArithmeticError(f"dimension column fails at n={self.n}, {lam}")

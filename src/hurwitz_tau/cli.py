@@ -47,13 +47,17 @@ def parse_fraction_list(text: str) -> list[Fraction]:
     return [parse_fraction(piece) for piece in text.split(",") if piece.strip()]
 
 
-def emit(payload, out_path=None):
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def write(text: str, out_path=None) -> None:
+    """Write text to out_path, or to stdout when no path is given."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def emit(payload, out_path=None):
+    write(json.dumps(payload, indent=2, sort_keys=False) + "\n", out_path)
 
 
 def cmd_verify(args) -> int:
@@ -161,8 +165,7 @@ def cmd_tau(args) -> int:
         raise ValueError(f"{flag} is capped at {tauseries.TAU_NMAX_CAP}, got {cap}")
     if args.family == "hciz":
         if args.N is None or args.a is None or args.b is None:
-            print("hciz needs --N, --a, --b", file=sys.stderr)
-            return 2
+            raise ValueError("--family hciz needs --N, --a, --b")
         a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
         t = tauseries.hciz_tau(args.N, args.zcap, args.zcap)
         series = tauseries.tau_eval(t, a_vals, b_vals)
@@ -183,33 +186,30 @@ def cmd_tau(args) -> int:
                 return 1
         emit(payload, args.out)
         return 0
-    if args.family == "alpha_q":
-        if args.N is None or args.a is None or args.b is None or args.alpha is None:
-            print("alpha_q needs --N, --alpha, --a, --b", file=sys.stderr)
-            return 2
-        a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
-        alpha = parse_fraction(args.alpha)
-        if args.check_determinant:
-            report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
-            emit(report, args.out)
-            return 0
-        t = tauseries.alpha_q_tau(alpha, args.N, args.qcap)
-        series = tauseries.tau_eval(t, a_vals, b_vals)
-        emit(
-            {
-                "family": "alpha_q",
-                "N": args.N,
-                "alpha": str(alpha),
-                "a": [str(x) for x in a_vals],
-                "b": [str(x) for x in b_vals],
-                "qcap": args.qcap,
-                "series": series_json(series),
-            },
-            args.out,
-        )
+    # argparse admits only hciz and alpha_q, so this is alpha_q
+    if args.N is None or args.a is None or args.b is None or args.alpha is None:
+        raise ValueError("--family alpha_q needs --N, --alpha, --a, --b")
+    a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
+    alpha = parse_fraction(args.alpha)
+    if args.check_determinant:
+        report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
+        emit(report, args.out)
         return 0
-    print(f"unknown family {args.family}", file=sys.stderr)
-    return 2
+    t = tauseries.alpha_q_tau(alpha, args.N, args.qcap)
+    series = tauseries.tau_eval(t, a_vals, b_vals)
+    emit(
+        {
+            "family": "alpha_q",
+            "N": args.N,
+            "alpha": str(alpha),
+            "a": [str(x) for x in a_vals],
+            "b": [str(x) for x in b_vals],
+            "qcap": args.qcap,
+            "series": series_json(series),
+        },
+        args.out,
+    )
+    return 0
 
 
 def cmd_table(args) -> int:
@@ -233,12 +233,7 @@ def cmd_table(args) -> int:
             for v in row["steps"].values()
         ]
         writer.writerow([row["n"], row["from"], row["to"], *step_values, row["count"]])
-    text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write(buffer.getvalue(), args.out)
     return 0
 
 

@@ -71,10 +71,6 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()

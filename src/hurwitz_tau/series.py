@@ -251,23 +251,6 @@ class TruncSeries:
             terms[tuple(new)] = coeff
         return TruncSeries(self.space, terms)
 
-    def divide_exact(self, other: "TruncSeries", name: str) -> "TruncSeries":
-        """Division self/other in the truncated ring, allowing other to have
-        positive valuation in the named parameter.
-
-        Precision above cap - valuation(other) is lost to truncation; callers
-        are expected to build with enough guard degrees.
-        """
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero series")
-        if self.is_zero():
-            return self.space.zero()
-        v = other.valuation(name)
-        if v == 0:
-            return self * other.inverse()
-        return self.shift_down(name, v) * other.shift_down(name, v).inverse()
-
     def truncate_to(self, space: SeriesSpace) -> "TruncSeries":
         """Reinterpret in a space with the same parameters but smaller caps."""
         if space.params != self.space.params:

@@ -1,15 +1,16 @@
-"""The ring of symmetric functions, truncated by degree.
+"""The ring of symmetric functions.
 
-Internally everything is stored on the power-sum basis ('p'); the Schur
-basis ('s') is a view converted through the character table, so the two
-Frobenius expansions
+A SymFunc stores its coefficients on the power-sum basis ('p') or on the
+Schur basis ('s').  The two are related degree by degree through the
+character table, by the Frobenius expansions
 
     S_lam = sum_mu chi_lam(mu) P_mu / Z_mu,
     P_mu  = sum_lam chi_lam(mu) S_lam,
 
-are exact mutual inverses by construction.  Multiplication is partition
-concatenation on the p-basis; terms above the degree cap are dropped and
-the result is flagged as truncated.
+one product with chi^T (then 1/Z_mu) or with chi per degree slice, so the
+two conversions are exact mutual inverses.  Multiplication, evaluation and
+equality go through the p-basis, where multiplication is partition
+concatenation.
 """
 
 from fractions import Fraction
@@ -22,39 +23,29 @@ from .partitions import (
     z_of,
 )
 
-DEGREE_CAP_DEFAULT = 12
-
 
 class SymFunc:
     """Sparse symmetric function: mapping partition -> coefficient."""
 
-    __slots__ = ("basis", "terms", "degree_cap", "truncated")
+    __slots__ = ("basis", "terms")
 
-    def __init__(self, basis, terms, degree_cap=DEGREE_CAP_DEFAULT, truncated=False):
+    def __init__(self, basis, terms):
         if basis not in ("p", "s"):
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        self.degree_cap = degree_cap
         clean = {}
-        dropped = False
         for lam, coeff in terms.items():
             coeff = Fraction(coeff)
             if not coeff:
                 continue
             lam = tuple(lam)
-            if sum(lam) > degree_cap:
-                dropped = True
-                continue
             clean[lam] = clean.get(lam, Fraction(0)) + coeff
         self.terms = {k: v for k, v in clean.items() if v}
-        self.truncated = truncated or dropped
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        a = self if self.basis == "p" else to_powersum(self)
-        b = other if other.basis == "p" else to_powersum(other)
-        return a.terms == b.terms
+        return to_powersum(self).terms == to_powersum(other).terms
 
     def __repr__(self):
         if not self.terms:
@@ -69,19 +60,14 @@ class SymFunc:
         terms = dict(a.terms)
         for lam, c in b.terms.items():
             terms[lam] = terms.get(lam, Fraction(0)) + c
-        return SymFunc(a.basis, terms, a.degree_cap, a.truncated or b.truncated)
+        return SymFunc(a.basis, terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymFunc":
         c = Fraction(c)
-        return SymFunc(
-            self.basis,
-            {lam: coeff * c for lam, coeff in self.terms.items()},
-            self.degree_cap,
-            self.truncated,
-        )
+        return SymFunc(self.basis, {lam: coeff * c for lam, coeff in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,67 +86,60 @@ def _align(a: SymFunc, b: SymFunc) -> tuple[SymFunc, SymFunc]:
     return to_powersum(a), to_powersum(b)
 
 
-def p_basis(terms, degree_cap=DEGREE_CAP_DEFAULT) -> SymFunc:
-    return SymFunc("p", terms, degree_cap)
+def p_basis(terms) -> SymFunc:
+    return SymFunc("p", terms)
 
 
-def s_basis(terms, degree_cap=DEGREE_CAP_DEFAULT) -> SymFunc:
-    return SymFunc("s", terms, degree_cap)
+def s_basis(terms) -> SymFunc:
+    return SymFunc("s", terms)
 
 
-def schur_to_powersum(lam: Partition, degree_cap=DEGREE_CAP_DEFAULT) -> SymFunc:
+def schur_to_powersum(lam: Partition) -> SymFunc:
     """Expansion of a single Schur function on the power-sum basis."""
-    lam = tuple(lam)
-    n = sum(lam)
-    table = character_table(n)
-    terms = {
-        mu: Fraction(table.value(lam, mu), z_of(mu)) for mu in table.parts
-    }
-    return SymFunc("p", terms, degree_cap)
+    return to_powersum(s_basis({tuple(lam): 1}))
 
 
-def powersum_to_schur(mu: Partition, degree_cap=DEGREE_CAP_DEFAULT) -> SymFunc:
+def powersum_to_schur(mu: Partition) -> SymFunc:
     """Expansion of a single power-sum monomial on the Schur basis."""
-    mu = tuple(mu)
-    n = sum(mu)
-    table = character_table(n)
-    terms = {lam: Fraction(table.value(lam, mu)) for lam in table.parts}
-    return SymFunc("s", terms, degree_cap)
+    return to_schur(p_basis({tuple(mu): 1}))
+
+
+def _degree_slices(terms: dict) -> dict[int, dict]:
+    slices = {}
+    for lam, c in terms.items():
+        slices.setdefault(sum(lam), {})[lam] = c
+    return slices
 
 
 def to_powersum(f: SymFunc) -> SymFunc:
     if f.basis == "p":
         return f
-    result = SymFunc("p", {}, f.degree_cap, f.truncated)
-    for lam, coeff in f.terms.items():
-        result = result + schur_to_powersum(lam, f.degree_cap).scale(coeff)
-    return result
+    terms = {}
+    for n, part in _degree_slices(f.terms).items():
+        for mu, c in character_table(n).transpose_times(part).items():
+            terms[mu] = c / z_of(mu)
+    return SymFunc("p", terms)
 
 
 def to_schur(f: SymFunc) -> SymFunc:
     if f.basis == "s":
         return f
-    result = SymFunc("s", {}, f.degree_cap, f.truncated)
-    for mu, coeff in f.terms.items():
-        result = result + powersum_to_schur(mu, f.degree_cap).scale(coeff)
-    return result
+    terms = {}
+    for n, part in _degree_slices(f.terms).items():
+        terms.update(character_table(n).times(part))
+    return SymFunc("s", terms)
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Product in the ring; computed on the p-basis where it is monomial
     concatenation, then returned on the p-basis."""
     a, b = to_powersum(f), to_powersum(g)
-    cap = min(a.degree_cap, b.degree_cap)
     terms: dict[Partition, Fraction] = {}
-    truncated = a.truncated or b.truncated
     for lam, ca in a.terms.items():
         for mu, cb in b.terms.items():
-            if sum(lam) + sum(mu) > cap:
-                truncated = True
-                continue
             key = tuple(sorted(lam + mu, reverse=True))
             terms[key] = terms.get(key, Fraction(0)) + ca * cb
-    return SymFunc("p", terms, cap, truncated)
+    return SymFunc("p", terms)
 
 
 def evaluate(f: SymFunc, xs) -> Fraction:

@@ -188,7 +188,7 @@ def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scal
     mask = (1 << width) - 1
     bias = sum(half << (width * k) for k in range(len(support)))
     out = {}
-    for (lam, mu), total in table.character_sum(packed, 0).items():
+    for (lam, mu), total in table.character_sum(packed).items():
         terms = {}
         if total:
             total += bias

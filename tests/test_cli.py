@@ -297,6 +297,8 @@ def test_mixed_requires_p(capsys):
         ("table", "--family", "plain", "--nmax", "2", "--kmax", "2", "--bmax=-1"),
         ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "weakstrict"),
         ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind=weakstrict", "--segments=1,1,1"),
+        ("tau", "--family", "hciz", "--N", "2", "--a", "1,2"),
+        ("tau", "--family", "alpha_q", "--N", "2", "--a", "1/2,1/3", "--b", "1,2"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -305,6 +307,7 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("hurwitz-tau: error:")
 
 
 def test_unparsable_walk_cap_exits_2(capsys, monkeypatch):

@@ -79,13 +79,6 @@ def test_multiply_s2_times_s11():
     assert to_schur(product).terms == {(3, 1): Fraction(1), (2, 1, 1): Fraction(1)}
 
 
-def test_truncation_flag():
-    f = p_basis({(2,): 1}, degree_cap=3)
-    g = p_basis({(2,): 1}, degree_cap=3)
-    product = multiply(f, g)
-    assert product.is_zero() and product.truncated
-
-
 def test_evaluate_examples():
     assert evaluate(p_basis({(2,): 1}), [1, 2]) == 5
     assert evaluate_schur((2, 1), [1, 1, 1]) == ssyt_count((2, 1), 3) == 8
