@@ -170,9 +170,9 @@ class CharacterTable:
 
 
 @lru_cache(maxsize=None)
-def character_table(n: int, cap: int = CHARTABLE_CAP) -> CharacterTable:
-    if n > cap:
-        raise SizeLimitError(f"character_table({n}) exceeds the cap {cap}")
+def character_table(n: int) -> CharacterTable:
+    if n > CHARTABLE_CAP:
+        raise SizeLimitError(f"character_table({n}) exceeds the cap {CHARTABLE_CAP}")
     parts = partitions_of(n)
     chi = tuple(
         tuple(character(lam, mu) for mu in parts) for lam in parts

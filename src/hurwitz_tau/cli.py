@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # bad input: unparsable values, sizes over a cap, singular points
+        # bad input: unparsable values, sizes over a cap, repeated points
         print(f"hurwitz-tau: error: {exc}", file=sys.stderr)
         return 2
 

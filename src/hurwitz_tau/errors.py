@@ -21,10 +21,6 @@ class CentralityError(ValueError):
         )
 
 
-class SingularParameterError(ValueError):
-    """A numeric convolution parameter hits a pole of the coefficient family."""
-
-
 class VandermondeError(ValueError):
     """Evaluation points are not distinct, so a Vandermonde factor vanishes."""
 

@@ -305,7 +305,7 @@ class WalkQuery:
         return sum(seg.length for seg in self.segments)
 
 
-def count_walks(query: WalkQuery, cap: int | None = None) -> int:
+def count_walks(query: WalkQuery) -> int:
     """Number of tuples (g, t_1, ..., t_k): g has cycle type from_type,
     t_k ... t_1 g equals the fixed representative of to_type, each t is a
     transposition (a b) with a < b, and within each constraint segment the
@@ -313,20 +313,16 @@ def count_walks(query: WalkQuery, cap: int | None = None) -> int:
     increasing as requested.  With transitive=True the subgroup generated
     by g and all the t's must act transitively on {1..n}."""
     counts = count_walks_all_targets(
-        query.n, query.from_type, query.segments, query.transitive, cap
+        query.n, query.from_type, query.segments, query.transitive
     )
     return counts.get(query.to_type, 0)
 
 
 def count_walks_all_targets(
-    n: int,
-    from_type,
-    segments: tuple[Segment, ...],
-    transitive: bool = False,
-    cap: int | None = None,
+    n: int, from_type, segments: tuple[Segment, ...], transitive: bool = False
 ) -> dict[Partition, int]:
     """Batch walk counts from one start class to every target class."""
-    from_type = _check_walk_args(n, from_type, cap)
+    from_type = _check_walk_args(n, from_type)
     segments = tuple(seg for seg in segments if seg.length > 0)
     if transitive:
         return _count_transitive(n, from_type, segments)
@@ -334,24 +330,23 @@ def count_walks_all_targets(
 
 
 def count_walks_to_elements(
-    n: int, from_type, segments: tuple[Segment, ...], cap: int | None = None
+    n: int, from_type, segments: tuple[Segment, ...]
 ) -> dict[Perm, int]:
     """Walk counts from the start class to every individual end permutation
     (used to confirm independence of the representative choice)."""
-    from_type = _check_walk_args(n, from_type, cap)
+    from_type = _check_walk_args(n, from_type)
     indexed = ranked(n)
     layers = _walk(n, _class_layer(n, from_type), segments)
     totals = _merge_floors(layers).get((0, None), {})
     return {indexed.perms[i]: c for i, c in totals.items()}
 
 
-def _check_walk_args(n, from_type, cap) -> Partition:
+def _check_walk_args(n, from_type) -> Partition:
     from_type = check_partition(from_type)
     if sum(from_type) != n:
         raise ValueError(f"{from_type} is not a partition of {n}")
-    if cap is None:
-        cap = config.walk_cap()
-    if n > min(cap, config.WALK_CAP_HARD):
+    cap = config.walk_cap()
+    if n > cap:
         raise SizeLimitError(f"walk counting capped at n <= {cap}, got {n}")
     return from_type
 

@@ -10,6 +10,7 @@ series expansions for the Cauchy kernel.
 
 from fractions import Fraction
 from itertools import permutations as _perms
+from math import factorial
 
 from .partitions import Partition
 
@@ -58,8 +59,6 @@ def fraction_determinant(rows: list[list[Fraction]]) -> Fraction:
 
 def hook_product_via_determinant(lam: Partition) -> Fraction:
     """1/h_lam = det(1/(lam_i - i + j)!) over 1 <= i,j <= l(lam)."""
-    from math import factorial
-
     ell = len(lam)
     if ell == 0:
         return Fraction(1)

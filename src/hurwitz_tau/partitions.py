@@ -156,21 +156,11 @@ def pochhammer(a: Fraction, k: int) -> Fraction:
     return value
 
 
-def pochhammer_partition(a, lam: Partition, validate: bool = False) -> Fraction:
-    """Partition Pochhammer (a)_lam = prod_i (a - i + 1)_{lam_i}.
-
-    Equals the cell product prod_{(i,j) in lam} (a + j - i); with
-    validate=True both are computed and compared (kept off in bulk table
-    generation).
-    """
+def pochhammer_partition(a, lam: Partition) -> Fraction:
+    """Partition Pochhammer (a)_lam = prod_i (a - i + 1)_{lam_i}, which
+    equals the cell product prod_{(i,j) in lam} (a + j - i)."""
     a = Fraction(a)
     value = Fraction(1)
     for i, part in enumerate(lam, start=1):
         value *= pochhammer(a - i + 1, part)
-    if validate:
-        cell_value = Fraction(1)
-        for i, j in cells(lam):
-            cell_value *= a + j - i
-        if cell_value != value:
-            raise ArithmeticError(f"Pochhammer formulas disagree on a={a}, {lam}")
     return value

@@ -21,9 +21,6 @@ convolution side parametrises the same eigenvalues through families
 rho_j / r_j = rho_j/rho_{j-1} and the shifted content product
 
     r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i}.
-
-The q^{P_0} direction is always tracked as an exact integer exponent (see
-QPow); only genuinely formal directions (z, w, beta) are series-expanded.
 """
 
 from dataclasses import dataclass
@@ -32,7 +29,6 @@ from math import factorial, lcm
 
 from .center import IDEMPOTENTS, CenterElement, class_to_idem, idem_to_class
 from .characters import CharacterTable, character_table
-from .errors import SingularParameterError
 from .partitions import (
     Partition,
     cells,
@@ -225,49 +221,23 @@ def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = N
 
 # -- convolution coefficient families ----------------------------------------
 
-@dataclass(frozen=True)
-class QPow:
-    """A series scaled by an exact (possibly negative) power of the sheet
-    variable q; keeps q^{P_0} directions out of the truncation."""
-
-    qexp: int
-    series: TruncSeries
-
-    def __mul__(self, other: "QPow") -> "QPow":
-        return QPow(self.qexp + other.qexp, self.series * other.series)
-
-    def inverse(self) -> "QPow":
-        return QPow(-self.qexp, self.series.inverse())
-
-    def __truediv__(self, other: "QPow") -> "QPow":
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QPow)
-            and self.qexp == other.qexp
-            and self.series == other.series
-        )
-
-
 class ConvolutionCoeffs:
     """Shared shape of the rho_j / r_j = rho_j/rho_{j-1} families and the
     shifted content product r_lam(N) = r_0(N) prod r_{N+j-i}.
 
-    Values live in any ring with one(), * and /: QPow for the formal
-    families, Fraction for NumericHConvolution."""
+    Every value is a TruncSeries in the family's ``space``; rho_j has
+    constant term 1 for j <= 0, so r_0(N) for N < 0 is a series inverse."""
 
-    def rho(self, j: int) -> QPow:
+    space: SeriesSpace
+
+    def rho(self, j: int) -> TruncSeries:
         raise NotImplementedError
 
-    def r(self, j: int) -> QPow:
+    def r(self, j: int) -> TruncSeries:
         raise NotImplementedError
 
-    def one(self) -> QPow:
-        raise NotImplementedError
-
-    def r0(self, N: int) -> QPow:
-        value = self.one()
+    def r0(self, N: int) -> TruncSeries:
+        value = self.space.one()
         if N > 0:
             for j in range(N):
                 value = value * self.rho(j)
@@ -276,7 +246,7 @@ class ConvolutionCoeffs:
                 value = value / self.rho(j)
         return value
 
-    def r_lambda(self, lam: Partition, N: int) -> QPow:
+    def r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         value = self.r0(N)
         for i, j in cells(lam):
             value = value * self.r(N + j - i)
@@ -291,27 +261,20 @@ class ConvolutionCoeffs:
 
 
 class HTwistConvolution(ConvolutionCoeffs):
-    """Image of a product of H(z_alpha) atoms (optionally scaled by q^{P_0})
-    under the homomorphism to diagonal convolution coefficients:
+    """Image of a product of H(z_alpha) atoms under the homomorphism to
+    diagonal convolution coefficients:
 
-        rho_j = q^j prod_alpha prod_{k=1}^{j} 1/(1 - k z_alpha)   (j > 0)
+        rho_j = prod_alpha prod_{k=1}^{j} 1/(1 - k z_alpha)   (j > 0)
         rho_0 = 1
-        rho_j = q^j prod_alpha prod_{k=j+1}^{0} (1 - k z_alpha)   (j < 0)
-        r_j   = q prod_alpha 1/(1 - j z_alpha).
+        rho_j = prod_alpha prod_{k=j+1}^{0} (1 - k z_alpha)   (j < 0)
+        r_j   = prod_alpha 1/(1 - j z_alpha).
     """
 
-    def __init__(self, z_params, space: SeriesSpace, scaled: bool = False):
+    def __init__(self, z_params, space: SeriesSpace):
         self.z_params = tuple(z_params)
         self.space = space
-        self.scaled = scaled
 
-    def one(self) -> QPow:
-        return QPow(0, self.space.one())
-
-    def _q(self, j: int) -> int:
-        return j if self.scaled else 0
-
-    def rho(self, j: int) -> QPow:
+    def rho(self, j: int) -> TruncSeries:
         series = self.space.one()
         if j > 0:
             for name in self.z_params:
@@ -321,76 +284,23 @@ class HTwistConvolution(ConvolutionCoeffs):
             for name in self.z_params:
                 for k in range(j + 1, 1):
                     series = series * self.space.linear(-k, name)
-        return QPow(self._q(j), series)
+        return series
 
-    def r(self, j: int) -> QPow:
+    def r(self, j: int) -> TruncSeries:
         series = self.space.one()
         for name in self.z_params:
             series = series * self.space.geom(j, name)
-        return QPow(self._q(1), series)
+        return series
 
 
 def intertwine(spec: TwistSpec) -> HTwistConvolution:
-    """Convolution coefficients of a twist built from H atoms and at most
-    one Scale atom (the A_P element e^{theta_0 P_0 + sum theta_i P_i})."""
+    """Convolution coefficients of a twist built from H atoms only."""
     z_params = []
-    scaled = False
     for f in spec.factors:
-        if isinstance(f, H):
-            z_params.append(f.param)
-        elif isinstance(f, Scale):
-            scaled = True
-        else:
-            raise ValueError(
-                "intertwine expects a product of H atoms with an optional Scale"
-            )
-    return HTwistConvolution(z_params, spec.space(), scaled)
-
-
-class NumericHConvolution(ConvolutionCoeffs):
-    """H-family coefficients at rational z values; raises
-    SingularParameterError when a touched factor 1 - k z vanishes."""
-
-    def __init__(self, z_values, scale: Fraction = Fraction(1)):
-        self.z_values = [Fraction(z) for z in z_values]
-        self.scale = Fraction(scale)
-
-    def one(self):
-        return Fraction(1)
-
-    def rho(self, j: int) -> Fraction:
-        value = self.scale**j
-        if j > 0:
-            ks = range(1, j + 1)
-            for z in self.z_values:
-                for k in ks:
-                    d = 1 - k * z
-                    if d == 0:
-                        raise SingularParameterError(
-                            f"rho_{j} hits the pole 1 - {k}*z = 0 at z = {z}"
-                        )
-                    value /= d
-        elif j < 0:
-            for z in self.z_values:
-                for k in range(j + 1, 1):
-                    d = 1 - k * z
-                    if d == 0:
-                        raise SingularParameterError(
-                            f"rho_{j} touches the zero 1 - {k}*z = 0 at z = {z}"
-                        )
-                    value *= d
-        return value
-
-    def r(self, j: int) -> Fraction:
-        value = self.scale
-        for z in self.z_values:
-            d = 1 - j * z
-            if d == 0:
-                raise SingularParameterError(
-                    f"r_{j} hits the pole 1 - {j}*z = 0 at z = {z}"
-                )
-            value /= d
-        return value
+        if not isinstance(f, H):
+            raise ValueError("intertwine expects a product of H atoms")
+        z_params.append(f.param)
+    return HTwistConvolution(z_params, spec.space())
 
 
 class AlphaQConvolution(ConvolutionCoeffs):
@@ -412,22 +322,19 @@ class AlphaQConvolution(ConvolutionCoeffs):
         self.space = space
         self.q = q_param
 
-    def one(self) -> QPow:
-        return QPow(0, self.space.one())
-
-    def rho(self, j: int) -> QPow:
+    def rho(self, j: int) -> TruncSeries:
         if j <= 0:
-            return self.one()
+            return self.space.one()
         coeff = pochhammer(1 - self.alpha, j) / factorial(j)
-        return QPow(0, self.space.monomial(coeff, **{self.q: j}))
+        return self.space.monomial(coeff, **{self.q: j})
 
-    def r(self, j: int) -> QPow:
+    def r(self, j: int) -> TruncSeries:
         if j <= 0:
-            return self.one()
+            return self.space.one()
         coeff = Fraction(j - self.alpha, j)
-        return QPow(0, self.space.monomial(coeff, **{self.q: 1}))
+        return self.space.monomial(coeff, **{self.q: 1})
 
-    def closed_form_r_lambda(self, lam: Partition, N: int) -> QPow:
+    def closed_form_r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         """r_0(N) q^{|lam|} (N-alpha)_lam/(N)_lam via partition Pochhammers;
         only defined when (N)_lam != 0, i.e. l(lam) <= N."""
         lam = tuple(lam)
@@ -436,7 +343,7 @@ class AlphaQConvolution(ConvolutionCoeffs):
         num = pochhammer_partition(N - self.alpha, lam)
         den = pochhammer_partition(N, lam)
         mono = self.space.monomial(num / den, **{self.q: size(lam)})
-        return self.r0(N) * QPow(0, mono)
+        return self.r0(N) * mono
 
 
 class ExpConvolution(ConvolutionCoeffs):
@@ -457,19 +364,16 @@ class ExpConvolution(ConvolutionCoeffs):
         self.space = space
         self.z = z_param
 
-    def one(self) -> QPow:
-        return QPow(0, self.space.one())
-
-    def rho(self, j: int) -> QPow:
+    def rho(self, j: int) -> TruncSeries:
         if j < 0:
-            return self.one()
+            return self.space.one()
         coeff = Fraction((-self.N) ** j, factorial(j))
-        return QPow(0, self.space.monomial(coeff, **{self.z: j}))
+        return self.space.monomial(coeff, **{self.z: j})
 
-    def r(self, j: int) -> QPow:
+    def r(self, j: int) -> TruncSeries:
         if j <= 0:
-            return self.one()
-        return QPow(0, self.space.monomial(Fraction(-self.N, j), **{self.z: 1}))
+            return self.space.one()
+        return self.space.monomial(Fraction(-self.N, j), **{self.z: 1})
 
     def vanishes(self, lam: Partition) -> bool:
         return len(tuple(lam)) > self.N
@@ -526,10 +430,7 @@ def alpha_q_coeff(lam: Partition, family: AlphaQConvolution, N: int) -> TruncSer
     lam = tuple(lam)
     if len(lam) > N:
         return family.space.zero()
-    value = family.closed_form_r_lambda(lam, N)
-    if value.qexp != 0:
-        raise ArithmeticError(f"r_lambda of {lam} carries q^{value.qexp}")
-    return value.series
+    return family.closed_form_r_lambda(lam, N)
 
 
 def symmetry_check(coeffs: dict, n: int) -> bool:

@@ -15,6 +15,8 @@ from math import factorial
 
 from . import center, groupalg, oracles, symfunc, tauseries, twists
 from .characters import character, character_table
+from .config import CHARTABLE_CAP
+from .errors import CentralityError
 from .groupalg import (
     GroupAlgebraElement,
     WalkQuery,
@@ -31,10 +33,12 @@ from .groupalg import (
 )
 from .partitions import (
     cells,
+    content_sum,
     dimension,
     format_partition,
     hook_product,
     partitions_of,
+    size,
     z_of,
 )
 from .series import SeriesSpace
@@ -313,8 +317,6 @@ def center_suite(
     checks.append(_run("center.jm_class_identities", remark_identities))
 
     def centrality():
-        from .errors import CentralityError
-
         for n in range(2, idem_nmax + 1):
             c2 = class_sum(n, (2,) + (1,) * (n - 2))
             for i in range(5):
@@ -670,11 +672,8 @@ def tau_suite(
             for n in range(intertwining_nmax + 1):
                 for lam in partitions_of(n):
                     got = conv.r_lambda(lam, 0)
-                    _require(got.qexp == 0, f"r_lambda(0) carries q^{got.qexp} at {lam}")
                     want = twist_eigenvalue(spec, lam, spec.space())
-                    _require(
-                        got.series == want, f"intertwining fails at {lam} with {len(names)} z's"
-                    )
+                    _require(got == want, f"intertwining fails at {lam} with {len(names)} z's")
         return (
             "r_lambda(0) from the rho branches = content-product eigenvalue,"
             f" |lam|<={intertwining_nmax}"
@@ -742,17 +741,15 @@ def tau_suite(
     add("tau.exp_log_roundtrip", log_roundtrip)
 
     def exponent_law():
-        from .partitions import content_sum, size as psize
-
         for N in range(5):
             for n in range(7):
                 for lam in partitions_of(n):
                     qe, be = twists.okounkov_exponents(lam, N)
                     _require(
-                        qe == N * (N - 1) // 2 + psize(lam), f"q exponent law fails at {lam}, N={N}"
+                        qe == N * (N - 1) // 2 + size(lam), f"q exponent law fails at {lam}, N={N}"
                     )
                     _require(
-                        be == N * (N * N - 1) // 6 + N * psize(lam) + content_sum(lam),
+                        be == N * (N * N - 1) // 6 + N * size(lam) + content_sum(lam),
                         f"beta exponent law fails at {lam}, N={N}",
                     )
         return "q-exponent N(N-1)/2+|lam|; beta-exponent N(N^2-1)/6+N|lam|+cont"
@@ -852,6 +849,8 @@ def run_suite(name: str, nmax: int | None = None, seed: int = 2014) -> list[Chec
     size, while "all" always runs the default sizes."""
     if nmax is not None and nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
+    if name in ("characters", "center") and nmax is not None and nmax > CHARTABLE_CAP:
+        raise ValueError(f"the {name} suite needs character tables, capped at n <= {CHARTABLE_CAP}")
 
     def top(default: int) -> int:
         return default if nmax is None else nmax

@@ -299,6 +299,7 @@ def test_mixed_requires_p(capsys):
         ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind=weakstrict", "--segments=1,1,1"),
         ("tau", "--family", "hciz", "--N", "2", "--a", "1,2"),
         ("tau", "--family", "alpha_q", "--N", "2", "--a", "1/2,1/3", "--b", "1,2"),
+        ("verify", "center", "--nmax", "11"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

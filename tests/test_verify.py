@@ -33,7 +33,7 @@ def test_verify_checks_survive_python_O():
 
 @pytest.mark.parametrize(
     ("suite", "nmax"),
-    [("characters", -1), ("walks", 0), ("all", 3)],
+    [("characters", -1), ("walks", 0), ("all", 3), ("characters", 11), ("center", 11)],
 )
 def test_run_suite_rejects_bad_nmax(suite, nmax):
     # below 1 nothing would be checked, 0 used to mean the default, and
