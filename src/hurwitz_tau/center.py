@@ -24,7 +24,6 @@ from .characters import character_table
 from .groupalg import (
     GroupAlgebraElement,
     class_representative,
-    class_sum,
     compose,
     conjugacy_classes,
     cycle_type,
@@ -116,15 +115,6 @@ def characteristic_map(v: CenterElement) -> SymFunc:
     if v.basis == CLASS_SUMS:
         return p_basis({mu: Fraction(c, 1) / z_of(mu) for mu, c in v.coords.items()})
     return s_basis({lam: Fraction(c, 1) / hook_product(lam) for lam, c in v.coords.items()})
-
-
-def group_algebra_of(v: CenterElement) -> GroupAlgebraElement:
-    """Expand into the full group algebra (exponential size; oracle use)."""
-    w = idem_to_class(v)
-    total = GroupAlgebraElement.zero(v.n)
-    for mu, c in w.coords.items():
-        total = total + class_sum(v.n, mu).scale(c)
-    return total
 
 
 def project_to_classes(a: GroupAlgebraElement) -> CenterElement:

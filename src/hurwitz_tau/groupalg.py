@@ -126,10 +126,6 @@ class GroupAlgebraElement:
     def unit(cls, n: int) -> "GroupAlgebraElement":
         return cls(n, {identity(n): Fraction(1)})
 
-    @classmethod
-    def from_perm(cls, g: Perm) -> "GroupAlgebraElement":
-        return cls(len(g), {tuple(g): Fraction(1)})
-
     def _check(self, other):
         if self.n != other.n:
             raise ValueError(f"mixed group sizes {self.n} and {other.n}")
@@ -177,9 +173,6 @@ class GroupAlgebraElement:
 
     def coeff(self, g: Perm) -> Fraction:
         return self.terms.get(tuple(g), Fraction(0))
-
-    def support_size(self) -> int:
-        return len(self.terms)
 
     def commutes_with(self, other) -> bool:
         return self * other == other * self

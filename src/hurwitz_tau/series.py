@@ -4,10 +4,16 @@ A SeriesSpace fixes the parameter names and their individual degree caps;
 every TruncSeries belongs to one space and all arithmetic stays inside it,
 silently dropping monomials whose exponent exceeds a cap (formal
 truncation).  Coefficients are Fractions throughout.
+
+A product of two series is one product of packed integers (Kronecker
+substitution); pack/unpack, the slot layout, is shared with the
+character-sum kernel in twists.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm, prod
 
 from .errors import ExactDivisionError
 
@@ -44,6 +50,16 @@ class SeriesSpace:
     def __hash__(self):
         return hash((self.params, self.caps))
 
+    @cached_property
+    def _slots(self) -> dict[Exponents, int]:
+        """{exponents: slot} over the cap box, with stride 2 cap + 1 per axis
+        so that no two sums of two exponent tuples in the box share a slot."""
+        strides = [prod(2 * c + 1 for c in self.caps[k + 1 :]) for k in range(len(self.caps))]
+        return {
+            exps: sum(e * s for e, s in zip(exps, strides))
+            for exps in product(*(range(c + 1) for c in self.caps))
+        }
+
     def axis(self, name: str) -> int:
         return self._index[name]
 
@@ -66,9 +82,6 @@ class SeriesSpace:
 
     def monomial(self, coeff, **powers) -> "TruncSeries":
         return TruncSeries(self, {self.exponents(**powers): Fraction(coeff)})
-
-    def gen(self, name: str) -> "TruncSeries":
-        return self.monomial(1, **{name: 1})
 
     def axis_series(self, name: str, ratio) -> "TruncSeries":
         """sum_k a_k x^k up to the cap of x, with a_0 = 1 and
@@ -114,6 +127,15 @@ class TruncSeries:
                 clean[exps] = coeff
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, space: SeriesSpace, terms: dict) -> "TruncSeries":
+        """A series from exponents known to lie inside the caps (the ring's
+        own results); only zero coefficients are dropped."""
+        series = cls.__new__(cls)
+        series.space = space
+        series.terms = {e: c for e, c in terms.items() if c}
+        return series
+
     # -- inspection --------------------------------------------------------
 
     def coeff(self, **powers) -> Fraction:
@@ -155,9 +177,7 @@ class TruncSeries:
 
     def _check(self, other: "TruncSeries"):
         if self.space != other.space:
-            raise ValueError(
-                f"series spaces differ: {self.space} vs {other.space}"
-            )
+            raise ValueError(f"series spaces differ: {self.space} vs {other.space}")
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
@@ -166,12 +186,12 @@ class TruncSeries:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms.get(exps, 0) + coeff
-        return TruncSeries(self.space, terms)
+        return TruncSeries._trusted(self.space, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.space, {e: -c for e, c in self.terms.items()})
+        return TruncSeries._trusted(self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
@@ -179,23 +199,24 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, truncated to the caps.  A series times a series
+        packs each factor's numerators over its lcm denominator D at the
+        slots of SeriesSpace._slots, and reads the cap box back over D_a D_b."""
+        space = self.space
         if not isinstance(other, TruncSeries):
             c = Fraction(other)
             if not c:
-                return self.space.zero()
-            return TruncSeries(
-                self.space, {e: coeff * c for e, coeff in self.terms.items()}
-            )
+                return space.zero()
+            return TruncSeries._trusted(space, {e: coeff * c for e, coeff in self.terms.items()})
         self._check(other)
-        caps = self.space.caps
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if any(e > cap for e, cap in zip(exps, caps)):
-                    continue
-                terms[exps] = terms.get(exps, 0) + ca * cb
-        return TruncSeries(self.space, terms)
+        if not self.terms or not other.terms:
+            return space.zero()
+        slots = space._slots
+        (da, a), (db, b) = (_numerators(f.terms, slots) for f in (self, other))
+        fields = packed_product(a, b, slots[space.caps] + 1)
+        d = da * db
+        terms = {e: Fraction(fields[k], d) for e, k in slots.items() if fields[k]}
+        return TruncSeries._trusted(space, terms)
 
     __rmul__ = __mul__
 
@@ -226,7 +247,7 @@ class TruncSeries:
                         total += c * prev
             if total:
                 b[e] = -inv0 * total
-        return TruncSeries(self.space, b)
+        return TruncSeries._trusted(self.space, b)
 
     # -- univariate helpers (used by determinant code) ----------------------
 
@@ -249,13 +270,44 @@ class TruncSeries:
             new = list(exps)
             new[axis] -= amount
             terms[tuple(new)] = coeff
-        return TruncSeries(self.space, terms)
+        return TruncSeries._trusted(self.space, terms)
 
     def truncate_to(self, space: SeriesSpace) -> "TruncSeries":
         """Reinterpret in a space with the same parameters but smaller caps."""
         if space.params != self.space.params:
             raise ValueError("truncate_to needs identical parameter names")
         return TruncSeries(space, dict(self.terms))
+
+
+def _numerators(terms: dict, slots: dict) -> tuple[int, dict[int, int]]:
+    """(D, {slot: numerator over D}), D the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {slots[e]: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def pack(fields, width: int) -> int:
+    """The sum of x 2^(width k) over the (k, x) of ``fields``."""
+    return sum(x << (width * k) for k, x in fields)
+
+
+def unpack(total: int, width: int, count: int) -> list[int]:
+    """Fields 0..count-1 of a packed int, each a signed width-bit number:
+    every field must stay below 2^(width - 1) in size, so that biased by
+    2^(width - 1) it is nonnegative and borrows nothing from the next."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    total += half * (((1 << (width * count)) - 1) // mask)
+    return [((total >> (width * k)) & mask) - half for k in range(count)]
+
+
+def packed_product(a: dict[int, int], b: dict[int, int], count: int) -> list[int]:
+    """Fields 0..count-1 of (sum a[k] X^k)(sum b[k] X^k), X = 2^W, by one
+    big-int product.  A field sums at most min(#a, #b) products, so it
+    stays below min(#a, #b) max|a| max|b| in size; W is that bound's
+    bit length + 1, one bit for the sign."""
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = bound.bit_length() + 1
+    return unpack(pack(a.items(), width) * pack(b.items(), width), width, count)
 
 
 def monomial_label(params, exps) -> str:

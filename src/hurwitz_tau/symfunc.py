@@ -94,11 +94,6 @@ def s_basis(terms) -> SymFunc:
     return SymFunc("s", terms)
 
 
-def schur_to_powersum(lam: Partition) -> SymFunc:
-    """Expansion of a single Schur function on the power-sum basis."""
-    return to_powersum(s_basis({tuple(lam): 1}))
-
-
 def powersum_to_schur(mu: Partition) -> SymFunc:
     """Expansion of a single power-sum monomial on the Schur basis."""
     return to_schur(p_basis({tuple(mu): 1}))

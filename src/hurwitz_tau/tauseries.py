@@ -94,9 +94,6 @@ class TauSeries:
         """D(lam, mu) = G_{lam mu}: fixed-end-representative walk counts."""
         return self.coeff(lam, mu) * z_of(tuple(mu))
 
-    def schur_coefficient(self, nu) -> TruncSeries:
-        return self.r[tuple(nu)]
-
 
 # -- named families -----------------------------------------------------------
 
@@ -266,9 +263,7 @@ def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries
     for k in range(size_n - 1):
         pivot = m[k][k]
         if pivot.is_zero():
-            swap = next(
-                (r for r in range(k + 1, size_n) if not m[r][k].is_zero()), None
-            )
+            swap = next((r for r in range(k + 1, size_n) if not m[r][k].is_zero()), None)
             if swap is None:
                 return space.zero()
             m[k], m[swap] = m[swap], m[k]
@@ -317,9 +312,7 @@ def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
     # vanishes to order m(m-1)/2 in z and costs that many top degrees.
     m = max(N - 2, 0)
     guard = SeriesSpace(("z",), (z_cap + shift + m * (m - 1) // 2,))
-    rows = [
-        [guard.exp_linear(-N * ai * bj, "z") for bj in b_vals] for ai in a_vals
-    ]
+    rows = [[guard.exp_linear(-N * ai * bj, "z") for bj in b_vals] for ai in a_vals]
     det = bareiss_determinant(rows, "z")
     det = det / (vandermonde(a_vals) * vandermonde(b_vals))
     # shift_down raises ExactDivisionError unless det vanishes to that order

@@ -40,7 +40,7 @@ from .partitions import (
     size,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries
+from .series import SeriesSpace, TruncSeries, pack, packed_product, unpack
 
 # -- twist specifications ----------------------------------------------------
 
@@ -73,18 +73,15 @@ class TwistSpec:
     def params(self) -> tuple[str, ...]:
         names: list[str] = []
         for f in self.factors:
-            if isinstance(f, H) or isinstance(f, E):
-                new = (f.param,)
+            if isinstance(f, (H, E)):
+                names.append(f.param)
             elif isinstance(f, Exp):
-                new = (f.q_param, f.beta_param)
+                names += [f.q_param, f.beta_param]
             elif isinstance(f, Scale):
-                new = (f.q_param,)
+                names.append(f.q_param)
             else:
                 raise TypeError(f"unknown twist factor {f!r}")
-            for name in new:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
+        return tuple(dict.fromkeys(names))
 
     def space(self) -> SeriesSpace:
         return SeriesSpace(self.params(), self.caps)
@@ -93,10 +90,7 @@ class TwistSpec:
 def twist(factors, caps) -> TwistSpec:
     factors = tuple(factors)
     params = TwistSpec(factors, ()).params()
-    if isinstance(caps, int):
-        caps = (caps,) * len(params)
-    else:
-        caps = tuple(caps)
+    caps = (caps,) * len(params) if isinstance(caps, int) else tuple(caps)
     if len(caps) != len(params):
         raise ValueError("one cap per distinct parameter required")
     return TwistSpec(factors, caps)
@@ -131,44 +125,34 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None 
                     seq[k] += c * seq[k - 1]
         elif isinstance(f, (Exp, Scale)):
             axis = space.axis(f.q_param)
-            axes[axis] = _convolve(axes[axis], [0] * size(lam) + [1])
+            axes[axis] = ([0] * size(lam) + axes[axis])[: len(axes[axis])]
             if isinstance(f, Exp):
                 axis = space.axis(f.beta_param)
                 top = factorial(space.caps[axis])
                 c = content_sum(lam)
-                axes[axis] = _convolve(
-                    axes[axis], [c**k * (top // factorial(k)) for k in range(len(axes[axis]))]
-                )
+                kernel = {k: c**k * (top // factorial(k)) for k in range(len(axes[axis]))}
+                axes[axis] = packed_product(dict(enumerate(axes[axis])), kernel, len(axes[axis]))
                 denominator *= top
         else:
             raise TypeError(f"unknown twist factor {f!r}")
     terms = {(): 1}
     for seq in axes:
         terms = {e + (k,): x * a for e, x in terms.items() for k, a in enumerate(seq) if a}
-    return TruncSeries(space, {e: Fraction(x, denominator) for e, x in terms.items()})
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product of two integer sequences, truncated to the length of a."""
-    return [
-        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), k + 1)) for k in range(len(a))
-    ]
+    return TruncSeries._trusted(space, {e: Fraction(x, denominator) for e, x in terms.items()})
 
 
 def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scale) -> dict:
     """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
     for every ordered pair of classes, each a series in ``space``.
 
-    The sum runs on exact integers.  Every coefficient is brought onto one
-    common denominator D, and each value's numerators are packed into one
-    int: a signed slot of W bits per exponent tuple occurring in any value.
-    CharacterTable.character_sum then adds and scales whole packed ints, and
-    each pair's slots are read back once as Fraction(x, D scale(lam, mu)).
-    Cauchy-Schwarz and column orthogonality give
+    The sum runs on exact integers: each value's numerators over one common
+    denominator D are packed into one int, a W-bit slot per exponent tuple
+    occurring in any value; CharacterTable.character_sum adds and scales
+    whole packed ints, and each pair's slots are read back once over
+    D scale(lam, mu).  Cauchy-Schwarz and column orthogonality give
     sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu) <= n!, so a slot
-    never exceeds n! M in size, M the largest numerator; W =
-    bit_length(n! M) + 1 holds that with its sign, and no slot carries into
-    the next."""
+    stays below n! M in size, M the largest numerator, and W =
+    bit_length(n! M) + 1."""
     support = sorted({exps for value in values.values() for exps in value.terms})
     slot = {exps: k for k, exps in enumerate(support)}
     denom = lcm(*(c.denominator for value in values.values() for c in value.terms.values()))
@@ -178,23 +162,14 @@ def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scal
     }
     largest = max((abs(x) for nums in numerators.values() for _, x in nums), default=0)
     width = (factorial(table.n) * largest).bit_length() + 1
-    packed = {nu: sum(x << (width * k) for k, x in nums) for nu, nums in numerators.items()}
-    # biasing every slot by 2^(W-1) makes each one a nonnegative W-bit field
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    bias = sum(half << (width * k) for k in range(len(support)))
+    packed = {nu: pack(nums, width) for nu, nums in numerators.items()}
     out = {}
     for (lam, mu), total in table.character_sum(packed).items():
-        terms = {}
-        if total:
-            total += bias
-            d = denom * scale(lam, mu)
-            for exps in support:
-                x = (total & mask) - half
-                if x:
-                    terms[exps] = Fraction(x, d)
-                total >>= width
-        out[(lam, mu)] = TruncSeries(space, terms)
+        d = denom * scale(lam, mu)
+        fields = unpack(total, width, len(support)) if total else ()
+        out[(lam, mu)] = TruncSeries._trusted(
+            space, {exps: Fraction(x, d) for exps, x in zip(support, fields) if x}
+        )
     return out
 
 

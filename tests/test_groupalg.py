@@ -52,17 +52,17 @@ def test_class_representative_layout():
 def test_class_sum_support():
     assert class_sum(3, (1, 1, 1)) == GroupAlgebraElement.unit(3)
     c = class_sum(3, (2, 1))
-    assert c.support_size() == 3
-    assert class_sum(4, (3, 1)).support_size() == 8  # 4!/Z = 24/3
+    assert len(c.terms) == 3
+    assert len(class_sum(4, (3, 1)).terms) == 8  # 4!/Z = 24/3
     for n in range(1, 7):
         for mu in partitions_of(n):
-            assert class_sum(n, mu).support_size() == class_size(mu)
+            assert len(class_sum(n, mu).terms) == class_size(mu)
 
 
 def test_delta_g_times_inverse():
     g = (3, 1, 4, 2)
-    a = GroupAlgebraElement.from_perm(g)
-    b = GroupAlgebraElement.from_perm(inverse(g))
+    a = GroupAlgebraElement(4, {g: Fraction(1)})
+    b = GroupAlgebraElement(4, {inverse(g): Fraction(1)})
     assert a * b == GroupAlgebraElement.unit(4)
 
 
@@ -73,7 +73,7 @@ def test_c2_squared_in_s3():
 
 
 def test_jm_elements():
-    assert jm_element(3, 1).support_size() == 0
+    assert jm_element(3, 1).terms == {}
     j3 = jm_element(3, 3)
     assert j3.terms == {
         transposition(3, 1, 3): Fraction(1),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ def test_cap_truncation_silent():
     sp = space()
     high = sp.monomial(1, z=9)
     assert high.is_zero()
-    g = sp.gen("z")
+    g = sp.monomial(1, z=1)
     g5 = g * g * g * g * g
     assert g5.coeff(z=5) == 1
     assert (g5 * g).is_zero()
@@ -45,8 +46,8 @@ def test_geom_and_linear():
 
 def test_arithmetic_and_equality():
     sp = space()
-    a = sp.geom(1, "z") + sp.gen("w") * 3
-    b = sp.gen("w") * 3 + sp.geom(1, "z")
+    a = sp.geom(1, "z") + sp.monomial(1, w=1) * 3
+    b = sp.monomial(1, w=1) * 3 + sp.geom(1, "z")
     assert a == b
     assert a - b == sp.zero()
     assert (a * 0).is_zero()
@@ -56,11 +57,11 @@ def test_arithmetic_and_equality():
 
 def test_inverse():
     sp = space()
-    u = sp.one() - sp.gen("z") * 2 + sp.gen("w")
+    u = sp.one() - sp.monomial(1, z=1) * 2 + sp.monomial(1, w=1)
     v = u.inverse()
     assert u * v == sp.one()
     with pytest.raises(ExactDivisionError):
-        sp.gen("z").inverse()
+        sp.monomial(1, z=1).inverse()
 
 
 def test_exp_log_roundtrip():
@@ -121,3 +122,73 @@ def test_inverse_is_the_neumann_series(a):
     b = a.inverse()
     assert a * b == 1
     assert b == _neumann_inverse(a)
+
+
+def test_public_constructor_checks_exponents():
+    sp = space()
+    with pytest.raises(ValueError):
+        TruncSeries(sp, {(-1, 0): Fraction(1)})
+    terms = {(5, 4): Fraction(2), (6, 0): Fraction(3), (0, 5): Fraction(1), (1, 1): 0}
+    kept = TruncSeries(sp, terms)
+    assert kept.terms == {(5, 4): Fraction(2)}
+
+
+def fraction_product(a, b):
+    """The term-by-term product over Fraction, truncated to the caps."""
+    caps = a.space.caps
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if all(e <= c for e, c in zip(exps, caps)):
+                terms[exps] = terms.get(exps, 0) + ca * cb
+    return TruncSeries(a.space, terms)
+
+
+WIDE = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 9))
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two series over one random space of 0-3 parameters, caps 0-4: each
+    the zero series, one term or many, with signed numerators up to 2^70
+    over denominators 1-9."""
+    caps = draw(st.lists(st.integers(0, 4), max_size=3))
+    sp = SeriesSpace([f"x{k}" for k in range(len(caps))], caps)
+    exponent = st.tuples(*(st.integers(0, c) for c in caps))
+    factor = st.one_of(
+        st.just({}),
+        st.dictionaries(exponent, WIDE, min_size=1, max_size=1),
+        st.dictionaries(exponent, WIDE, max_size=30),
+    )
+    return TruncSeries(sp, draw(factor)), TruncSeries(sp, draw(factor))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(factor_pairs())
+def test_product_matches_the_fraction_product(pair):
+    a, b = pair
+    want = fraction_product(a, b)
+    assert (a * b).terms == want.terms
+    assert (b * a).terms == want.terms
+
+
+def _dense(sp, coeff):
+    return TruncSeries(sp, {e: Fraction(coeff) for e in product(*(range(c + 1) for c in sp.caps))})
+
+
+@pytest.mark.parametrize("caps", ((), (0,), (3,), (2, 2), (1, 2, 1), (4, 1)))
+@pytest.mark.parametrize("ma, mb", ((1, 1), (7, 3), (2**61 - 1, 2**35 + 1), (2**40, 2**30)))
+@pytest.mark.parametrize("sa, sb", ((1, 1), (1, -1), (-1, -1)))
+def test_product_slot_bound_is_reached(caps, ma, mb, sa, sb):
+    # dense factors with every coefficient +-M: the top corner of the cap
+    # box sums every term of a against one of b, so it holds exactly
+    # min(#a, #b) M_a M_b, the bound the slot width is sized for
+    sp = SeriesSpace([f"x{k}" for k in range(len(caps))], caps)
+    a, b = _dense(sp, sa * ma), _dense(sp, sb * mb)
+    got = a * b
+    assert got.terms[sp.caps] == len(a.terms) * sa * ma * sb * mb
+    assert got.terms == fraction_product(a, b).terms
+    # against one term: the bound is M_a M_b
+    single = TruncSeries(sp, {(0,) * len(caps): Fraction(sb * mb)})
+    assert (a * single).terms == fraction_product(a, single).terms

@@ -18,10 +18,14 @@ from hurwitz_tau.symfunc import (
     p_basis,
     powersum_to_schur,
     s_basis,
-    schur_to_powersum,
     to_powersum,
     to_schur,
 )
+
+
+def schur_to_powersum(lam):
+    """Expansion of a single Schur function on the power-sum basis."""
+    return to_powersum(s_basis({lam: 1}))
 
 
 def test_schur_to_powersum_examples():

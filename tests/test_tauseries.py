@@ -168,8 +168,8 @@ def test_alpha_q_determinant_n2_exploratory():
 
 def test_alpha_q_tau_vanishing_rows():
     t = alpha_q_tau(Fraction(1, 2), 1, 3)
-    assert t.schur_coefficient((1, 1)).is_zero()
-    assert not t.schur_coefficient((2,)).is_zero()
+    assert t.r[(1, 1)].is_zero()
+    assert not t.r[(2,)].is_zero()
 
 
 def test_alpha_q_power_sum_and_schur_sides_agree():

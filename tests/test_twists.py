@@ -6,7 +6,7 @@ import pytest
 from hurwitz_tau.center import unit_class, unit_idempotent
 from hurwitz_tau.groupalg import WalkQuery, count_walks, plain, weakly_monotone
 from hurwitz_tau.partitions import content_sum, partitions_of, size, z_of
-from hurwitz_tau.series import SeriesSpace
+from hurwitz_tau.series import SeriesSpace, TruncSeries
 from hurwitz_tau.twists import (
     AlphaQConvolution,
     E,
@@ -117,6 +117,34 @@ def test_intertwine_eigenvalue_identity():
         for n in range(7):
             for lam in partitions_of(n):
                 assert conv.r_lambda(lam, 0) == twist_eigenvalue(spec, lam)
+
+
+def test_h_and_e_eigenvalues_never_multiply_series(monkeypatch):
+    # the intertwining check compares r_lambda (series products) against
+    # twist_eigenvalue; the two stay independent only while the H and E
+    # eigenvalues are built without TruncSeries.__mul__
+    calls = []
+    original = TruncSeries.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncSeries, "__rmul__", counting)
+    specs = (
+        twist((H("z"),), (8,)),
+        twist((H("z1"), H("z2")), (5, 5)),
+        twist((H("z"), E("w")), (5, 4)),
+    )
+    for spec in specs:
+        for n in range(7):
+            for lam in partitions_of(n):
+                twist_eigenvalue(spec, lam)
+    assert calls == []
+    space = specs[0].space()
+    space.geom(1, "z") * space.geom(2, "z")
+    assert len(calls) == 1
 
 
 def test_intertwine_rejects_non_h_factors():
