@@ -2,17 +2,17 @@
 
 Nothing here is used by the production code paths; these routines exist so
 the verification suites and tests can confirm the main algorithms against
-genuinely different computations: alternant determinants for characters and
-Schur evaluation, semistandard-tableau enumeration for Schur positivity,
-the pentagonal-number recurrence for partition counts, and elementary
-series expansions for the Cauchy kernel.
+genuinely different computations: whole character columns from the
+alternant identity p_mu a_delta = sum_lam chi_lam(mu) a_{lam+delta},
+alternant determinants for Schur evaluation, semistandard-tableau
+enumeration for Schur positivity, the pentagonal-number recurrence for
+partition counts, and elementary series expansions for the Cauchy kernel.
 """
 
 from fractions import Fraction
-from itertools import permutations as _perms
 from math import factorial
 
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 
 
 def partition_count_pentagonal(n: int) -> int:
@@ -89,62 +89,36 @@ def schur_via_alternant(lam: Partition, xs) -> Fraction:
     return fraction_determinant(num) / d
 
 
-def character_via_alternant(lam: Partition, mu: Partition) -> int:
-    """chi_lam(mu) as the coefficient of x^(lam + delta) in
-    (prod_{i<j} (x_i - x_j)) * p_mu(x), extracted without evaluating either
-    factor numerically.  Exponential in n; intended for n <= 5."""
-    lam, mu = tuple(lam), tuple(mu)
-    n = sum(lam)
-    if sum(mu) != n:
-        raise ValueError("need |lam| = |mu|")
+def character_via_alternant(mu: Partition) -> dict[Partition, int]:
+    """{lam: chi_lam(mu)} for every partition lam of n = |mu|, zeros
+    included, from p_mu a_delta = sum_lam chi_lam(mu) a_{lam+delta} with
+    delta = (n-1, ..., 0), without evaluating either side numerically.
+
+    p_mu is expanded into monomials by putting each part on one of n
+    variables, starting from x^delta.  Antisymmetrising x^(m+delta) gives 0
+    when m + delta has a repeated entry, and otherwise a_{lam+delta} with
+    the sign of the sort, lam = sort(m + delta) - delta.  That is at most
+    C(2n-1, n) monomials per column."""
+    mu = tuple(mu)
+    n = sum(mu)
     delta = tuple(range(n - 1, -1, -1))
-    target = tuple(p + d for p, d in zip(lam + (0,) * (n - len(lam)), delta))
-
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def ways(part_idx: int, remaining: tuple[int, ...]) -> int:
-        # number of maps from the remaining parts of mu onto variable slots
-        # realising the remaining exponent vector
-        if part_idx == len(mu):
-            return 1 if all(r == 0 for r in remaining) else 0
-        key = (part_idx, remaining)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        part = mu[part_idx]
-        total = 0
-        for a, r in enumerate(remaining):
-            if r >= part:
-                nxt = remaining[:a] + (r - part,) + remaining[a + 1 :]
-                total += ways(part_idx + 1, nxt)
-        memo[key] = total
-        return total
-
-    total = 0
-    for sigma in _perms(range(n)):
-        sign = _perm_sign(sigma)
-        rest = tuple(target[i] - delta[sigma[i]] for i in range(n))
-        if any(r < 0 for r in rest):
+    monomials = {delta: 1}
+    for part in mu:
+        step: dict[tuple[int, ...], int] = {}
+        for exps, c in monomials.items():
+            for a in range(n):
+                key = exps[:a] + (exps[a] + part,) + exps[a + 1 :]
+                step[key] = step.get(key, 0) + c
+        monomials = step
+    column = dict.fromkeys(partitions_of(n), 0)
+    for exps, c in monomials.items():
+        if len(set(exps)) < n:
             continue
-        total += sign * ways(0, rest)
-    return total
-
-
-def _perm_sign(sigma) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = sigma[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        inversions = sum(x < y for i, x in enumerate(exps) for y in exps[i + 1 :])
+        shifted = sorted(exps, reverse=True)
+        lam = tuple(p for e, d in zip(shifted, delta) if (p := e - d))
+        column[lam] += -c if inversions % 2 else c
+    return column
 
 
 def ssyt_count(lam: Partition, max_entry: int) -> int:

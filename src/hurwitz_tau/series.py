@@ -121,6 +121,8 @@ class TruncSeries:
         for exps, coeff in terms.items():
             if not coeff:
                 continue
+            if len(exps) != len(caps):
+                raise ValueError(f"exponents {exps} do not match the parameters {space.params}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             if all(e <= c for e, c in zip(exps, caps)):

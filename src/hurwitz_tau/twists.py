@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .center import IDEMPOTENTS, CenterElement, class_to_idem, idem_to_class
+from .center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem
 from .characters import CharacterTable, character_table
 from .partitions import (
     Partition,
     cells,
     content_sum,
     contents,
+    hook_product,
     partitions_of,
     pochhammer,
     pochhammer_partition,
@@ -141,36 +142,49 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None 
     return TruncSeries._trusted(space, {e: Fraction(x, denominator) for e, x in terms.items()})
 
 
-def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scale) -> dict:
-    """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
-    for every ordered pair of classes, each a series in ``space``.
+def _packed_series(values: dict, space: SeriesSpace, bound: int):
+    """Pack every series of ``values`` into one int, for integer
+    combinations whose coefficients sum to at most ``bound`` in size.
 
-    The sum runs on exact integers: each value's numerators over one common
-    denominator D are packed into one int, a W-bit slot per exponent tuple
-    occurring in any value; CharacterTable.character_sum adds and scales
-    whole packed ints, and each pair's slots are read back once over
-    D scale(lam, mu).  Cauchy-Schwarz and column orthogonality give
-    sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu) <= n!, so a slot
-    stays below n! M in size, M the largest numerator, and W =
-    bit_length(n! M) + 1."""
+    The numerators over one common denominator D sit in W-bit slots, one
+    per exponent tuple occurring in any value.  A combination's slot stays
+    below bound M in size, M the largest numerator, so W =
+    bit_length(bound M) + 1.  Returns {key: packed int} and read(total,
+    scale), the series of a combination's slots over D scale."""
     support = sorted({exps for value in values.values() for exps in value.terms})
     slot = {exps: k for k, exps in enumerate(support)}
     denom = lcm(*(c.denominator for value in values.values() for c in value.terms.values()))
     numerators = {
-        nu: [(slot[e], c.numerator * (denom // c.denominator)) for e, c in value.terms.items()]
-        for nu, value in values.items()
+        key: [(slot[e], c.numerator * (denom // c.denominator)) for e, c in value.terms.items()]
+        for key, value in values.items()
     }
     largest = max((abs(x) for nums in numerators.values() for _, x in nums), default=0)
-    width = (factorial(table.n) * largest).bit_length() + 1
-    packed = {nu: pack(nums, width) for nu, nums in numerators.items()}
-    out = {}
-    for (lam, mu), total in table.character_sum(packed).items():
-        d = denom * scale(lam, mu)
+    width = (bound * largest).bit_length() + 1
+
+    def read(total: int, scale: int = 1) -> TruncSeries:
+        d = denom * scale
         fields = unpack(total, width, len(support)) if total else ()
-        out[(lam, mu)] = TruncSeries._trusted(
+        return TruncSeries._trusted(
             space, {exps: Fraction(x, d) for exps, x in zip(support, fields) if x}
         )
-    return out
+
+    return {key: pack(nums, width) for key, nums in numerators.items()}, read
+
+
+def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scale) -> dict:
+    """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
+    for every ordered pair of classes, each a series in ``space``.
+
+    The sum runs on packed integers (_packed_series): CharacterTable.
+    character_sum adds and scales whole packed ints, and each pair's slots
+    are read back once over D scale(lam, mu).  Cauchy-Schwarz and column
+    orthogonality give sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu)
+    <= n!, the bound the slots are sized for."""
+    packed, read = _packed_series(values, space, factorial(table.n))
+    return {
+        (lam, mu): read(total, scale(lam, mu))
+        for (lam, mu), total in table.character_sum(packed).items()
+    }
 
 
 def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
@@ -183,15 +197,24 @@ def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partitio
 
 def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = None) -> CenterElement:
     """Multiply a center element by the twist: diagonal on idempotents,
-    a linear combination on class sums; series-valued coordinates."""
+    a linear combination on class sums; series-valued coordinates.
+
+    On class sums the coordinates are sum_lam chi_lam(mu) e_lam w_lam / h_lam,
+    e_lam the eigenvalue and w the idempotent coordinates of v: one
+    CharacterTable.transpose_times on packed integers (_packed_series), whose
+    coefficients sum_lam |chi_lam(mu)| <= sqrt(p(n) n!) <= n! in size."""
     if space is None:
         space = spec.space()
-    w = class_to_idem(v)
-    coords = {
-        lam: twist_eigenvalue(spec, lam, space) * c for lam, c in w.coords.items()
+    if v.basis == IDEMPOTENTS:
+        coords = {lam: twist_eigenvalue(spec, lam, space) * c for lam, c in v.coords.items()}
+        return CenterElement(v.n, IDEMPOTENTS, coords)
+    values = {
+        lam: twist_eigenvalue(spec, lam, space) * (c / hook_product(lam))
+        for lam, c in class_to_idem(v).coords.items()
     }
-    result = CenterElement(v.n, IDEMPOTENTS, coords)
-    return result if v.basis == IDEMPOTENTS else idem_to_class(result)
+    packed, read = _packed_series(values, space, factorial(v.n))
+    coords = character_table(v.n).transpose_times(packed)
+    return CenterElement(v.n, CLASS_SUMS, {mu: read(total) for mu, total in coords.items()})
 
 
 # -- convolution coefficient families ----------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,6 +12,36 @@ from hurwitz_tau.characters import (
 from hurwitz_tau.errors import SizeLimitError
 from hurwitz_tau.oracles import character_via_alternant
 from hurwitz_tau.partitions import dimension, partitions_of, z_of
+
+
+def alternant_coefficient(lam, mu):
+    """chi_lam(mu) as the coefficient of x^(lam + delta) in a_delta p_mu,
+    swept over the n! terms sgn(sigma) x^sigma(delta) of a_delta: a
+    per-entry reference for the column oracle."""
+    n = sum(lam)
+    delta = tuple(range(n - 1, -1, -1))
+    target = tuple(p + d for p, d in zip(lam + (0,) * (n - len(lam)), delta))
+    memo = {}
+
+    def ways(k, remaining):
+        # maps of the parts mu[k:] onto variables realising ``remaining``
+        if k == len(mu):
+            return int(not any(remaining))
+        if (k, remaining) not in memo:
+            memo[(k, remaining)] = sum(
+                ways(k + 1, remaining[:a] + (r - mu[k],) + remaining[a + 1 :])
+                for a, r in enumerate(remaining)
+                if r >= mu[k]
+            )
+        return memo[(k, remaining)]
+
+    total = 0
+    for sigma in permutations(range(n)):
+        rest = tuple(t - delta[s] for t, s in zip(target, sigma))
+        if min(rest, default=0) >= 0:
+            inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :])
+            total += (-1) ** inversions * ways(0, rest)
+    return total
 
 
 def test_trivial_and_sign_rows():
@@ -26,7 +57,7 @@ def test_standard_representation_values():
     assert character((2, 1), (2, 1)) == 0
     assert character((2, 1), (3,)) == -1
     for mu in partitions_of(3):
-        assert character((2, 1), mu) == character_via_alternant((2, 1), mu)
+        assert character((2, 1), mu) == character_via_alternant(mu)[(2, 1)]
 
 
 def test_size_mismatch():
@@ -63,9 +94,19 @@ def test_dimension_column():
 
 def test_murnaghan_nakayama_equals_alternant_oracle():
     for n in range(1, 6):
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                assert character(lam, mu) == character_via_alternant(lam, mu)
+        for mu in partitions_of(n):
+            column = character_via_alternant(mu)
+            for lam in partitions_of(n):
+                assert character(lam, mu) == column[lam]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_alternant_column_equals_the_per_entry_sweep(n):
+    parts = partitions_of(n)
+    for mu in parts:
+        column = character_via_alternant(mu)
+        assert list(column) == list(parts)  # exactly p(n) keys, zeros included
+        assert column == {lam: alternant_coefficient(lam, mu) for lam in parts}, mu
 
 
 def test_row_sum_against_trivial_character():

@@ -133,6 +133,13 @@ def test_public_constructor_checks_exponents():
     assert kept.terms == {(5, 4): Fraction(2)}
 
 
+@pytest.mark.parametrize("exps", ((1,), (1, 0, 0)), ids=("too short", "too long"))
+def test_public_constructor_rejects_wrong_length_exponents(exps):
+    # zipped against the caps, a short or long tuple would pass the cap test
+    with pytest.raises(ValueError, match="do not match the parameters"):
+        TruncSeries(SeriesSpace(("z", "w"), (2, 2)), {exps: Fraction(1)})
+
+
 def fraction_product(a, b):
     """The term-by-term product over Fraction, truncated to the caps."""
     caps = a.space.caps

@@ -3,10 +3,20 @@ from math import factorial
 
 import pytest
 
-from hurwitz_tau.center import unit_class, unit_idempotent
+from hurwitz_tau import twists
+from hurwitz_tau.center import (
+    CLASS_SUMS,
+    IDEMPOTENTS,
+    CenterElement,
+    class_to_idem,
+    idem_to_class,
+    unit_class,
+    unit_idempotent,
+)
 from hurwitz_tau.groupalg import WalkQuery, count_walks, plain, weakly_monotone
 from hurwitz_tau.partitions import content_sum, partitions_of, size, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
+from hurwitz_tau.tauseries import WALK_KINDS
 from hurwitz_tau.twists import (
     AlphaQConvolution,
     E,
@@ -74,6 +84,55 @@ def test_apply_twist_beta_squared_coefficient():
     series = twisted.coeff((3,))
     # coefficient of beta^2/2 is the 2-step walk count 3
     assert series.coeff(q=3, beta=2) * 2 == 3
+
+
+def term_by_term_twist(spec, v, space):
+    """The twist of a class-basis element through the idempotent basis,
+    converted back by center.idem_to_class over series, one series product
+    per character entry."""
+    coords = {
+        lam: twists.twist_eigenvalue(spec, lam, space) * c
+        for lam, c in class_to_idem(v).coords.items()
+    }
+    return idem_to_class(CenterElement(v.n, IDEMPOTENTS, coords))
+
+
+def assert_matches_term_by_term(spec, v, space):
+    got, want = apply_twist(spec, v, space), term_by_term_twist(spec, v, space)
+    assert got.basis == want.basis == CLASS_SUMS
+    assert got.coords == want.coords
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_KINDS))
+def test_packed_apply_twist_matches_the_term_by_term_route(kind):
+    for n in range(7):
+        spec = WALK_KINDS[kind].twist(n, 4)
+        space = spec.space()
+        parts = partitions_of(n)
+        for mu in parts:
+            assert_matches_term_by_term(spec, unit_class(n, mu), space)
+        # a signed combination of classes, over several denominators
+        mixed = {mu: Fraction((-1) ** k * (k + 1), k + 2) for k, mu in enumerate(parts)}
+        assert_matches_term_by_term(spec, CenterElement(n, CLASS_SUMS, mixed), space)
+
+
+@pytest.mark.parametrize("sign", (-1, 1))
+@pytest.mark.parametrize("magnitude", (1, 7, 2**61 - 1))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_apply_twist_slot_bound(monkeypatch, n, magnitude, sign):
+    # every eigenvalue is +-M on every slot.  From C_(1^n) the values are
+    # +-M dim_lam / n!, numerators +-M dim_lam D / n! over one denominator D,
+    # and the C_(1^n) slot of the result sums them weighted by dim_lam: +-M D.
+    # At n <= 2 (every dim 1) that is n! times the largest numerator, the
+    # bound the slot width is sized for
+    space = SeriesSpace(("z", "w"), (1, 1))
+    one = TruncSeries(space, dict.fromkeys(((0, 0), (1, 0), (0, 1), (1, 1)), Fraction(1)))
+    monkeypatch.setattr(twists, "twist_eigenvalue", lambda spec, lam, space: one * (sign * magnitude))
+    spec = twist((H("z"), E("w")), (1, 1))
+    identity = (1,) * n
+    got = assert_matches_term_by_term(spec, unit_class(n, identity), space)
+    assert got.coeff(identity).terms == dict.fromkeys(one.terms, Fraction(sign * magnitude))
 
 
 def test_connection_coeffs_match_walks_n3():

@@ -85,3 +85,24 @@ def test_idempotents_check_requires_integral_scaling(monkeypatch):
     check = _idempotents_check()
     assert not check.passed
     assert check.detail == "h_(2,) F_(2,) is not integral at n=2"
+
+
+def test_alternant_checks_catch_a_wrong_character(monkeypatch):
+    # each oracle value is computed once per mu or per point set; one wrong
+    # n = 6 entry must still fail both alternant checks
+    exact = verify.character
+
+    def off_by_one(lam, mu):
+        return exact(lam, mu) + ((lam, mu) == ((3, 2, 1), (2, 2, 1, 1)))
+
+    def alternant_checks():
+        results = verify.characters_suite(nmax=6, oracle_nmax=6)
+        return {r.name: r for r in results if "alternant" in r.name}
+
+    assert all(r.passed for r in alternant_checks().values())
+    monkeypatch.setattr(verify, "character", off_by_one)
+    checks = alternant_checks()
+    assert set(checks) == {"characters.alternant_oracle", "characters.alternant_ratio_points"}
+    oracle, ratio = checks["characters.alternant_oracle"], checks["characters.alternant_ratio_points"]
+    assert not oracle.passed and "chi_(3, 2, 1)((2, 2, 1, 1))" in oracle.detail
+    assert not ratio.passed and "n=6, (2, 2, 1, 1)" in ratio.detail
