@@ -114,6 +114,10 @@ WALK_SEGMENTS = {
 
 
 def cmd_walks(args) -> int:
+    if args.p is not None and args.kind != "mixed":
+        raise ValueError("--p applies to --kind mixed only")
+    if args.segments is not None and args.kind not in ("multi", "weakstrict"):
+        raise ValueError("--segments applies to --kind multi and weakstrict only")
     segments = WALK_SEGMENTS[args.kind](args)
     query = WalkQuery(
         args.n,

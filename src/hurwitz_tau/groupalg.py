@@ -2,15 +2,15 @@
 
 Permutations are tuples of images on {1..n} (images[i-1] = image of i),
 composed apply-right-first: (g*h)(x) = g(h(x)).  Walks in the Cayley graph
-generated by transpositions are counted by a forward dynamic program on
-permutation indices: S_n is ranked once per n, with one action table per
-transposition, and the count vectors are keyed by the last maximum entry
-used in the current segment (the floor), which the monotone steps merge by
-prefix sums.  When transitivity is required the state also carries the set
-partition of {1..n} generated by the transpositions so far; equal states are
-merged, and g's cycles complete the partition at the end.  These counts are
-the independent oracle against which the character-sum coefficients are
-tested; nothing here uses characters.
+generated by transpositions are counted by a dynamic program on permutation
+indices (S_n ranked once per n, one action table per transposition), its
+count vectors keyed by the last b of the current segment (the floor), which
+monotone steps merge by prefix sums.  It runs forward from the whole start
+class to every target class (whole rows), or backward from one target
+representative, segments reversed and b falling (single counts).  Transitive
+counts also carry the set partition of {1..n} generated so far, equal states
+merged.  These counts are the independent oracle against which the
+character-sum coefficients are tested; nothing here uses characters.
 """
 
 from dataclasses import dataclass
@@ -293,10 +293,6 @@ class WalkQuery:
         if sum(self.from_type) != self.n or sum(self.to_type) != self.n:
             raise ValueError("from/to cycle types must be partitions of n")
 
-    @property
-    def steps(self) -> int:
-        return sum(seg.length for seg in self.segments)
-
 
 def count_walks(query: WalkQuery) -> int:
     """Number of tuples (g, t_1, ..., t_k): g has cycle type from_type,
@@ -304,11 +300,28 @@ def count_walks(query: WalkQuery) -> int:
     transposition (a b) with a < b, and within each constraint segment the
     b-sequence (in application order t_1 first) is weakly/strictly
     increasing as requested.  With transitive=True the subgroup generated
-    by g and all the t's must act transitively on {1..n}."""
-    counts = count_walks_all_targets(
-        query.n, query.from_type, query.segments, query.transitive
+    by g and all the t's must act transitively on {1..n}.
+
+    Counted backwards from the representative rho = t_k ... t_1 g: segments
+    reversed, b falling, the end vector summed over the start class.  The
+    group <g, t's> equals <rho, t's>, so the blocks start as rho's cycles."""
+    n = query.n
+    _check_walk_args(n, query.from_type)
+    indexed = ranked(n)
+    rho = class_representative(query.to_type, n)
+    blocks = None
+    if query.transitive:
+        blocks = tuple(range(n))
+        for cyc in cycles(rho):
+            for other in cyc[1:]:
+                blocks = _join(blocks, cyc[0], other)
+    order = (n + 1, *range(n, 1, -1))
+    segments = tuple(seg for seg in reversed(query.segments) if seg.length > 0)
+    layers = _walk(n, {(order[0], blocks): {indexed.index[bytes(rho)]: 1}}, segments, order)
+    return sum(
+        c for (_, joined), vec in layers.items() if joined is None or len(set(joined)) == 1
+        for i, c in vec.items() if indexed.types[i] == query.from_type
     )
-    return counts.get(query.to_type, 0)
 
 
 def count_walks_all_targets(
@@ -329,8 +342,9 @@ def count_walks_to_elements(
     (used to confirm independence of the representative choice)."""
     from_type = _check_walk_args(n, from_type)
     indexed = ranked(n)
-    layers = _walk(n, _class_layer(n, from_type), segments)
-    totals = _merge_floors(layers).get((0, None), {})
+    order = _forward(n)
+    layers = _walk(n, _class_layer(n, from_type), segments, order)
+    totals = _merge_floors(layers, order).get((order[0], None), {})
     return {indexed.perms[i]: c for i, c in totals.items()}
 
 
@@ -348,14 +362,15 @@ class Ranking(NamedTuple):
     perms: list[Perm]
     index: dict[bytes, int]
     act: dict[tuple[int, int], list[int]]
+    types: list[Partition]
 
 
 @lru_cache(maxsize=None)
 def ranked(n: int) -> Ranking:
     """S_n in lexicographic order, the index of each permutation (keyed by
-    bytes(perm)) and the transposition action tables: act[(a, b)][i] is the
-    index of (a b) * perms[i].  Left multiplication by (a b) swaps the values
-    a and b in the image tuple, one bytes.translate per entry."""
+    bytes(perm)), the cycle type of each index and the transposition action
+    tables: act[(a, b)][i] is the index of (a b) * perms[i], one
+    bytes.translate per entry swapping the values a and b."""
     perms = list(_all_perms(range(1, n + 1)))
     keys = [bytes(g) for g in perms]
     index = {key: i for i, key in enumerate(keys)}
@@ -363,11 +378,14 @@ def ranked(n: int) -> Ranking:
     for a, b, _ in transpositions(n):
         swap = bytes.maketrans(bytes((a, b)), bytes((b, a)))
         act[(a, b)] = [index[key.translate(swap)] for key in keys]
-    return Ranking(perms, index, act)
+    type_of = {bytes(g): mu for mu, members in conjugacy_classes(n).items() for g in members}
+    return Ranking(perms, index, act, [type_of[key] for key in keys])
 
 
 # A DP layer maps (floor, blocks) to a sparse count vector {perm index: count}.
-# floor is the largest b used so far in the current segment (0 at its start).
+# floor is the last b used in the current segment; order lists the bound a
+# segment starts from, then the b's in walking order: _forward(n) is
+# (0, 2, ..., n), and (n + 1, n, ..., 2) walks backward.
 # blocks is the set partition of {1..n} generated by the transpositions so far,
 # as a tuple labelling each point (0-based) by the least point of its block,
 # or None when transitivity is not tracked.  Equal states are merged.
@@ -377,22 +395,26 @@ def _class_layer(n, from_type):
     return {(0, None): {index[bytes(g)]: 1 for g in conjugacy_classes(n)[from_type]}}
 
 
-def _walk(n, layers, segments):
+def _forward(n):
+    return (0, *range(2, n + 1))
+
+
+def _walk(n, layers, segments, order):
     """Advance a layer through the segments; each segment starts afresh
-    from floor 0."""
+    from floor order[0]."""
     act = ranked(n).act
     for seg in segments:
-        layers = _merge_floors(layers)
+        layers = _merge_floors(layers, order)
         for _ in range(seg.length):
-            layers = _step(n, act, layers, seg.kind)
+            layers = _step(act, layers, seg.kind, order)
     return layers
 
 
-def _step(n, act, layers, kind):
-    # A weak step to b leaves from every floor <= b and a strict one from
-    # every floor < b, so the source floors are merged in order of b and
-    # each transposition row is applied once per b.  Plain steps only ever
-    # see floor 0.
+def _step(act, layers, kind, order):
+    # A weak step to b leaves from every floor at or before b in the order
+    # and a strict one from every floor before b, so the source floors are
+    # merged in the order and each transposition row is applied once per b.
+    # Plain steps only ever see floor order[0].
     by_floor: dict[int, list] = {}
     for (floor, blocks), vec in layers.items():
         by_floor.setdefault(floor, []).append((blocks, vec))
@@ -402,12 +424,12 @@ def _step(n, act, layers, kind):
         for blocks, vec in by_floor.get(floor, ()):
             _accumulate(source, blocks, vec)
 
-    absorb(0)
+    absorb(order[0])
     new: dict = {}
-    for b in range(2, n + 1):
+    for b in order[1:]:
         if kind == WEAK:
             absorb(b)
-        to_floor = b if kind != PLAIN else 0
+        to_floor = b if kind != PLAIN else order[0]
         for blocks, vec in source.items():
             items = vec.items()
             for a in range(1, b):
@@ -433,10 +455,10 @@ def _accumulate(acc, key, vec):
         target[i] = get(i, 0) + c
 
 
-def _merge_floors(layers):
+def _merge_floors(layers, order):
     merged: dict = {}
     for (_, blocks), vec in layers.items():
-        _accumulate(merged, (0, blocks), vec)
+        _accumulate(merged, (order[0], blocks), vec)
     return merged
 
 
@@ -454,7 +476,7 @@ def _count_dp(n, from_type, segments) -> dict[Partition, int]:
         counts = {mu: start[(0, None)].get(j, 0) for mu, j in reps.items()}
     else:
         *head, last = segments
-        layers = _walk(n, start, (*head, Segment(last.kind, last.length - 1)))
+        layers = _walk(n, start, (*head, Segment(last.kind, last.length - 1)), _forward(n))
         counts = {
             mu: sum(
                 vec.get(row[j], 0)
@@ -474,7 +496,7 @@ def _count_transitive(n, from_type, segments) -> dict[Partition, int]:
     index = ranked(n).index
     start = {(0, tuple(range(n))): {index[bytes(identity(n))]: 1}}
     products: dict[int, dict[tuple, int]] = {}
-    for (_, blocks), vec in _walk(n, start, segments).items():
+    for (_, blocks), vec in _walk(n, start, segments, _forward(n)).items():
         for i, c in vec.items():
             per_perm = products.setdefault(i, {})
             per_perm[blocks] = per_perm.get(blocks, 0) + c

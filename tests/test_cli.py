@@ -230,10 +230,12 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("kind", sorted(WALK_KINDS))
 def test_walks_accepts_every_walk_kind(capsys, kind):
+    extra = {"mixed": ("--p", "1"), "multi": ("--segments", "1,1"),
+             "weakstrict": ("--segments", "1,1")}.get(kind, ())
     code, out = run_cli(
         capsys,
         "walks", "--n", "3", "--from", "1,1,1", "--to", "3", "--kind", kind,
-        "--steps", "2", "--p", "1", "--segments", "1,1",
+        "--steps", "2", *extra,
     )
     assert code == 0
     assert json.loads(out.strip().splitlines()[1])["kind"] == kind
@@ -300,6 +302,10 @@ def test_mixed_requires_p(capsys):
         ("tau", "--family", "hciz", "--N", "2", "--a", "1,2"),
         ("tau", "--family", "alpha_q", "--N", "2", "--a", "1/2,1/3", "--b", "1,2"),
         ("verify", "center", "--nmax", "11"),
+        ("walks", "--n", "3", "--from", "3", "--to", "2,1", "--kind", "plain",
+         "--segments", "1,2", "--steps", "1"),
+        ("walks", "--n", "3", "--from", "3", "--to", "2,1", "--kind", "monotone",
+         "--p", "1", "--steps", "2"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

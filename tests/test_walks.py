@@ -256,14 +256,37 @@ def walk_cases(draw):
 def test_dp_matches_direct_enumeration(case):
     n, lam, segments = case
     for transitive in (False, True):
-        assert count_walks_all_targets(n, lam, segments, transitive) == brute_force_counts(
-            n, lam, segments, transitive
-        )
+        expected = brute_force_counts(n, lam, segments, transitive)
+        assert count_walks_all_targets(n, lam, segments, transitive) == expected
+        for mu in partitions_of(n):
+            query = WalkQuery(n, lam, mu, segments, transitive)
+            assert count_walks(query) == expected.get(mu, 0), (mu, transitive)
     if all(seg.kind == "plain" for seg in segments):
         k = sum(seg.length for seg in segments)
         counts = count_walks_all_targets(n, lam, segments)
         for mu in partitions_of(n):
             assert plain_count_via_class_dp(n, lam, mu, k) == counts.get(mu, 0)
+
+
+def test_single_target_equals_all_targets():
+    # the back-walk from the target representative against the forward rows,
+    # over every walk kind and the segment orders no kind produces
+    orders = [segments for walk in WALK_KINDS.values() for _, segments, _ in walk.steps(4)]
+    for first, second in (("strict", "weak"), ("plain", "weak")):
+        orders += [
+            (Segment(first, d1), Segment(second, d2)) for d1 in range(5) for d2 in range(5 - d1)
+        ]
+    orders.append((Segment("weak", 2), Segment("plain", 1), Segment("strict", 1)))
+    # empty segments are dropped before walking, so each order is tried once
+    orders = dict.fromkeys(tuple(seg for seg in segs if seg.length) for segs in orders)
+    for n in range(6):
+        for lam in partitions_of(n):
+            for segments in orders:
+                for transitive in (False, True):
+                    rows = count_walks_all_targets(n, lam, segments, transitive)
+                    for mu in partitions_of(n):
+                        query = WalkQuery(n, lam, mu, segments, transitive)
+                        assert count_walks(query) == rows.get(mu, 0), query
 
 
 @st.composite
