@@ -10,7 +10,7 @@ partition counts, and elementary series expansions for the Cauchy kernel.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .partitions import Partition, partitions_of
 
@@ -75,17 +75,17 @@ def hook_product_via_determinant(lam: Partition) -> Fraction:
 
 def schur_via_alternant(lam: Partition, xs) -> Fraction:
     """Bialternant ratio det(x_i^{lam_j + m - j}) / det(x_i^{m - j});
-    needs distinct evaluation points."""
+    needs distinct evaluation points.  The numerator is a determinant; the
+    Vandermonde denominator is its product prod_{i<j} (x_i - x_j)."""
     xs = [Fraction(x) for x in xs]
     m = len(xs)
     if len(lam) > m:
         return Fraction(0)
-    lam = tuple(lam) + (0,) * (m - len(lam))
-    num = [[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs]
-    den = [[x ** (m - 1 - j) for j in range(m)] for x in xs]
-    d = fraction_determinant(den)
+    d = prod(x - y for i, x in enumerate(xs) for y in xs[i + 1 :])
     if d == 0:
         raise ValueError("alternant oracle needs distinct points")
+    lam = tuple(lam) + (0,) * (m - len(lam))
+    num = [[x ** (lam[j] + m - 1 - j) for j in range(m)] for x in xs]
     return fraction_determinant(num) / d
 
 

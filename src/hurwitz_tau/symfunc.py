@@ -14,6 +14,7 @@ concatenation.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .characters import character_table
 from .partitions import (
@@ -22,6 +23,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
+from .series import SeriesSpace, TruncSeries, pack, unpack
 
 
 class SymFunc:
@@ -218,8 +220,8 @@ class TensorSymFunc:
     """Element of Lambda (x) Lambda on the p (x) p basis.
 
     terms maps a pair of partitions (lam, mu) to a coefficient, read as the
-    coefficient of p_lam(x) * p_mu(y).  Coefficients may be Fractions or
-    TruncSeries; the only requirements are +, * and truthiness.
+    coefficient of p_lam(x) * p_mu(y).  Coefficients are Fractions or
+    TruncSeries of one space (the two may mix).
     """
 
     __slots__ = ("terms",)
@@ -233,35 +235,75 @@ class TensorSymFunc:
     def __eq__(self, other):
         return isinstance(other, TensorSymFunc) and self.terms == other.terms
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return TensorSymFunc(terms)
-
     def scale(self, c):
         return TensorSymFunc({k: v * c for k, v in self.terms.items()})
 
     def mul(self, other, grade_cap: int) -> "TensorSymFunc":
         """Bilinear product; p-monomials concatenate on each tensor leg.
-        Terms whose x-degree exceeds grade_cap are dropped, so other's terms
-        are bucketed by x-degree once and each left term visits only the
-        buckets that fit under the cap."""
-        buckets = {}
-        for (lb, mb), cb in other.terms.items():
-            buckets.setdefault(sum(lb), []).append((lb, mb, cb))
-        buckets = sorted(buckets.items())
-        terms = {}
-        for (la, ma), ca in self.terms.items():
-            room = grade_cap - sum(la)
-            for degree, bucket in buckets:
-                if degree > room:
-                    break
-                for lb, mb, cb in bucket:
-                    key = (
-                        tuple(sorted(la + lb, reverse=True)),
-                        tuple(sorted(ma + mb, reverse=True)),
-                    )
-                    c = ca * cb
-                    terms[key] = terms[key] + c if key in terms else c
-        return TensorSymFunc(terms)
+        Terms whose x-degree exceeds grade_cap are dropped."""
+        return tensor_product_sum([(self, other)], grade_cap)
+
+
+_SCALARS = SeriesSpace((), ())  # the slot layout when no coefficient is a series
+
+
+def _numerators(f: TensorSymFunc, space: SeriesSpace) -> tuple[int, int, int, list]:
+    """(D, E, M, [(x-degree, lam, mu, is series, [(slot, numerator)])]): the
+    E numerators over D, the lcm of f's denominators, M the largest in size;
+    a Fraction sits in the constant slot."""
+    rows = []
+    for (lam, mu), c in f.terms.items():
+        is_series = isinstance(c, TruncSeries)
+        if is_series and c.space is not space and c.space != space:
+            raise ValueError(f"series spaces differ: {c.space} vs {space}")
+        row = [(space._slots[e], x) for e, x in c.terms.items()] if is_series else [(0, c)]
+        rows.append((sum(lam), lam, mu, is_series, row))
+    d = lcm(*(x.denominator for *_, row in rows for _, x in row))
+    rows = [(*head, [(k, x.numerator * (d // x.denominator)) for k, x in r]) for *head, r in rows]
+    sizes = [abs(x) for *_, row in rows for _, x in row]
+    return d, len(sizes), max(sizes), rows
+
+
+def tensor_product_sum(pairs, grade_cap: int, scale=1) -> TensorSymFunc:
+    """scale * sum_i a_i b_i over tensor pairs (a_i, b_i), terms of x-degree
+    above grade_cap dropped, on packed integers: each coefficient is packed
+    once, pair i's products times D / (D_a D_b), D the lcm of the D_a D_b,
+    add into one int per output key, and each key is read back once over
+    D den(scale).  An output key and slot and a term and slot of a fix those
+    of b, so a field sums at most min(E_a, E_b) products per pair (E the
+    number of numerators, M the largest) and stays below sum_i min(E_a, E_b)
+    M_a M_b D / (D_a D_b): W is that bound's bit length + 1.  A key that
+    only Fractions reach stays a Fraction."""
+    scale = Fraction(scale)
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    coeffs = [c for pair in pairs for f in pair for c in f.terms.values()]
+    space = next((c.space for c in coeffs if isinstance(c, TruncSeries)), _SCALARS)
+    operands = [(_numerators(a, space), _numerators(b, space)) for a, b in pairs]
+    denominator = lcm(*(a[0] * b[0] for a, b in operands))
+    bound = 0
+    for (da, ea, ma, _), (db, eb, mb, _) in operands:
+        bound += min(ea, eb) * ma * mb * (denominator // (da * db))
+    width = bound.bit_length() + 1
+    totals, series_keys = {}, set()
+    for (da, _, _, rows_a), (db, _, _, rows_b) in operands:
+        multiplier = denominator // (da * db)
+        right = [(*head, pack(row, width)) for *head, row in rows_b]
+        for degree_a, la, ma, sa, row in rows_a:
+            xa = pack(row, width) * multiplier
+            for degree_b, lb, mb, sb, xb in right:
+                if degree_a + degree_b <= grade_cap:
+                    lam = tuple(sorted(la + lb, reverse=True))
+                    key = (lam, tuple(sorted(ma + mb, reverse=True)))
+                    totals[key] = totals.get(key, 0) + xa * xb
+                    if sa or sb:
+                        series_keys.add(key)
+    slots, d, sign = space._slots, denominator * scale.denominator, scale.numerator
+    terms = {}
+    for key, total in totals.items():
+        fields = unpack(total, width, slots[space.caps] + 1)
+        if key in series_keys:
+            series = {e: Fraction(sign * fields[k], d) for e, k in slots.items() if fields[k]}
+            terms[key] = TruncSeries._trusted(space, series)
+        else:
+            terms[key] = Fraction(sign * fields[0], d)
+    return TensorSymFunc(terms)

@@ -44,7 +44,7 @@ from .partitions import (
     z_of,
 )
 from .series import SeriesSpace, TruncSeries, series_json
-from .symfunc import TensorSymFunc, evaluate_schur
+from .symfunc import TensorSymFunc, evaluate_schur, tensor_product_sum
 from .twists import (
     AlphaQConvolution,
     E,
@@ -196,10 +196,12 @@ def log_tau(t: TauSeries) -> TensorSymFunc:
     if const is None or const != t.space.one():
         raise ValueError("log_tau needs constant term 1")
     taus = _slices(t.tensor, t.n_max)
-    logs, dlogs = [TensorSymFunc({})], []
+    logs, dlogs = [TensorSymFunc({})], [TensorSymFunc({})]
     for n in range(1, t.n_max + 1):
-        dlogs.append(logs[n - 1].scale(n - 1))
-        logs.append(taus[n] + _euler_sum(dlogs, taus, n, -1))
+        pairs = [(dlogs[k], taus[n - k]) for k in range(1, n)]
+        pairs.append((taus[n], tensor_one().scale(-n)))
+        logs.append(tensor_product_sum(pairs, n, Fraction(-1, n)))
+        dlogs.append(logs[n].scale(n))
     return _join(logs)
 
 
@@ -209,18 +211,20 @@ def exp_tensor(f: TensorSymFunc, n_max: int) -> TensorSymFunc:
     if any(not lam for lam, _ in f.terms):
         raise ValueError("exp_tensor needs a series without x-degree-0 terms")
     logs = _slices(f, n_max)
-    dlogs = [logs[k].scale(k) for k in range(n_max)]
+    dlogs = [logs[k].scale(k) for k in range(n_max + 1)]
     exps = [tensor_one()]
     for n in range(1, n_max + 1):
-        exps.append(logs[n] + _euler_sum(dlogs, exps, n, 1))
+        pairs = [(dlogs[k], exps[n - k]) for k in range(1, n + 1)]
+        exps.append(tensor_product_sum(pairs, n, Fraction(1, n)))
     return _join(exps)
 
 
 # log and exp solve D tau = tau DF slice by slice, D the Euler operator in
 # the x-degree (the sheet grading, |lam| = |mu|).  At x-degree n it reads
-# n tau_n = sum_{k=1}^{n} k F_k tau_{n-k}, so with tau_0 = 1
-#     F_n = tau_n - (1/n) sum_{k=1}^{n-1} k F_k tau_{n-k}   (log),
-#     tau_n = F_n + (1/n) sum_{k=1}^{n-1} k F_k tau_{n-k}   (exp).
+# n tau_n = sum_{k=1}^{n} k F_k tau_{n-k}, so with tau_0 = 1 each slice is
+# one packed product sum (tensor_product_sum) over the pairs
+#     F_n = -(1/n) (sum_{k=1}^{n-1} k F_k tau_{n-k} - n tau_n)   (log),
+#     tau_n = (1/n) sum_{k=1}^{n} k F_k tau_{n-k}                 (exp).
 
 def _slices(f: TensorSymFunc, n_max: int) -> list[TensorSymFunc]:
     """f split into its homogeneous x-degree slices 0..n_max; terms of
@@ -231,14 +235,6 @@ def _slices(f: TensorSymFunc, n_max: int) -> list[TensorSymFunc]:
         if degree <= n_max:
             slices[degree][key] = c
     return [TensorSymFunc(terms) for terms in slices]
-
-
-def _euler_sum(dlogs, taus, n: int, sign: int) -> TensorSymFunc:
-    """sign/n * sum_{k=1}^{n-1} dlogs[k] taus[n-k], with dlogs[k] = k F_k."""
-    total = TensorSymFunc({})
-    for k in range(1, n):
-        total = total + dlogs[k].mul(taus[n - k], n)
-    return total.scale(Fraction(sign, n))
 
 
 def _join(slices) -> TensorSymFunc:
@@ -465,6 +461,7 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
     rows = []
     for n in range(1, n_max + 1):
         z = {mu: z_of(mu) for mu in partitions_of(n)}
+        label = {lam: format_partition(lam) for lam in partitions_of(n)}
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 series = source.coeff(lam, mu)
@@ -477,8 +474,8 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
                     rows.append(
                         {
                             "n": n,
-                            "from": format_partition(lam),
-                            "to": format_partition(mu),
+                            "from": label[lam],
+                            "to": label[mu],
                             "steps": step_data,
                             "count": str(value.numerator),
                             "connected": connected,

@@ -235,14 +235,14 @@ class ConvolutionCoeffs:
         raise NotImplementedError
 
     def r0(self, N: int) -> TruncSeries:
-        value = self.space.one()
-        if N > 0:
-            for j in range(N):
-                value = value * self.rho(j)
-        elif N < 0:
-            for j in range(N, 0):
-                value = value / self.rho(j)
-        return value
+        """prod_{j<N} rho_j (over rho_j for N <= j < 0), memoised per N."""
+        memo = vars(self).setdefault("_r0", {})
+        if N not in memo:
+            value = self.space.one()
+            for j in range(min(N, 0), max(N, 0)):
+                value = value * self.rho(j) if N > 0 else value / self.rho(j)
+            memo[N] = value
+        return memo[N]
 
     def r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         value = self.r0(N)

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hurwitz_tau.oracles import (
     random_rationals,
     schur_via_alternant,
     ssyt_count,
 )
 from hurwitz_tau.partitions import partitions_of
+from hurwitz_tau.series import SeriesSpace, TruncSeries
 from hurwitz_tau.symfunc import (
     TensorSymFunc,
     cauchy_kernel_coeff,
@@ -18,6 +21,7 @@ from hurwitz_tau.symfunc import (
     p_basis,
     powersum_to_schur,
     s_basis,
+    tensor_product_sum,
     to_powersum,
     to_schur,
 )
@@ -99,6 +103,11 @@ def test_evaluate_matches_alternant_on_random_points():
             assert evaluate_schur(lam, xs) == schur_via_alternant(lam, xs)
 
 
+def test_alternant_oracle_rejects_repeated_points():
+    with pytest.raises(ValueError):
+        schur_via_alternant((2, 1), [Fraction(1, 2), Fraction(3), Fraction(1, 2)])
+
+
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(5)
     pool = [lam for n in range(7) for lam in partitions_of(n)]
@@ -147,23 +156,54 @@ def test_tensor_product_grading():
     assert a.mul(b, 2).terms == {}
 
 
-def _mul_by_pairs(a, b, grade_cap):
-    """Every term pair, dropped when its x-degree exceeds grade_cap."""
+def _sum_by_pairs(pairs, grade_cap, scale=1):
+    """scale * sum_i a_i b_i, every term pair of every (a_i, b_i) added into
+    one dict; term pairs of x-degree above grade_cap are dropped."""
     terms = {}
-    for (la, ma), ca in a.terms.items():
-        for (lb, mb), cb in b.terms.items():
-            if sum(la) + sum(lb) > grade_cap:
-                continue
-            key = (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ma + mb, reverse=True)))
-            terms[key] = terms.get(key, 0) + ca * cb
-    return TensorSymFunc(terms)
+    for a, b in pairs:
+        for (la, ma), ca in a.terms.items():
+            for (lb, mb), cb in b.terms.items():
+                if sum(la) + sum(lb) > grade_cap:
+                    continue
+                key = (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ma + mb, reverse=True)))
+                terms[key] = terms.get(key, 0) + ca * cb
+    return TensorSymFunc(terms).scale(scale)
 
 
-def _random_tensor(rng, max_degree):
+def _mul_by_pairs(a, b, grade_cap):
+    return _sum_by_pairs([(a, b)], grade_cap)
+
+
+def _assert_same(got, want):
+    """Equal, and equal in kind: a Fraction never stands in for a series."""
+    assert got == want
+    assert {k: type(v) for k, v in got.terms.items()} == {k: type(v) for k, v in want.terms.items()}
+
+
+SPACES = (SeriesSpace((), ()), SeriesSpace(("q",), (2,)), SeriesSpace(("q", "z"), (2, 1)))
+# coefficient spaces of a random tensor: Fractions only (None), series of one
+# space, or a mix of the two
+SPACE_MIXES = ((None,), *((space,) for space in SPACES), *((None, space) for space in SPACES))
+
+
+def _random_coeff(rng, space):
+    """A Fraction when space is None, else a series of one to three terms."""
+    if space is None:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return TruncSeries(
+        space,
+        {
+            tuple(rng.randint(0, cap) for cap in space.caps): _random_coeff(rng, None)
+            for _ in range(rng.randint(1, 3))
+        },
+    )
+
+
+def _random_tensor(rng, max_degree, spaces=(None,)):
     parts = [lam for n in range(max_degree + 1) for lam in partitions_of(n)]
     return TensorSymFunc(
         {
-            (rng.choice(parts), rng.choice(parts)): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            (rng.choice(parts), rng.choice(parts)): _random_coeff(rng, rng.choice(spaces))
             for _ in range(rng.randint(0, 12))
         }
     )
@@ -171,7 +211,41 @@ def _random_tensor(rng, max_degree):
 
 def test_tensor_mul_matches_every_pair():
     rng = random.Random(7)
-    for _ in range(40):
-        a, b = _random_tensor(rng, 4), _random_tensor(rng, 4)
-        for cap in (0, 1, 3, 5, 8):
-            assert a.mul(b, cap) == _mul_by_pairs(a, b, cap)
+    for spaces in SPACE_MIXES:
+        for _ in range(40):
+            a, b = _random_tensor(rng, 4, spaces), _random_tensor(rng, 4, spaces)
+            for cap in (0, 1, 3, 5, 8):
+                _assert_same(a.mul(b, cap), _mul_by_pairs(a, b, cap))
+
+
+def test_product_sum_with_negative_scale_matches_pair_loop():
+    rng = random.Random(13)
+    for spaces in SPACE_MIXES:
+        for _ in range(15):
+            pairs = [
+                (_random_tensor(rng, 3, spaces), _random_tensor(rng, 3, spaces))
+                for _ in range(rng.randint(1, 4))
+            ]
+            scale = Fraction(-rng.randint(1, 7), rng.randint(1, 5))
+            _assert_same(tensor_product_sum(pairs, 5, scale), _sum_by_pairs(pairs, 5, scale))
+    assert tensor_product_sum([], 3, -1) == TensorSymFunc({})
+
+
+def test_product_sum_slot_width_is_tight():
+    # two pairs land M^2 (1 - q)^2 each on one key: fields 2M^2, -4M^2 in
+    # adjacent slots, and -4M^2 reaches the width bound 2 * min(2, 3) M M
+    # exactly, so one bit less wraps it; their other products cancel
+    space = SeriesSpace(("q",), (1,))
+    big = 3**40
+    factor = space.scalar(big) - space.monomial(big, q=1)
+    a = TensorSymFunc({((1,), (1,)): factor})
+    b_plus, b_minus = (
+        TensorSymFunc({((2,), (2,)): factor, ((1, 1), (2,)): c})
+        for c in (Fraction(big), Fraction(-big))
+    )
+    pairs = [(a, b_plus), (a, b_minus)]
+    square = big * big
+    got = tensor_product_sum(pairs, 4, -1)
+    want = TruncSeries(space, {(0,): Fraction(-2 * square), (1,): Fraction(4 * square)})
+    assert got.terms == {((2, 1), (2, 1)): want}
+    _assert_same(got, _sum_by_pairs(pairs, 4, -1))

@@ -220,6 +220,17 @@ def test_r0_recursion_across_zero():
             assert conv.r0(N + 1) == conv.r0(N) * conv.rho(N)
 
 
+def test_r0_is_built_once_per_n():
+    fam = AlphaQConvolution(Fraction(1, 2), SeriesSpace(("q",), (8,)))
+    calls, rho = [], fam.rho
+    fam.rho = lambda j: calls.append(j) or rho(j)
+    for lam in partitions_of(4):
+        fam.closed_form_r_lambda(lam, 4)
+        fam.r_lambda(lam, 4)
+    assert calls == [0, 1, 2, 3]
+    assert fam.r0(0) == fam.space.one()
+
+
 def test_check_ratio_raises_on_wrong_r():
     class WrongR(HTwistConvolution):
         def r(self, j):
