@@ -56,8 +56,42 @@ def write(text: str, out_path=None) -> None:
         sys.stdout.write(text)
 
 
+# the C string encoder; it raises TypeError on anything but a str
+_quote = json.encoder.encode_basestring_ascii
+
+
+def to_json(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2) renders it, byte for byte, when
+    nested at ``indent``.  Each container is one join of its rendered items
+    (json.dumps with any indent runs the pure-Python generator encoder).
+    A dict key that is not a str raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _quote(key) + ": " + (_quote(item) if type(item) is str else to_json(item, inner))
+            for key, item in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [to_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def emit(payload, out_path=None):
-    write(json.dumps(payload, indent=2, sort_keys=False) + "\n", out_path)
+    write(to_json(payload) + "\n", out_path)
 
 
 def cmd_verify(args) -> int:

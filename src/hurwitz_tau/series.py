@@ -60,6 +60,11 @@ class SeriesSpace:
             for exps in product(*(range(c + 1) for c in self.caps))
         }
 
+    @cached_property
+    def _labels(self) -> "_Labels":
+        """{exponents: monomial_label}, filled as series_json prints."""
+        return _Labels(self.params)
+
     def axis(self, name: str) -> int:
         return self._index[name]
 
@@ -141,10 +146,12 @@ class TruncSeries:
     # -- inspection --------------------------------------------------------
 
     def coeff(self, **powers) -> Fraction:
-        return self.terms.get(self.space.exponents(**powers), Fraction(0))
+        coeff = self.terms.get(self.space.exponents(**powers))
+        return Fraction(0) if coeff is None else coeff
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.space.params), Fraction(0))
+        coeff = self.terms.get((0,) * len(self.space.params))
+        return Fraction(0) if coeff is None else coeff
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -318,10 +325,21 @@ def monomial_label(params, exps) -> str:
     return " ".join(bits) if bits else "1"
 
 
+class _Labels(dict):
+    """{exponents: monomial_label(params, exponents)}, each label built on
+    its first lookup."""
+
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, exps):
+        label = self[exps] = monomial_label(self.params, exps)
+        return label
+
+
 def series_json(series: TruncSeries) -> dict[str, str]:
     """The series as {monomial label: "num/den"} in exponent order; integer
     coefficients print without a denominator."""
-    return {
-        monomial_label(series.space.params, exps): str(coeff)
-        for exps, coeff in sorted(series.terms.items())
-    }
+    labels = series.space._labels
+    return {labels[exps]: str(coeff) for exps, coeff in sorted(series.terms.items())}

@@ -391,13 +391,23 @@ class WalkKind:
 
     def steps(self, cap: int) -> list:
         """(step data, segments, read) for every step datum of total length
-        <= cap; read(series, n) is the walk count held by the coefficient
-        series of a sheet-n class pair: q = n, times k! per beta^k."""
-        sheet = "q" in TwistSpec(self.atoms, ()).params()
+        <= cap; read(series, n, weight=1) is the walk count held by the
+        coefficient series of a sheet-n class pair (q = n, times k! per
+        beta^k), times the integer weight: one rational multiply."""
+        params = TwistSpec(self.atoms, ()).params()
 
         def reader(exps):
             scale = factorial(exps.get("beta", 0))
-            return lambda series, n: series.coeff(**exps, **({"q": n} if sheet else {})) * scale
+            keys = {}  # n -> exponent tuple in the twist's parameter order
+
+            def read(series, n, weight=1):
+                key = keys.get(n)
+                if key is None:
+                    key = keys[n] = tuple(n if p == "q" else exps.get(p, 0) for p in params)
+                coeff = series.terms.get(key)
+                return Fraction(0) if coeff is None else coeff * (scale * weight)
+
+            return read
 
         return [(data, segments, reader(exps)) for data, segments, exps in self.walks(cap)]
 
@@ -466,7 +476,7 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
             for mu in partitions_of(n):
                 series = source.coeff(lam, mu)
                 for step_data, _, read in steps:
-                    value = Fraction(0) if series is None else read(series, n) * z[mu]
+                    value = Fraction(0) if series is None else read(series, n, z[mu])
                     if value.denominator != 1:
                         raise ArithmeticError(
                             f"non-integral count {value} at {lam}->{mu}, {step_data}"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau.cli import main
+from hurwitz_tau import cli
+from hurwitz_tau.cli import main, to_json
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
@@ -423,3 +424,98 @@ def test_cli_fuzz_exit_codes(case):
         assert code == 2, (argv, out.getvalue())
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
+# -- JSON output: byte for byte json.dumps(indent=2) --------------------------
+
+HCIZ_ARGV = (
+    "tau", "--family", "hciz", "--N", "3", "--a", "1,2,3", "--b", "1/2,1/3,1/5", "--zcap", "5",
+)
+ALPHA_Q_ARGV = (
+    "tau", "--family", "alpha_q", "--N", "2", "--alpha", "1/2",
+    "--a", "1/2,1/3", "--b", "1,2", "--qcap", "5",
+)
+EMITTED = (
+    [("gmatrix", "--n", str(n), "--twist", twist, "--cap", "4")
+     for twist in sorted(cli.GMATRIX_KINDS) for n in range(5)]
+    + [("table", "--family", family, "--nmax", "4", "--kmax", "3", "--format", "json", *connected)
+       for family in ("okounkov", *WALK_KINDS) for connected in ((), ("--connected",))]
+    + [(*argv, *check) for argv in (HCIZ_ARGV, ALPHA_Q_ARGV)
+       for check in ((), ("--check-determinant",))]
+    + [("chartable", "--n", str(n)) for n in range(7)]
+)
+
+
+@pytest.mark.parametrize("argv", EMITTED, ids=" ".join)
+def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, argv):
+    payloads = []
+    emit = cli.emit
+
+    def recording_emit(payload, out_path=None):
+        payloads.append(payload)
+        emit(payload, out_path)
+
+    monkeypatch.setattr(cli, "emit", recording_emit)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+EDGE_VALUES = [
+    {}, [], (), {"a": {}}, {"a": []}, [{}], [[]], [[], {}, [[{}]]],
+    {"a": {"b": {"c": []}}}, ("x", (1, 2), [()]),
+    True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
+    0, -1, -(10**40), 10**40, [-3, 0, 7],
+    0.0, -0.0, 1.5, -2.25, 1e300, 1e-300, float("inf"), float("-inf"), float("nan"),
+    "", "plain", 'quote " and backslash \\', "tab\tnewline\nreturn\rnul\x00unit\x1fdel\x7f",
+    "café", "日本語", "\u2028\u2029", "\U0001f600", "\ud800 lone surrogate",
+    {"é key": "ü value", 'k"ey': "v\\al", "": ""},
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_to_json_edge_cases(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_to_json_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {(1,): 2}, {"a": {2: "b"}}, [{"ok": 1}, {3: 4}]],
+    ids=repr,
+)
+def test_to_json_rejects_non_str_keys(value):
+    with pytest.raises(TypeError):
+        to_json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gmatrix", "--n", "4", "--twist", "mixed", "--cap", "3"),
+        ("table", "--family", "multi", "--nmax", "4", "--kmax", "3"),
+        ("table", "--family", "mixed", "--nmax", "4", "--kmax", "3", "--format", "csv"),
+        HCIZ_ARGV,
+        (*ALPHA_Q_ARGV, "--check-determinant"),
+    ],
+    ids=" ".join,
+)
+def test_out_path_writes_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, printed = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
