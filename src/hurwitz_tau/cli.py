@@ -204,9 +204,17 @@ def cmd_tau(args) -> int:
     if args.family == "hciz":
         if args.N is None or args.a is None or args.b is None:
             raise ValueError("--family hciz needs --N, --a, --b")
-        a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
-        t = tauseries.hciz_tau(args.N, args.zcap, args.zcap)
-        series = tauseries.tau_eval(t, a_vals, b_vals)
+    elif args.N is None or args.a is None or args.b is None or args.alpha is None:
+        raise ValueError("--family alpha_q needs --N, --alpha, --a, --b")
+    a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
+    if len(a_vals) != args.N or len(b_vals) != args.N:
+        raise ValueError(
+            f"--a and --b need exactly N = {args.N} points each,"
+            f" got {len(a_vals)} and {len(b_vals)}"
+        )
+    if args.family == "hciz":
+        space, r_of = tauseries.hciz_family(args.N, args.zcap)
+        series = tauseries.tau_at_points(space, args.zcap, r_of, a_vals, b_vals)
         payload = {
             "family": "hciz",
             "N": args.N,
@@ -225,16 +233,13 @@ def cmd_tau(args) -> int:
         emit(payload, args.out)
         return 0
     # argparse admits only hciz and alpha_q, so this is alpha_q
-    if args.N is None or args.a is None or args.b is None or args.alpha is None:
-        raise ValueError("--family alpha_q needs --N, --alpha, --a, --b")
-    a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
     alpha = parse_fraction(args.alpha)
     if args.check_determinant:
         report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
         emit(report, args.out)
         return 0
-    t = tauseries.alpha_q_tau(alpha, args.N, args.qcap)
-    series = tauseries.tau_eval(t, a_vals, b_vals)
+    space, r_of = tauseries.alpha_q_family(alpha, args.N, args.qcap)
+    series = tauseries.tau_at_points(space, args.qcap, r_of, a_vals, b_vals)
     emit(
         {
             "family": "alpha_q",

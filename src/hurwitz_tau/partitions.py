@@ -157,10 +157,13 @@ def pochhammer(a: Fraction, k: int) -> Fraction:
 
 
 def pochhammer_partition(a, lam: Partition) -> Fraction:
-    """Partition Pochhammer (a)_lam = prod_i (a - i + 1)_{lam_i}, which
-    equals the cell product prod_{(i,j) in lam} (a + j - i)."""
+    """Partition Pochhammer (a)_lam = prod_i (a - i + 1)_{lam_i}, the cell
+    product prod_{(i,j) in lam} (a + j - i): for a = p/q, the integer
+    prod (p + (j - i) q) over q^{|lam|}, one Fraction per call."""
     a = Fraction(a)
-    value = Fraction(1)
-    for i, part in enumerate(lam, start=1):
-        value *= pochhammer(a - i + 1, part)
-    return value
+    p, q = a.numerator, a.denominator
+    value = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            value *= p + (j - i) * q
+    return Fraction(value, q ** size(lam))

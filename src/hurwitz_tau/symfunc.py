@@ -14,7 +14,7 @@ concatenation.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .characters import character_table
 from .partitions import (
@@ -166,6 +166,31 @@ def evaluate_powersums(mu: Partition, xs) -> Fraction:
 def evaluate_schur(lam: Partition, xs) -> Fraction:
     """S_lam at the given values, through the p-basis (production path)."""
     return evaluate(s_basis({tuple(lam): 1}), xs)
+
+
+def schur_values(xs, n_max: int) -> dict[Partition, Fraction]:
+    """{nu: S_nu(xs)} for every partition of size <= n_max whose value is
+    nonzero, so no nu longer than len(xs) appears.
+
+    Each degree n is one CharacterTable.times on integers: with D the lcm
+    of the denominators of xs, S_nu(xs) = sum_mu chi_nu(mu) (n!/Z_mu)
+    p_mu(D xs) / (n! D^n), and each nu is read back once over n! D^n."""
+    xs = [Fraction(x) for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (d // x.denominator) for x in xs]
+    p_k = [sum(x**k for x in ints) for k in range(n_max + 1)]
+    values = {}
+    for n in range(n_max + 1):
+        table, top = character_table(n), factorial(n)
+        weights = {}
+        for mu in table.parts:
+            value = top // z_of(mu)
+            for part in mu:
+                value *= p_k[part]
+            weights[mu] = value
+        den = top * d**n
+        values.update((nu, Fraction(s, den)) for nu, s in table.times(weights).items())
+    return values
 
 
 def cauchy_sides(n: int, xs, ys) -> tuple[Fraction, Fraction]:

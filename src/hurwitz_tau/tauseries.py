@@ -16,9 +16,21 @@ atoms, the walk segments of every step datum and how the count is read off
 the coefficient series.  hurwitz_table, the gmatrix command and the verify
 sweeps all read it.
 
-Determinantal cross-checks evaluate the same series at numeric points via
-exact N x N determinants over truncated series (fraction-free Bareiss
-elimination with exact division).
+At numeric points a family's series is evaluated on the Schur diagonal:
+tau_at_points sums r_nu S_nu(a) S_nu(b) over the nu with S_nu(a) S_nu(b)
+!= 0, the Schur values coming from one integer character-table product
+per degree (symfunc.schur_values), and never builds a TauSeries.  This is
+what the tau command prints (hciz, and alpha_q with and without
+--check-determinant), with each family's (space, r_of) read from
+hciz_family / alpha_q_family, the definitions hciz_tau and alpha_q_tau
+build their TauSeries from.  The determinant routes check it without
+reading r_nu at all: exact N x N determinants over truncated series
+(fraction-free Bareiss elimination with exact division) of the exp or
+binomial entries, run by the tau command under --check-determinant.
+tau_eval (the power-sum tensor of a TauSeries at the points) and
+tau_eval_schur_side (each S_nu through the p-basis, symfunc.evaluate_schur)
+read the same r_nu and reach the point values by other routes; verify
+and perfbench's checker compare against them.
 """
 
 from collections.abc import Callable
@@ -44,7 +56,7 @@ from .partitions import (
     z_of,
 )
 from .series import SeriesSpace, TruncSeries, series_json
-from .symfunc import TensorSymFunc, evaluate_schur, tensor_product_sum
+from .symfunc import TensorSymFunc, evaluate_schur, schur_values, tensor_product_sum
 from .twists import (
     AlphaQConvolution,
     E,
@@ -60,6 +72,11 @@ from .twists import (
 )
 
 
+def _check_n_max(n_max: int) -> None:
+    if not 0 <= n_max <= TAU_NMAX_CAP:
+        raise ValueError(f"n_max must lie in 0..{TAU_NMAX_CAP}, got {n_max}")
+
+
 class TauSeries:
     """Double power-sum expansion of a diagonal double Schur series.
 
@@ -70,8 +87,7 @@ class TauSeries:
     """
 
     def __init__(self, space: SeriesSpace, n_max: int, r_of):
-        if not 0 <= n_max <= TAU_NMAX_CAP:
-            raise ValueError(f"n_max must lie in 0..{TAU_NMAX_CAP}, got {n_max}")
+        _check_n_max(n_max)
         self.space = space
         self.n_max = n_max
         self.r = {}
@@ -120,25 +136,56 @@ def monotone_tau(n_max: int, z_cap: int) -> TauSeries:
     return twist_tau(twist((Scale("q"), H("z")), (n_max, z_cap)), n_max)
 
 
-def hciz_tau(N: int, n_max: int, z_cap: int | None = None) -> TauSeries:
-    if z_cap is None:
-        z_cap = n_max
-    space = SeriesSpace(("z",), (z_cap,))
-    family = ExpConvolution(N, space)
-    return TauSeries(space, n_max, family.schur_expansion_r_lambda)
+def hciz_family(N: int, n_max: int, z_cap: int | None = None) -> tuple[SeriesSpace, Callable]:
+    """(space, r_of) of the exponential-kernel family at N points; z is
+    capped at n_max unless z_cap is given."""
+    space = SeriesSpace(("z",), (n_max if z_cap is None else z_cap,))
+    return space, ExpConvolution(N, space).schur_expansion_r_lambda
 
 
-def alpha_q_tau(alpha, N: int, n_max: int, q_cap: int | None = None) -> TauSeries:
+def alpha_q_family(
+    alpha, N: int, n_max: int, q_cap: int | None = None
+) -> tuple[SeriesSpace, Callable]:
+    """(space, r_of) of the alpha-q family at N points; q is capped at
+    n_max + N(N-1)/2, the degree of r_0(N) q^{n_max}, unless q_cap is given."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if q_cap is None:
         q_cap = n_max + N * (N - 1) // 2
     space = SeriesSpace(("q",), (q_cap,))
     family = AlphaQConvolution(alpha, space)
-    return TauSeries(space, n_max, lambda nu: alpha_q_coeff(nu, family, N))
+    return space, lambda nu: alpha_q_coeff(nu, family, N)
+
+
+def hciz_tau(N: int, n_max: int, z_cap: int | None = None) -> TauSeries:
+    space, r_of = hciz_family(N, n_max, z_cap)
+    return TauSeries(space, n_max, r_of)
+
+
+def alpha_q_tau(alpha, N: int, n_max: int, q_cap: int | None = None) -> TauSeries:
+    space, r_of = alpha_q_family(alpha, N, n_max, q_cap)
+    return TauSeries(space, n_max, r_of)
 
 
 # -- evaluation ---------------------------------------------------------------
+
+def tau_at_points(space: SeriesSpace, n_max: int, r_of, a_vals, b_vals) -> TruncSeries:
+    """sum_{|nu| <= n_max} r_nu S_nu(a) S_nu(b) on the Schur diagonal, with
+    no power-sum tensor: the value of TauSeries(space, n_max, r_of) at x ->
+    a, y -> b.  S_nu(a) and S_nu(b) come from symfunc.schur_values, which
+    drops the zero values, so r_of is called only for nu with
+    l(nu) <= min(len(a), len(b))."""
+    _check_n_max(n_max)
+    sa, sb = schur_values(a_vals, n_max), schur_values(b_vals, n_max)
+    total = {}
+    for nu, x in sa.items():
+        y = sb.get(nu)
+        if y is not None:
+            weight = x * y
+            for exps, coeff in r_of(nu).terms.items():
+                total[exps] = total.get(exps, 0) + coeff * weight
+    return TruncSeries(space, total)
+
 
 def tau_eval(t: TauSeries, a_vals, b_vals) -> TruncSeries:
     """Specialise x -> a, y -> b; returns a series in the family parameters.
@@ -342,8 +389,8 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
     det = det / (vandermonde(a_vals) * vandermonde(b_vals))
 
     n_max = min(q_cap, TAU_NMAX_CAP)
-    tau = alpha_q_tau(alpha, N, n_max, q_cap + N)
-    schur_side = tau_eval(tau, a_vals, b_vals)
+    space, r_of = alpha_q_family(alpha, N, n_max, q_cap + N)
+    schur_side = tau_at_points(space, n_max, r_of, a_vals, b_vals)
 
     target = SeriesSpace(("q",), (min(q_cap, n_max),))
     det_t = det.truncate_to(target)

@@ -187,12 +187,29 @@ def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scal
     }
 
 
+def cached_eigenvalue(
+    spec: TwistSpec, lam: Partition, space: SeriesSpace | None = None
+) -> TruncSeries:
+    """twist_eigenvalue(spec, lam, space), built once per (spec, tuple(lam),
+    space): the memo is kept on the spec, so every caller holding the spec
+    shares it, and it holds no reference back to the spec."""
+    if space is None:
+        space = spec.space()
+    memo = vars(spec).setdefault("_eigenvalues", {}).setdefault(space, {})
+    lam = tuple(lam)
+    value = memo.get(lam)
+    if value is None:
+        value = memo[lam] = twist_eigenvalue(spec, lam, space)
+    return value
+
+
 def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
     """G_{lam mu} for all lam, mu of n, via the character sum."""
     space = spec.space()
     table = character_table(n)
-    eig = {nu: twist_eigenvalue(spec, nu, space) for nu in table.parts}
-    return series_character_sum(table, eig, space, lambda lam, mu: z_of(lam))
+    eig = {nu: cached_eigenvalue(spec, nu, space) for nu in table.parts}
+    z = {lam: z_of(lam) for lam in table.parts}
+    return series_character_sum(table, eig, space, lambda lam, mu: z[lam])
 
 
 def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = None) -> CenterElement:
@@ -206,10 +223,10 @@ def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = N
     if space is None:
         space = spec.space()
     if v.basis == IDEMPOTENTS:
-        coords = {lam: twist_eigenvalue(spec, lam, space) * c for lam, c in v.coords.items()}
+        coords = {lam: cached_eigenvalue(spec, lam, space) * c for lam, c in v.coords.items()}
         return CenterElement(v.n, IDEMPOTENTS, coords)
     values = {
-        lam: twist_eigenvalue(spec, lam, space) * (c / hook_product(lam))
+        lam: cached_eigenvalue(spec, lam, space) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).coords.items()
     }
     packed, read = _packed_series(values, space, factorial(v.n))

@@ -640,7 +640,7 @@ def tau_suite(
                         nu, ys
                     )
                     if weight:
-                        rhs = rhs + twist_eigenvalue(spec, nu, space) * weight
+                        rhs = rhs + twists.cached_eigenvalue(spec, nu, space) * weight
                 _require(lhs == rhs, f"{walk.label}: point identity fails at n={n}")
         return f"corrected twisted Cauchy identity, all families, n<={min(nmax, 6)}"
 
@@ -716,9 +716,13 @@ def tau_suite(
                 det_side == schur_side.truncate_to(det_side.space),
                 f"determinant identity fails at N={N}",
             )
-            # p-side and Schur-side assemblies agree at the points too
+            # p-side and Schur-side assemblies agree at the points too, and
+            # so does the Schur-diagonal route the tau command prints
             other = tauseries.tau_eval_schur_side(t, a_vals, b_vals)
             _require(schur_side == other, f"p-side and Schur-side evaluations disagree at N={N}")
+            space, r_of = tauseries.hciz_family(N, 6)
+            diagonal = tauseries.tau_at_points(space, 6, r_of, a_vals, b_vals)
+            _require(diagonal == schur_side, f"Schur-diagonal evaluation disagrees at N={N}")
         return "det route = Schur expansion through z^6, N=1,2,3"
 
     add("tau.hciz_determinant", hciz)

@@ -11,6 +11,7 @@ from hurwitz_tau.cli import main, to_json
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
+from hurwitz_tau.twists import ExpConvolution
 from hurwitz_tau.verify import SUITES, run_suite
 
 
@@ -110,6 +111,45 @@ def test_tau_alpha_q_report(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["entrywise_matches_schur_expansion"] is True
+
+
+@pytest.mark.parametrize("check", ((), ("--check-determinant",)), ids=("", "check"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tau", "--family", "hciz", "--N", "2", "--a", "1", "--b", "2,3"),
+        ("tau", "--family", "hciz", "--N", "1", "--a", "1,2", "--b", "3,4"),
+        ("tau", "--family", "alpha_q", "--N", "2", "--alpha", "1/2", "--a", "1,2", "--b", "3"),
+        ("tau", "--family", "alpha_q", "--N", "0", "--alpha", "1/2", "--a", "1", "--b", ""),
+    ],
+    ids=" ".join,
+)
+def test_tau_rejects_a_point_count_other_than_n(argv, check):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, *check])
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and "points" in lines[0]
+
+
+def test_tau_hciz_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
+    # give r_(2) the value of r_(1,1): the printed Schur-diagonal series then
+    # differs from the Bareiss determinant of the exp entries, and the op
+    # exits 1
+    r_of = ExpConvolution.schur_expansion_r_lambda
+    monkeypatch.setattr(
+        ExpConvolution,
+        "schur_expansion_r_lambda",
+        lambda self, lam: r_of(self, (1, 1) if tuple(lam) == (2,) else lam),
+    )
+    code, out = run_cli(
+        capsys,
+        "tau", "--family", "hciz", "--N", "2", "--a", "1,2", "--b", "1/2,1/3",
+        "--zcap", "4", "--check-determinant",
+    )
+    assert code == 1
+    assert json.loads(out)["determinant_matches"] is False
 
 
 def test_tau_alpha_q_series(capsys):
@@ -333,7 +373,8 @@ CAP = st.integers(-2, 3)
 def cli_cases(draw):
     """(argv, bad) for one of the six subcommands: sizes <= 4, caps <= 3,
     rationals that may have a zero denominator.  bad is true when a drawn
-    size or cap is negative or a denominator is zero.  The tau and all
+    size or cap is negative, a denominator is zero or a tau point list's
+    length is not N.  The tau and all
     suites of verify only get an nmax that is rejected: they cost seconds
     at any size."""
     ints = []
@@ -409,7 +450,7 @@ def cli_cases(draw):
             argv += [f"--alpha={texts[-1]}", number("--qcap", CAP)]
         if draw(st.booleans()):
             argv.append("--check-determinant")
-    return argv, zero_denominator or any(v < 0 for v in ints)
+    return argv, zero_denominator or any(v < 0 for v in ints) or (command == "tau" and length != N)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

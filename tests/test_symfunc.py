@@ -21,6 +21,7 @@ from hurwitz_tau.symfunc import (
     p_basis,
     powersum_to_schur,
     s_basis,
+    schur_values,
     tensor_product_sum,
     to_powersum,
     to_schur,
@@ -101,6 +102,29 @@ def test_evaluate_matches_alternant_on_random_points():
         xs = random_rationals(rng, 4, distinct=True)
         for lam in partitions_of(n):
             assert evaluate_schur(lam, xs) == schur_via_alternant(lam, xs)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [],
+        [Fraction(-2, 3)],
+        [Fraction(1, 2), Fraction(-5, 3), Fraction(2, 9)],
+        [Fraction(3, 4), Fraction(3, 4), Fraction(0), Fraction(-7)],
+    ],
+    ids=str,
+)
+def test_schur_values_match_evaluate_schur(xs):
+    # every partition of size <= 7 with a nonzero value, and only those
+    got = schur_values(xs, 7)
+    want = {
+        lam: value
+        for n in range(8)
+        for lam in partitions_of(n)
+        if (value := evaluate_schur(lam, xs))
+    }
+    assert got == want
+    assert all(len(lam) <= len(xs) for lam in got)
 
 
 def test_alternant_oracle_rejects_repeated_points():

@@ -25,12 +25,15 @@ from hurwitz_tau.tauseries import (
     alpha_q_tau,
     bareiss_determinant,
     exp_tensor,
+    alpha_q_family,
     hciz_determinant,
+    hciz_family,
     hciz_tau,
     hurwitz_table,
     log_tau,
     monotone_tau,
     okounkov_tau,
+    tau_at_points,
     tau_eval,
     tau_eval_schur_side,
     tensor_one,
@@ -90,6 +93,51 @@ def test_hciz_determinant_identity():
         schur_side = tau_eval(t, a_vals, b_vals)
         assert det_side == schur_side.truncate_to(det_side.space)
         assert schur_side == tau_eval_schur_side(t, a_vals, b_vals)
+
+
+ALPHAS = (Fraction(1, 2), Fraction(-3), Fraction(7, 3))
+TAU_POINT_CASES = [("hciz", None, N, N + 4) for N in range(1, 5)] + [
+    ("alpha_q", alpha, N, N + 4) for alpha in ALPHAS for N in range(5)
+]
+
+
+@pytest.mark.parametrize("family, alpha, N, cap", TAU_POINT_CASES, ids=str)
+def test_tau_at_points_equals_the_tensor_routes(family, alpha, N, cap):
+    # the Schur-diagonal route against the power-sum tensor (tau_eval) and
+    # the per-nu p-basis Schur values (tau_eval_schur_side), at distinct
+    # points with a negative one and at repeated points with a zero
+    if family == "hciz":
+        (space, r_of), t = hciz_family(N, cap), hciz_tau(N, cap)
+    else:
+        (space, r_of), t = alpha_q_family(alpha, N, cap), alpha_q_tau(alpha, N, cap)
+    assert space == t.space
+    rng = random.Random(f"{family}/{alpha}/{N}")
+    a_vals = random_rationals(rng, N, distinct=True)
+    b_vals = random_rationals(rng, N, distinct=True)
+    a_vals[:1] = [-abs(x) for x in a_vals[:1]]
+    repeated = (a_vals[:1] * N, ([Fraction(0)] + b_vals[:1] * N)[:N])
+    for a, b in ((a_vals, b_vals), repeated):
+        got = tau_at_points(space, cap, r_of, a, b)
+        assert got == tau_eval(t, a, b)
+        assert got == tau_eval_schur_side(t, a, b)
+
+
+def test_tau_at_points_never_asks_for_vanishing_nu():
+    space, r_of = hciz_family(2, 6)
+    asked = []
+    tau_at_points(space, 6, lambda nu: asked.append(nu) or r_of(nu), [1, -2], [Fraction(1, 3), 5])
+    assert len(asked) == sum(len(lam) <= 2 for n in range(7) for lam in partitions_of(n))
+    # one side at a single nonzero point: only the one-row nu survive
+    asked.clear()
+    tau_at_points(space, 6, lambda nu: asked.append(nu) or r_of(nu), [0, 3], [1, -2])
+    assert asked == [()] + [(n,) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("n_max", (-1, 9))
+def test_tau_at_points_rejects_n_max_out_of_range(n_max):
+    space, r_of = hciz_family(1, 5)
+    with pytest.raises(ValueError, match="n_max"):
+        tau_at_points(space, n_max, r_of, [1], [2])
 
 
 def test_hciz_determinant_0_1_points():

@@ -135,6 +135,48 @@ def test_packed_apply_twist_slot_bound(monkeypatch, n, magnitude, sign):
     assert got.coeff(identity).terms == dict.fromkeys(one.terms, Fraction(sign * magnitude))
 
 
+def test_twisted_cauchy_builds_each_eigenvalue_once(monkeypatch):
+    # five families x the 30 partitions of n <= 6: one twist_eigenvalue call
+    # per (spec, lam, space), shared by connection_coeffs, apply_twist and
+    # the point identity's Schur side
+    from hurwitz_tau import verify
+
+    calls, build = [], twists.twist_eigenvalue
+    monkeypatch.setattr(
+        twists, "twist_eigenvalue", lambda *args: calls.append(args[1]) or build(*args)
+    )
+    (result,) = verify.tau_suite(only={"tau.twisted_cauchy"})
+    assert result.passed, result.detail
+    assert len(calls) <= 150
+
+
+def test_cached_eigenvalue_is_kept_per_spec_and_space(monkeypatch):
+    spec = WALK_KINDS["mixed"].twist(4, 3)
+    other = SeriesSpace(spec.space().params, (4, 2, 2))
+    for lam in partitions_of(4):
+        assert twists.cached_eigenvalue(spec, lam) == twist_eigenvalue(spec, lam)
+        want = twist_eigenvalue(spec, lam, other)
+        assert twists.cached_eigenvalue(spec, list(lam), other) == want
+    calls, build = [], twists.twist_eigenvalue
+    monkeypatch.setattr(
+        twists, "twist_eigenvalue", lambda *args: calls.append(args[1]) or build(*args)
+    )
+    for lam in partitions_of(4):
+        twists.cached_eigenvalue(spec, list(lam), spec.space())
+        twists.cached_eigenvalue(spec, lam, other)
+    assert calls == []
+    # an equal spec built anew starts its own memo
+    twists.cached_eigenvalue(WALK_KINDS["mixed"].twist(4, 3), (4,))
+    assert calls == [(4,)]
+
+
+def test_connection_coeffs_computes_z_once_per_partition(monkeypatch):
+    calls, z = [], twists.z_of
+    monkeypatch.setattr(twists, "z_of", lambda lam: calls.append(lam) or z(lam))
+    connection_coeffs(WALK_KINDS["monotone"].twist(6, 3), 6)
+    assert sorted(calls) == sorted(partitions_of(6))
+
+
 def test_connection_coeffs_match_walks_n3():
     spec = twist((Exp("q", "beta"),), (3, 3))
     coeffs = connection_coeffs(spec, 3)
