@@ -227,17 +227,14 @@ def cmd_tau(args) -> int:
             det = tauseries.hciz_determinant(args.N, a_vals, b_vals, args.zcap)
             payload["determinant"] = series_json(det)
             payload["determinant_matches"] = det == series.truncate_to(det.space)
-            if not payload["determinant_matches"]:
-                emit(payload, args.out)
-                return 1
         emit(payload, args.out)
-        return 0
+        return 0 if payload.get("determinant_matches", True) else 1
     # argparse admits only hciz and alpha_q, so this is alpha_q
     alpha = parse_fraction(args.alpha)
     if args.check_determinant:
         report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
         emit(report, args.out)
-        return 0
+        return 0 if report["entrywise_matches_schur_expansion"] else 1
     space, r_of = tauseries.alpha_q_family(alpha, args.N, args.qcap)
     series = tauseries.tau_at_points(space, args.qcap, r_of, a_vals, b_vals)
     emit(

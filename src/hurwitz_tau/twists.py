@@ -17,10 +17,14 @@ coefficients
 whose series coefficients count constrained transposition walks.  The
 eigenvalues are built from integer content sequences and the sum runs on
 packed integers (series_character_sum), dividing once at the end.  The
-convolution side parametrises the same eigenvalues through families
-rho_j / r_j = rho_j/rho_{j-1} and the shifted content product
+homomorphism TwistConvolution takes every twist, all four atoms, to the
+convolution side: families rho_j / r_j = rho_j/rho_{j-1} and the shifted
+content product
 
-    r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i}.
+    r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i},
+
+built from series products; r_lam(0) q^{|lam|} equals the eigenvalue
+built from integer content sequences.
 """
 
 from dataclasses import dataclass
@@ -262,9 +266,14 @@ class ConvolutionCoeffs:
         return memo[N]
 
     def r_lambda(self, lam: Partition, N: int) -> TruncSeries:
+        """r_0(N) prod_{(i,j) in lam} r_{N+j-i}, each r_k built once."""
+        memo = vars(self).setdefault("_r", {})
         value = self.r0(N)
         for i, j in cells(lam):
-            value = value * self.r(N + j - i)
+            k = N + j - i
+            if k not in memo:
+                memo[k] = self.r(k)
+            value = value * memo[k]
         return value
 
     def check_ratio(self, j_lo: int, j_hi: int) -> None:
@@ -275,47 +284,39 @@ class ConvolutionCoeffs:
                 raise ArithmeticError(f"r_{j} * rho_{j-1} != rho_{j}")
 
 
-class HTwistConvolution(ConvolutionCoeffs):
-    """Image of a product of H(z_alpha) atoms under the homomorphism to
-    diagonal convolution coefficients:
+# atom -> (r_j, 1/r_j) builders, called at j and -j in the atom's parameter
+ATOM_R = {
+    H: (SeriesSpace.geom, SeriesSpace.linear),  # 1/(1 - j z), 1 - j z
+    E: (SeriesSpace.linear, SeriesSpace.geom),  # 1 + j w, 1/(1 + j w)
+    Exp: (SeriesSpace.exp_linear, SeriesSpace.exp_linear),  # e^{j beta}, e^{-j beta}
+}
 
-        rho_j = prod_alpha prod_{k=1}^{j} 1/(1 - k z_alpha)   (j > 0)
-        rho_0 = 1
-        rho_j = prod_alpha prod_{k=j+1}^{0} (1 - k z_alpha)   (j < 0)
-        r_j   = prod_alpha 1/(1 - j z_alpha).
-    """
 
-    def __init__(self, z_params, space: SeriesSpace):
-        self.z_params = tuple(z_params)
-        self.space = space
+class TwistConvolution(ConvolutionCoeffs):
+    """Image of a twist: r_j = G(j) has one ATOM_R factor per atom (Scale:
+    r_j = 1; the q^{|lam|} of Exp and Scale is a grading outside rho), and
+    rho_j = prod_{k=1..j} r_k (j > 0), prod_{k=j+1..0} 1/r_k (j <= 0)."""
+
+    def __init__(self, spec: TwistSpec):
+        self.space = spec.space()  # raises TypeError on an unknown atom
+        self.atoms = [(ATOM_R[type(f)], f.beta_param if isinstance(f, Exp) else f.param)
+                      for f in spec.factors if not isinstance(f, Scale)]
+
+    def _factors(self, j: int, inverse: bool) -> TruncSeries:
+        value = self.space.one()
+        for row, name in self.atoms:
+            value = value * row[inverse](self.space, -j if inverse else j, name)
+        return value
 
     def rho(self, j: int) -> TruncSeries:
-        series = self.space.one()
-        if j > 0:
-            for name in self.z_params:
-                for k in range(1, j + 1):
-                    series = series * self.space.geom(k, name)
-        elif j < 0:
-            for name in self.z_params:
-                for k in range(j + 1, 1):
-                    series = series * self.space.linear(-k, name)
-        return series
+        memo = vars(self).setdefault("_rho", {0: self.space.one()})
+        if j not in memo:
+            memo[j] = (self.rho(j - 1) * self._factors(j, False) if j > 0
+                       else self.rho(j + 1) * self._factors(j + 1, True))
+        return memo[j]
 
     def r(self, j: int) -> TruncSeries:
-        series = self.space.one()
-        for name in self.z_params:
-            series = series * self.space.geom(j, name)
-        return series
-
-
-def intertwine(spec: TwistSpec) -> HTwistConvolution:
-    """Convolution coefficients of a twist built from H atoms only."""
-    z_params = []
-    for f in spec.factors:
-        if not isinstance(f, H):
-            raise ValueError("intertwine expects a product of H atoms")
-        z_params.append(f.param)
-    return HTwistConvolution(z_params, spec.space())
+        return self._factors(j, False)
 
 
 class AlphaQConvolution(ConvolutionCoeffs):
@@ -355,10 +356,11 @@ class AlphaQConvolution(ConvolutionCoeffs):
         lam = tuple(lam)
         if len(lam) > N:
             raise ZeroDivisionError(f"(N)_lam vanishes for {lam} at N = {N}")
-        num = pochhammer_partition(N - self.alpha, lam)
-        den = pochhammer_partition(N, lam)
-        mono = self.space.monomial(num / den, **{self.q: size(lam)})
-        return self.r0(N) * mono
+        ratio = pochhammer_partition(N - self.alpha, lam) / pochhammer_partition(N, lam)
+        # r_0(N) is one monomial c q^{N(N-1)/2} (zero past the q cap): no product
+        q0 = N * (N - 1) // 2
+        c = self.r0(N).coeff(**{self.q: q0})
+        return self.space.monomial(c * ratio, **{self.q: q0 + size(lam)})
 
 
 class ExpConvolution(ConvolutionCoeffs):
@@ -390,14 +392,11 @@ class ExpConvolution(ConvolutionCoeffs):
             return self.space.one()
         return self.space.monomial(Fraction(-self.N, j), **{self.z: 1})
 
-    def vanishes(self, lam: Partition) -> bool:
-        return len(tuple(lam)) > self.N
-
     def schur_expansion_r_lambda(self, lam: Partition) -> TruncSeries:
         """(-Nz)^{|lam|}/((prod k!)(N)_lam); zero when l(lam) > N (matching
         the vanishing of Schur functions in N variables)."""
         lam = tuple(lam)
-        if self.vanishes(lam):
+        if len(lam) > self.N:
             return self.space.zero()
         norm = 1
         for k in range(self.N):

@@ -42,7 +42,7 @@ from .partitions import (
     z_of,
 )
 from .series import SeriesSpace
-from .twists import E, H, connection_coeffs, twist, twist_eigenvalue
+from .twists import E, Exp, H, Scale, connection_coeffs, twist, twist_eigenvalue
 
 
 @dataclass
@@ -664,19 +664,21 @@ def tau_suite(
     add("tau.vacuum_cauchy", vacuum)
 
     def intertwining():
-        for caps, names in (((8,), ("z",)), ((6, 6), ("z1", "z2"))):
-            spec = twist(tuple(H(z) for z in names), caps)
-            conv = twists.intertwine(spec)
+        top = min(intertwining_nmax, 6)
+        h_twists = (twist((H("z"),), 8), twist((H("z1"), H("z2")), 6))
+        cases = [(spec, intertwining_nmax) for spec in h_twists]
+        cases += [(walk.twist(top, 3), top) for walk in tauseries.WALK_KINDS.values()]
+        for spec, n_top in cases:
+            conv = twists.TwistConvolution(spec)
             conv.check_ratio(-4, 6)
-            for n in range(intertwining_nmax + 1):
+            graded = [f.q_param for f in spec.factors if isinstance(f, (Exp, Scale))]
+            for n in range(n_top + 1):
+                grading = conv.space.monomial(1, **dict.fromkeys(graded, n))  # q^|lam|
                 for lam in partitions_of(n):
-                    got = conv.r_lambda(lam, 0)
-                    want = twist_eigenvalue(spec, lam, spec.space())
-                    _require(got == want, f"intertwining fails at {lam} with {len(names)} z's")
-        return (
-            "r_lambda(0) from the rho branches = content-product eigenvalue,"
-            f" |lam|<={intertwining_nmax}"
-        )
+                    got, want = conv.r_lambda(lam, 0) * grading, twist_eigenvalue(spec, lam)
+                    _require(got == want, f"intertwining fails at {lam} for {spec.factors}")
+        return (f"r_lambda(0) q^|lam| = content-product eigenvalue, every walk kind at cap 3"
+                f" with |lam|<={top}, H and H*H with |lam|<={intertwining_nmax}")
 
     add("tau.intertwining_theorem", intertwining)
 

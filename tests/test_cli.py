@@ -1,12 +1,13 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import cli
+from hurwitz_tau import cli, tauseries
 from hurwitz_tau.cli import main, to_json
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import partitions_of
@@ -150,6 +151,24 @@ def test_tau_hciz_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["determinant_matches"] is False
+
+
+def test_tau_alpha_q_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
+    # give r_(2) the value of r_(1,1): the Schur side then differs from the
+    # entrywise determinant, the report prints as it is and the op exits 1
+    r_of = tauseries.alpha_q_coeff
+    monkeypatch.setattr(
+        tauseries,
+        "alpha_q_coeff",
+        lambda lam, fam, N: r_of((1, 1) if tuple(lam) == (2,) else lam, fam, N),
+    )
+    argv = ("--N", "2", "--alpha", "1/2", "--a", "1/2,1/3", "--b", "1,2", "--qcap", "5")
+    code, out = run_cli(capsys, "tau", "--family", "alpha_q", *argv, "--check-determinant")
+    assert code == 1
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    report = tauseries.alpha_q_determinant(2, half, [half, third], [1, 2], 5)
+    assert report["entrywise_matches_schur_expansion"] is False
+    assert out == to_json(report) + "\n"
 
 
 def test_tau_alpha_q_series(capsys):

@@ -14,7 +14,7 @@ from hurwitz_tau.center import (
     unit_idempotent,
 )
 from hurwitz_tau.groupalg import WalkQuery, count_walks, plain, weakly_monotone
-from hurwitz_tau.partitions import content_sum, partitions_of, size, z_of
+from hurwitz_tau.partitions import content_sum, partitions_of, pochhammer_partition, size, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
 from hurwitz_tau.tauseries import WALK_KINDS
 from hurwitz_tau.twists import (
@@ -23,12 +23,12 @@ from hurwitz_tau.twists import (
     Exp,
     ExpConvolution,
     H,
-    HTwistConvolution,
     Scale,
+    TwistConvolution,
+    TwistSpec,
     alpha_q_coeff,
     apply_twist,
     connection_coeffs,
-    intertwine,
     multimonotone_coeff,
     okounkov_coeff,
     okounkov_exponents,
@@ -200,9 +200,9 @@ def test_connection_coeffs_weak_monotone_n4():
                 assert got == want
 
 
-def test_intertwine_rho_branches():
+def test_twist_convolution_rho_branches():
     spec = twist((H("z"),), (6,))
-    conv = intertwine(spec)
+    conv = TwistConvolution(spec)
     space = spec.space()
     assert conv.rho(2) == space.geom(1, "z") * space.geom(2, "z")
     assert conv.rho(0) == space.one()
@@ -211,13 +211,58 @@ def test_intertwine_rho_branches():
     conv.check_ratio(-5, 6)
 
 
-def test_intertwine_eigenvalue_identity():
+def test_twist_convolution_rho_by_hand_for_e_and_exp():
+    # E: rho_2 = (1 + w)(1 + 2w), rho_{-2} = 1/r_{-1} = 1/(1 - w)
+    e = TwistConvolution(twist((E("w"),), (3,)))
+    assert e.rho(2) == TruncSeries(e.space, {(0,): 1, (1,): 3, (2,): 2})
+    assert e.rho(-2) == TruncSeries(e.space, {(k,): 1 for k in range(4)})
+    # Exp: rho_2 = e^{3 beta}, rho_{-2} = e^{beta}; q stays outside rho
+    x = TwistConvolution(twist((Exp("q", "beta"),), (2, 3)))
+    exp_3beta = {(0, k): Fraction(3**k, factorial(k)) for k in range(4)}
+    assert x.rho(2) == TruncSeries(x.space, exp_3beta)
+    assert x.rho(-2) == TruncSeries(x.space, {(0, k): Fraction(1, factorial(k)) for k in range(4)})
+
+
+def _graded_r_lambda_is_eigenvalue(conv, spec, nmax):
+    """r_lambda(0) q^{|lam|} = twist_eigenvalue for every |lam| <= nmax."""
+    space = spec.space()
+    graded = [f.q_param for f in spec.factors if isinstance(f, (Exp, Scale))]
+    for n in range(nmax + 1):
+        grading = space.monomial(1, **{q: n * graded.count(q) for q in graded})
+        for lam in partitions_of(n):
+            if conv.r_lambda(lam, 0) * grading != twist_eigenvalue(spec, lam):
+                return False
+    return True
+
+
+def test_twist_convolution_eigenvalue_identity():
     for names, caps in ((("z",), (8,)), (("z1", "z2"), (5, 5))):
         spec = twist(tuple(H(z) for z in names), caps)
-        conv = intertwine(spec)
-        for n in range(7):
-            for lam in partitions_of(n):
-                assert conv.r_lambda(lam, 0) == twist_eigenvalue(spec, lam)
+        assert _graded_r_lambda_is_eigenvalue(TwistConvolution(spec), spec, 6)
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_KINDS))
+def test_twist_convolution_every_walk_kind(kind):
+    spec = WALK_KINDS[kind].twist(5, 3)
+    conv = TwistConvolution(spec)
+    conv.check_ratio(-4, 6)
+    assert _graded_r_lambda_is_eigenvalue(conv, spec, 5)
+
+
+@pytest.mark.parametrize("atom", (H("z"), E("w"), Exp("q", "beta")), ids=repr)
+def test_shifted_content_fails_the_identity(atom):
+    class Shifted(TwistConvolution):
+        def r(self, j):
+            return super().r(j + 1)
+
+    spec = WALK_KINDS["plain"].twist(4, 3) if isinstance(atom, Exp) else twist((atom,), 3)
+    assert _graded_r_lambda_is_eigenvalue(TwistConvolution(spec), spec, 4)
+    assert not _graded_r_lambda_is_eigenvalue(Shifted(spec), spec, 4)
+
+
+def test_twist_convolution_rejects_an_unknown_atom():
+    with pytest.raises(TypeError):
+        TwistConvolution(TwistSpec((object(),), ()))
 
 
 def test_h_and_e_eigenvalues_never_multiply_series(monkeypatch):
@@ -248,16 +293,12 @@ def test_h_and_e_eigenvalues_never_multiply_series(monkeypatch):
     assert len(calls) == 1
 
 
-def test_intertwine_rejects_non_h_factors():
-    for atom in (E("w"), Scale("q")):
-        with pytest.raises(ValueError):
-            intertwine(twist((atom,), (3,)))
-
-
 def test_r0_recursion_across_zero():
     # r0(N+1) = r0(N) rho(N) on both sides of N = 0; for N < 0 r0 divides
-    for names in (("z",), ("z1", "z2")):
-        conv = intertwine(twist(tuple(H(z) for z in names), 4))
+    specs = [twist(tuple(H(z) for z in names), 4) for names in (("z",), ("z1", "z2"))]
+    specs += [twist((E("w"),), 4), twist((Exp("q", "beta"),), 4)]
+    for spec in specs:
+        conv = TwistConvolution(spec)
         for N in range(-4, 4):
             assert conv.r0(N + 1) == conv.r0(N) * conv.rho(N)
 
@@ -274,14 +315,14 @@ def test_r0_is_built_once_per_n():
 
 
 def test_check_ratio_raises_on_wrong_r():
-    class WrongR(HTwistConvolution):
+    class WrongR(TwistConvolution):
         def r(self, j):
             return 2 * super().r(j)
 
-    space = SeriesSpace(("z",), (4,))
-    HTwistConvolution(("z",), space).check_ratio(-3, 2)
+    spec = twist((H("z"),), (4,))
+    TwistConvolution(spec).check_ratio(-3, 2)
     with pytest.raises(ArithmeticError):
-        WrongR(("z",), space).check_ratio(-3, 2)
+        WrongR(spec).check_ratio(-3, 2)
 
 
 def test_alpha_q_rejects_positive_integer_alpha():
@@ -302,6 +343,23 @@ def test_alpha_q_branch_equals_closed_form():
                     if len(lam) > N:
                         continue
                     assert fam.r_lambda(lam, N) == fam.closed_form_r_lambda(lam, N)
+
+
+def test_alpha_q_closed_form_past_the_q_cap():
+    # r_0(N) = c q^{N(N-1)/2}: at N = 4 that is q^6, past the cap 5, so the
+    # closed form is the zero series; at N = 3 it truncates from |lam| = 3
+    space = SeriesSpace(("q",), (5,))
+    fam = AlphaQConvolution(Fraction(7, 3), space)
+    for N in (3, 4):
+        for n in range(6):
+            for lam in partitions_of(n):
+                if len(lam) > N:
+                    continue
+                closed = fam.closed_form_r_lambda(lam, N)
+                ratio = pochhammer_partition(N - fam.alpha, lam) / pochhammer_partition(N, lam)
+                assert closed == fam.r0(N) * space.monomial(ratio, q=n)
+                assert closed == fam.r_lambda(lam, N)
+                assert closed.is_zero() == (N == 4 or n > 2)
 
 
 def test_alpha_q_single_row_is_plain_pochhammer():
