@@ -8,9 +8,10 @@ count vectors keyed by the last b of the current segment (the floor), which
 monotone steps merge by prefix sums.  It runs forward from the whole start
 class to every target class (whole rows), or backward from one target
 representative, segments reversed and b falling (single counts).  Transitive
-counts also carry the set partition of {1..n} generated so far, equal states
-merged.  These counts are the independent oracle against which the
-character-sum coefficients are tested; nothing here uses characters.
+counts also carry the set partition of {1..n} generated so far, seeded from
+the first element's cycles, equal states merged.  These counts are the
+independent oracle for the character-sum coefficients; nothing here uses
+characters.
 """
 
 from dataclasses import dataclass
@@ -35,13 +36,6 @@ def identity(n: int) -> Perm:
 def compose(g: Perm, h: Perm) -> Perm:
     """(g*h)(x) = g(h(x)); h acts first."""
     return tuple(g[h[x] - 1] for x in range(len(g)))
-
-
-def inverse(g: Perm) -> Perm:
-    inv = [0] * len(g)
-    for x, y in enumerate(g, start=1):
-        inv[y - 1] = x
-    return tuple(inv)
 
 
 def cycles(g: Perm) -> list[tuple[int, ...]]:
@@ -309,17 +303,12 @@ def count_walks(query: WalkQuery) -> int:
     _check_walk_args(n, query.from_type)
     indexed = ranked(n)
     rho = class_representative(query.to_type, n)
-    blocks = None
-    if query.transitive:
-        blocks = tuple(range(n))
-        for cyc in cycles(rho):
-            for other in cyc[1:]:
-                blocks = _join(blocks, cyc[0], other)
+    blocks = _cycle_blocks(rho) if query.transitive else None
     order = (n + 1, *range(n, 1, -1))
     segments = tuple(seg for seg in reversed(query.segments) if seg.length > 0)
     layers = _walk(n, {(order[0], blocks): {indexed.index[bytes(rho)]: 1}}, segments, order)
     return sum(
-        c for (_, joined), vec in layers.items() if joined is None or len(set(joined)) == 1
+        c for (_, blocks), vec in layers.items() if _one_block(blocks)
         for i, c in vec.items() if indexed.types[i] == query.from_type
     )
 
@@ -386,13 +375,29 @@ def ranked(n: int) -> Ranking:
 # floor is the last b used in the current segment; order lists the bound a
 # segment starts from, then the b's in walking order: _forward(n) is
 # (0, 2, ..., n), and (n + 1, n, ..., 2) walks backward.
-# blocks is the set partition of {1..n} generated by the transpositions so far,
-# as a tuple labelling each point (0-based) by the least point of its block,
-# or None when transitivity is not tracked.  Equal states are merged.
+# blocks is the set partition of {1..n} generated by the first element's
+# cycles and the transpositions so far, as a tuple labelling each point
+# (0-based) by the least point of its block, or None when transitivity is
+# not tracked.  Equal states are merged.
 
-def _class_layer(n, from_type):
+def _class_layer(n, from_type, transitive=False):
+    """The start class; tracked blocks start as each element's cycles."""
     index = ranked(n).index
-    return {(0, None): {index[bytes(g)]: 1 for g in conjugacy_classes(n)[from_type]}}
+    layer: dict = {}
+    for g in conjugacy_classes(n)[from_type]:
+        layer.setdefault((0, _cycle_blocks(g) if transitive else None), {})[index[bytes(g)]] = 1
+    return layer
+
+
+def _cycle_blocks(g):
+    """The blocks of g's cycles, each point labelled by its cycle's least point."""
+    label = {x: min(cyc) - 1 for cyc in cycles(g) for x in cyc}
+    return tuple(label[x] for x in range(1, len(g) + 1))
+
+
+def _one_block(blocks):
+    """True for a transitive state, and always when blocks are not tracked."""
+    return blocks is None or len(set(blocks)) == 1
 
 
 def _forward(n):
@@ -462,61 +467,35 @@ def _merge_floors(layers, order):
     return merged
 
 
-def _count_dp(n, from_type, segments) -> dict[Partition, int]:
+def _count_dp(n, from_type, segments, transitive=False) -> dict[Partition, int]:
     # Only the class representatives are read, so the last step is pulled
     # into them: a transposition is an involution, so the walks that end at
-    # index j come from act[t][j].
+    # index j come from act[t][j].  Transitive counts join the last step's
+    # (a, b) into the blocks and keep the states left with one block.
     indexed = ranked(n)
-    reps = {
-        mu: indexed.index[bytes(class_representative(mu, n))]
-        for mu in conjugacy_classes(n)
-    }
-    start = _class_layer(n, from_type)
+    reps = {mu: indexed.index[bytes(class_representative(mu, n))] for mu in conjugacy_classes(n)}
+    layers = _class_layer(n, from_type, transitive)
     if not segments:
-        counts = {mu: start[(0, None)].get(j, 0) for mu, j in reps.items()}
+        ends = [(vec, None) for (_, blocks), vec in layers.items() if _one_block(blocks)]
     else:
         *head, last = segments
-        layers = _walk(n, start, (*head, Segment(last.kind, last.length - 1)), _forward(n))
-        counts = {
-            mu: sum(
-                vec.get(row[j], 0)
-                for (floor, _), vec in layers.items()
-                for (_, b), row in indexed.act.items()
-                if b > floor or (last.kind == WEAK and b == floor)
-            )
-            for mu, j in reps.items()
-        }
+        layers = _walk(n, layers, (*head, Segment(last.kind, last.length - 1)), _forward(n))
+        ends = [
+            (vec, row)
+            for (floor, blocks), vec in layers.items()
+            for (a, b), row in indexed.act.items()
+            if (b > floor or (last.kind == WEAK and b == floor))
+            and _one_block(blocks if blocks is None else _join(blocks, a, b))
+        ]
+    counts = {
+        mu: sum(vec.get(j if row is None else row[j], 0) for vec, row in ends)
+        for mu, j in reps.items()
+    }
     return {mu: c for mu, c in counts.items() if c}
 
 
 def _count_transitive(n, from_type, segments) -> dict[Partition, int]:
-    # Walk from the identity, tallied by (product permutation, blocks
-    # generated by the transpositions), merging equal states; then sweep the
-    # start class and finish the blocks with g's cycles.
-    index = ranked(n).index
-    start = {(0, tuple(range(n))): {index[bytes(identity(n))]: 1}}
-    products: dict[int, dict[tuple, int]] = {}
-    for (_, blocks), vec in _walk(n, start, segments, _forward(n)).items():
-        for i, c in vec.items():
-            per_perm = products.setdefault(i, {})
-            per_perm[blocks] = per_perm.get(blocks, 0) + c
-
-    out: dict[Partition, int] = {}
-    classes = conjugacy_classes(n)
-    reps = [(mu, class_representative(mu, n)) for mu in classes]
-    for g in classes[from_type]:
-        g_inv = inverse(g)
-        links = [(cyc[0], other) for cyc in cycles(g) for other in cyc[1:]]
-        for mu, rep in reps:
-            per_perm = products.get(index[bytes(compose(rep, g_inv))])
-            if not per_perm:
-                continue
-            for blocks, cnt in per_perm.items():
-                for a, b in links:
-                    blocks = _join(blocks, a, b)
-                if len(set(blocks)) == 1:
-                    out[mu] = out.get(mu, 0) + cnt
-    return out
+    return _count_dp(n, from_type, segments, transitive=True)
 
 
 @lru_cache(maxsize=None)

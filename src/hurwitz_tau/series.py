@@ -258,7 +258,7 @@ class TruncSeries:
                 b[e] = -inv0 * total
         return TruncSeries._trusted(self.space, b)
 
-    # -- univariate helpers (used by determinant code) ----------------------
+    # -- one-parameter helpers (determinants, q gradings) --------------------
 
     def valuation(self, name: str) -> int:
         """Smallest exponent of the named parameter over all terms."""
@@ -280,6 +280,12 @@ class TruncSeries:
             new[axis] -= amount
             terms[tuple(new)] = coeff
         return TruncSeries._trusted(self.space, terms)
+
+    def shift_up(self, name: str, amount: int) -> "TruncSeries":
+        """Multiplication by x^amount, truncated to the cap of x."""
+        axis = self.space.axis(name)
+        terms = {e[:axis] + (e[axis] + amount,) + e[axis + 1 :]: c for e, c in self.terms.items()}
+        return TruncSeries(self.space, terms)
 
     def truncate_to(self, space: SeriesSpace) -> "TruncSeries":
         """Reinterpret in a space with the same parameters but smaller caps."""

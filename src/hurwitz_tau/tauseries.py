@@ -23,10 +23,11 @@ per degree (symfunc.schur_values), and never builds a TauSeries.  This is
 what the tau command prints (hciz, and alpha_q with and without
 --check-determinant), with each family's (space, r_of) read from
 hciz_family / alpha_q_family, the definitions hciz_tau and alpha_q_tau
-build their TauSeries from.  The determinant routes check it without
-reading r_nu at all: exact N x N determinants over truncated series
-(fraction-free Bareiss elimination with exact division) of the exp or
-binomial entries, run by the tau command under --check-determinant.
+build their TauSeries from.  One determinant route, family_determinant,
+checks it without reading r_nu: det[sum_l rho_l (a_i b_j)^l] for any
+family's rho, by fraction-free Bareiss elimination over truncated series.
+The tau command runs its exp and binomial cases under --check-determinant
+(hciz_determinant, alpha_q_determinant); verify runs every walk-kind twist.
 tau_eval (the power-sum tensor of a TauSeries at the points) and
 tau_eval_schur_side (each S_nu through the p-basis, symfunc.evaluate_schur)
 read the same r_nu and reach the point values by other routes; verify
@@ -293,16 +294,15 @@ def _join(slices) -> TensorSymFunc:
 def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries:
     """Fraction-free (Bareiss) determinant over the truncated-series ring.
 
-    Each step divides by the previous pivot prev = x^v u (x the named
-    parameter, u a unit): u is inverted once per step, and each entry is
-    shifted down by v before the product, so a term of too low an x-degree
-    raises ExactDivisionError."""
+    Each step after the first divides by the previous pivot prev = x^v u
+    (x the named parameter, u a unit): u is inverted once per step, and
+    each entry is shifted down by v before the product, so a term of too
+    low an x-degree raises ExactDivisionError."""
     size_n = len(rows)
     m = [list(r) for r in rows]
     if size_n == 0:
         raise ValueError("empty matrix")
     space = m[0][0].space
-    prev = space.one()
     for k in range(size_n - 1):
         pivot = m[k][k]
         if pivot.is_zero():
@@ -313,12 +313,14 @@ def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries
             # a row swap flips the sign; fold it into the swapped-in row
             m[k] = [entry * Fraction(-1) for entry in m[k]]
             pivot = m[k][k]
-        v = prev.valuation(name)
-        unit_inv = (prev.shift_down(name, v) if v else prev).inverse()
+        if k:
+            v = prev.valuation(name)
+            unit_inv = (prev.shift_down(name, v) if v else prev).inverse()
         for i in range(k + 1, size_n):
             for j in range(k + 1, size_n):
-                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = (numerator.shift_down(name, v) if v else numerator) * unit_inv
+                m[i][j] = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                if k:
+                    m[i][j] = (m[i][j].shift_down(name, v) if v else m[i][j]) * unit_inv
         prev = pivot
     return m[size_n - 1][size_n - 1]
 
@@ -336,76 +338,72 @@ def vandermonde(values) -> Fraction:
     return det
 
 
-def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
-    """Exact determinant route to the exponential-kernel series:
+def family_determinant(family, N: int, a_vals, b_vals, space, pivot: str) -> TruncSeries:
+    """det[F(a_i b_j)] / (Delta(a) Delta(b)) = sum_{l(lam)<=N} r_lam(N) S_lam(a) S_lam(b),
+    F(x) = sum_l rho_l x^l and r_lam(N) = prod_i rho_{lam_i+N-i} (Cauchy-Binet).
 
-        det(e^{-N z a_i b_j}) / (Delta(a) Delta(b) (-N z)^{N(N-1)/2})
-            = sum_{l(lam)<=N} r_lam S_lam(a) S_lam(b).
-
-    The determinant vanishes to order N(N-1)/2 in z; dividing that monomial
-    out exactly is part of the contract (the classical normalisation making
-    the series start at 1).
-    """
-    a_vals = [Fraction(x) for x in a_vals]
-    b_vals = [Fraction(x) for x in b_vals]
+    family(space) gives l -> rho_l, of degree >= l in the pivot parameter.
+    Bareiss ends by dividing by the leading (N-2)x(N-2) minor, of pivot
+    degree m(m-1)/2 (m = N - 2), so the entries are built that much deeper
+    in the pivot; the determinant is truncated back to ``space``."""
     if len(a_vals) != N or len(b_vals) != N:
         raise ValueError("need exactly N evaluation points on each side")
-    shift = N * (N - 1) // 2
-    # Bareiss ends by dividing by the leading (N-2)x(N-2) minor, which
-    # vanishes to order m(m-1)/2 in z and costs that many top degrees.
     m = max(N - 2, 0)
-    guard = SeriesSpace(("z",), (z_cap + shift + m * (m - 1) // 2,))
-    rows = [[guard.exp_linear(-N * ai * bj, "z") for bj in b_vals] for ai in a_vals]
-    det = bareiss_determinant(rows, "z")
-    det = det / (vandermonde(a_vals) * vandermonde(b_vals))
+    deeper = [c + m * (m - 1) // 2 if p == pivot else c for p, c in zip(space.params, space.caps)]
+    guard = SeriesSpace(space.params, deeper)
+    rho = family(guard)
+    rhos = [rho(l).terms for l in range(guard.caps[guard.axis(pivot)] + 1)]
+
+    def entry(x):
+        terms = {}
+        for l, rho_l in enumerate(rhos):
+            for exps, c in rho_l.items():
+                terms[exps] = terms.get(exps, 0) + c * x**l
+        return TruncSeries._trusted(guard, terms)
+
+    rows = [[entry(Fraction(ai) * bj) for bj in b_vals] for ai in a_vals]
+    det = bareiss_determinant(rows, pivot) / (vandermonde(a_vals) * vandermonde(b_vals))
+    return det.truncate_to(space)
+
+
+def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
+    """det(e^{-N z a_i b_j}) / (Delta(a) Delta(b) (-N z)^{N(N-1)/2})
+    = sum_{l(lam)<=N} r_lam S_lam(a) S_lam(b): family_determinant of
+    ExpConvolution, whose determinant vanishes to order N(N-1)/2 in z;
+    dividing that monomial out exactly makes the series start at 1."""
+    shift = N * (N - 1) // 2
+    space = SeriesSpace(("z",), (z_cap + shift,))
+    det = family_determinant(lambda s: ExpConvolution(N, s).rho, N, a_vals, b_vals, space, "z")
     # shift_down raises ExactDivisionError unless det vanishes to that order
     det = det.shift_down("z", shift) * Fraction(1, (-N) ** shift)
-    target = SeriesSpace(("z",), (z_cap,))
-    return det.truncate_to(target)
+    return det.truncate_to(SeriesSpace(("z",), (z_cap,)))
 
 
 def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
-    """Entrywise-power determinant comparison (exploratory).
-
-    Evaluates det((1 - q a_i b_j)^{alpha-1}) / (Delta(a) Delta(b)) with the
-    power read entrywise as a binomial series in q, and compares against the
-    Schur-expansion evaluation of the alpha-q family at the same points.
-    Reports match/mismatch instead of asserting; the alternative reading
-    (det M)^{alpha-1} is also examined structurally.
-    """
+    """Entrywise-power determinant comparison (exploratory): the report of
+    det((1 - q a_i b_j)^{alpha-1}) / (Delta(a) Delta(b)), the power read
+    entrywise (family_determinant of AlphaQConvolution), against the Schur
+    expansion of the alpha-q family at the same points; the whole-determinant
+    reading (det M)^{alpha-1} is examined structurally."""
     alpha = Fraction(alpha)
     a_vals = [Fraction(x) for x in a_vals]
     b_vals = [Fraction(x) for x in b_vals]
-    if len(a_vals) != N or len(b_vals) != N:
-        raise ValueError("need exactly N evaluation points on each side")
-    work = SeriesSpace(("q",), (q_cap + N,))
-
-    def entry(ai, bj):
-        # (1 - q ai bj)^(alpha-1) as a binomial series in q
-        return work.axis_series("q", lambda k: (alpha - 1 - k) * (-ai * bj) / (k + 1))
-
-    rows = [[entry(ai, bj) for bj in b_vals] for ai in a_vals]
-    det = bareiss_determinant(rows, "q")
-    det = det / (vandermonde(a_vals) * vandermonde(b_vals))
-
     n_max = min(q_cap, TAU_NMAX_CAP)
-    space, r_of = alpha_q_family(alpha, N, n_max, q_cap + N)
+    space, r_of = alpha_q_family(alpha, N, n_max, n_max)
+    det = family_determinant(
+        lambda s: AlphaQConvolution(alpha, s).rho, N, a_vals, b_vals, space, "q"
+    )
     schur_side = tau_at_points(space, n_max, r_of, a_vals, b_vals)
-
-    target = SeriesSpace(("q",), (min(q_cap, n_max),))
-    det_t = det.truncate_to(target)
-    schur_t = schur_side.truncate_to(target)
-    det_constant = det.constant_term()
     return {
         "N": N,
         "alpha": str(alpha),
         "a": [str(x) for x in a_vals],
         "b": [str(x) for x in b_vals],
-        "q_cap": target.caps[0],
-        "entrywise_matches_schur_expansion": det_t == schur_t,
-        "entrywise_determinant": series_json(det_t),
-        "schur_expansion": series_json(schur_t),
-        "det_power_reading_defined": N == 1 or det_constant != 0,
+        "q_cap": n_max,
+        "entrywise_matches_schur_expansion": det == schur_side,
+        "entrywise_determinant": series_json(det),
+        "schur_expansion": series_json(schur_side),
+        "det_power_reading_defined": N == 1 or det.constant_term() != 0,
         "notes": (
             "the whole-determinant reading (det M)^(alpha-1) needs an"
             " invertible constant term, but det(1 - q a_i b_j) has constant"

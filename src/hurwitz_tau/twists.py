@@ -29,13 +29,12 @@ built from integer content sequences.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem
 from .characters import CharacterTable, character_table
 from .partitions import (
     Partition,
-    cells,
     content_sum,
     contents,
     hook_product,
@@ -255,32 +254,44 @@ class ConvolutionCoeffs:
     def r(self, j: int) -> TruncSeries:
         raise NotImplementedError
 
+    def _product(self, factors) -> TruncSeries:
+        """The product of the factors that are not one, one for none."""
+        value = one = self.space.one()
+        for f in factors:
+            if f != one:
+                value = f if value == one else value * f
+        return value
+
     def r0(self, N: int) -> TruncSeries:
         """prod_{j<N} rho_j (over rho_j for N <= j < 0), memoised per N."""
         memo = vars(self).setdefault("_r0", {})
         if N not in memo:
-            value = self.space.one()
-            for j in range(min(N, 0), max(N, 0)):
-                value = value * self.rho(j) if N > 0 else value / self.rho(j)
-            memo[N] = value
+            value = self._product(self.rho(j) for j in range(min(N, 0), max(N, 0)))
+            memo[N] = value if N >= 0 else value.inverse()
         return memo[N]
 
     def r_lambda(self, lam: Partition, N: int) -> TruncSeries:
-        """r_0(N) prod_{(i,j) in lam} r_{N+j-i}, each r_k built once."""
-        memo = vars(self).setdefault("_r", {})
-        value = self.r0(N)
-        for i, j in cells(lam):
-            k = N + j - i
-            if k not in memo:
-                memo[k] = self.r(k)
-            value = value * memo[k]
-        return value
+        """r_0(N) prod_{(i,j) in lam} r_{N+j-i}, memoised per (lam, N) as lam
+        less its last cell (i, j) times r_{N+j-i}, each r_k built once."""
+        memo, r = vars(self).setdefault("_r_lambda", {}), vars(self).setdefault("_r", {})
+        lam = tuple(lam)
+        if (lam, N) not in memo:
+            if not lam:
+                memo[lam, N] = self.r0(N)
+            else:
+                i, j = len(lam), lam[-1]
+                k = N + j - i
+                if k not in r:
+                    r[k] = self.r(k)
+                rest = self.r_lambda(lam[:-1] + (j - 1,) * (j > 1), N)
+                memo[lam, N] = self._product((rest, r[k]))
+        return memo[lam, N]
 
     def check_ratio(self, j_lo: int, j_hi: int) -> None:
         """Check r_j * rho_{j-1} = rho_j on a range of indices; raises
         ArithmeticError at the first index where it fails."""
         for j in range(j_lo, j_hi + 1):
-            if self.r(j) * self.rho(j - 1) != self.rho(j):
+            if self._product((self.r(j), self.rho(j - 1))) != self.rho(j):
                 raise ArithmeticError(f"r_{j} * rho_{j-1} != rho_{j}")
 
 
@@ -303,16 +314,14 @@ class TwistConvolution(ConvolutionCoeffs):
                       for f in spec.factors if not isinstance(f, Scale)]
 
     def _factors(self, j: int, inverse: bool) -> TruncSeries:
-        value = self.space.one()
-        for row, name in self.atoms:
-            value = value * row[inverse](self.space, -j if inverse else j, name)
-        return value
+        return self._product(row[inverse](self.space, -j if inverse else j, name)
+                             for row, name in self.atoms)
 
     def rho(self, j: int) -> TruncSeries:
         memo = vars(self).setdefault("_rho", {0: self.space.one()})
         if j not in memo:
-            memo[j] = (self.rho(j - 1) * self._factors(j, False) if j > 0
-                       else self.rho(j + 1) * self._factors(j + 1, True))
+            memo[j] = self._product((self.rho(j - 1), self._factors(j, False)) if j > 0
+                                    else (self.rho(j + 1), self._factors(j + 1, True)))
         return memo[j]
 
     def r(self, j: int) -> TruncSeries:
@@ -330,25 +339,22 @@ class AlphaQConvolution(ConvolutionCoeffs):
     l(lam) <= N.
     """
 
-    def __init__(self, alpha, space: SeriesSpace, q_param: str = "q"):
+    def __init__(self, alpha, space: SeriesSpace):
         alpha = Fraction(alpha)
         if alpha.denominator == 1 and alpha >= 1:
             raise ValueError("alpha must not be a positive integer")
         self.alpha = alpha
         self.space = space
-        self.q = q_param
 
     def rho(self, j: int) -> TruncSeries:
         if j <= 0:
             return self.space.one()
-        coeff = pochhammer(1 - self.alpha, j) / factorial(j)
-        return self.space.monomial(coeff, **{self.q: j})
+        return self.space.monomial(pochhammer(1 - self.alpha, j) / factorial(j), q=j)
 
     def r(self, j: int) -> TruncSeries:
         if j <= 0:
             return self.space.one()
-        coeff = Fraction(j - self.alpha, j)
-        return self.space.monomial(coeff, **{self.q: 1})
+        return self.space.monomial(Fraction(j - self.alpha, j), q=1)
 
     def closed_form_r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         """r_0(N) q^{|lam|} (N-alpha)_lam/(N)_lam via partition Pochhammers;
@@ -359,8 +365,8 @@ class AlphaQConvolution(ConvolutionCoeffs):
         ratio = pochhammer_partition(N - self.alpha, lam) / pochhammer_partition(N, lam)
         # r_0(N) is one monomial c q^{N(N-1)/2} (zero past the q cap): no product
         q0 = N * (N - 1) // 2
-        c = self.r0(N).coeff(**{self.q: q0})
-        return self.space.monomial(c * ratio, **{self.q: q0 + size(lam)})
+        c = self.r0(N).coeff(q=q0)
+        return self.space.monomial(c * ratio, q=q0 + size(lam))
 
 
 class ExpConvolution(ConvolutionCoeffs):
@@ -374,23 +380,21 @@ class ExpConvolution(ConvolutionCoeffs):
     with the two related by exactly that monomial factor.
     """
 
-    def __init__(self, N: int, space: SeriesSpace, z_param: str = "z"):
+    def __init__(self, N: int, space: SeriesSpace):
         if N < 1:
             raise ValueError("N must be a positive integer")
         self.N = N
         self.space = space
-        self.z = z_param
 
     def rho(self, j: int) -> TruncSeries:
         if j < 0:
             return self.space.one()
-        coeff = Fraction((-self.N) ** j, factorial(j))
-        return self.space.monomial(coeff, **{self.z: j})
+        return self.space.monomial(Fraction((-self.N) ** j, factorial(j)), z=j)
 
     def r(self, j: int) -> TruncSeries:
         if j <= 0:
             return self.space.one()
-        return self.space.monomial(Fraction(-self.N, j), **{self.z: 1})
+        return self.space.monomial(Fraction(-self.N, j), z=1)
 
     def schur_expansion_r_lambda(self, lam: Partition) -> TruncSeries:
         """(-Nz)^{|lam|}/((prod k!)(N)_lam); zero when l(lam) > N (matching
@@ -398,41 +402,22 @@ class ExpConvolution(ConvolutionCoeffs):
         lam = tuple(lam)
         if len(lam) > self.N:
             return self.space.zero()
-        norm = 1
-        for k in range(self.N):
-            norm *= factorial(k)
-        den = pochhammer_partition(self.N, lam)
-        coeff = Fraction((-self.N) ** size(lam)) / (norm * den)
-        return self.space.monomial(coeff, **{self.z: size(lam)})
+        norm = prod(factorial(k) for k in range(self.N)) * pochhammer_partition(self.N, lam)
+        return self.space.monomial(Fraction((-self.N) ** size(lam)) / norm, z=size(lam))
 
 
 # -- eigenvalue families for tau assembly ------------------------------------
 
-def okounkov_coeff(lam: Partition, space: SeriesSpace, q_param="q", beta_param="beta") -> TruncSeries:
+def okounkov_coeff(lam: Partition, space: SeriesSpace) -> TruncSeries:
     """q^{|lam|} e^{beta cont_lam} (the N=0 double-branch-point family)."""
     lam = tuple(lam)
-    mono = space.monomial(1, **{q_param: size(lam)})
-    return mono * space.exp_linear(content_sum(lam), beta_param)
+    return space.monomial(1, q=size(lam)) * space.exp_linear(content_sum(lam), "beta")
 
 
-def okounkov_exponents(lam: Partition, N: int) -> tuple[int, int]:
-    """(q-exponent, beta-exponent) of r_lam(N) for rho_j = q^j e^{beta j(j+1)/2},
-    r_j = q e^{j beta}, computed by integer exponent arithmetic."""
-    lam = tuple(lam)
-    if N < 0:
-        raise ValueError("N must be nonnegative here")
-    q_exp = N * (N - 1) // 2
-    b_exp = sum(j * (j + 1) // 2 for j in range(N))
-    for i, j in cells(lam):
-        q_exp += 1
-        b_exp += N + j - i
-    return q_exp, b_exp
-
-
-def multimonotone_coeff(lam: Partition, space: SeriesSpace, w_params, q_param="q") -> TruncSeries:
+def multimonotone_coeff(lam: Partition, space: SeriesSpace, w_params) -> TruncSeries:
     """q^{|lam|} prod_alpha prod_{(i,j)} (1 + w_alpha (j-i))."""
     lam = tuple(lam)
-    result = space.monomial(1, **{q_param: size(lam)})
+    result = space.monomial(1, q=size(lam))
     for name in w_params:
         for c in contents(lam):
             result = result * space.linear(c, name)

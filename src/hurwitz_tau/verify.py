@@ -42,7 +42,7 @@ from .partitions import (
     z_of,
 )
 from .series import SeriesSpace
-from .twists import E, Exp, H, Scale, connection_coeffs, twist, twist_eigenvalue
+from .twists import E, Exp, H, Scale, TwistSpec, connection_coeffs, twist, twist_eigenvalue
 
 
 @dataclass
@@ -671,13 +671,24 @@ def tau_suite(
         for spec, n_top in cases:
             conv = twists.TwistConvolution(spec)
             conv.check_ratio(-4, 6)
-            graded = [f.q_param for f in spec.factors if isinstance(f, (Exp, Scale))]
+            q = next((f.q_param for f in spec.factors if isinstance(f, (Exp, Scale))), None)
             for n in range(n_top + 1):
-                grading = conv.space.monomial(1, **dict.fromkeys(graded, n))  # q^|lam|
                 for lam in partitions_of(n):
-                    got, want = conv.r_lambda(lam, 0) * grading, twist_eigenvalue(spec, lam)
-                    _require(got == want, f"intertwining fails at {lam} for {spec.factors}")
-        return (f"r_lambda(0) q^|lam| = content-product eigenvalue, every walk kind at cap 3"
+                    got = conv.r_lambda(lam, 0)
+                    got = got if q is None else got.shift_up(q, n)  # q^|lam|
+                    _require(got == twist_eigenvalue(spec, lam), f"intertwining fails at {lam}")
+        # the second method: each graded family's fermionic determinant
+        rng = random.Random(seed + 5)
+        graded = [((H("z"),), 3), ((H("z1"), H("z2")), 2)]
+        for atoms, n_points in graded + [(w.atoms, 2) for w in tauseries.WALK_KINDS.values()]:
+            for N in range(1, n_points + 1):
+                space, q, rho_of, r_of = graded_twist_family(atoms, N, 3)
+                a, b = (oracles.random_rationals(rng, N, distinct=True) for _ in "ab")
+                det = tauseries.family_determinant(rho_of, N, a, b, space, q)
+                _require(det == tauseries.tau_at_points(space, 3, r_of, a, b),
+                         f"determinant route fails at N={N} for {atoms}")
+        return ("det route = Schur side at cap 3 for H (N<=3), H*H and every walk kind (N<=2);"
+                f" r_lambda(0) q^|lam| = content-product eigenvalue, every walk kind at cap 3"
                 f" with |lam|<={top}, H and H*H with |lam|<={intertwining_nmax}")
 
     add("tau.intertwining_theorem", intertwining)
@@ -746,15 +757,16 @@ def tau_suite(
     add("tau.exp_log_roundtrip", log_roundtrip)
 
     def exponent_law():
+        # the plain twist's r_lam(N) = e^{E beta} reads 1 + E beta at beta cap 1
+        conv = twists.TwistConvolution(twist((Exp("q", "beta"),), (0, 1)))
         for N in range(5):
             for n in range(7):
                 for lam in partitions_of(n):
-                    qe, be = twists.okounkov_exponents(lam, N)
+                    _require(sum(range(N)) + sum(lam) == N * (N - 1) // 2 + size(lam),
+                             f"q exponent law fails at {lam}, N={N}")  # q^j per rho_j, q per r
                     _require(
-                        qe == N * (N - 1) // 2 + size(lam), f"q exponent law fails at {lam}, N={N}"
-                    )
-                    _require(
-                        be == N * (N * N - 1) // 6 + N * size(lam) + content_sum(lam),
+                        conv.r_lambda(lam, N).coeff(beta=1)
+                        == N * (N * N - 1) // 6 + N * size(lam) + content_sum(lam),
                         f"beta exponent law fails at {lam}, N={N}",
                     )
         return "q-exponent N(N-1)/2+|lam|; beta-exponent N(N^2-1)/6+N|lam|+cont"
@@ -809,6 +821,25 @@ def tau_suite(
     add("tau.alpha_q_report", alpha_q_report)
 
     return checks
+
+
+def graded_twist_family(atoms, N: int, cap: int):
+    """(space, q, rho_of, r_of) of a twist's family at N points, graded by q
+    (a Scale(q) atom joins atoms without one), each parameter capped at cap
+    but q at cap + N(N-1)/2: rho_of(space) gives l -> rho_l q^l for
+    tauseries.family_determinant, r_of(lam) = r_lam(N) q^{|lam|+N(N-1)/2}."""
+    q = next((f.q_param for f in atoms if isinstance(f, (Exp, Scale))), None)
+    if q is None:
+        q, atoms = "q", (*atoms, Scale("q"))
+    shift = N * (N - 1) // 2
+    spec = twist(atoms, [cap + shift if p == q else cap for p in TwistSpec(atoms, ()).params()])
+
+    def rho_of(space):
+        rho = twists.TwistConvolution(twist(atoms, space.caps)).rho
+        return lambda l: rho(l).shift_up(q, l)
+
+    conv = twists.TwistConvolution(spec)
+    return spec.space(), q, rho_of, lambda lam: conv.r_lambda(lam, N).shift_up(q, size(lam) + shift)
 
 
 def build_alpha_q_report(seed: int = 2014) -> dict:

@@ -85,8 +85,8 @@ def test_criterion_5_intertwining():
     )
     _criterion(
         5,
-        "r_lambda(0) q^|lam| = content product for every walk-kind twist, H and H*H;"
-        " alpha-q branches = closed form",
+        "r_lambda(0) q^|lam| = content product and determinant route = Schur side"
+        " for every walk-kind twist, H and H*H; alpha-q branches = closed form",
         60.0,
         results,
     )

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from types import SimpleNamespace
 
@@ -19,6 +20,8 @@ from hurwitz_tau.oracles import random_rationals
 from hurwitz_tau.partitions import partitions_of, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
 from hurwitz_tau.symfunc import TensorSymFunc, cauchy_kernel_coeff, evaluate_powersums
+from hurwitz_tau.twists import AlphaQConvolution, E, ExpConvolution, H
+from hurwitz_tau.verify import graded_twist_family
 from hurwitz_tau.tauseries import (
     WALK_KINDS,
     alpha_q_determinant,
@@ -26,6 +29,7 @@ from hurwitz_tau.tauseries import (
     bareiss_determinant,
     exp_tensor,
     alpha_q_family,
+    family_determinant,
     hciz_determinant,
     hciz_family,
     hciz_tau,
@@ -176,7 +180,8 @@ def test_bareiss_against_cofactor_expansion():
 
 
 def test_bareiss_inverts_each_pivot_once(monkeypatch):
-    # one inverse per elimination step: at most N - 1 for an N x N matrix
+    # one inverse per elimination step after the first, which divides by
+    # nothing: at most N - 2 for an N x N matrix
     calls = []
     inverse = TruncSeries.inverse
 
@@ -191,7 +196,76 @@ def test_bareiss_inverts_each_pivot_once(monkeypatch):
         a_vals = random_rationals(rng, N, distinct=True)
         b_vals = random_rationals(rng, N, distinct=True)
         hciz_determinant(N, a_vals, b_vals, 8)
-        assert len(calls) <= N - 1, (N, len(calls))
+        assert len(calls) <= max(N - 2, 0), (N, len(calls))
+
+
+def _family_case(kind, N):
+    """(space, pivot, family, r_of, n_max) of one family kind at N points,
+    the determinant reaching |lam| <= n_max beyond r_0(N)."""
+    if kind in ("exp", "alpha_q"):
+        pivot = "z" if kind == "exp" else "q"
+        space = SeriesSpace((pivot,), (4 + N * (N - 1) // 2,))
+        alpha = Fraction(7, 3)
+        make = partial(ExpConvolution, N) if kind == "exp" else partial(AlphaQConvolution, alpha)
+        conv = make(space)
+        return space, pivot, lambda s: make(s).rho, lambda lam: conv.r_lambda(lam, N), 4
+    atoms = (H("z"),) if kind == "twist_h" else (E("w1"), E("w2"))
+    space, q, rho_of, r_of = graded_twist_family(atoms, N, 3)
+    return space, q, rho_of, r_of, 3
+
+
+def _shifted(family):
+    """The family with rho_{l+1} in place of rho_l."""
+
+    def shifted(space):
+        rho = family(space)
+        return lambda l: rho(l + 1)
+
+    return shifted
+
+
+def _determinant_matches_schur_side(kind, N, shifted=False):
+    space, pivot, family, r_of, n_max = _family_case(kind, N)
+    rng = random.Random(f"{kind}/{N}")
+    a_vals = random_rationals(rng, N, distinct=True)
+    b_vals = random_rationals(rng, N, distinct=True)
+    det = family_determinant(_shifted(family) if shifted else family, N, a_vals, b_vals, space, pivot)
+    return det == tau_at_points(space, n_max, r_of, a_vals, b_vals)
+
+
+FAMILY_KINDS = ("exp", "alpha_q", "twist_h", "twist_e")
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_family_determinant_fails_on_a_shifted_rho(kind, N):
+    # Cauchy-Binet reads r_lam(N) = prod rho_{lam_i + N - i}: rho_{l+1} in
+    # place of rho_l must break the match with the Schur side
+    assert _determinant_matches_schur_side(kind, N)
+    assert not _determinant_matches_schur_side(kind, N, shifted=True)
+
+
+def test_family_determinant_at_five_points():
+    # guard m(m-1)/2 = 3 degrees for m = N - 2 = 3: the alpha-q entries
+    # no longer carry the N extra q degrees they were built with before
+    rng = random.Random(5)
+    a_vals = random_rationals(rng, 5, distinct=True)
+    b_vals = random_rationals(rng, 5, distinct=True)
+    space, r_of = hciz_family(5, 4)
+    assert hciz_determinant(5, a_vals, b_vals, 4) == tau_at_points(space, 4, r_of, a_vals, b_vals)
+    assert _determinant_matches_schur_side("alpha_q", 5)
+
+
+def test_family_determinant_needs_n_points_per_side():
+    space = SeriesSpace(("q",), (4,))
+    family = partial(AlphaQConvolution, Fraction(1, 2))
+    for a_vals, b_vals in (([1], [1, 2]), ([1, 2], [3]), ([1, 2, 3], [4, 5, 6])):
+        with pytest.raises(ValueError, match="N evaluation points"):
+            family_determinant(lambda s: family(s).rho, 2, a_vals, b_vals, space, "q")
+    with pytest.raises(ValueError, match="N evaluation points"):
+        hciz_determinant(2, [1], [1, 2], 4)
+    with pytest.raises(ValueError, match="N evaluation points"):
+        alpha_q_determinant(2, Fraction(1, 2), [1, 2], [3], 4)
 
 
 def test_alpha_q_determinant_n1_binomial():

@@ -31,7 +31,6 @@ from hurwitz_tau.twists import (
     connection_coeffs,
     multimonotone_coeff,
     okounkov_coeff,
-    okounkov_exponents,
     symmetry_check,
     twist,
     twist_eigenvalue,
@@ -413,12 +412,14 @@ def test_okounkov_series_and_exponents():
     space = SeriesSpace(("q", "beta"), (6, 4))
     s = okounkov_coeff((2, 1), space)
     assert s.coeff(q=3) == 1 and s.coeff(q=3, beta=1) == 0
+    # the plain twist's r_lam(N) = e^{E beta} reads 1 + E beta at beta cap 1
+    conv = TwistConvolution(twist((Exp("q", "beta"),), (0, 1)))
     for N in range(5):
         for n in range(6):
             for lam in partitions_of(n):
-                qe, be = okounkov_exponents(lam, N)
-                assert qe == N * (N - 1) // 2 + size(lam)
-                assert be == N * (N * N - 1) // 6 + N * size(lam) + content_sum(lam)
+                r = conv.r_lambda(lam, N)
+                assert r.constant_term() == 1
+                assert r.coeff(beta=1) == N * (N * N - 1) // 6 + N * size(lam) + content_sum(lam)
 
 
 def test_family_coeffs_dispatcher():

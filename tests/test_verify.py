@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hurwitz_tau import center, verify
+from hurwitz_tau.series import TruncSeries
 
 
 def test_verify_checks_survive_python_O():
@@ -55,6 +56,27 @@ def test_run_suite_nmax_sets_the_intertwining_size():
     assert check.detail.endswith("|lam|<=2")
     direct = verify.tau_suite(only={"tau.intertwining_theorem"}, intertwining_nmax=3)
     assert direct[0].detail.endswith("|lam|<=3")
+
+
+def test_intertwining_check_never_multiplies_by_one(monkeypatch):
+    # r_0(N), r_lambda, rho_j, the atom factors, the q grading and Bareiss'
+    # first step all start from their first real factor: a series product
+    # by one would be a whole packed product for nothing
+    calls, by_one = [], []
+    original = TruncSeries.__mul__
+
+    def counting(self, other):
+        calls.append(self)
+        if isinstance(other, TruncSeries) and self.space.one() in (self, other):
+            by_one.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncSeries, "__rmul__", counting)
+    results = verify.tau_suite(only={"tau.intertwining_theorem", "tau.okounkov_exponent_law"})
+    assert [r.passed for r in results] == [True, True]
+    assert len(calls) > 500
+    assert by_one == []
 
 
 def _idempotents_check():
