@@ -5,9 +5,13 @@ every TruncSeries belongs to one space and all arithmetic stays inside it,
 silently dropping monomials whose exponent exceeds a cap (formal
 truncation).  Coefficients are Fractions throughout.
 
-A product of two series is one product of packed integers (Kronecker
-substitution); pack/unpack, the slot layout, is shared with the
-character-sum kernel in twists.
+Packed integers, the fast exact path, have one format, known only here:
+numerators puts coefficient dicts over one D, the lcm of their
+denominators, as (slot, numerator) pairs; pack sets them in signed W-bit
+slots of one int, unpack takes them apart, and read turns fields over D
+back into a series.  Slots are dense (SeriesSpace._slots: stride 2 cap + 1
+per axis, so no two exponent sums share one) or one per exponent tuple of
+a sparse support.  Each kernel sizes W for its own sums.
 """
 
 from fractions import Fraction
@@ -208,9 +212,9 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product, truncated to the caps.  A series times a series
-        packs each factor's numerators over its lcm denominator D at the
-        slots of SeriesSpace._slots, and reads the cap box back over D_a D_b."""
+        """The product, truncated to the caps.  Two series are packed at the
+        dense slots, each over its own lcm D, and multiplied once
+        (packed_product); the cap box is read back over D_a D_b."""
         space = self.space
         if not isinstance(other, TruncSeries):
             c = Fraction(other)
@@ -221,11 +225,8 @@ class TruncSeries:
         if not self.terms or not other.terms:
             return space.zero()
         slots = space._slots
-        (da, a), (db, b) = (_numerators(f.terms, slots) for f in (self, other))
-        fields = packed_product(a, b, slots[space.caps] + 1)
-        d = da * db
-        terms = {e: Fraction(fields[k], d) for e, k in slots.items() if fields[k]}
-        return TruncSeries._trusted(space, terms)
+        (da, (a,)), (db, (b,)) = numerators([self.terms], slots), numerators([other.terms], slots)
+        return read(space, packed_product(a, b, slots[space.caps] + 1), slots, da * db)
 
     __rmul__ = __mul__
 
@@ -294,10 +295,18 @@ class TruncSeries:
         return TruncSeries(space, dict(self.terms))
 
 
-def _numerators(terms: dict, slots: dict) -> tuple[int, dict[int, int]]:
-    """(D, {slot: numerator over D}), D the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, {slots[e]: c.numerator * (d // c.denominator) for e, c in terms.items()}
+def numerators(terms_list, slot: dict) -> tuple[int, list[list[tuple[int, int]]]]:
+    """D, the lcm of every denominator in terms_list, and for each dict its
+    (slot[e], numerator over D) pairs."""
+    d = lcm(*(c.denominator for terms in terms_list for c in terms.values()))
+    return d, [[(slot[e], c.numerator * (d // c.denominator)) for e, c in terms.items()]
+               for terms in terms_list]
+
+
+def read(space: SeriesSpace, fields, slot: dict, d: int) -> TruncSeries:
+    """The series of ``space`` whose coefficient at e is fields[slot[e]] / d."""
+    terms = {e: Fraction(fields[k], d) for e, k in slot.items() if fields[k]}
+    return TruncSeries._trusted(space, terms)
 
 
 def pack(fields, width: int) -> int:
@@ -315,14 +324,14 @@ def unpack(total: int, width: int, count: int) -> list[int]:
     return [((total >> (width * k)) & mask) - half for k in range(count)]
 
 
-def packed_product(a: dict[int, int], b: dict[int, int], count: int) -> list[int]:
-    """Fields 0..count-1 of (sum a[k] X^k)(sum b[k] X^k), X = 2^W, by one
-    big-int product.  A field sums at most min(#a, #b) products, so it
-    stays below min(#a, #b) max|a| max|b| in size; W is that bound's
-    bit length + 1, one bit for the sign."""
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+def packed_product(a, b, count: int) -> list[int]:
+    """Fields 0..count-1 of (sum a_k X^k)(sum b_k X^k), X = 2^W, for the
+    (k, a_k) pairs of a and b, by one big-int product.  A field sums at
+    most min(#a, #b) products, so it stays below min(#a, #b) max|a| max|b|
+    in size; W is that bound's bit length + 1, one bit for the sign."""
+    bound = min(len(a), len(b)) * max(abs(x) for _, x in a) * max(abs(x) for _, x in b)
     width = bound.bit_length() + 1
-    return unpack(pack(a.items(), width) * pack(b.items(), width), width, count)
+    return unpack(pack(a, width) * pack(b, width), width, count)
 
 
 def monomial_label(params, exps) -> str:

@@ -23,7 +23,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries, pack, unpack
+from .series import SeriesSpace, TruncSeries, numerators, pack, read, unpack
 
 
 class SymFunc:
@@ -246,7 +246,7 @@ class TensorSymFunc:
 
     terms maps a pair of partitions (lam, mu) to a coefficient, read as the
     coefficient of p_lam(x) * p_mu(y).  Coefficients are Fractions or
-    TruncSeries of one space (the two may mix).
+    TruncSeries of one space (the two may mix); a product holds series only.
     """
 
     __slots__ = ("terms",)
@@ -273,62 +273,51 @@ _SCALARS = SeriesSpace((), ())  # the slot layout when no coefficient is a serie
 
 
 def _numerators(f: TensorSymFunc, space: SeriesSpace) -> tuple[int, int, int, list]:
-    """(D, E, M, [(x-degree, lam, mu, is series, [(slot, numerator)])]): the
-    E numerators over D, the lcm of f's denominators, M the largest in size;
-    a Fraction sits in the constant slot."""
-    rows = []
-    for (lam, mu), c in f.terms.items():
-        is_series = isinstance(c, TruncSeries)
-        if is_series and c.space is not space and c.space != space:
-            raise ValueError(f"series spaces differ: {c.space} vs {space}")
-        row = [(space._slots[e], x) for e, x in c.terms.items()] if is_series else [(0, c)]
-        rows.append((sum(lam), lam, mu, is_series, row))
-    d = lcm(*(x.denominator for *_, row in rows for _, x in row))
-    rows = [(*head, [(k, x.numerator * (d // x.denominator)) for k, x in r]) for *head, r in rows]
-    sizes = [abs(x) for *_, row in rows for _, x in row]
-    return d, len(sizes), max(sizes), rows
+    """(D, E, M, [(x-degree, lam, mu, [(slot, numerator)])]): the E
+    numerators of f over D at the dense slots of ``space``, M the largest
+    in size; a Fraction sits in the constant slot."""
+    zero = (0,) * len(space.params)
+    coeffs = [c.terms if isinstance(c, TruncSeries) else {zero: c} for c in f.terms.values()]
+    d, rows = numerators(coeffs, space._slots)
+    sizes = [abs(x) for row in rows for _, x in row]
+    keyed = [(sum(lam), lam, mu, row) for (lam, mu), row in zip(f.terms, rows)]
+    return d, len(sizes), max(sizes), keyed
 
 
 def tensor_product_sum(pairs, grade_cap: int, scale=1) -> TensorSymFunc:
     """scale * sum_i a_i b_i over tensor pairs (a_i, b_i), terms of x-degree
     above grade_cap dropped, on packed integers: each coefficient is packed
-    once, pair i's products times D / (D_a D_b), D the lcm of the D_a D_b,
-    add into one int per output key, and each key is read back once over
-    D den(scale).  An output key and slot and a term and slot of a fix those
-    of b, so a field sums at most min(E_a, E_b) products per pair (E the
-    number of numerators, M the largest) and stays below sum_i min(E_a, E_b)
-    M_a M_b D / (D_a D_b): W is that bound's bit length + 1.  A key that
-    only Fractions reach stays a Fraction."""
+    once at the dense slots, pair i's products times num(scale) D / (D_a D_b),
+    D the lcm of the D_a D_b, add into one int per output key, and each key
+    is read back once as a series over D den(scale).  An output key and slot
+    and a term and slot of a fix those of b, so a field sums at most
+    min(E_a, E_b) products per pair (E the number of numerators, M the
+    largest) and stays below |num(scale)| sum_i min(E_a, E_b) M_a M_b
+    D / (D_a D_b): W is that bound's bit length + 1."""
     scale = Fraction(scale)
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    coeffs = [c for pair in pairs for f in pair for c in f.terms.values()]
-    space = next((c.space for c in coeffs if isinstance(c, TruncSeries)), _SCALARS)
+    series = [c for a, b in pairs for c in (*a.terms.values(), *b.terms.values())
+              if isinstance(c, TruncSeries)]
+    space = series[0].space if series else _SCALARS
+    if any(c.space is not space and c.space != space for c in series):
+        raise ValueError(f"series spaces differ: {sorted({c.space for c in series}, key=repr)}")
     operands = [(_numerators(a, space), _numerators(b, space)) for a, b in pairs]
     denominator = lcm(*(a[0] * b[0] for a, b in operands))
-    bound = 0
-    for (da, ea, ma, _), (db, eb, mb, _) in operands:
-        bound += min(ea, eb) * ma * mb * (denominator // (da * db))
+    multipliers = [scale.numerator * denominator // (da * db) for (da, *_), (db, *_) in operands]
+    bound = sum(min(ea, eb) * ma * mb * abs(m)
+                for ((_, ea, ma, _), (_, eb, mb, _)), m in zip(operands, multipliers))
     width = bound.bit_length() + 1
-    totals, series_keys = {}, set()
-    for (da, _, _, rows_a), (db, _, _, rows_b) in operands:
-        multiplier = denominator // (da * db)
+    totals = {}
+    for ((*_, rows_a), (*_, rows_b)), multiplier in zip(operands, multipliers):
         right = [(*head, pack(row, width)) for *head, row in rows_b]
-        for degree_a, la, ma, sa, row in rows_a:
+        for degree_a, la, ma, row in rows_a:
             xa = pack(row, width) * multiplier
-            for degree_b, lb, mb, sb, xb in right:
+            for degree_b, lb, mb, xb in right:
                 if degree_a + degree_b <= grade_cap:
                     lam = tuple(sorted(la + lb, reverse=True))
                     key = (lam, tuple(sorted(ma + mb, reverse=True)))
                     totals[key] = totals.get(key, 0) + xa * xb
-                    if sa or sb:
-                        series_keys.add(key)
-    slots, d, sign = space._slots, denominator * scale.denominator, scale.numerator
-    terms = {}
-    for key, total in totals.items():
-        fields = unpack(total, width, slots[space.caps] + 1)
-        if key in series_keys:
-            series = {e: Fraction(sign * fields[k], d) for e, k in slots.items() if fields[k]}
-            terms[key] = TruncSeries._trusted(space, series)
-        else:
-            terms[key] = Fraction(sign * fields[0], d)
+    slots, d = space._slots, denominator * scale.denominator
+    count = slots[space.caps] + 1
+    terms = {key: read(space, unpack(x, width, count), slots, d) for key, x in totals.items()}
     return TensorSymFunc(terms)

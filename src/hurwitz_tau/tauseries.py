@@ -348,6 +348,8 @@ def family_determinant(family, N: int, a_vals, b_vals, space, pivot: str) -> Tru
     in the pivot; the determinant is truncated back to ``space``."""
     if len(a_vals) != N or len(b_vals) != N:
         raise ValueError("need exactly N evaluation points on each side")
+    if N == 0:  # the empty determinant, 1 = r_0(0)
+        return space.one()
     m = max(N - 2, 0)
     deeper = [c + m * (m - 1) // 2 if p == pivot else c for p, c in zip(space.params, space.caps)]
     guard = SeriesSpace(space.params, deeper)

@@ -29,7 +29,7 @@ built from integer content sequences.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem
 from .characters import CharacterTable, character_table
@@ -44,7 +44,7 @@ from .partitions import (
     size,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries, pack, packed_product, unpack
+from .series import SeriesSpace, TruncSeries, numerators, pack, packed_product, read, unpack
 
 # -- twist specifications ----------------------------------------------------
 
@@ -134,8 +134,8 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None 
                 axis = space.axis(f.beta_param)
                 top = factorial(space.caps[axis])
                 c = content_sum(lam)
-                kernel = {k: c**k * (top // factorial(k)) for k in range(len(axes[axis]))}
-                axes[axis] = packed_product(dict(enumerate(axes[axis])), kernel, len(axes[axis]))
+                kernel = [(k, c**k * (top // factorial(k))) for k in range(len(axes[axis]))]
+                axes[axis] = packed_product(list(enumerate(axes[axis])), kernel, len(axes[axis]))
                 denominator *= top
         else:
             raise TypeError(f"unknown twist factor {f!r}")
@@ -146,32 +146,20 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None 
 
 
 def _packed_series(values: dict, space: SeriesSpace, bound: int):
-    """Pack every series of ``values`` into one int, for integer
-    combinations whose coefficients sum to at most ``bound`` in size.
+    """Every series of ``values`` over one D at sparse slots, one per exponent
+    tuple in any value, for integer combinations with coefficients summing
+    to at most ``bound`` in size: a slot stays below bound M (M the largest
+    numerator), so W = bit_length(bound M) + 1.  Returns {key: packed int}
+    and read_back(total, scale), a combination's series over D scale."""
+    support = sorted({e for value in values.values() for e in value.terms})
+    slot = {e: k for k, e in enumerate(support)}
+    denom, rows = numerators([value.terms for value in values.values()], slot)
+    width = (bound * max((abs(x) for row in rows for _, x in row), default=0)).bit_length() + 1
 
-    The numerators over one common denominator D sit in W-bit slots, one
-    per exponent tuple occurring in any value.  A combination's slot stays
-    below bound M in size, M the largest numerator, so W =
-    bit_length(bound M) + 1.  Returns {key: packed int} and read(total,
-    scale), the series of a combination's slots over D scale."""
-    support = sorted({exps for value in values.values() for exps in value.terms})
-    slot = {exps: k for k, exps in enumerate(support)}
-    denom = lcm(*(c.denominator for value in values.values() for c in value.terms.values()))
-    numerators = {
-        key: [(slot[e], c.numerator * (denom // c.denominator)) for e, c in value.terms.items()]
-        for key, value in values.items()
-    }
-    largest = max((abs(x) for nums in numerators.values() for _, x in nums), default=0)
-    width = (bound * largest).bit_length() + 1
+    def read_back(total: int, scale: int = 1) -> TruncSeries:
+        return read(space, unpack(total, width, len(slot)), slot, denom * scale)
 
-    def read(total: int, scale: int = 1) -> TruncSeries:
-        d = denom * scale
-        fields = unpack(total, width, len(support)) if total else ()
-        return TruncSeries._trusted(
-            space, {exps: Fraction(x, d) for exps, x in zip(support, fields) if x}
-        )
-
-    return {key: pack(nums, width) for key, nums in numerators.items()}, read
+    return {key: pack(row, width) for key, row in zip(values, rows)}, read_back
 
 
 def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scale) -> dict:
@@ -183,11 +171,9 @@ def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scal
     are read back once over D scale(lam, mu).  Cauchy-Schwarz and column
     orthogonality give sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu)
     <= n!, the bound the slots are sized for."""
-    packed, read = _packed_series(values, space, factorial(table.n))
-    return {
-        (lam, mu): read(total, scale(lam, mu))
-        for (lam, mu), total in table.character_sum(packed).items()
-    }
+    packed, read_back = _packed_series(values, space, factorial(table.n))
+    sums = table.character_sum(packed)
+    return {pair: read_back(total, scale(*pair)) for pair, total in sums.items()}
 
 
 def cached_eigenvalue(
@@ -232,9 +218,9 @@ def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = N
         lam: cached_eigenvalue(spec, lam, space) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).coords.items()
     }
-    packed, read = _packed_series(values, space, factorial(v.n))
+    packed, read_back = _packed_series(values, space, factorial(v.n))
     coords = character_table(v.n).transpose_times(packed)
-    return CenterElement(v.n, CLASS_SUMS, {mu: read(total) for mu, total in coords.items()})
+    return CenterElement(v.n, CLASS_SUMS, {mu: read_back(total) for mu, total in coords.items()})
 
 
 # -- convolution coefficient families ----------------------------------------
@@ -411,16 +397,17 @@ class ExpConvolution(ConvolutionCoeffs):
 def okounkov_coeff(lam: Partition, space: SeriesSpace) -> TruncSeries:
     """q^{|lam|} e^{beta cont_lam} (the N=0 double-branch-point family)."""
     lam = tuple(lam)
-    return space.monomial(1, q=size(lam)) * space.exp_linear(content_sum(lam), "beta")
+    return space.exp_linear(content_sum(lam), "beta").shift_up("q", size(lam))
 
 
 def multimonotone_coeff(lam: Partition, space: SeriesSpace, w_params) -> TruncSeries:
-    """q^{|lam|} prod_alpha prod_{(i,j)} (1 + w_alpha (j-i))."""
+    """q^{|lam|} prod_alpha prod_{(i,j), j != i} (1 + w_alpha (j-i))."""
     lam = tuple(lam)
     result = space.monomial(1, q=size(lam))
     for name in w_params:
         for c in contents(lam):
-            result = result * space.linear(c, name)
+            if c:
+                result = result * space.linear(c, name)
     return result
 
 

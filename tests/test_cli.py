@@ -171,6 +171,17 @@ def test_tau_alpha_q_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
     assert out == to_json(report) + "\n"
 
 
+def test_tau_alpha_q_determinant_at_no_points(capsys):
+    # the 0 x 0 determinant is 1, the series of the op without the flag
+    argv = ("--N", "0", "--alpha=1/2", "--a=", "--b=")
+    code, out = run_cli(capsys, "tau", "--family", "alpha_q", *argv, "--check-determinant")
+    assert code == 0
+    report = json.loads(out)
+    assert report["entrywise_matches_schur_expansion"] is True
+    assert report["entrywise_determinant"] == report["schur_expansion"] == {"1": "1"}
+    assert run_cli(capsys, "tau", "--family", "alpha_q", *argv)[0] == 0
+
+
 def test_tau_alpha_q_series(capsys):
     code, out = run_cli(
         capsys,

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz_tau.errors import ExactDivisionError
-from hurwitz_tau.series import SeriesSpace, TruncSeries
+from hurwitz_tau.series import SeriesSpace, TruncSeries, numerators, pack, read, unpack
 
 
 def space():
@@ -178,6 +179,37 @@ def test_product_matches_the_fraction_product(pair):
     want = fraction_product(a, b)
     assert (a * b).terms == want.terms
     assert (b * a).terms == want.terms
+
+
+@st.composite
+def series_lists(draw):
+    """One to four series over one space of 0, 1 or 3 parameters, caps 0-3,
+    with signed numerators up to 2^70 over denominators 1-9."""
+    caps = draw(st.sampled_from((0, 1, 3)).flatmap(
+        lambda k: st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    sp = SeriesSpace([f"x{k}" for k in range(len(caps))], caps)
+    terms = st.dictionaries(st.tuples(*(st.integers(0, c) for c in caps)), WIDE, max_size=20)
+    return [TruncSeries(sp, t) for t in draw(st.lists(terms, min_size=1, max_size=4))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(series_lists(), st.booleans())
+def test_read_of_numerators_gives_back_each_series(values, dense):
+    # the packed boundary both ways, at the dense slots of the space (the
+    # series product, the tensor kernel) and at the slots of a sparse
+    # support (the character sum)
+    sp = values[0].space
+    if dense:
+        slot = sp._slots
+        count = slot[sp.caps] + 1
+    else:
+        slot = {e: k for k, e in enumerate(sorted({e for v in values for e in v.terms}))}
+        count = len(slot)
+    d, rows = numerators([v.terms for v in values], slot)
+    assert d == lcm(*(c.denominator for v in values for c in v.terms.values()))
+    width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
+    for value, row in zip(values, rows):
+        assert read(sp, unpack(pack(row, width), width, count), slot, d).terms == value.terms
 
 
 def _dense(sp, coeff):

@@ -9,7 +9,8 @@ from hurwitz_tau.oracles import (
     ssyt_count,
 )
 from hurwitz_tau.partitions import partitions_of
-from hurwitz_tau.series import SeriesSpace, TruncSeries
+from hurwitz_tau import symfunc
+from hurwitz_tau.series import SeriesSpace, TruncSeries, pack, unpack
 from hurwitz_tau.symfunc import (
     TensorSymFunc,
     cauchy_kernel_coeff,
@@ -199,9 +200,10 @@ def _mul_by_pairs(a, b, grade_cap):
 
 
 def _assert_same(got, want):
-    """Equal, and equal in kind: a Fraction never stands in for a series."""
+    """Equal, and every coefficient of the product a series: a Fraction
+    never stands in for one."""
     assert got == want
-    assert {k: type(v) for k, v in got.terms.items()} == {k: type(v) for k, v in want.terms.items()}
+    assert all(isinstance(v, TruncSeries) for v in got.terms.values())
 
 
 SPACES = (SeriesSpace((), ()), SeriesSpace(("q",), (2,)), SeriesSpace(("q", "z"), (2, 1)))
@@ -255,6 +257,13 @@ def test_product_sum_with_negative_scale_matches_pair_loop():
     assert tensor_product_sum([], 3, -1) == TensorSymFunc({})
 
 
+def test_product_sum_rejects_series_of_two_spaces():
+    a = TensorSymFunc({((1,), (1,)): SeriesSpace(("q",), (2,)).one()})
+    b = TensorSymFunc({((1,), (1,)): SeriesSpace(("z",), (2,)).one()})
+    with pytest.raises(ValueError, match="series spaces differ"):
+        tensor_product_sum([(a, b)], 3)
+
+
 def test_product_sum_slot_width_is_tight():
     # two pairs land M^2 (1 - q)^2 each on one key: fields 2M^2, -4M^2 in
     # adjacent slots, and -4M^2 reaches the width bound 2 * min(2, 3) M M
@@ -273,3 +282,34 @@ def test_product_sum_slot_width_is_tight():
     want = TruncSeries(space, {(0,): Fraction(-2 * square), (1,): Fraction(4 * square)})
     assert got.terms == {((2, 1), (2, 1)): want}
     _assert_same(got, _sum_by_pairs(pairs, 4, -1))
+
+
+def test_product_sum_slot_width_is_tight_with_scale_numerator(monkeypatch):
+    # num(scale) = -7 is folded into each pair's multiplier, so the field
+    # 4M^2 of the test above becomes -7 * 4M^2 before the read-back over 3:
+    # it reaches the bound |num(scale)| 2 min(2, 3) M M exactly, and one
+    # bit less than the width the kernel chose would wrap it
+    space = SeriesSpace(("q",), (1,))
+    big = 3**40
+    factor = space.scalar(big) - space.monomial(big, q=1)
+    a = TensorSymFunc({((1,), (1,)): factor})
+    pairs = [
+        (a, TensorSymFunc({((2,), (2,)): factor, ((1, 1), (2,)): c}))
+        for c in (Fraction(big), Fraction(-big))
+    ]
+    widths = []
+
+    def recording_unpack(total, width, count):
+        widths.append(width)
+        return unpack(total, width, count)
+
+    monkeypatch.setattr(symfunc, "unpack", recording_unpack)
+    scale = Fraction(-7, 3)
+    got = tensor_product_sum(pairs, 4, scale)
+    fields = [-7 * 2 * big * big, 7 * 4 * big * big]
+    assert set(widths) == {fields[1].bit_length() + 1}
+    narrow = widths[0] - 1
+    assert unpack(pack(enumerate(fields), narrow), narrow, 2) != fields
+    want = TruncSeries(space, {(0,): Fraction(fields[0], 3), (1,): Fraction(fields[1], 3)})
+    assert got.terms == {((2, 1), (2, 1)): want}
+    _assert_same(got, _sum_by_pairs(pairs, 4, scale))

@@ -245,6 +245,14 @@ def test_family_determinant_fails_on_a_shifted_rho(kind, N):
     assert not _determinant_matches_schur_side(kind, N, shifted=True)
 
 
+@pytest.mark.parametrize("kind", ("alpha_q", "twist_h"))
+def test_family_determinant_of_no_points_is_one(kind):
+    # Cauchy-Binet at N = 0: the empty determinant is 1 = r_0(0)
+    space, pivot, family, _, _ = _family_case(kind, 0)
+    assert family_determinant(family, 0, [], [], space, pivot) == space.one()
+    assert _determinant_matches_schur_side(kind, 0)
+
+
 def test_family_determinant_at_five_points():
     # guard m(m-1)/2 = 3 degrees for m = N - 2 = 3: the alpha-q entries
     # no longer carry the N extra q degrees they were built with before

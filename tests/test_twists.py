@@ -438,6 +438,30 @@ def test_family_coeffs_dispatcher():
     assert mm == twist_eigenvalue(spec, (2,), sp_w)
 
 
+def test_okounkov_and_multimonotone_coeffs_never_multiply_by_one(monkeypatch):
+    # each equals the eigenvalue of its twist, (Exp) and (Scale, E, E), on
+    # every lam with |lam| <= 6, with no series product by a unit factor
+    unit_products = []
+    mul = TruncSeries.__mul__
+
+    def counting_mul(self, other):
+        one = self.space.one()
+        if self == one or (isinstance(other, TruncSeries) and other == one):
+            unit_products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting_mul)
+    sp_qb, sp_qw = SeriesSpace(("q", "beta"), (6, 4)), SeriesSpace(("q", "w1", "w2"), (6, 3, 3))
+    exp_spec = twist((Exp("q", "beta"),), sp_qb.caps)
+    e_spec = twist((Scale("q"), E("w1"), E("w2")), sp_qw.caps)
+    for n in range(7):
+        for lam in partitions_of(n):
+            assert okounkov_coeff(lam, sp_qb) == twist_eigenvalue(exp_spec, lam, sp_qb)
+            mm = multimonotone_coeff(lam, sp_qw, ("w1", "w2"))
+            assert mm == twist_eigenvalue(e_spec, lam, sp_qw)
+    assert unit_products == []
+
+
 def test_twist_param_validation():
     with pytest.raises(ValueError):
         twist((H("z"), E("z")), (3, 3))  # duplicate names collapse to one param
