@@ -28,7 +28,7 @@ from .groupalg import (
     conjugacy_classes,
     cycle_type,
 )
-from .partitions import Partition, hook_product, partitions_of, z_of
+from .partitions import Partition, hook_product, multiplicities, partitions_of, z_of
 from .symfunc import SymFunc, p_basis, s_basis, to_powersum
 
 CLASS_SUMS = "C"
@@ -55,14 +55,6 @@ class CenterElement:
 
     def coeff(self, lam: Partition):
         return self.coords.get(tuple(lam), Fraction(0))
-
-    def __add__(self, other: "CenterElement") -> "CenterElement":
-        if (self.n, self.basis) != (other.n, other.basis):
-            raise ValueError("mismatched center elements")
-        coords = dict(self.coords)
-        for k, v in other.coords.items():
-            coords[k] = (coords[k] + v) if k in coords else v
-        return CenterElement(self.n, self.basis, coords)
 
 
 def unit_class(n: int, mu) -> CenterElement:
@@ -173,9 +165,7 @@ def cut_and_join_operator(f: SymFunc) -> SymFunc:
         out[key] = out.get(key, Fraction(0)) + c
 
     for lam, coeff in g.terms.items():
-        mult: dict[int, int] = {}
-        for part in lam:
-            mult[part] = mult.get(part, 0) + 1
+        mult = multiplicities(lam)
         # cut: (i+j) p_i p_j d/dp_{i+j}, i+j running over parts of lam
         for v, m in mult.items():
             removed = _remove(lam, (v,))

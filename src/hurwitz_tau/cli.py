@@ -198,58 +198,40 @@ def cmd_gmatrix(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    flag, cap = ("--zcap", args.zcap) if args.family == "hciz" else ("--qcap", args.qcap)
+    hciz = args.family == "hciz"
+    flag, cap = ("--zcap", args.zcap) if hciz else ("--qcap", args.qcap)
     if cap > tauseries.TAU_NMAX_CAP:
         raise ValueError(f"{flag} is capped at {tauseries.TAU_NMAX_CAP}, got {cap}")
-    if args.family == "hciz":
-        if args.N is None or args.a is None or args.b is None:
-            raise ValueError("--family hciz needs --N, --a, --b")
-    elif args.N is None or args.a is None or args.b is None or args.alpha is None:
-        raise ValueError("--family alpha_q needs --N, --alpha, --a, --b")
+    needs = ("N", "a", "b") if hciz else ("N", "alpha", "a", "b")
+    if any(getattr(args, name) is None for name in needs):
+        raise ValueError(f"--family {args.family} needs " + ", ".join(f"--{n}" for n in needs))
     a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
     if len(a_vals) != args.N or len(b_vals) != args.N:
         raise ValueError(
             f"--a and --b need exactly N = {args.N} points each,"
             f" got {len(a_vals)} and {len(b_vals)}"
         )
-    if args.family == "hciz":
-        space, r_of = tauseries.hciz_family(args.N, args.zcap)
-        series = tauseries.tau_at_points(space, args.zcap, r_of, a_vals, b_vals)
-        payload = {
-            "family": "hciz",
-            "N": args.N,
-            "a": [str(x) for x in a_vals],
-            "b": [str(x) for x in b_vals],
-            "zcap": args.zcap,
-            "series": series_json(series),
-        }
+    payload = {"family": args.family, "N": args.N}
+    if hciz:
+        space, r_of = tauseries.hciz_family(args.N, cap)
+    else:
+        alpha = parse_fraction(args.alpha)
         if args.check_determinant:
-            det = tauseries.hciz_determinant(args.N, a_vals, b_vals, args.zcap)
-            payload["determinant"] = series_json(det)
-            payload["determinant_matches"] = det == series.truncate_to(det.space)
-        emit(payload, args.out)
-        return 0 if payload.get("determinant_matches", True) else 1
-    # argparse admits only hciz and alpha_q, so this is alpha_q
-    alpha = parse_fraction(args.alpha)
-    if args.check_determinant:
-        report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, args.qcap)
-        emit(report, args.out)
-        return 0 if report["entrywise_matches_schur_expansion"] else 1
-    space, r_of = tauseries.alpha_q_family(alpha, args.N, args.qcap)
-    series = tauseries.tau_at_points(space, args.qcap, r_of, a_vals, b_vals)
-    emit(
-        {
-            "family": "alpha_q",
-            "N": args.N,
-            "alpha": str(alpha),
-            "a": [str(x) for x in a_vals],
-            "b": [str(x) for x in b_vals],
-            "qcap": args.qcap,
-            "series": series_json(series),
-        },
-        args.out,
-    )
-    return 0
+            report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, cap)
+            emit(report, args.out)
+            return 0 if report["entrywise_matches_schur_expansion"] else 1
+        space, r_of = tauseries.alpha_q_family(alpha, args.N, cap)
+        payload["alpha"] = str(alpha)
+    series = tauseries.tau_at_points(space, cap, r_of, a_vals, b_vals)
+    payload.update(a=[str(x) for x in a_vals], b=[str(x) for x in b_vals])
+    payload[flag[2:]] = cap
+    payload["series"] = series_json(series)
+    if hciz and args.check_determinant:
+        det = tauseries.hciz_determinant(args.N, a_vals, b_vals, cap)
+        payload["determinant"] = series_json(det)
+        payload["determinant_matches"] = det == series.truncate_to(det.space)
+    emit(payload, args.out)
+    return 0 if payload.get("determinant_matches", True) else 1
 
 
 def cmd_table(args) -> int:

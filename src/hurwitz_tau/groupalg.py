@@ -165,9 +165,6 @@ class GroupAlgebraElement:
             result = result * self
         return result
 
-    def coeff(self, g: Perm) -> Fraction:
-        return self.terms.get(tuple(g), Fraction(0))
-
     def commutes_with(self, other) -> bool:
         return self * other == other * self
 

@@ -147,15 +147,13 @@ def ssyt_count(lam: Partition, max_entry: int) -> int:
     return fill(0, 0, [[] for _ in range(rows)])
 
 
-def random_rationals(rng, count: int, distinct: bool = False, nonzero: bool = True):
+def random_rationals(rng, count: int, distinct: bool = False):
     """Small random Fractions from a seeded Random instance."""
     out: list[Fraction] = []
     while len(out) < count:
         value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         if rng.random() < 0.5:
             value = -value
-        if nonzero and value == 0:
-            continue
         if distinct and value in out:
             continue
         out.append(value)

@@ -57,35 +57,9 @@ class SymFunc:
             bits.append(f"{self.terms[lam]}*{self.basis}[{format_partition(lam)}]")
         return " + ".join(bits)
 
-    def __add__(self, other):
-        a, b = _align(self, other)
-        terms = dict(a.terms)
-        for lam, c in b.terms.items():
-            terms[lam] = terms.get(lam, Fraction(0)) + c
-        return SymFunc(a.basis, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c) -> "SymFunc":
         c = Fraction(c)
         return SymFunc(self.basis, {lam: coeff * c for lam, coeff in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_json_dict(self) -> dict:
-        rows = [
-            {"part": format_partition(lam), "coeff": str(self.terms[lam])}
-            for lam in sorted(self.terms, key=lambda t: (sum(t), [-p for p in t]))
-        ]
-        return {"basis": self.basis, "terms": rows}
-
-
-def _align(a: SymFunc, b: SymFunc) -> tuple[SymFunc, SymFunc]:
-    if a.basis == b.basis:
-        return a, b
-    return to_powersum(a), to_powersum(b)
 
 
 def p_basis(terms) -> SymFunc:

@@ -413,6 +413,8 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
             " reading defines a formal series there"
             if N >= 2
             else "for N = 1 both readings coincide with the binomial series"
+            if N == 1
+            else "the 0 x 0 determinant is empty; both sides are r_0(0) = 1"
         ),
     }
 

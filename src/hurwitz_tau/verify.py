@@ -499,9 +499,8 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
     def representative_independence():
         for n in range(2, min(nmax, 5) + 1):
             for lam in partitions_of(n):
+                counts = groupalg.count_walks_to_elements(n, lam, weakly_monotone(3))
                 for mu in partitions_of(n):
-                    segs = weakly_monotone(3)
-                    counts = groupalg.count_walks_to_elements(n, lam, segs)
                     members = groupalg.conjugacy_classes(n)[mu]
                     sample = {counts.get(members[0], 0), counts.get(members[-1], 0)}
                     _require(

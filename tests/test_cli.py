@@ -1,7 +1,9 @@
+import ast
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,7 @@ def test_tau_alpha_q_determinant_at_no_points(capsys):
     report = json.loads(out)
     assert report["entrywise_matches_schur_expansion"] is True
     assert report["entrywise_determinant"] == report["schur_expansion"] == {"1": "1"}
+    assert report["notes"] == "the 0 x 0 determinant is empty; both sides are r_0(0) = 1"
     assert run_cli(capsys, "tau", "--family", "alpha_q", *argv)[0] == 0
 
 
@@ -192,6 +195,55 @@ def test_tau_alpha_q_series(capsys):
     data = json.loads(out)
     # N=1 series is the binomial expansion of (1 - q a b)^(alpha-1)
     assert data["series"]["q^1"] == "1/15"  # (1-alpha) * a*b = 1/2 * 2/15
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ("--family", "hciz", "--N", "2", "--a", "1,2", "--b", "1/2,1/3", "--zcap", "3"),
+            ("family", "N", "a", "b", "zcap", "series"),
+        ),
+        (
+            ("--family", "hciz", "--N", "2", "--a", "1,2", "--b", "1/2,1/3", "--zcap", "3",
+             "--check-determinant"),
+            ("family", "N", "a", "b", "zcap", "series", "determinant", "determinant_matches"),
+        ),
+        (
+            ("--family", "alpha_q", "--N", "2", "--alpha", "1/2", "--a", "1/2,1/3",
+             "--b", "1,2", "--qcap", "3"),
+            ("family", "N", "alpha", "a", "b", "qcap", "series"),
+        ),
+    ],
+    ids=("hciz", "hciz-check", "alpha_q"),
+)
+def test_tau_payload_key_order(capsys, argv, keys):
+    code, out = run_cli(capsys, "tau", *argv)
+    assert code == 0
+    assert tuple(json.loads(out)) == keys
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("--family", "hciz", "--N", "2", "--a", "1,2"), "--family hciz needs --N, --a, --b"),
+        (
+            ("--family", "alpha_q", "--N", "1", "--a", "1", "--b", "2"),
+            "--family alpha_q needs --N, --alpha, --a, --b",
+        ),
+        (("--family", "hciz", "--N", "0", "--a=", "--b="), "N must be a positive integer"),
+        (
+            ("--family", "hciz", "--N", "0", "--a=", "--b=", "--check-determinant"),
+            "N must be a positive integer",
+        ),
+    ],
+    ids=("hciz-missing", "alpha_q-missing", "hciz-N0", "hciz-N0-check"),
+)
+def test_tau_usage_errors(capsys, argv, error):
+    code = main(["tau", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"hurwitz-tau: error: {error}\n"
 
 
 def test_tau_zcap_guard(capsys):
@@ -590,3 +642,15 @@ def test_out_path_writes_the_stdout_bytes(capsys, tmp_path, argv):
     code, printed = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and printed == ""
     assert path.read_bytes() == out.encode()
+
+
+def test_src_has_no_bare_assert():
+    # checks raise explicitly, so `python -O` cannot strip them
+    src = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"bare assert in src/: {found}"

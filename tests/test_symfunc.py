@@ -163,14 +163,6 @@ def test_cauchy_up_to_8_at_random_points():
         assert p_side == s_side == cauchy_kernel_coeff(n, xs, ys)
 
 
-def test_json_form():
-    f = p_basis({(2, 1): Fraction(1, 3)})
-    assert f.as_json_dict() == {
-        "basis": "p",
-        "terms": [{"part": "2,1", "coeff": "1/3"}],
-    }
-
-
 def test_tensor_product_grading():
     one = TensorSymFunc({((), ()): Fraction(1)})
     a = TensorSymFunc({((1,), (1,)): Fraction(2)})
