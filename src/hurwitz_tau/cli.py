@@ -205,6 +205,8 @@ def cmd_tau(args) -> int:
     needs = ("N", "a", "b") if hciz else ("N", "alpha", "a", "b")
     if any(getattr(args, name) is None for name in needs):
         raise ValueError(f"--family {args.family} needs " + ", ".join(f"--{n}" for n in needs))
+    if args.N < 0:
+        raise ValueError(f"--N must be >= 0, got {args.N}")
     a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
     if len(a_vals) != args.N or len(b_vals) != args.N:
         raise ValueError(

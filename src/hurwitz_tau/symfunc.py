@@ -142,6 +142,18 @@ def evaluate_schur(lam: Partition, xs) -> Fraction:
     return evaluate(s_basis({tuple(lam): 1}), xs)
 
 
+def powersum_products(values, n_max: int) -> dict:
+    """{lam: p_lam(values)} for every partition of size <= n_max, exact on
+    ints and Fractions alike; p_lam is p_{lam without its last part} times
+    p_{last part}."""
+    p_k = [sum(x**k for x in values) for k in range(n_max + 1)]
+    products = {(): 1}
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            products[lam] = products[lam[:-1]] * p_k[lam[-1]]
+    return products
+
+
 def schur_values(xs, n_max: int) -> dict[Partition, Fraction]:
     """{nu: S_nu(xs)} for every partition of size <= n_max whose value is
     nonzero, so no nu longer than len(xs) appears.
@@ -152,16 +164,11 @@ def schur_values(xs, n_max: int) -> dict[Partition, Fraction]:
     xs = [Fraction(x) for x in xs]
     d = lcm(*(x.denominator for x in xs))
     ints = [x.numerator * (d // x.denominator) for x in xs]
-    p_k = [sum(x**k for x in ints) for k in range(n_max + 1)]
+    powers = powersum_products(ints, n_max)
     values = {}
     for n in range(n_max + 1):
         table, top = character_table(n), factorial(n)
-        weights = {}
-        for mu in table.parts:
-            value = top // z_of(mu)
-            for part in mu:
-                value *= p_k[part]
-            weights[mu] = value
+        weights = {mu: top // z_of(mu) * powers[mu] for mu in table.parts}
         den = top * d**n
         values.update((nu, Fraction(s, den)) for nu, s in table.times(weights).items())
     return values

@@ -51,13 +51,18 @@ from .groupalg import (
     weakly_monotone,
 )
 from .partitions import (
-    Partition,
     format_partition,
     partitions_of,
     z_of,
 )
 from .series import SeriesSpace, TruncSeries, series_json
-from .symfunc import TensorSymFunc, evaluate_schur, schur_values, tensor_product_sum
+from .symfunc import (
+    TensorSymFunc,
+    evaluate_schur,
+    powersum_products,
+    schur_values,
+    tensor_product_sum,
+)
 from .twists import (
     AlphaQConvolution,
     E,
@@ -194,8 +199,8 @@ def tau_eval(t: TauSeries, a_vals, b_vals) -> TruncSeries:
     p_lam(a) and p_mu(b) come from one table of power-sum products per
     side, and every coefficient times its weight lands in one exponent ->
     value dict."""
-    pa = _powersum_products(a_vals, t.n_max)
-    pb = _powersum_products(b_vals, t.n_max)
+    pa = powersum_products([Fraction(x) for x in a_vals], t.n_max)
+    pb = powersum_products([Fraction(x) for x in b_vals], t.n_max)
     total = {}
     for (lam, mu), series in t.tensor.terms.items():
         weight = pa[lam] * pb[mu]
@@ -203,18 +208,6 @@ def tau_eval(t: TauSeries, a_vals, b_vals) -> TruncSeries:
             for exps, coeff in series.terms.items():
                 total[exps] = total.get(exps, 0) + coeff * weight
     return TruncSeries(t.space, total)
-
-
-def _powersum_products(values, n_max: int) -> dict[Partition, Fraction]:
-    """{lam: p_lam(values)} for every partition of size <= n_max; p_lam is
-    p_{lam without its last part} times p_{last part}."""
-    values = [Fraction(x) for x in values]
-    p_k = [sum((x**k for x in values), Fraction(0)) for k in range(n_max + 1)]
-    products = {(): Fraction(1)}
-    for n in range(1, n_max + 1):
-        for lam in partitions_of(n):
-            products[lam] = products[lam[:-1]] * p_k[lam[-1]]
-    return products
 
 
 def tau_eval_schur_side(t: TauSeries, a_vals, b_vals) -> TruncSeries:

@@ -1,16 +1,19 @@
 """Named verification suites behind `hurwitz-tau verify` and the test rig.
 
-Each check returns a CheckResult; a suite is a list of them.  Checks favour
-independent routes: brute-force enumeration, alternant determinants,
-explicit group-algebra convolution, elementary series expansions.  Every
-comparison is exact (Fraction arithmetic); "tolerance" everywhere is
-equality.
+A suite is a function of one top size nmax that returns its checks, unrun,
+as an ordered list of (name, zero-argument check) pairs; each check runs at
+min(nmax, its own ceiling).  run_suite runs them through _run, one
+CheckResult each.  Checks favour independent routes: brute-force
+enumeration, alternant determinants, explicit group-algebra convolution,
+elementary series expansions.  Every comparison is exact (Fraction
+arithmetic); "tolerance" everywhere is equality.
 """
 
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from . import center, groupalg, oracles, symfunc, tauseries, twists
@@ -85,23 +88,19 @@ def _seeded_points(seed: int, count: int, distinct=True):
 
 # -- characters suite ---------------------------------------------------------
 
-def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> list[CheckResult]:
-    checks = []
+def characters_suite(nmax: int = 8, seed: int = 2014) -> list:
+    top = min(nmax, 6)  # the alternant oracles
 
     def orthogonality():
         for n in range(nmax + 1):
             character_table(n).validate()
         return f"both orthogonality relations and chi(Id)=n!/h exact, n<={nmax}"
 
-    checks.append(_run("characters.orthogonality", orthogonality))
-
     def dims():
         for n in range(nmax + 1):
             total = sum(dimension(lam) ** 2 for lam in partitions_of(n))
             _require(total == factorial(n), f"sum of dim^2 fails at n={n}")
         return f"sum_lam dim^2 = n! for n<={nmax}"
-
-    checks.append(_run("characters.dimension_squares", dims))
 
     def hook_det():
         for n in range(1, nmax + 1):
@@ -110,10 +109,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 _require(det == hook_product(lam), f"hook determinant fails at {lam}")
         return f"h_lam = 1/det(1/(lam_i-i+j)!) for n<={nmax}"
 
-    checks.append(_run("characters.hook_determinant", hook_det))
-
     def alternant_entries():
-        top = min(oracle_nmax, 6)
         for n in range(1, top + 1):
             for mu in partitions_of(n):
                 column = oracles.character_via_alternant(mu)
@@ -124,11 +120,7 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                     )
         return f"per-entry alternant coefficient oracle, n<={top}"
 
-    checks.append(_run("characters.alternant_oracle", alternant_entries))
-
     def alternant_ratio_points():
-        top = min(oracle_nmax, 6)
-
         def first_failure(n, xs):
             """The mu at which P_mu(xs) = sum_lam chi_lam(mu) S_lam(xs) fails,
             or None; one alternant ratio per lam."""
@@ -148,8 +140,6 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
             _require(mu is None, f"3-variable alternant identity fails at {mu}")
         return f"P_mu = sum chi S_lam at seeded points, n<={top}"
 
-    checks.append(_run("characters.alternant_ratio_points", alternant_ratio_points))
-
     def row_sums():
         for n in range(1, nmax + 1):
             for lam in partitions_of(n):
@@ -161,8 +151,6 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 _require(total == expected, f"row sum fails at {lam}")
         return f"sum_mu |C_mu| chi_lam(mu) = n! delta(lam,(n)), n<={nmax}"
 
-    checks.append(_run("characters.row_sums", row_sums))
-
     def sym_roundtrip():
         for n in range(nmax + 1):
             for mu in partitions_of(n):
@@ -170,8 +158,6 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 back = symfunc.to_powersum(f)
                 _require(back.terms == {mu: Fraction(1)}, f"round trip fails at {mu}")
         return f"p -> s -> p round trip, n<={nmax}"
-
-    checks.append(_run("characters.basis_roundtrip", sym_roundtrip))
 
     def cauchy():
         for n in range(nmax + 1):
@@ -182,8 +168,6 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 kernel = symfunc.cauchy_kernel_coeff(n, xs, ys)
                 _require(p_side == s_side == kernel, f"Cauchy identity fails at n={n}")
         return f"Cauchy-Littlewood degree slices, n<={nmax}, 3 points each"
-
-    checks.append(_run("characters.cauchy_littlewood", cauchy))
 
     def evaluation():
         _require(
@@ -212,8 +196,6 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
                 )
         return "Schur evaluation vs SSYT enumeration and alternant ratio"
 
-    checks.append(_run("characters.schur_evaluation", evaluation))
-
     def ring_hom():
         rng = random.Random(seed + 5)
         parts_pool = [lam for n in range(7) for lam in partitions_of(n)]
@@ -230,23 +212,27 @@ def characters_suite(nmax: int = 8, oracle_nmax: int = 6, seed: int = 2014) -> l
             _require(lhs == rhs, "evaluate is not multiplicative")
         return "evaluate(f*g) = evaluate(f)*evaluate(g) on random pairs"
 
-    checks.append(_run("characters.evaluation_ring_hom", ring_hom))
-
-    return checks
+    return [
+        ("characters.orthogonality", orthogonality),
+        ("characters.dimension_squares", dims),
+        ("characters.hook_determinant", hook_det),
+        ("characters.alternant_oracle", alternant_entries),
+        ("characters.alternant_ratio_points", alternant_ratio_points),
+        ("characters.row_sums", row_sums),
+        ("characters.basis_roundtrip", sym_roundtrip),
+        ("characters.cauchy_littlewood", cauchy),
+        ("characters.schur_evaluation", evaluation),
+        ("characters.evaluation_ring_hom", ring_hom),
+    ]
 
 
 # -- center suite --------------------------------------------------------------
 
-def center_suite(
-    roundtrip_nmax: int = 8,
-    idem_nmax: int = 6,
-    remark_nmax: int = 7,
-    oracle_nmax: int = 5,
-) -> list[CheckResult]:
-    checks = []
+def center_suite(nmax: int = 8) -> list:
+    idem_nmax, remark_nmax, oracle_nmax = min(nmax, 6), min(nmax, 7), min(nmax, 5)
 
     def roundtrips():
-        for n in range(roundtrip_nmax + 1):
+        for n in range(nmax + 1):
             for lam in partitions_of(n):
                 v = center.unit_idempotent(n, lam)
                 back = center.class_to_idem(center.idem_to_class(v))
@@ -254,9 +240,7 @@ def center_suite(
                 w = center.unit_class(n, lam)
                 back = center.idem_to_class(center.class_to_idem(w))
                 _require(back.coords == w.coords, f"C round trip fails at {lam}")
-        return f"class <-> idempotent basis round trips, n<={roundtrip_nmax}"
-
-    checks.append(_run("center.basis_roundtrips", roundtrips))
+        return f"class <-> idempotent basis round trips, n<={nmax}"
 
     def idempotency():
         # In integers: X_lam = h_lam F_lam = sum_mu chi_lam(mu) C_mu, read off
@@ -289,8 +273,6 @@ def center_suite(
                     _require(product == expected, f"F_{lam} F_{nu} fails at n={n}")
         return f"F idempotency/orthogonality in explicit C[S_n], n<={idem_nmax}"
 
-    checks.append(_run("center.idempotents", idempotency))
-
     def remark_identities():
         for n in range(4, remark_nmax + 1):
             ident = GroupAlgebraElement.unit(n)
@@ -313,8 +295,6 @@ def center_suite(
             _require(c2 * c2 == want, f"C2*C2 identity fails at n={n}")
         return f"power-sum class expressions and C2*C2 product, 4<=n<={remark_nmax}"
 
-    checks.append(_run("center.jm_class_identities", remark_identities))
-
     def centrality():
         for n in range(2, idem_nmax + 1):
             c2 = class_sum(n, (2,) + (1,) * (n - 2))
@@ -329,8 +309,6 @@ def center_suite(
         except CentralityError:
             pass
         return f"JM power sums central and commute with C2, n<={idem_nmax}, i<=4"
-
-    checks.append(_run("center.jm_centrality", centrality))
 
     def characteristic_consistency():
         for n in range(1, idem_nmax + 1):
@@ -350,8 +328,6 @@ def center_suite(
                     )
         return f"characteristic map agrees across bases, n<={idem_nmax}"
 
-    checks.append(_run("center.characteristic_map", characteristic_consistency))
-
     def cut_and_join():
         for n in range(1, idem_nmax + 1):
             c2 = (2,) + (1,) * (n - 2) if n >= 2 else None
@@ -369,8 +345,6 @@ def center_suite(
                 _require(lhs == rhs, f"cut-and-join fails at {mu}")
         return f"cut-and-join = multiplication by C2 under ch, n<={idem_nmax}"
 
-    checks.append(_run("center.cut_and_join", cut_and_join))
-
     def multiply_oracle():
         for n in range(1, oracle_nmax + 1):
             for mu in partitions_of(n):
@@ -385,9 +359,15 @@ def center_suite(
                     )
         return f"diagonalised multiplication = raw convolution, n<={oracle_nmax}"
 
-    checks.append(_run("center.multiply_oracle", multiply_oracle))
-
-    return checks
+    return [
+        ("center.basis_roundtrips", roundtrips),
+        ("center.idempotents", idempotency),
+        ("center.jm_class_identities", remark_identities),
+        ("center.jm_centrality", centrality),
+        ("center.characteristic_map", characteristic_consistency),
+        ("center.cut_and_join", cut_and_join),
+        ("center.multiply_oracle", multiply_oracle),
+    ]
 
 
 # -- walks suite ---------------------------------------------------------------
@@ -422,37 +402,29 @@ def _table_matches_oracle(kind: str, n_max: int, cap: int, connected: bool = Fal
             _require(got == want, f"{kind} table {lam}->{mu} {data}: {got} vs oracle {want}")
 
 
-def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
-    checks = []
+def walks_suite(nmax: int = 6) -> list:
+    top = min(nmax, 5)  # the sweeps; the n = 6 spot sweeps run from nmax 6
 
     def sweep():
-        for n in range(1, nmax + 1):
+        for n in range(1, top + 1):
             for kind, cap in (
                 ("plain", 4), ("monotone", 6), ("strict", n - 1),
                 ("mixed", 5), ("multi", 5), ("weakstrict", 4),
             ):
                 _twist_matches_oracle(kind, n, cap)
-        return f"all families, all pairs, n<={nmax}"
+        return f"all families, all pairs, n<={top}"
 
-    checks.append(_run("walks.twist_vs_oracle", sweep))
-
-    if spot_n6:
-
-        def spot():
-            for kind, cap in (("monotone", 4), ("strict", 3), ("plain", 3)):
-                _twist_matches_oracle(kind, 6, cap)
-            return "full n=6 sweeps: plain k<=3, weak k<=4, strict k<=3, all pairs"
-
-        checks.append(_run("walks.n6_spot_checks", spot))
+    def spot():
+        for kind, cap in (("monotone", 4), ("strict", 3), ("plain", 3)):
+            _twist_matches_oracle(kind, 6, cap)
+        return "full n=6 sweeps: plain k<=3, weak k<=4, strict k<=3, all pairs"
 
     def symmetry():
-        for n in range(1, min(nmax, 5) + 1):
+        for n in range(1, top + 1):
             spec = twist((H("z"), E("w")), (4, 4))
             coeffs = connection_coeffs(spec, n)
             _require(twists.symmetry_check(coeffs, n), f"symmetry fails at n={n}")
         return "Z_mu^-1 G(lam,mu) = Z_lam^-1 G(mu,lam)"
-
-    checks.append(_run("walks.symmetry", symmetry))
 
     def composition():
         n = 4
@@ -478,10 +450,8 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                 _require(total == coeffs_joint[(lam, mu)], f"composition fails at {lam}->{mu}")
         return "G(H*E) = G(H) G(E) as matrices in the class basis, n=4"
 
-    checks.append(_run("walks.composition", composition))
-
     def class_dp():
-        for n in range(1, min(nmax, 5) + 1):
+        for n in range(1, top + 1):
             for lam in partitions_of(n):
                 counts = {
                     k: count_walks_all_targets(n, lam, plain(k)) for k in range(5)
@@ -494,10 +464,8 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                         )
         return "plain counts equal the class-matrix DP"
 
-    checks.append(_run("walks.plain_class_dp", class_dp))
-
     def representative_independence():
-        for n in range(2, min(nmax, 5) + 1):
+        for n in range(2, top + 1):
             for lam in partitions_of(n):
                 counts = groupalg.count_walks_to_elements(n, lam, weakly_monotone(3))
                 for mu in partitions_of(n):
@@ -507,8 +475,6 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                         len(sample) == 1, f"count depends on the representative for {lam}->{mu}"
                     )
         return "counts independent of the target representative (two samples)"
-
-    checks.append(_run("walks.representative_independence", representative_independence))
 
     def degenerations():
         n = 4
@@ -535,8 +501,6 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                 )
         return "multi(1 segment)=strict, mixed(p=k)=weak, mixed(0)=plain, strict(n)=0"
 
-    checks.append(_run("walks.degenerations", degenerations))
-
     def element_level_twist():
         for n in range(1, 5):
             cap = 3
@@ -561,9 +525,16 @@ def walks_suite(nmax: int = 5, spot_n6: bool = True) -> list[CheckResult]:
                         )
         return "apply_twist = multiplication by truncated H(z, J) in C[S_n], n<=4"
 
-    checks.append(_run("walks.element_level_twist", element_level_twist))
-
-    return checks
+    return [
+        ("walks.twist_vs_oracle", sweep),
+        *([("walks.n6_spot_checks", spot)] if nmax >= 6 else []),
+        ("walks.symmetry", symmetry),
+        ("walks.composition", composition),
+        ("walks.plain_class_dp", class_dp),
+        ("walks.representative_independence", representative_independence),
+        ("walks.degenerations", degenerations),
+        ("walks.element_level_twist", element_level_twist),
+    ]
 
 
 def _complete_jm(n: int, cap: int) -> list[GroupAlgebraElement]:
@@ -593,19 +564,15 @@ def _complete_jm(n: int, cap: int) -> list[GroupAlgebraElement]:
 TWIST_FAMILIES = {"plain": 4, "monotone": 5, "strict": None, "weakstrict": 4, "multi": 4}
 
 
-def tau_suite(
-    nmax: int = 6, seed: int = 2014, walk_nmax: int = 5, intertwining_nmax: int = 8, only=None
-) -> list[CheckResult]:
-    checks = []
-
-    def add(name, fn):
-        if only is None or name in only:
-            checks.append(_run(name, fn))
+def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
+    # the Cauchy checks at n <= 6, the walk tables at n <= 5 and the
+    # intertwining theorem at n <= 8 (its walk kinds at n <= 6)
+    cauchy_nmax, walk_nmax, intertwining_nmax = min(nmax, 6), min(nmax, 5), min(nmax, 8)
 
     def twisted_cauchy():
         for kind, cap in TWIST_FAMILIES.items():
             walk = tauseries.WALK_KINDS[kind]
-            for n in range(min(nmax, 6) + 1):
+            for n in range(cauchy_nmax + 1):
                 spec = walk.twist(n, n if cap is None else cap)
                 space = spec.space()
                 parts = partitions_of(n)
@@ -641,17 +608,15 @@ def tau_suite(
                     if weight:
                         rhs = rhs + twists.cached_eigenvalue(spec, nu, space) * weight
                 _require(lhs == rhs, f"{walk.label}: point identity fails at n={n}")
-        return f"corrected twisted Cauchy identity, all families, n<={min(nmax, 6)}"
-
-    add("tau.twisted_cauchy", twisted_cauchy)
+        return f"corrected twisted Cauchy identity, all families, n<={cauchy_nmax}"
 
     def vacuum():
-        t0 = tauseries.vacuum_tau(min(nmax, 6))
+        t0 = tauseries.vacuum_tau(cauchy_nmax)
         rng = random.Random(seed)
         xs = oracles.random_rationals(rng, 2)
         ys = oracles.random_rationals(rng, 2)
         per_degree = Fraction(0)
-        for n in range(min(nmax, 6) + 1):
+        for n in range(cauchy_nmax + 1):
             p_side, s_side = symfunc.cauchy_sides(n, xs, ys)
             kernel = symfunc.cauchy_kernel_coeff(n, xs, ys)
             _require(p_side == s_side == kernel, f"Cauchy identity fails at n={n}")
@@ -659,8 +624,6 @@ def tau_suite(
         value = tauseries.tau_eval(t0, xs, ys).constant_term()
         _require(value == per_degree, "vacuum tau disagrees with the Cauchy kernel")
         return "vacuum tau = Cauchy kernel degree slices"
-
-    add("tau.vacuum_cauchy", vacuum)
 
     def intertwining():
         top = min(intertwining_nmax, 6)
@@ -690,8 +653,6 @@ def tau_suite(
                 f" r_lambda(0) q^|lam| = content-product eigenvalue, every walk kind at cap 3"
                 f" with |lam|<={top}, H and H*H with |lam|<={intertwining_nmax}")
 
-    add("tau.intertwining_theorem", intertwining)
-
     def alpha_q_branches():
         for alpha in (Fraction(1, 2), Fraction(-3), Fraction(7, 3)):
             space = SeriesSpace(("q",), (24,))
@@ -714,8 +675,6 @@ def tau_suite(
                         )
         return "branch r_lambda = r0 q^|lam| (N-a)_lam/(N)_lam, |lam|<=6, N<=5"
 
-    add("tau.alpha_q_family", alpha_q_branches)
-
     def hciz():
         rng = random.Random(seed + 3)
         for N in (1, 2, 3):
@@ -737,14 +696,10 @@ def tau_suite(
             _require(diagonal == schur_side, f"Schur-diagonal evaluation disagrees at N={N}")
         return "det route = Schur expansion through z^6, N=1,2,3"
 
-    add("tau.hciz_determinant", hciz)
-
     def connectivity():
         _table_matches_oracle("plain", walk_nmax, 4, connected=True)
         _table_matches_oracle("monotone", walk_nmax, 5, connected=True)
         return f"log tau = transitive counts (plain b<=4, monotone k<=5), n<={walk_nmax}"
-
-    add("tau.log_connectivity", connectivity)
 
     def log_roundtrip():
         t = tauseries.okounkov_tau(4, 3)
@@ -752,8 +707,6 @@ def tau_suite(
         back = tauseries.exp_tensor(log, 4)
         _require(back == t.tensor, "exp(log tau) != tau")
         return "exp(log tau) = tau to the sheet cap"
-
-    add("tau.exp_log_roundtrip", log_roundtrip)
 
     def exponent_law():
         # the plain twist's r_lam(N) = e^{E beta} reads 1 + E beta at beta cap 1
@@ -769,8 +722,6 @@ def tau_suite(
                         f"beta exponent law fails at {lam}, N={N}",
                     )
         return "q-exponent N(N-1)/2+|lam|; beta-exponent N(N^2-1)/6+N|lam|+cont"
-
-    add("tau.okounkov_exponent_law", exponent_law)
 
     def multimonotone_reparam():
         rng = random.Random(seed + 9)
@@ -800,13 +751,9 @@ def tau_suite(
                         )
         return "Z-coefficients match the q,w form (exact for even m; odd m flips by (-1)^(m|lam|))"
 
-    add("tau.multimonotone_reparametrization", multimonotone_reparam)
-
     def multimonotone_table():
-        _table_matches_oracle("multi", min(walk_nmax, 5), 4)
-        return f"E*E table = segmented oracle, n<={min(walk_nmax, 5)}, d1+d2<=4"
-
-    add("tau.multimonotone_table", multimonotone_table)
+        _table_matches_oracle("multi", walk_nmax, 4)
+        return f"E*E table = segmented oracle, n<={walk_nmax}, d1+d2<=4"
 
     def alpha_q_report():
         report = build_alpha_q_report(seed)
@@ -817,9 +764,19 @@ def tau_suite(
             )
         return "exploratory determinant comparison report generated"
 
-    add("tau.alpha_q_report", alpha_q_report)
-
-    return checks
+    return [
+        ("tau.twisted_cauchy", twisted_cauchy),
+        ("tau.vacuum_cauchy", vacuum),
+        ("tau.intertwining_theorem", intertwining),
+        ("tau.alpha_q_family", alpha_q_branches),
+        ("tau.hciz_determinant", hciz),
+        ("tau.log_connectivity", connectivity),
+        ("tau.exp_log_roundtrip", log_roundtrip),
+        ("tau.okounkov_exponent_law", exponent_law),
+        ("tau.multimonotone_reparametrization", multimonotone_reparam),
+        ("tau.multimonotone_table", multimonotone_table),
+        ("tau.alpha_q_report", alpha_q_report),
+    ]
 
 
 def graded_twist_family(atoms, N: int, cap: int):
@@ -880,41 +837,25 @@ SUITES = ("characters", "center", "walks", "tau", "all")
 
 
 def run_suite(name: str, nmax: int | None = None, seed: int = 2014) -> list[CheckResult]:
-    """Run one named suite; nmax (>= 1) replaces a single suite's default
-    size, while "all" always runs the default sizes."""
+    """Run one named suite at top size nmax (>= 1; None: its part of
+    "all"), each check at min(nmax, its ceiling); "all" runs the four
+    suites at their defaults."""
     if nmax is not None and nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     if name in ("characters", "center") and nmax is not None and nmax > CHARTABLE_CAP:
         raise ValueError(f"the {name} suite needs character tables, capped at n <= {CHARTABLE_CAP}")
-
-    def top(default: int) -> int:
-        return default if nmax is None else nmax
-
-    if name == "characters":
-        return characters_suite(nmax=top(6), oracle_nmax=min(top(6), 6), seed=seed)
-    if name == "center":
-        return center_suite(
-            roundtrip_nmax=max(top(6), 6),
-            idem_nmax=min(top(6), 6),
-            remark_nmax=max(min(top(6) + 1, 7), 4),
-            oracle_nmax=min(top(6), 5),
-        )
-    if name == "walks":
-        return walks_suite(nmax=min(top(5), 5), spot_n6=top(5) >= 5)
-    if name == "tau":
-        return tau_suite(
-            nmax=min(top(6), 6),
-            seed=seed,
-            walk_nmax=min(top(5), 5),
-            intertwining_nmax=min(top(8), 8),
-        )
+    suites = {
+        "characters": partial(characters_suite, seed=seed),
+        "center": center_suite,
+        "walks": walks_suite,
+        "tau": partial(tau_suite, seed=seed),
+    }
     if name == "all":
         if nmax is not None:
             raise ValueError("the all suite runs its default sizes and takes no nmax")
-        out = []
-        out.extend(characters_suite(seed=seed))
-        out.extend(center_suite())
-        out.extend(walks_suite())
-        out.extend(tau_suite(seed=seed))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        checks = [check for suite in suites.values() for check in suite()]
+    elif name in suites:
+        checks = suites[name]() if nmax is None else suites[name](nmax)
+    else:
+        raise ValueError(f"unknown suite {name!r}")
+    return [_run(check_name, fn) for check_name, fn in checks]

@@ -29,8 +29,14 @@ def _criterion(number: int, label: str, budget: float | None, results):
         assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.1f}s)"
 
 
+def _run(checks, *names):
+    """Run a suite's checks (only the named ones, when names are given)
+    through verify._run, in the suite's order."""
+    return [verify._run(name, fn) for name, fn in checks if not names or name in names]
+
+
 def test_criterion_1_characters():
-    results = verify.characters_suite(nmax=8, oracle_nmax=6)
+    results = _run(verify.characters_suite(8))
     wanted = (
         "characters.orthogonality",
         "characters.alternant_oracle",
@@ -46,9 +52,7 @@ def test_criterion_1_characters():
 
 
 def test_criterion_2_center():
-    results = verify.center_suite(
-        roundtrip_nmax=8, idem_nmax=6, remark_nmax=7, oracle_nmax=5
-    )
+    results = _run(verify.center_suite(8))
     _criterion(
         2,
         "basis round trips n<=8; idempotents n<=6; JM class identities and C2*C2 for 4<=n<=7",
@@ -58,7 +62,7 @@ def test_criterion_2_center():
 
 
 def test_criterion_3_walk_equality():
-    results = verify.walks_suite(nmax=5, spot_n6=True)
+    results = _run(verify.walks_suite(6))
     _criterion(
         3,
         "character-sum coefficients = brute-force counts, all families, n<=5 (+n=6 spots)",
@@ -68,9 +72,7 @@ def test_criterion_3_walk_equality():
 
 
 def test_criterion_4_twisted_cauchy():
-    results = verify.tau_suite(
-        nmax=6, only={"tau.twisted_cauchy", "tau.vacuum_cauchy"}
-    )
+    results = _run(verify.tau_suite(6), "tau.twisted_cauchy", "tau.vacuum_cauchy")
     _criterion(
         4,
         "corrected twisted Cauchy-Littlewood identity, n<=6, coefficients and 3-variable points",
@@ -80,9 +82,7 @@ def test_criterion_4_twisted_cauchy():
 
 
 def test_criterion_5_intertwining():
-    results = verify.tau_suite(
-        nmax=4, only={"tau.intertwining_theorem", "tau.alpha_q_family"}
-    )
+    results = _run(verify.tau_suite(8), "tau.intertwining_theorem", "tau.alpha_q_family")
     _criterion(
         5,
         "r_lambda(0) q^|lam| = content product and determinant route = Schur side"
@@ -93,7 +93,7 @@ def test_criterion_5_intertwining():
 
 
 def test_criterion_6_hciz_determinant():
-    results = verify.tau_suite(nmax=4, only={"tau.hciz_determinant"})
+    results = _run(verify.tau_suite(), "tau.hciz_determinant")
     assert results
     _criterion(
         6,
@@ -104,10 +104,14 @@ def test_criterion_6_hciz_determinant():
 
 
 def test_criterion_7_connectivity():
-    results = verify.tau_suite(
-        nmax=4, walk_nmax=6,
-        only={"tau.log_connectivity", "tau.exp_log_roundtrip"},
-    )
+    # n <= 6, one above the tau suite's ceiling for this check
+    def connectivity():
+        verify._table_matches_oracle("plain", 6, 4, connected=True)
+        verify._table_matches_oracle("monotone", 6, 5, connected=True)
+        return "log tau = transitive counts (plain b<=4, monotone k<=5), n<=6"
+
+    results = [verify._run("tau.log_connectivity", connectivity)]
+    results += _run(verify.tau_suite(), "tau.exp_log_roundtrip")
     _criterion(
         7,
         "log tau coefficients = transitive counts (plain b<=4, monotone k<=5), n<=6",
@@ -118,9 +122,7 @@ def test_criterion_7_connectivity():
 
 def test_criterion_8_multimonotone_table():
     start = time.perf_counter()
-    results = verify.tau_suite(
-        nmax=4, walk_nmax=5, only={"tau.multimonotone_table"}
-    )
+    results = _run(verify.tau_suite(5), "tau.multimonotone_table")
     fresh = hurwitz_table("multi", 5, 4)
     golden_path = GOLDEN_DIR / "multimonotone_table.json"
     golden = json.loads(golden_path.read_text())

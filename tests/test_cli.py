@@ -236,8 +236,13 @@ def test_tau_payload_key_order(capsys, argv, keys):
             ("--family", "hciz", "--N", "0", "--a=", "--b=", "--check-determinant"),
             "N must be a positive integer",
         ),
+        (("--family", "hciz", "--N", "-1", "--a=", "--b="), "--N must be >= 0, got -1"),
+        (
+            ("--family", "alpha_q", "--N", "-1", "--alpha", "1/2", "--a=", "--b="),
+            "--N must be >= 0, got -1",
+        ),
     ],
-    ids=("hciz-missing", "alpha_q-missing", "hciz-N0", "hciz-N0-check"),
+    ids=("hciz-missing", "alpha_q-missing", "hciz-N0", "hciz-N0-check", "hciz-N-1", "alpha_q-N-1"),
 )
 def test_tau_usage_errors(capsys, argv, error):
     code = main(["tau", *argv])

@@ -8,6 +8,12 @@ from hurwitz_tau import center, verify
 from hurwitz_tau.series import TruncSeries
 
 
+def _run_named(checks, *names):
+    """{name: CheckResult} of the named checks of a suite's list, run through
+    verify._run in the suite's order."""
+    return {name: verify._run(name, fn) for name, fn in checks if name in names}
+
+
 def test_verify_checks_survive_python_O():
     # a corrupted walk oracle must fail the sweep even with asserts stripped
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -18,7 +24,7 @@ def test_verify_checks_survive_python_O():
     script = (
         "from hurwitz_tau import verify\n"
         "verify.count_walks_all_targets = lambda *args, **kwargs: {}\n"
-        "results = {r.name: r for r in verify.walks_suite(nmax=2, spot_n6=False)}\n"
+        "results = {r.name: r for r in verify.run_suite('walks', nmax=2)}\n"
         "print(__debug__, results['walks.twist_vs_oracle'].passed)\n"
     )
     out = subprocess.run(
@@ -54,8 +60,8 @@ def test_run_suite_nmax_sets_the_intertwining_size():
     assert all(r.passed for r in results)
     check = next(r for r in results if r.name == "tau.intertwining_theorem")
     assert check.detail.endswith("|lam|<=2")
-    direct = verify.tau_suite(only={"tau.intertwining_theorem"}, intertwining_nmax=3)
-    assert direct[0].detail.endswith("|lam|<=3")
+    direct = _run_named(verify.tau_suite(3), "tau.intertwining_theorem")
+    assert direct["tau.intertwining_theorem"].detail.endswith("|lam|<=3")
 
 
 def test_intertwining_check_never_multiplies_by_one(monkeypatch):
@@ -73,15 +79,16 @@ def test_intertwining_check_never_multiplies_by_one(monkeypatch):
 
     monkeypatch.setattr(TruncSeries, "__mul__", counting)
     monkeypatch.setattr(TruncSeries, "__rmul__", counting)
-    results = verify.tau_suite(only={"tau.intertwining_theorem", "tau.okounkov_exponent_law"})
-    assert [r.passed for r in results] == [True, True]
+    results = _run_named(
+        verify.tau_suite(), "tau.intertwining_theorem", "tau.okounkov_exponent_law"
+    )
+    assert [r.passed for r in results.values()] == [True, True]
     assert len(calls) > 500
     assert by_one == []
 
 
 def _idempotents_check():
-    results = verify.center_suite(roundtrip_nmax=2, idem_nmax=4, remark_nmax=4, oracle_nmax=2)
-    return {r.name: r for r in results}["center.idempotents"]
+    return _run_named(verify.center_suite(4), "center.idempotents")["center.idempotents"]
 
 
 def test_idempotents_check_catches_a_wrong_structure_constant(monkeypatch):
@@ -118,8 +125,8 @@ def test_alternant_checks_catch_a_wrong_character(monkeypatch):
         return exact(lam, mu) + ((lam, mu) == ((3, 2, 1), (2, 2, 1, 1)))
 
     def alternant_checks():
-        results = verify.characters_suite(nmax=6, oracle_nmax=6)
-        return {r.name: r for r in results if "alternant" in r.name}
+        checks = verify.characters_suite(6)
+        return {name: verify._run(name, fn) for name, fn in checks if "alternant" in name}
 
     assert all(r.passed for r in alternant_checks().values())
     monkeypatch.setattr(verify, "character", off_by_one)
@@ -128,3 +135,28 @@ def test_alternant_checks_catch_a_wrong_character(monkeypatch):
     oracle, ratio = checks["characters.alternant_oracle"], checks["characters.alternant_ratio_points"]
     assert not oracle.passed and "chi_(3, 2, 1)((2, 2, 1, 1))" in oracle.detail
     assert not ratio.passed and "n=6, (2, 2, 1, 1)" in ratio.detail
+
+
+def test_default_lists_are_verify_all(monkeypatch):
+    # no check runs: the runner is replaced by one that only records names
+    monkeypatch.setattr(verify, "_run", lambda name, fn: verify.CheckResult(name, True, 0.0))
+    lists = {
+        "characters": verify.characters_suite(),
+        "center": verify.center_suite(),
+        "walks": verify.walks_suite(),
+        "tau": verify.tau_suite(),
+    }
+    names = [name for checks in lists.values() for name, _ in checks]
+    assert [r.name for r in verify.run_suite("all")] == names
+    assert len(names) == len(set(names)) == 36
+    for suite, checks in lists.items():
+        assert all(name.startswith(suite + ".") for name, _ in checks)
+        assert [r.name for r in verify.run_suite(suite)] == [name for name, _ in checks]
+
+
+def test_nmax_clamps_each_check_at_its_ceiling():
+    results = {r.name: r for r in verify.run_suite("center", nmax=2)}
+    assert all(r.passed for r in results.values())
+    assert results["center.basis_roundtrips"].detail.endswith("n<=2")
+    assert "walks.n6_spot_checks" not in dict(verify.walks_suite(5))
+    assert "walks.n6_spot_checks" in dict(verify.walks_suite(6))
