@@ -199,7 +199,12 @@ def cmd_gmatrix(args) -> int:
 
 def cmd_tau(args) -> int:
     hciz = args.family == "hciz"
+    for name in ("alpha", "qcap") if hciz else ("zcap",):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to --family {args.family}")
     flag, cap = ("--zcap", args.zcap) if hciz else ("--qcap", args.qcap)
+    if cap is None:
+        cap = config.SERIES_CAP_DEFAULT if hciz else 5
     if cap > tauseries.TAU_NMAX_CAP:
         raise ValueError(f"{flag} is capped at {tauseries.TAU_NMAX_CAP}, got {cap}")
     needs = ("N", "a", "b") if hciz else ("N", "alpha", "a", "b")
@@ -316,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
-    p.add_argument("--zcap", type=int, default=config.SERIES_CAP_DEFAULT)
-    p.add_argument("--qcap", type=int, default=5)
+    p.add_argument(
+        "--zcap", type=int, default=None, help=f"hciz only, default {config.SERIES_CAP_DEFAULT}"
+    )
+    p.add_argument("--qcap", type=int, default=None, help="alpha_q only, default 5")
     p.add_argument("--check-determinant", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tau)

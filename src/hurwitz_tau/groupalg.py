@@ -3,15 +3,14 @@
 Permutations are tuples of images on {1..n} (images[i-1] = image of i),
 composed apply-right-first: (g*h)(x) = g(h(x)).  Walks in the Cayley graph
 generated by transpositions are counted by a dynamic program on permutation
-indices (S_n ranked once per n, one action table per transposition), its
-count vectors keyed by the last b of the current segment (the floor), which
-monotone steps merge by prefix sums.  It runs forward from the whole start
-class to every target class (whole rows), or backward from one target
-representative, segments reversed and b falling (single counts).  Transitive
-counts also carry the set partition of {1..n} generated so far, seeded from
-the first element's cycles, equal states merged.  These counts are the
-independent oracle for the character-sum coefficients; nothing here uses
-characters.
+indices (S_n ranked once per n, one action table per transposition).  It
+runs backward from one end permutation, segments reversed and b falling,
+its count vectors keyed by the last b of the current segment (the floor),
+which monotone steps merge by prefix sums; the end vector, summed per class,
+gives the counts from every start class at once.  Transitive counts also
+carry the set partition of {1..n} generated so far, seeded from the end's
+cycles, equal states merged.  These counts are the independent oracle for
+the character-sum coefficients; nothing here uses characters.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 from . import config
 from .errors import CentralityError, SizeLimitError
-from .partitions import Partition, check_partition, class_size
+from .partitions import Partition, check_partition, class_size, partitions_of
 
 Perm = tuple[int, ...]
 
@@ -291,100 +290,83 @@ def count_walks(query: WalkQuery) -> int:
     transposition (a b) with a < b, and within each constraint segment the
     b-sequence (in application order t_1 first) is weakly/strictly
     increasing as requested.  With transitive=True the subgroup generated
-    by g and all the t's must act transitively on {1..n}.
-
-    Counted backwards from the representative rho = t_k ... t_1 g: segments
-    reversed, b falling, the end vector summed over the start class.  The
-    group <g, t's> equals <rho, t's>, so the blocks start as rho's cycles."""
-    n = query.n
-    _check_walk_args(n, query.from_type)
-    indexed = ranked(n)
-    rho = class_representative(query.to_type, n)
-    blocks = _cycle_blocks(rho) if query.transitive else None
-    order = (n + 1, *range(n, 1, -1))
-    segments = tuple(seg for seg in reversed(query.segments) if seg.length > 0)
-    layers = _walk(n, {(order[0], blocks): {indexed.index[bytes(rho)]: 1}}, segments, order)
-    return sum(
-        c for (_, blocks), vec in layers.items() if _one_block(blocks)
-        for i, c in vec.items() if indexed.types[i] == query.from_type
-    )
+    by g and all the t's must act transitively on {1..n}."""
+    rho = class_representative(query.to_type, query.n)
+    return count_walks_to(query.n, rho, query.segments, query.transitive).get(query.from_type, 0)
 
 
 def count_walks_all_targets(
     n: int, from_type, segments: tuple[Segment, ...], transitive: bool = False
 ) -> dict[Partition, int]:
     """Batch walk counts from one start class to every target class."""
-    from_type = _check_walk_args(n, from_type)
-    segments = tuple(seg for seg in segments if seg.length > 0)
+    from_type = check_partition(from_type)
+    if sum(from_type) != n:
+        raise ValueError(f"{from_type} is not a partition of {n}")
     if transitive:
         return _count_transitive(n, from_type, segments)
     return _count_dp(n, from_type, segments)
 
 
-def count_walks_to_elements(
-    n: int, from_type, segments: tuple[Segment, ...]
-) -> dict[Perm, int]:
-    """Walk counts from the start class to every individual end permutation
-    (used to confirm independence of the representative choice)."""
-    from_type = _check_walk_args(n, from_type)
-    indexed = ranked(n)
-    order = _forward(n)
-    layers = _walk(n, _class_layer(n, from_type), segments, order)
-    totals = _merge_floors(layers, order).get((order[0], None), {})
-    return {indexed.perms[i]: c for i, c in totals.items()}
+def count_walks_to(
+    n: int, end, segments: tuple[Segment, ...], transitive: bool = False
+) -> dict[Partition, int]:
+    """{lam: the count_walks count from C_lam to the permutation end}, every
+    start class at once (zero counts left out).
 
-
-def _check_walk_args(n, from_type) -> Partition:
-    from_type = check_partition(from_type)
-    if sum(from_type) != n:
-        raise ValueError(f"{from_type} is not a partition of {n}")
+    Counted backwards from end = t_k ... t_1 g: segments reversed, b
+    falling, the end vector summed per start class.  The group <g, t's>
+    equals <end, t's>, so the blocks start as end's cycles."""
     cap = config.walk_cap()
     if n > cap:
         raise SizeLimitError(f"walk counting capped at n <= {cap}, got {n}")
-    return from_type
+    end = tuple(end)
+    if sorted(end) != list(range(1, n + 1)):
+        raise ValueError(f"{end} is not a permutation of 1..{n}")
+    indexed = ranked(n)
+    blocks = _cycle_blocks(end) if transitive else None
+    segments = tuple(seg for seg in reversed(segments) if seg.length > 0)
+    layers = _walk(n, {(None, blocks): {indexed.index[bytes(end)]: 1}}, segments)
+    totals = [0] * len(conjugacy_classes(n))
+    class_of = indexed.class_of
+    for (_, blocks), vec in layers.items():
+        if _one_block(blocks):
+            for i, c in vec.items():
+                totals[class_of[i]] += c
+    return {lam: c for lam, c in zip(conjugacy_classes(n), totals) if c}
 
 
 class Ranking(NamedTuple):
-    perms: list[Perm]
     index: dict[bytes, int]
     act: dict[tuple[int, int], list[int]]
-    types: list[Partition]
+    class_of: list[int]
 
 
 @lru_cache(maxsize=None)
 def ranked(n: int) -> Ranking:
-    """S_n in lexicographic order, the index of each permutation (keyed by
-    bytes(perm)), the cycle type of each index and the transposition action
-    tables: act[(a, b)][i] is the index of (a b) * perms[i], one
-    bytes.translate per entry swapping the values a and b."""
-    perms = list(_all_perms(range(1, n + 1)))
-    keys = [bytes(g) for g in perms]
+    """S_n in lexicographic order: the index of each permutation (keyed by
+    bytes(perm)), the transposition action tables (act[(a, b)][i] is the
+    index of (a b) * g for g at index i, one bytes.translate per entry
+    swapping the values a and b) and each index's class, as a position in
+    conjugacy_classes(n)."""
+    keys = [bytes(g) for g in _all_perms(range(1, n + 1))]
     index = {key: i for i, key in enumerate(keys)}
     act = {}
     for a, b, _ in transpositions(n):
         swap = bytes.maketrans(bytes((a, b)), bytes((b, a)))
         act[(a, b)] = [index[key.translate(swap)] for key in keys]
-    type_of = {bytes(g): mu for mu, members in conjugacy_classes(n).items() for g in members}
-    return Ranking(perms, index, act, [type_of[key] for key in keys])
+    position = {
+        bytes(g): c for c, members in enumerate(conjugacy_classes(n).values()) for g in members
+    }
+    return Ranking(index, act, [position[key] for key in keys])
 
 
 # A DP layer maps (floor, blocks) to a sparse count vector {perm index: count}.
-# floor is the last b used in the current segment; order lists the bound a
-# segment starts from, then the b's in walking order: _forward(n) is
-# (0, 2, ..., n), and (n + 1, n, ..., 2) walks backward.
-# blocks is the set partition of {1..n} generated by the first element's
-# cycles and the transpositions so far, as a tuple labelling each point
-# (0-based) by the least point of its block, or None when transitivity is
-# not tracked.  Equal states are merged.
-
-def _class_layer(n, from_type, transitive=False):
-    """The start class; tracked blocks start as each element's cycles."""
-    index = ranked(n).index
-    layer: dict = {}
-    for g in conjugacy_classes(n)[from_type]:
-        layer.setdefault((0, _cycle_blocks(g) if transitive else None), {})[index[bytes(g)]] = 1
-    return layer
-
+# The walk runs backward, so b falls within a segment: floor is the last b
+# used in the current segment, or None before its first step.
+# blocks is the set partition of {1..n} generated by the end's cycles and the
+# transpositions so far, as a tuple labelling each point (0-based) by the
+# least point of its block, or None when transitivity is not tracked.  Equal
+# states are merged.
 
 def _cycle_blocks(g):
     """The blocks of g's cycles, each point labelled by its cycle's least point."""
@@ -397,27 +379,23 @@ def _one_block(blocks):
     return blocks is None or len(set(blocks)) == 1
 
 
-def _forward(n):
-    return (0, *range(2, n + 1))
-
-
-def _walk(n, layers, segments, order):
+def _walk(n, layers, segments):
     """Advance a layer through the segments; each segment starts afresh
-    from floor order[0]."""
+    from floor None."""
     act = ranked(n).act
     for seg in segments:
-        layers = _merge_floors(layers, order)
+        layers = _merge_floors(layers)
         for _ in range(seg.length):
-            layers = _step(act, layers, seg.kind, order)
+            layers = _step(n, act, layers, seg.kind)
     return layers
 
 
-def _step(act, layers, kind, order):
-    # A weak step to b leaves from every floor at or before b in the order
-    # and a strict one from every floor before b, so the source floors are
-    # merged in the order and each transposition row is applied once per b.
-    # Plain steps only ever see floor order[0].
-    by_floor: dict[int, list] = {}
+def _step(n, act, layers, kind):
+    # b falls from n to 2.  A weak step to b leaves from every floor >= b
+    # and a strict one from every floor > b, so the source floors are merged
+    # as b falls and each transposition row is applied once per b.  Plain
+    # steps only ever see floor None.
+    by_floor: dict = {}
     for (floor, blocks), vec in layers.items():
         by_floor.setdefault(floor, []).append((blocks, vec))
     source: dict = {}
@@ -426,12 +404,12 @@ def _step(act, layers, kind, order):
         for blocks, vec in by_floor.get(floor, ()):
             _accumulate(source, blocks, vec)
 
-    absorb(order[0])
+    absorb(None)
     new: dict = {}
-    for b in order[1:]:
+    for b in range(n, 1, -1):
         if kind == WEAK:
             absorb(b)
-        to_floor = b if kind != PLAIN else order[0]
+        to_floor = b if kind != PLAIN else None
         for blocks, vec in source.items():
             items = vec.items()
             for a in range(1, b):
@@ -457,36 +435,18 @@ def _accumulate(acc, key, vec):
         target[i] = get(i, 0) + c
 
 
-def _merge_floors(layers, order):
+def _merge_floors(layers):
     merged: dict = {}
     for (_, blocks), vec in layers.items():
-        _accumulate(merged, (order[0], blocks), vec)
+        _accumulate(merged, (None, blocks), vec)
     return merged
 
 
 def _count_dp(n, from_type, segments, transitive=False) -> dict[Partition, int]:
-    # Only the class representatives are read, so the last step is pulled
-    # into them: a transposition is an involution, so the walks that end at
-    # index j come from act[t][j].  Transitive counts join the last step's
-    # (a, b) into the blocks and keep the states left with one block.
-    indexed = ranked(n)
-    reps = {mu: indexed.index[bytes(class_representative(mu, n))] for mu in conjugacy_classes(n)}
-    layers = _class_layer(n, from_type, transitive)
-    if not segments:
-        ends = [(vec, None) for (_, blocks), vec in layers.items() if _one_block(blocks)]
-    else:
-        *head, last = segments
-        layers = _walk(n, layers, (*head, Segment(last.kind, last.length - 1)), _forward(n))
-        ends = [
-            (vec, row)
-            for (floor, blocks), vec in layers.items()
-            for (a, b), row in indexed.act.items()
-            if (b > floor or (last.kind == WEAK and b == floor))
-            and _one_block(blocks if blocks is None else _join(blocks, a, b))
-        ]
+    # one back-walk per target class representative, read at from_type
     counts = {
-        mu: sum(vec.get(j if row is None else row[j], 0) for vec, row in ends)
-        for mu, j in reps.items()
+        mu: count_walks_to(n, class_representative(mu, n), segments, transitive).get(from_type, 0)
+        for mu in partitions_of(n)
     }
     return {mu: c for mu, c in counts.items() if c}
 

@@ -176,19 +176,15 @@ def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scal
     return {pair: read_back(total, scale(*pair)) for pair, total in sums.items()}
 
 
-def cached_eigenvalue(
-    spec: TwistSpec, lam: Partition, space: SeriesSpace | None = None
-) -> TruncSeries:
-    """twist_eigenvalue(spec, lam, space), built once per (spec, tuple(lam),
-    space): the memo is kept on the spec, so every caller holding the spec
-    shares it, and it holds no reference back to the spec."""
-    if space is None:
-        space = spec.space()
-    memo = vars(spec).setdefault("_eigenvalues", {}).setdefault(space, {})
+def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
+    """twist_eigenvalue(spec, lam), built once per (spec, tuple(lam)): the
+    memo is kept on the spec, so every caller holding the spec shares it,
+    and it holds no reference back to the spec."""
+    memo = vars(spec).setdefault("_eigenvalues", {})
     lam = tuple(lam)
     value = memo.get(lam)
     if value is None:
-        value = memo[lam] = twist_eigenvalue(spec, lam, space)
+        value = memo[lam] = twist_eigenvalue(spec, lam)
     return value
 
 
@@ -196,12 +192,12 @@ def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partitio
     """G_{lam mu} for all lam, mu of n, via the character sum."""
     space = spec.space()
     table = character_table(n)
-    eig = {nu: cached_eigenvalue(spec, nu, space) for nu in table.parts}
+    eig = {nu: cached_eigenvalue(spec, nu) for nu in table.parts}
     z = {lam: z_of(lam) for lam in table.parts}
     return series_character_sum(table, eig, space, lambda lam, mu: z[lam])
 
 
-def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = None) -> CenterElement:
+def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
     """Multiply a center element by the twist: diagonal on idempotents,
     a linear combination on class sums; series-valued coordinates.
 
@@ -209,16 +205,14 @@ def apply_twist(spec: TwistSpec, v: CenterElement, space: SeriesSpace | None = N
     e_lam the eigenvalue and w the idempotent coordinates of v: one
     CharacterTable.transpose_times on packed integers (_packed_series), whose
     coefficients sum_lam |chi_lam(mu)| <= sqrt(p(n) n!) <= n! in size."""
-    if space is None:
-        space = spec.space()
     if v.basis == IDEMPOTENTS:
-        coords = {lam: cached_eigenvalue(spec, lam, space) * c for lam, c in v.coords.items()}
+        coords = {lam: cached_eigenvalue(spec, lam) * c for lam, c in v.coords.items()}
         return CenterElement(v.n, IDEMPOTENTS, coords)
     values = {
-        lam: cached_eigenvalue(spec, lam, space) * (c / hook_product(lam))
+        lam: cached_eigenvalue(spec, lam) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).coords.items()
     }
-    packed, read_back = _packed_series(values, space, factorial(v.n))
+    packed, read_back = _packed_series(values, spec.space(), factorial(v.n))
     coords = character_table(v.n).transpose_times(packed)
     return CenterElement(v.n, CLASS_SUMS, {mu: read_back(total) for mu, total in coords.items()})
 

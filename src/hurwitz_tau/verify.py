@@ -23,9 +23,11 @@ from .errors import CentralityError
 from .groupalg import (
     GroupAlgebraElement,
     WalkQuery,
+    class_representative,
     class_sum,
+    conjugacy_classes,
     count_walks,
-    count_walks_all_targets,
+    count_walks_to,
     jm_power_sum,
     mixed,
     multi_monotone,
@@ -81,9 +83,8 @@ def _require(ok, detail: str) -> None:
         raise AssertionError(detail)
 
 
-def _seeded_points(seed: int, count: int, distinct=True):
-    rng = random.Random(seed)
-    return oracles.random_rationals(rng, count, distinct=distinct)
+def _seeded_points(seed: int, count: int):
+    return oracles.random_rationals(random.Random(seed), count, distinct=True)
 
 
 # -- characters suite ---------------------------------------------------------
@@ -377,10 +378,10 @@ def _oracle_counts(kind: str, n: int, cap: int, transitive: bool = False):
     every step datum of the walk kind of total length <= cap."""
     parts = partitions_of(n)
     for data, segments, read in tauseries.WALK_KINDS[kind].steps(cap):
-        for lam in parts:
-            counts = count_walks_all_targets(n, lam, segments, transitive=transitive)
-            for mu in parts:
-                yield lam, mu, data, read, counts.get(mu, 0)
+        for mu in parts:
+            column = count_walks_to(n, class_representative(mu, n), segments, transitive)
+            for lam in parts:
+                yield lam, mu, data, read, column.get(lam, 0)
 
 
 def _twist_matches_oracle(kind: str, n: int, cap: int) -> None:
@@ -452,28 +453,22 @@ def walks_suite(nmax: int = 6) -> list:
 
     def class_dp():
         for n in range(1, top + 1):
-            for lam in partitions_of(n):
-                counts = {
-                    k: count_walks_all_targets(n, lam, plain(k)) for k in range(5)
-                }
-                for mu in partitions_of(n):
-                    for k in range(5):
+            for mu in partitions_of(n):
+                for k in range(5):
+                    column = count_walks_to(n, class_representative(mu, n), plain(k))
+                    for lam in partitions_of(n):
                         dp = plain_count_via_class_dp(n, lam, mu, k)
                         _require(
-                            dp == counts[k].get(mu, 0), f"class DP disagrees at {lam}->{mu}, k={k}"
+                            dp == column.get(lam, 0), f"class DP disagrees at {lam}->{mu}, k={k}"
                         )
         return "plain counts equal the class-matrix DP"
 
     def representative_independence():
         for n in range(2, top + 1):
-            for lam in partitions_of(n):
-                counts = groupalg.count_walks_to_elements(n, lam, weakly_monotone(3))
-                for mu in partitions_of(n):
-                    members = groupalg.conjugacy_classes(n)[mu]
-                    sample = {counts.get(members[0], 0), counts.get(members[-1], 0)}
-                    _require(
-                        len(sample) == 1, f"count depends on the representative for {lam}->{mu}"
-                    )
+            for mu, members in conjugacy_classes(n).items():
+                first = count_walks_to(n, members[0], weakly_monotone(3))
+                last = count_walks_to(n, members[-1], weakly_monotone(3))
+                _require(first == last, f"counts depend on the representative of {mu}")
         return "counts independent of the target representative (two samples)"
 
     def degenerations():
@@ -505,10 +500,9 @@ def walks_suite(nmax: int = 6) -> list:
         for n in range(1, 5):
             cap = 3
             spec = twist((H("z"),), (cap,))
-            space = spec.space()
             h_parts = _complete_jm(n, cap)
             for lam in partitions_of(n):
-                twisted = twists.apply_twist(spec, center.unit_class(n, lam), space)
+                twisted = twists.apply_twist(spec, center.unit_class(n, lam))
                 for k in range(cap + 1):
                     product = h_parts[k] * class_sum(n, lam)
                     slow = (
@@ -579,7 +573,7 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
                 coeffs = connection_coeffs(spec, n)
                 # route B: diagonal multiplication via the idempotent basis
                 for lam in parts:
-                    twisted = twists.apply_twist(spec, center.unit_class(n, lam), space)
+                    twisted = twists.apply_twist(spec, center.unit_class(n, lam))
                     for mu in parts:
                         got = twisted.coeff(mu)
                         if not got:
@@ -606,7 +600,7 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
                         nu, ys
                     )
                     if weight:
-                        rhs = rhs + twists.cached_eigenvalue(spec, nu, space) * weight
+                        rhs = rhs + twists.cached_eigenvalue(spec, nu) * weight
                 _require(lhs == rhs, f"{walk.label}: point identity fails at n={n}")
         return f"corrected twisted Cauchy identity, all families, n<={cauchy_nmax}"
 

@@ -241,8 +241,24 @@ def test_tau_payload_key_order(capsys, argv, keys):
             ("--family", "alpha_q", "--N", "-1", "--alpha", "1/2", "--a=", "--b="),
             "--N must be >= 0, got -1",
         ),
+        (
+            ("--family", "hciz", "--N", "1", "--alpha", "1/2", "--a", "1", "--b", "2"),
+            "--alpha does not apply to --family hciz",
+        ),
+        (
+            ("--family", "hciz", "--N", "1", "--a", "1", "--b", "2", "--qcap", "3"),
+            "--qcap does not apply to --family hciz",
+        ),
+        (
+            ("--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", "1", "--b", "2",
+             "--zcap", "3"),
+            "--zcap does not apply to --family alpha_q",
+        ),
     ],
-    ids=("hciz-missing", "alpha_q-missing", "hciz-N0", "hciz-N0-check", "hciz-N-1", "alpha_q-N-1"),
+    ids=(
+        "hciz-missing", "alpha_q-missing", "hciz-N0", "hciz-N0-check", "hciz-N-1", "alpha_q-N-1",
+        "hciz-alpha", "hciz-qcap", "alpha_q-zcap",
+    ),
 )
 def test_tau_usage_errors(capsys, argv, error):
     code = main(["tau", *argv])

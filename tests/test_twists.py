@@ -85,19 +85,19 @@ def test_apply_twist_beta_squared_coefficient():
     assert series.coeff(q=3, beta=2) * 2 == 3
 
 
-def term_by_term_twist(spec, v, space):
+def term_by_term_twist(spec, v):
     """The twist of a class-basis element through the idempotent basis,
     converted back by center.idem_to_class over series, one series product
     per character entry."""
     coords = {
-        lam: twists.twist_eigenvalue(spec, lam, space) * c
+        lam: twists.twist_eigenvalue(spec, lam) * c
         for lam, c in class_to_idem(v).coords.items()
     }
     return idem_to_class(CenterElement(v.n, IDEMPOTENTS, coords))
 
 
-def assert_matches_term_by_term(spec, v, space):
-    got, want = apply_twist(spec, v, space), term_by_term_twist(spec, v, space)
+def assert_matches_term_by_term(spec, v):
+    got, want = apply_twist(spec, v), term_by_term_twist(spec, v)
     assert got.basis == want.basis == CLASS_SUMS
     assert got.coords == want.coords
     return got
@@ -107,13 +107,12 @@ def assert_matches_term_by_term(spec, v, space):
 def test_packed_apply_twist_matches_the_term_by_term_route(kind):
     for n in range(7):
         spec = WALK_KINDS[kind].twist(n, 4)
-        space = spec.space()
         parts = partitions_of(n)
         for mu in parts:
-            assert_matches_term_by_term(spec, unit_class(n, mu), space)
+            assert_matches_term_by_term(spec, unit_class(n, mu))
         # a signed combination of classes, over several denominators
         mixed = {mu: Fraction((-1) ** k * (k + 1), k + 2) for k, mu in enumerate(parts)}
-        assert_matches_term_by_term(spec, CenterElement(n, CLASS_SUMS, mixed), space)
+        assert_matches_term_by_term(spec, CenterElement(n, CLASS_SUMS, mixed))
 
 
 @pytest.mark.parametrize("sign", (-1, 1))
@@ -127,16 +126,17 @@ def test_packed_apply_twist_slot_bound(monkeypatch, n, magnitude, sign):
     # bound the slot width is sized for
     space = SeriesSpace(("z", "w"), (1, 1))
     one = TruncSeries(space, dict.fromkeys(((0, 0), (1, 0), (0, 1), (1, 1)), Fraction(1)))
-    monkeypatch.setattr(twists, "twist_eigenvalue", lambda spec, lam, space: one * (sign * magnitude))
+    monkeypatch.setattr(twists, "twist_eigenvalue", lambda spec, lam: one * (sign * magnitude))
     spec = twist((H("z"), E("w")), (1, 1))
+    assert spec.space() == space
     identity = (1,) * n
-    got = assert_matches_term_by_term(spec, unit_class(n, identity), space)
+    got = assert_matches_term_by_term(spec, unit_class(n, identity))
     assert got.coeff(identity).terms == dict.fromkeys(one.terms, Fraction(sign * magnitude))
 
 
 def test_twisted_cauchy_builds_each_eigenvalue_once(monkeypatch):
     # five families x the 30 partitions of n <= 6: one twist_eigenvalue call
-    # per (spec, lam, space), shared by connection_coeffs, apply_twist and
+    # per (spec, lam), shared by connection_coeffs, apply_twist and
     # the point identity's Schur side
     from hurwitz_tau import verify
 
@@ -150,20 +150,17 @@ def test_twisted_cauchy_builds_each_eigenvalue_once(monkeypatch):
     assert len(calls) <= 150
 
 
-def test_cached_eigenvalue_is_kept_per_spec_and_space(monkeypatch):
+def test_cached_eigenvalue_is_kept_per_spec(monkeypatch):
     spec = WALK_KINDS["mixed"].twist(4, 3)
-    other = SeriesSpace(spec.space().params, (4, 2, 2))
     for lam in partitions_of(4):
         assert twists.cached_eigenvalue(spec, lam) == twist_eigenvalue(spec, lam)
-        want = twist_eigenvalue(spec, lam, other)
-        assert twists.cached_eigenvalue(spec, list(lam), other) == want
     calls, build = [], twists.twist_eigenvalue
     monkeypatch.setattr(
         twists, "twist_eigenvalue", lambda *args: calls.append(args[1]) or build(*args)
     )
+    # a list lam hits the entry its tuple made
     for lam in partitions_of(4):
-        twists.cached_eigenvalue(spec, list(lam), spec.space())
-        twists.cached_eigenvalue(spec, lam, other)
+        assert twists.cached_eigenvalue(spec, list(lam)) == build(spec, lam)
     assert calls == []
     # an equal spec built anew starts its own memo
     twists.cached_eigenvalue(WALK_KINDS["mixed"].twist(4, 3), (4,))

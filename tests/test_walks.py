@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import config
+from hurwitz_tau import config, groupalg, verify
 from hurwitz_tau.errors import SizeLimitError
 from hurwitz_tau.groupalg import (
     Segment,
@@ -17,7 +17,7 @@ from hurwitz_tau.groupalg import (
     cycle_type,
     count_walks,
     count_walks_all_targets,
-    count_walks_to_elements,
+    count_walks_to,
     mixed,
     multi_monotone,
     plain,
@@ -100,16 +100,16 @@ def test_plain_class_dp_oracle():
 
 
 def test_representative_independence():
-    for n in range(2, 6):
-        for lam in partitions_of(n):
-            per_element = count_walks_to_elements(n, lam, weakly_monotone(3))
-            for mu in partitions_of(n):
-                members = conjugacy_classes(n)[mu]
-                values = {per_element.get(h, 0) for h in members}
-                assert len(values) == 1
-                assert values.pop() == count_walks(
-                    WalkQuery(n, lam, mu, weakly_monotone(3))
-                )
+    # every member of a class ends as many walks from each start class as
+    # the representative does, and those counts are count_walks's
+    for n in range(1, 6):
+        for mu, members in conjugacy_classes(n).items():
+            column = count_walks_to(n, class_representative(mu, n), weakly_monotone(3))
+            for g in members:
+                assert count_walks_to(n, g, weakly_monotone(3)) == column
+            for lam in partitions_of(n):
+                query = WalkQuery(n, lam, mu, weakly_monotone(3))
+                assert column.get(lam, 0) == count_walks(query)
 
 
 def test_transitive_examples():
@@ -191,9 +191,12 @@ def test_classical_factorization_counts():
 
 def test_walk_args_are_checked_before_counting(monkeypatch):
     with pytest.raises(ValueError, match="not a partition of 5"):
-        count_walks_to_elements(5, (3,), plain(1))
+        count_walks_all_targets(5, (3,), plain(1))
+    for end in ((1, 2, 3), (1, 2, 2, 4, 5), (0, 1, 2, 3, 4), (2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="not a permutation of 1..5"):
+            count_walks_to(5, end, plain(1))
     with pytest.raises(SizeLimitError):
-        count_walks_to_elements(8, (8,), plain(0))
+        count_walks_to(8, tuple(range(1, 9)), plain(0))
     monkeypatch.setenv("HURWITZ_MAX_N", "abc")
     with pytest.raises(ValueError, match="HURWITZ_MAX_N"):
         config.walk_cap()
@@ -269,24 +272,43 @@ def test_dp_matches_direct_enumeration(case):
 
 
 def test_single_target_equals_all_targets():
-    # the back-walk from the target representative against the forward rows,
-    # over every walk kind and the segment orders no kind produces
-    orders = [segments for walk in WALK_KINDS.values() for _, segments, _ in walk.steps(4)]
-    for first, second in (("strict", "weak"), ("plain", "weak")):
-        orders += [
-            (Segment(first, d1), Segment(second, d2)) for d1 in range(5) for d2 in range(5 - d1)
-        ]
+    # single counts and rows against direct enumeration, over the 13 segment
+    # orders no walk kind produces; n starts at 1, because the enumeration
+    # counts the empty walk of S_0 as transitive and log tau has no n = 0 term
+    orders = [
+        (Segment(first, d1), Segment("weak", d2))
+        for first in ("strict", "plain")
+        for d1 in range(1, 4)
+        for d2 in range(1, 5 - d1)
+    ]
     orders.append((Segment("weak", 2), Segment("plain", 1), Segment("strict", 1)))
-    # empty segments are dropped before walking, so each order is tried once
-    orders = dict.fromkeys(tuple(seg for seg in segs if seg.length) for segs in orders)
-    for n in range(6):
+    assert len(orders) == 13
+    for n in range(1, 5):
         for lam in partitions_of(n):
             for segments in orders:
                 for transitive in (False, True):
-                    rows = count_walks_all_targets(n, lam, segments, transitive)
+                    expected = brute_force_counts(n, lam, segments, transitive)
+                    assert count_walks_all_targets(n, lam, segments, transitive) == expected
                     for mu in partitions_of(n):
                         query = WalkQuery(n, lam, mu, segments, transitive)
-                        assert count_walks(query) == rows.get(mu, 0), query
+                        assert count_walks(query) == expected.get(mu, 0), query
+
+
+def test_every_walk_count_is_one_back_walk_per_end(monkeypatch):
+    calls, walk = [], groupalg._walk
+    monkeypatch.setattr(groupalg, "_walk", lambda *args: calls.append(args) or walk(*args))
+    count_walks(WalkQuery(5, (2, 2, 1), (3, 1, 1), weakly_monotone(3), transitive=True))
+    assert len(calls) == 1
+    for n in range(1, 6):
+        calls.clear()
+        count_walks_all_targets(n, (1,) * n, mixed(1, 3))
+        assert len(calls) == len(partitions_of(n))
+    # verify reads its walk counts from back-walk columns, never from rows
+    rows = []
+    for name in ("count_walks_all_targets", "_count_dp"):
+        monkeypatch.setattr(groupalg, name, lambda *args, **kwargs: rows.append(args))
+    assert all(result.passed for result in verify.run_suite("walks", nmax=2))
+    assert rows == [] and not hasattr(verify, "count_walks_all_targets")
 
 
 @st.composite
