@@ -147,6 +147,29 @@ def ssyt_count(lam: Partition, max_entry: int) -> int:
     return fill(0, 0, [[] for _ in range(rows)])
 
 
+def cauchy_kernel_coeff(n: int, xs, ys) -> Fraction:
+    """Degree-n coefficient of prod_{a,b} 1/(1 - x_a y_b), by direct
+    geometric-series expansion in an auxiliary grading variable."""
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    # coeffs[d] = degree-d coefficient of the partial product
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[0] = Fraction(1)
+    for x in xs:
+        for y in ys:
+            factor = [Fraction(1)]
+            for _ in range(n):
+                factor.append(factor[-1] * x * y)
+            new = [Fraction(0)] * (n + 1)
+            for d, c in enumerate(coeffs):
+                if not c:
+                    continue
+                for k in range(n + 1 - d):
+                    new[d + k] += c * factor[k]
+            coeffs = new
+    return coeffs[n]
+
+
 def random_rationals(rng, count: int, distinct: bool = False):
     """Small random Fractions from a seeded Random instance."""
     out: list[Fraction] = []

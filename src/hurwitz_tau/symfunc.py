@@ -10,7 +10,8 @@ character table, by the Frobenius expansions
 one product with chi^T (then 1/Z_mu) or with chi per degree slice, so the
 two conversions are exact mutual inverses.  Multiplication, evaluation and
 equality go through the p-basis, where multiplication is partition
-concatenation.
+concatenation.  Values at points come from one table per basis:
+powersum_products (every p_lam) and schur_values (every nonzero S_nu).
 """
 
 from fractions import Fraction
@@ -70,11 +71,6 @@ def s_basis(terms) -> SymFunc:
     return SymFunc("s", terms)
 
 
-def powersum_to_schur(mu: Partition) -> SymFunc:
-    """Expansion of a single power-sum monomial on the Schur basis."""
-    return to_schur(p_basis({tuple(mu): 1}))
-
-
 def _degree_slices(terms: dict) -> dict[int, dict]:
     slices = {}
     for lam, c in terms.items():
@@ -132,16 +128,6 @@ def evaluate(f: SymFunc, xs) -> Fraction:
     return total
 
 
-def evaluate_powersums(mu: Partition, xs) -> Fraction:
-    """p_mu at the given values."""
-    return evaluate(p_basis({tuple(mu): 1}), xs)
-
-
-def evaluate_schur(lam: Partition, xs) -> Fraction:
-    """S_lam at the given values, through the p-basis (production path)."""
-    return evaluate(s_basis({tuple(lam): 1}), xs)
-
-
 def powersum_products(values, n_max: int) -> dict:
     """{lam: p_lam(values)} for every partition of size <= n_max, exact on
     ints and Fractions alike; p_lam is p_{lam without its last part} times
@@ -177,49 +163,19 @@ def schur_values(xs, n_max: int) -> dict[Partition, Fraction]:
 def cauchy_sides(n: int, xs, ys) -> tuple[Fraction, Fraction]:
     """Degree-n pieces of the Cauchy-Littlewood identity:
 
-        sum_{|mu|=n} p_mu(x) p_mu(y) / Z_mu   and   sum_{|lam|=n} S_lam(x) S_lam(y).
+        sum_{|mu|=n} p_mu(x) p_mu(y) / Z_mu   and   sum_{|lam|=n} S_lam(x) S_lam(y),
 
+    from one powersum_products and one schur_values table per point set.
     Both are returned so callers can assert equality; see
-    cauchy_kernel_coeff for the product-side oracle.
+    oracles.cauchy_kernel_coeff for the product-side oracle.
     """
-    power_side = sum(
-        (
-            evaluate_powersums(mu, xs) * evaluate_powersums(mu, ys) / z_of(mu)
-            for mu in partitions_of(n)
-        ),
-        Fraction(0),
-    )
-    schur_side = sum(
-        (
-            evaluate_schur(lam, xs) * evaluate_schur(lam, ys)
-            for lam in partitions_of(n)
-        ),
-        Fraction(0),
-    )
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    px, py = powersum_products(xs, n), powersum_products(ys, n)
+    sx, sy = schur_values(xs, n), schur_values(ys, n)
+    parts = partitions_of(n)
+    power_side = sum((px[mu] * py[mu] / z_of(mu) for mu in parts), Fraction(0))
+    schur_side = sum((sx.get(lam, 0) * sy.get(lam, 0) for lam in parts), Fraction(0))
     return power_side, schur_side
-
-
-def cauchy_kernel_coeff(n: int, xs, ys) -> Fraction:
-    """Degree-n coefficient of prod_{a,b} 1/(1 - x_a y_b), by direct
-    geometric-series expansion in an auxiliary grading variable."""
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    # coeffs[d] = degree-d coefficient of the partial product
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    for x in xs:
-        for y in ys:
-            factor = [Fraction(1)]
-            for _ in range(n):
-                factor.append(factor[-1] * x * y)
-            new = [Fraction(0)] * (n + 1)
-            for d, c in enumerate(coeffs):
-                if not c:
-                    continue
-                for k in range(n + 1 - d):
-                    new[d + k] += c * factor[k]
-            coeffs = new
-    return coeffs[n]
 
 
 class TensorSymFunc:

@@ -29,7 +29,7 @@ family's rho, by fraction-free Bareiss elimination over truncated series.
 The tau command runs its exp and binomial cases under --check-determinant
 (hciz_determinant, alpha_q_determinant); verify runs every walk-kind twist.
 tau_eval (the power-sum tensor of a TauSeries at the points) and
-tau_eval_schur_side (each S_nu through the p-basis, symfunc.evaluate_schur)
+tau_eval_schur_side (each S_nu expanded on the p-basis, symfunc.evaluate)
 read the same r_nu and reach the point values by other routes; verify
 and perfbench's checker compare against them.
 """
@@ -58,10 +58,12 @@ from .partitions import (
 from .series import SeriesSpace, TruncSeries, series_json
 from .symfunc import (
     TensorSymFunc,
-    evaluate_schur,
+    evaluate,
     powersum_products,
+    s_basis,
     schur_values,
     tensor_product_sum,
+    to_powersum,
 )
 from .twists import (
     AlphaQConvolution,
@@ -211,11 +213,13 @@ def tau_eval(t: TauSeries, a_vals, b_vals) -> TruncSeries:
 
 
 def tau_eval_schur_side(t: TauSeries, a_vals, b_vals) -> TruncSeries:
-    """Same evaluation through sum_nu r_nu S_nu(a) S_nu(b); the agreement of
-    the two routes is the twisted Cauchy-Littlewood identity at a point."""
+    """Same evaluation through sum_nu r_nu S_nu(a) S_nu(b), each S_nu
+    expanded on the p-basis once and evaluated at a and at b; the agreement
+    of the two routes is the twisted Cauchy-Littlewood identity at a point."""
     total = t.space.zero()
     for nu, r in t.r.items():
-        weight = evaluate_schur(nu, a_vals) * evaluate_schur(nu, b_vals)
+        s_nu = to_powersum(s_basis({nu: 1}))
+        weight = evaluate(s_nu, a_vals) * evaluate(s_nu, b_vals)
         if weight:
             total = total + r * weight
     return total

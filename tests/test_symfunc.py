@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz_tau.oracles import (
+    cauchy_kernel_coeff,
     random_rationals,
     schur_via_alternant,
     ssyt_count,
@@ -13,14 +14,11 @@ from hurwitz_tau import symfunc
 from hurwitz_tau.series import SeriesSpace, TruncSeries, pack, unpack
 from hurwitz_tau.symfunc import (
     TensorSymFunc,
-    cauchy_kernel_coeff,
     cauchy_sides,
     evaluate,
-    evaluate_powersums,
-    evaluate_schur,
     multiply,
     p_basis,
-    powersum_to_schur,
+    powersum_products,
     s_basis,
     schur_values,
     tensor_product_sum,
@@ -32,6 +30,17 @@ from hurwitz_tau.symfunc import (
 def schur_to_powersum(lam):
     """Expansion of a single Schur function on the power-sum basis."""
     return to_powersum(s_basis({lam: 1}))
+
+
+def powersum_to_schur(mu):
+    """Expansion of a single power-sum monomial on the Schur basis."""
+    return to_schur(p_basis({mu: 1}))
+
+
+def evaluate_schur(lam, xs):
+    """S_lam at the given values through the p-basis: the reference route
+    for the integer character-table product of schur_values."""
+    return evaluate(s_basis({lam: 1}), xs)
 
 
 def test_schur_to_powersum_examples():
@@ -91,18 +100,24 @@ def test_multiply_s2_times_s11():
 
 def test_evaluate_examples():
     assert evaluate(p_basis({(2,): 1}), [1, 2]) == 5
-    assert evaluate_schur((2, 1), [1, 1, 1]) == ssyt_count((2, 1), 3) == 8
+    assert powersum_products([1, 2], 3)[(2, 1)] == 5 * 3
+    assert schur_values([1, 1, 1], 3)[(2, 1)] == ssyt_count((2, 1), 3) == 8
+    assert schur_values([1, 1], 3).get((1, 1, 1)) is None  # S_(1,1,1)(1, 1) = 0
     a = Fraction(5, 3)
-    assert evaluate_schur((4,), [a]) == a**4
-    assert evaluate_schur((2, 1), [a]) == 0  # more rows than variables
+    values = schur_values([a], 4)
+    assert values[(4,)] == evaluate_schur((4,), [a]) == a**4
+    assert (2, 1) not in values  # more rows than variables
+    assert evaluate_schur((2, 1), [a]) == 0
 
 
 def test_evaluate_matches_alternant_on_random_points():
     rng = random.Random(99)
     for n in range(1, 6):
         xs = random_rationals(rng, 4, distinct=True)
+        values = schur_values(xs, n)
         for lam in partitions_of(n):
-            assert evaluate_schur(lam, xs) == schur_via_alternant(lam, xs)
+            want = schur_via_alternant(lam, xs)
+            assert values.get(lam, 0) == evaluate_schur(lam, xs) == want
 
 
 @pytest.mark.parametrize(

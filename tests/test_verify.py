@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hurwitz_tau import center, verify
+from hurwitz_tau import center, symfunc, tauseries, verify
 from hurwitz_tau.series import TruncSeries
 
 
@@ -135,6 +135,78 @@ def test_alternant_checks_catch_a_wrong_character(monkeypatch):
     oracle, ratio = checks["characters.alternant_oracle"], checks["characters.alternant_ratio_points"]
     assert not oracle.passed and "chi_(3, 2, 1)((2, 2, 1, 1))" in oracle.detail
     assert not ratio.passed and "n=6, (2, 2, 1, 1)" in ratio.detail
+
+
+def test_schur_checks_catch_a_wrong_schur_value(monkeypatch):
+    # one wrong n = 5 value of the table the tau command prints must fail
+    # both the oracle check and the Cauchy check
+    exact = symfunc.schur_values
+
+    def off_by_one(xs, n_max):
+        values = exact(xs, n_max)
+        if n_max >= 5:
+            values[(3, 2)] = values.get((3, 2), 0) + 1
+        return values
+
+    def schur_checks():
+        return _run_named(
+            verify.characters_suite(), "characters.cauchy_littlewood", "characters.schur_evaluation"
+        )
+
+    assert all(r.passed for r in schur_checks().values())
+    monkeypatch.setattr(symfunc, "schur_values", off_by_one)
+    cauchy, evaluation = schur_checks().values()
+    assert not cauchy.passed and cauchy.detail == "Cauchy identity fails at n=5"
+    assert not evaluation.passed and "at (3, 2)" in evaluation.detail
+
+
+def test_alpha_q_report_check_requires_every_match(monkeypatch):
+    # the fourth of the report's six cases (N = 2, alpha = 1/2) reads as a
+    # mismatch; the check passed such a report while every flag was a bool
+    exact = tauseries.alpha_q_determinant
+    calls = []
+
+    def one_flipped(*args):
+        case = exact(*args)
+        calls.append(case)
+        if len(calls) == 4:
+            case["entrywise_matches_schur_expansion"] = False
+        return case
+
+    def report_check():
+        return _run_named(verify.tau_suite(), "tau.alpha_q_report")["tau.alpha_q_report"]
+
+    assert report_check().passed
+    monkeypatch.setattr(tauseries, "alpha_q_determinant", one_flipped)
+    check = report_check()
+    assert len(calls) == 6
+    assert not check.passed and "misses the Schur expansion" in check.detail
+
+
+def test_point_value_checks_read_the_tables(monkeypatch):
+    # p_lam and S_nu at points come from powersum_products and schur_values,
+    # never from the p-basis evaluate (which the ring-hom check still uses)
+    calls = []
+    original = symfunc.evaluate
+
+    def counting(f, xs):
+        calls.append(f)
+        return original(f, xs)
+
+    monkeypatch.setattr(symfunc, "evaluate", counting)
+    names = (
+        "characters.alternant_ratio_points",
+        "characters.cauchy_littlewood",
+        "characters.schur_evaluation",
+    )
+    results = _run_named(verify.characters_suite(), *names)
+    results.update(_run_named(verify.tau_suite(), "tau.twisted_cauchy"))
+    assert len(results) == 4 and all(r.passed for r in results.values())
+    assert calls == []
+    assert _run_named(verify.characters_suite(), "characters.evaluation_ring_hom")[
+        "characters.evaluation_ring_hom"
+    ].passed
+    assert calls
 
 
 def test_default_lists_are_verify_all(monkeypatch):
