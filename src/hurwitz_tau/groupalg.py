@@ -465,6 +465,7 @@ def _join(blocks, a, b):
     return tuple(low if label == high else label for label in blocks)
 
 
+@lru_cache(maxsize=None)
 def transposition_class_matrix(n: int) -> dict[Partition, dict[Partition, int]]:
     """M[mu][nu] = number of transpositions t with t * rep(mu) of type nu.
 

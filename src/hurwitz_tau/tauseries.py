@@ -74,9 +74,9 @@ from .twists import (
     Scale,
     TwistSpec,
     alpha_q_coeff,
+    cached_eigenvalue,
     series_character_sum,
     twist,
-    twist_eigenvalue,
 )
 
 
@@ -105,7 +105,7 @@ class TauSeries:
             r_vals = {nu: r_of(nu) for nu in table.parts}
             self.r.update(r_vals)
             z = {lam: z_of(lam) for lam in table.parts}
-            sums = series_character_sum(table, r_vals, space, lambda lam, mu: z[lam] * z[mu])
+            sums = series_character_sum(table, r_vals, lambda lam, mu: z[lam] * z[mu])
             terms.update((pair, total) for pair, total in sums.items() if total)
         self.tensor = TensorSymFunc(terms)
 
@@ -129,9 +129,8 @@ def vacuum_tau(n_max: int) -> TauSeries:
 
 def twist_tau(spec: TwistSpec, n_max: int) -> TauSeries:
     """Tau series whose Schur coefficient r_nu is the twist's eigenvalue on
-    F_nu."""
-    space = spec.space()
-    return TauSeries(space, n_max, lambda nu: twist_eigenvalue(spec, nu, space))
+    F_nu, read through the spec's memo (cached_eigenvalue)."""
+    return TauSeries(spec.space(), n_max, lambda nu: cached_eigenvalue(spec, nu))
 
 
 def okounkov_tau(n_max: int, beta_cap: int) -> TauSeries:
@@ -387,18 +386,17 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
     alpha = Fraction(alpha)
     a_vals = [Fraction(x) for x in a_vals]
     b_vals = [Fraction(x) for x in b_vals]
-    n_max = min(q_cap, TAU_NMAX_CAP)
-    space, r_of = alpha_q_family(alpha, N, n_max, n_max)
+    space, r_of = alpha_q_family(alpha, N, q_cap, q_cap)
+    schur_side = tau_at_points(space, q_cap, r_of, a_vals, b_vals)  # first: checks q_cap
     det = family_determinant(
         lambda s: AlphaQConvolution(alpha, s).rho, N, a_vals, b_vals, space, "q"
     )
-    schur_side = tau_at_points(space, n_max, r_of, a_vals, b_vals)
     return {
         "N": N,
         "alpha": str(alpha),
         "a": [str(x) for x in a_vals],
         "b": [str(x) for x in b_vals],
-        "q_cap": n_max,
+        "q_cap": q_cap,
         "entrywise_matches_schur_expansion": det == schur_side,
         "entrywise_determinant": series_json(det),
         "schur_expansion": series_json(schur_side),

@@ -15,16 +15,16 @@ coefficients
     G_{lam mu} = (1/Z_lam) sum_nu G(cont(nu)) chi_nu(lam) chi_nu(mu),
 
 whose series coefficients count constrained transposition walks.  The
-eigenvalues are built from integer content sequences and the sum runs on
-packed integers (series_character_sum), dividing once at the end.  The
-homomorphism TwistConvolution takes every twist, all four atoms, to the
-convolution side: families rho_j / r_j = rho_j/rho_{j-1} and the shifted
-content product
+eigenvalue (twist_eigenvalue, memoised per spec by cached_eigenvalue) is
+built from integer content sequences in the twist's own space;
+okounkov_coeff and multimonotone_coeff are views of it.  The sum runs on
+packed integers (series_character_sum, in the values' space), dividing
+once at the end.  TwistConvolution takes every twist to the convolution
+side: families rho_j / r_j = rho_j/rho_{j-1} and the shifted content product
 
     r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i},
 
-built from series products; r_lam(0) q^{|lam|} equals the eigenvalue
-built from integer content sequences.
+built from series products, whose r_lam(0) q^{|lam|} is the eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -100,8 +100,8 @@ def twist(factors, caps) -> TwistSpec:
     return TwistSpec(factors, caps)
 
 
-def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None = None) -> TruncSeries:
-    """Content-product eigenvalue of the twist on F_lam, as a series.
+def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
+    """Content-product eigenvalue of the twist on F_lam, in spec.space().
 
     Each parameter axis carries an integer sequence a_0..a_cap over a
     denominator.  H multiplies its axis by 1/(1 - c x) for every content c,
@@ -111,8 +111,7 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None 
     |lam|.  Atoms on one axis compose by convolution, and the series is the
     outer product of the axes over the product of their denominators."""
     lam = tuple(lam)
-    if space is None:
-        space = spec.space()
+    space = spec.space()
     cs = contents(lam)
     axes = [[1] + [0] * cap for cap in space.caps]
     denominator = 1
@@ -145,12 +144,14 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition, space: SeriesSpace | None 
     return TruncSeries._trusted(space, {e: Fraction(x, denominator) for e, x in terms.items()})
 
 
-def _packed_series(values: dict, space: SeriesSpace, bound: int):
-    """Every series of ``values`` over one D at sparse slots, one per exponent
-    tuple in any value, for integer combinations with coefficients summing
-    to at most ``bound`` in size: a slot stays below bound M (M the largest
-    numerator), so W = bit_length(bound M) + 1.  Returns {key: packed int}
-    and read_back(total, scale), a combination's series over D scale."""
+def _packed_series(values: dict, bound: int):
+    """Every series of ``values`` (one space) over one D at sparse slots, one
+    per exponent tuple in any value, for integer combinations with
+    coefficients summing to at most ``bound`` in size: a slot stays below
+    bound M (M the largest numerator), so W = bit_length(bound M) + 1.
+    Returns {key: packed int} and read_back(total, scale), a combination's
+    series over D scale."""
+    space = next((value.space for value in values.values()), None)  # None: nothing to read
     support = sorted({e for value in values.values() for e in value.terms})
     slot = {e: k for k, e in enumerate(support)}
     denom, rows = numerators([value.terms for value in values.values()], slot)
@@ -162,16 +163,16 @@ def _packed_series(values: dict, space: SeriesSpace, bound: int):
     return {key: pack(row, width) for key, row in zip(values, rows)}, read_back
 
 
-def series_character_sum(table: CharacterTable, values, space: SeriesSpace, scale) -> dict:
+def series_character_sum(table: CharacterTable, values, scale) -> dict:
     """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
-    for every ordered pair of classes, each a series in ``space``.
+    for every ordered pair of classes, each a series in the values' space.
 
     The sum runs on packed integers (_packed_series): CharacterTable.
     character_sum adds and scales whole packed ints, and each pair's slots
     are read back once over D scale(lam, mu).  Cauchy-Schwarz and column
     orthogonality give sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu)
     <= n!, the bound the slots are sized for."""
-    packed, read_back = _packed_series(values, space, factorial(table.n))
+    packed, read_back = _packed_series(values, factorial(table.n))
     sums = table.character_sum(packed)
     return {pair: read_back(total, scale(*pair)) for pair, total in sums.items()}
 
@@ -190,11 +191,10 @@ def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
 
 def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
     """G_{lam mu} for all lam, mu of n, via the character sum."""
-    space = spec.space()
     table = character_table(n)
     eig = {nu: cached_eigenvalue(spec, nu) for nu in table.parts}
     z = {lam: z_of(lam) for lam in table.parts}
-    return series_character_sum(table, eig, space, lambda lam, mu: z[lam])
+    return series_character_sum(table, eig, lambda lam, mu: z[lam])
 
 
 def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
@@ -212,7 +212,7 @@ def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
         lam: cached_eigenvalue(spec, lam) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).coords.items()
     }
-    packed, read_back = _packed_series(values, spec.space(), factorial(v.n))
+    packed, read_back = _packed_series(values, factorial(v.n))
     coords = character_table(v.n).transpose_times(packed)
     return CenterElement(v.n, CLASS_SUMS, {mu: read_back(total) for mu, total in coords.items()})
 
@@ -338,10 +338,10 @@ class AlphaQConvolution(ConvolutionCoeffs):
 
     def closed_form_r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         """r_0(N) q^{|lam|} (N-alpha)_lam/(N)_lam via partition Pochhammers;
-        only defined when (N)_lam != 0, i.e. l(lam) <= N."""
+        zero when l(lam) > N, like schur_expansion_r_lambda."""
         lam = tuple(lam)
         if len(lam) > N:
-            raise ZeroDivisionError(f"(N)_lam vanishes for {lam} at N = {N}")
+            return self.space.zero()
         ratio = pochhammer_partition(N - self.alpha, lam) / pochhammer_partition(N, lam)
         # r_0(N) is one monomial c q^{N(N-1)/2} (zero past the q cap): no product
         q0 = N * (N - 1) // 2
@@ -389,27 +389,19 @@ class ExpConvolution(ConvolutionCoeffs):
 # -- eigenvalue families for tau assembly ------------------------------------
 
 def okounkov_coeff(lam: Partition, space: SeriesSpace) -> TruncSeries:
-    """q^{|lam|} e^{beta cont_lam} (the N=0 double-branch-point family)."""
-    lam = tuple(lam)
-    return space.exp_linear(content_sum(lam), "beta").shift_up("q", size(lam))
+    """q^{|lam|} e^{beta cont_lam}, the eigenvalue of Exp(q, beta) at the caps
+    of ``space``, whose parameters must be ("q", "beta")."""
+    return twist_eigenvalue(twist((Exp("q", "beta"),), space.caps), lam)
 
 
 def multimonotone_coeff(lam: Partition, space: SeriesSpace, w_params) -> TruncSeries:
-    """q^{|lam|} prod_alpha prod_{(i,j), j != i} (1 + w_alpha (j-i))."""
-    lam = tuple(lam)
-    result = space.monomial(1, q=size(lam))
-    for name in w_params:
-        for c in contents(lam):
-            if c:
-                result = result * space.linear(c, name)
-    return result
+    """q^{|lam|} prod_alpha prod_{(i,j)} (1 + w_alpha (j-i)), the eigenvalue of
+    Scale(q) E(w_1)...E(w_m) at the caps of ``space``, params ("q", *w_params)."""
+    return twist_eigenvalue(twist((Scale("q"), *map(E, w_params)), space.caps), lam)
 
 
 def alpha_q_coeff(lam: Partition, family: AlphaQConvolution, N: int) -> TruncSeries:
     """r_lam^{(alpha,q)}(N) as a q-series; defined-zero when l(lam) > N."""
-    lam = tuple(lam)
-    if len(lam) > N:
-        return family.space.zero()
     return family.closed_form_r_lambda(lam, N)
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, prod
 
 from . import center, groupalg, oracles, symfunc, tauseries, twists
 from .characters import character, character_table
@@ -423,27 +423,20 @@ def walks_suite(nmax: int = 6) -> list:
         return "Z_mu^-1 G(lam,mu) = Z_lam^-1 G(mu,lam)"
 
     def composition():
-        n = 4
-        caps = (3, 3)
-        spec_he = twist((H("z"), E("w")), caps)
-        space = spec_he.space()
-        coeffs_joint = connection_coeffs(spec_he, n)
-        # component matrices computed in the joint space
-        table = character_table(n)
-        parts = table.parts
-
-        def component(spec):
-            eig = {nu: twist_eigenvalue(spec, nu, space) for nu in parts}
-            return twists.series_character_sum(table, eig, space, lambda lam, mu: z_of(lam))
-
-        mat_h = component(twist((H("z"),), (caps[0],)))
-        mat_e = component(twist((E("w"),), (caps[1],)))
+        # each matrix in its own space: [z^a w^b] G(H*E) = sum [z^a] G(H) [w^b] G(E)
+        n, cap, parts = 4, 3, partitions_of(4)
+        joint = connection_coeffs(twist((H("z"), E("w")), cap), n)
+        mat_h = connection_coeffs(twist((H("z"),), cap), n)
+        mat_e = connection_coeffs(twist((E("w"),), cap), n)
         for lam in parts:
             for mu in parts:
-                total = space.zero()
+                total = {}
                 for kap in parts:
-                    total = total + mat_h[(lam, kap)] * mat_e[(kap, mu)]
-                _require(total == coeffs_joint[(lam, mu)], f"composition fails at {lam}->{mu}")
+                    for (a,), x in mat_h[lam, kap].terms.items():
+                        for (b,), y in mat_e[kap, mu].terms.items():
+                            total[a, b] = total.get((a, b), 0) + x * y
+                _require({e: c for e, c in total.items() if c} == joint[lam, mu].terms,
+                         f"composition fails at {lam}->{mu}")
         return "G(H*E) = G(H) G(E) as matrices in the class basis, n=4"
 
     def class_dp():
@@ -559,6 +552,13 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
     cauchy_nmax, walk_nmax, intertwining_nmax = min(nmax, 6), min(nmax, 5), min(nmax, 8)
 
     def twisted_cauchy():
+        # p and S tables at two 3-variable random points, drawn once per n
+        tables = {}
+        for n in range(cauchy_nmax + 1):
+            rng = random.Random(seed + n)
+            xs, ys = oracles.random_rationals(rng, 3), oracles.random_rationals(rng, 3)
+            tables[n] = (symfunc.powersum_products(xs, n), symfunc.powersum_products(ys, n),
+                         symfunc.schur_values(xs, n), symfunc.schur_values(ys, n))
         for kind, cap in TWIST_FAMILIES.items():
             walk = tauseries.WALK_KINDS[kind]
             for n in range(cauchy_nmax + 1):
@@ -578,17 +578,13 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
                             f"{walk.label}: matrix route disagrees at n={n}, {lam}->{mu}",
                         )
                 # random-point identity with 3 variables per side
-                rng = random.Random(seed + n)
-                xs = oracles.random_rationals(rng, 3)
-                ys = oracles.random_rationals(rng, 3)
-                px, py = symfunc.powersum_products(xs, n), symfunc.powersum_products(ys, n)
+                px, py, sx, sy = tables[n]
                 lhs = space.zero()
                 for lam in parts:
                     for mu in parts:
                         weight = px[lam] * py[mu] / z_of(mu)
                         if weight:
                             lhs = lhs + coeffs[(lam, mu)] * weight
-                sx, sy = symfunc.schur_values(xs, n), symfunc.schur_values(ys, n)
                 rhs = space.zero()
                 for nu in parts:
                     weight = sx.get(nu, 0) * sy.get(nu, 0)
@@ -711,16 +707,16 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
             for u in us:
                 q_val *= u
             ws = [Fraction(-1) / u for u in us]
+            spec = twist([E(f"w{a}") for a in range(1, m + 1)], 4)
             for n in range(5):
                 for lam in partitions_of(n):
                     direct = s_val ** sum(lam)
                     for u in us:
                         for i, j in cells(lam):
                             direct *= u + i - j
-                    reparam = q_val ** sum(lam)
-                    for w in ws:
-                        for i, j in cells(lam):
-                            reparam *= 1 + w * (j - i)
+                    # the library's E(w_1)...E(w_m) eigenvalue at w_alpha = -1/u_alpha
+                    eig = twist_eigenvalue(spec, lam).terms.items()
+                    reparam = q_val ** sum(lam) * sum(c * prod(map(pow, ws, e)) for e, c in eig)
                     if m % 2 == 0:
                         _require(direct == reparam, f"even-m reparametrization fails at {lam}")
                     else:

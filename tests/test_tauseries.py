@@ -296,6 +296,12 @@ def test_alpha_q_determinant_n2_exploratory():
     assert report["det_power_reading_defined"] is False
 
 
+def test_alpha_q_determinant_rejects_a_q_cap_past_the_tau_cap():
+    # no clamp to the cap: a report labelled q_cap 8 would answer another question
+    with pytest.raises(ValueError, match="n_max must lie in"):
+        alpha_q_determinant(1, Fraction(1, 2), [Fraction(2, 3)], [Fraction(1, 5)], 9)
+
+
 def test_alpha_q_tau_vanishing_rows():
     t = alpha_q_tau(Fraction(1, 2), 1, 3)
     assert t.r[(1, 1)].is_zero()

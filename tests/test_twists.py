@@ -16,7 +16,7 @@ from hurwitz_tau.center import (
 from hurwitz_tau.groupalg import WalkQuery, count_walks, plain, weakly_monotone
 from hurwitz_tau.partitions import content_sum, partitions_of, pochhammer_partition, size, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
-from hurwitz_tau.tauseries import WALK_KINDS
+from hurwitz_tau.tauseries import WALK_KINDS, twist_tau
 from hurwitz_tau.twists import (
     AlphaQConvolution,
     E,
@@ -165,6 +165,17 @@ def test_cached_eigenvalue_is_kept_per_spec(monkeypatch):
     # an equal spec built anew starts its own memo
     twists.cached_eigenvalue(WALK_KINDS["mixed"].twist(4, 3), (4,))
     assert calls == [(4,)]
+
+
+def test_twist_tau_and_connection_coeffs_share_the_memo(monkeypatch):
+    # twist_tau reads the spec's memo, so connection_coeffs on the same spec
+    # builds no eigenvalue again: one contents() per partition of n <= 4
+    calls, contents = [], twists.contents
+    monkeypatch.setattr(twists, "contents", lambda lam: calls.append(lam) or contents(lam))
+    spec = WALK_KINDS["mixed"].twist(4, 3)
+    twist_tau(spec, 4)
+    connection_coeffs(spec, 4)
+    assert sorted(calls) == sorted(lam for n in range(5) for lam in partitions_of(n))
 
 
 def test_connection_coeffs_computes_z_once_per_partition(monkeypatch):
@@ -342,6 +353,15 @@ def test_alpha_q_branch_equals_closed_form():
                     assert fam.r_lambda(lam, N) == fam.closed_form_r_lambda(lam, N)
 
 
+def test_alpha_q_closed_form_is_zero_past_n_rows():
+    # like ExpConvolution.schur_expansion_r_lambda: zero, not a division by (N)_lam = 0
+    fam = AlphaQConvolution(Fraction(1, 2), SeriesSpace(("q",), (8,)))
+    for N in range(4):
+        for lam in partitions_of(4):
+            if len(lam) > N:
+                assert fam.closed_form_r_lambda(lam, N) == fam.space.zero()
+
+
 def test_alpha_q_closed_form_past_the_q_cap():
     # r_0(N) = c q^{N(N-1)/2}: at N = 4 that is q^6, past the cap 5, so the
     # closed form is the zero series; at N = 3 it truncates from |lam| = 3
@@ -433,31 +453,27 @@ def test_family_coeffs_dispatcher():
     sp_w = SeriesSpace(("q", "w1"), (4, 3))
     mm = multimonotone_coeff((2,), sp_w, w_params=("w1",))
     spec = twist((Scale("q"), E("w1")), (4, 3))
-    assert mm == twist_eigenvalue(spec, (2,), sp_w)
+    assert mm == twist_eigenvalue(spec, (2,))
 
 
 def test_okounkov_and_multimonotone_coeffs_never_multiply_by_one(monkeypatch):
-    # each equals the eigenvalue of its twist, (Exp) and (Scale, E, E), on
-    # every lam with |lam| <= 6, with no series product by a unit factor
-    unit_products = []
-    mul = TruncSeries.__mul__
-
-    def counting_mul(self, other):
-        one = self.space.one()
-        if self == one or (isinstance(other, TruncSeries) and other == one):
-            unit_products.append((self, other))
-        return mul(self, other)
-
-    monkeypatch.setattr(TruncSeries, "__mul__", counting_mul)
+    # the views make no series product at all, and each equals its twist's
+    # convolution image r_lambda(lam, 0) q^{|lam|}, (Exp) and (Scale, E, E),
+    # on every lam with |lam| <= 6
+    products, mul, rmul = [], TruncSeries.__mul__, TruncSeries.__rmul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+    monkeypatch.setattr(TruncSeries, "__rmul__", lambda a, b: products.append(a) or rmul(a, b))
     sp_qb, sp_qw = SeriesSpace(("q", "beta"), (6, 4)), SeriesSpace(("q", "w1", "w2"), (6, 3, 3))
-    exp_spec = twist((Exp("q", "beta"),), sp_qb.caps)
-    e_spec = twist((Scale("q"), E("w1"), E("w2")), sp_qw.caps)
-    for n in range(7):
-        for lam in partitions_of(n):
-            assert okounkov_coeff(lam, sp_qb) == twist_eigenvalue(exp_spec, lam, sp_qb)
-            mm = multimonotone_coeff(lam, sp_qw, ("w1", "w2"))
-            assert mm == twist_eigenvalue(e_spec, lam, sp_qw)
-    assert unit_products == []
+    lams = [lam for n in range(7) for lam in partitions_of(n)]
+    views = [(okounkov_coeff(lam, sp_qb), multimonotone_coeff(lam, sp_qw, ("w1", "w2")))
+             for lam in lams]
+    monkeypatch.undo()
+    assert products == []
+    exp_conv = TwistConvolution(twist((Exp("q", "beta"),), sp_qb.caps))
+    e_conv = TwistConvolution(twist((Scale("q"), E("w1"), E("w2")), sp_qw.caps))
+    for lam, (okounkov, multi) in zip(lams, views):
+        assert okounkov == exp_conv.r_lambda(lam, 0).shift_up("q", size(lam))
+        assert multi == e_conv.r_lambda(lam, 0).shift_up("q", size(lam))
 
 
 def test_twist_param_validation():

@@ -1,11 +1,15 @@
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hurwitz_tau import center, symfunc, tauseries, verify
+from hurwitz_tau import center, groupalg, symfunc, tauseries, verify
 from hurwitz_tau.series import TruncSeries
+
+GOLDEN = Path(__file__).parent / "goldens" / "verify_all.json"
 
 
 def _run_named(checks, *names):
@@ -210,7 +214,8 @@ def test_point_value_checks_read_the_tables(monkeypatch):
 
 
 def test_default_lists_are_verify_all(monkeypatch):
-    # no check runs: the runner is replaced by one that only records names
+    # first no check runs: the runner is replaced by one that only records
+    # names; then verify all runs for real against the committed golden
     monkeypatch.setattr(verify, "_run", lambda name, fn: verify.CheckResult(name, True, 0.0))
     lists = {
         "characters": verify.characters_suite(),
@@ -224,6 +229,11 @@ def test_default_lists_are_verify_all(monkeypatch):
     for suite, checks in lists.items():
         assert all(name.startswith(suite + ".") for name, _ in checks)
         assert [r.name for r in verify.run_suite(suite)] == [name for name, _ in checks]
+    monkeypatch.undo()
+    results = [
+        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in verify.run_suite("all")
+    ]
+    assert results == json.loads(GOLDEN.read_text())
 
 
 def test_nmax_clamps_each_check_at_its_ceiling():
@@ -232,3 +242,27 @@ def test_nmax_clamps_each_check_at_its_ceiling():
     assert results["center.basis_roundtrips"].detail.endswith("n<=2")
     assert "walks.n6_spot_checks" not in dict(verify.walks_suite(5))
     assert "walks.n6_spot_checks" in dict(verify.walks_suite(6))
+
+
+def test_class_dp_check_builds_each_class_matrix_once():
+    # 440 class-DP counts over n <= 5 read one cached matrix per n
+    groupalg.transposition_class_matrix.cache_clear()
+    check = _run_named(verify.walks_suite(), "walks.plain_class_dp")["walks.plain_class_dp"]
+    assert check.passed
+    assert groupalg.transposition_class_matrix.cache_info().misses == 5
+
+
+def test_reparametrization_check_reads_the_library_eigenvalue(monkeypatch):
+    # an E(w_1)...E(w_m) eigenvalue that is wrong at (2, 1) must fail the check
+    exact = verify.twist_eigenvalue
+
+    def reparametrization():
+        name = "tau.multimonotone_reparametrization"
+        return _run_named(verify.tau_suite(), name)[name]
+
+    assert reparametrization().passed
+    monkeypatch.setattr(
+        verify, "twist_eigenvalue", lambda spec, lam: exact(spec, lam) * (1 + (lam == (2, 1)))
+    )
+    check = reparametrization()
+    assert not check.passed and "at (2, 1)" in check.detail
