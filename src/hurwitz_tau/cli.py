@@ -118,7 +118,10 @@ def cmd_chartable(args) -> int:
 
 
 def _lengths(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--segments takes comma-separated integers, got {text!r}") from None
 
 
 def _mixed(args):
@@ -210,8 +213,6 @@ def cmd_tau(args) -> int:
     needs = ("N", "a", "b") if hciz else ("N", "alpha", "a", "b")
     if any(getattr(args, name) is None for name in needs):
         raise ValueError(f"--family {args.family} needs " + ", ".join(f"--{n}" for n in needs))
-    if args.N < 0:
-        raise ValueError(f"--N must be >= 0, got {args.N}")
     a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
     if len(a_vals) != args.N or len(b_vals) != args.N:
         raise ValueError(
@@ -243,9 +244,6 @@ def cmd_tau(args) -> int:
 
 def cmd_table(args) -> int:
     kind = {"okounkov": "plain"}.get(args.family, args.family)
-    for flag, value in (("--kmax", args.kmax), ("--bmax", args.bmax)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
     cap = args.bmax if args.bmax is not None else args.kmax
     rows = tauseries.hurwitz_table(kind, args.nmax, cap, connected=args.connected)
     if args.format == "json":
@@ -350,6 +348,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every integer flag that holds a size, a length or a cap
+        for name in ("n", "N", "steps", "p", "cap", "zcap", "qcap", "nmax", "kmax", "bmax"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise ValueError(f"--{name} must be >= 0, got {value}")
         return args.func(args)
     except ValueError as exc:
         # bad input: unparsable values, sizes over a cap, repeated points

@@ -4,13 +4,13 @@ Permutations are tuples of images on {1..n} (images[i-1] = image of i),
 composed apply-right-first: (g*h)(x) = g(h(x)).  Walks in the Cayley graph
 generated by transpositions are counted by a dynamic program on permutation
 indices (S_n ranked once per n, one action table per transposition).  It
-runs backward from one end permutation, segments reversed and b falling,
-its count vectors keyed by the last b of the current segment (the floor),
-which monotone steps merge by prefix sums; the end vector, summed per class,
-gives the counts from every start class at once.  Transitive counts also
-carry the set partition of {1..n} generated so far, seeded from the end's
-cycles, equal states merged.  These counts are the independent oracle for
-the character-sum coefficients; nothing here uses characters.
+runs backward from one end permutation, segments reversed; a monotone
+segment runs b once from n down to 2 over one layer per number of steps
+left.  The end vector, summed per class, gives the counts from every start
+class at once.  Transitive counts also carry the set partition of {1..n}
+generated so far, seeded from the end's cycles, equal states merged.  These
+counts are the independent oracle for the character-sum coefficients;
+nothing here uses characters.
 """
 
 from dataclasses import dataclass
@@ -325,10 +325,10 @@ def count_walks_to(
     indexed = ranked(n)
     blocks = _cycle_blocks(end) if transitive else None
     segments = tuple(seg for seg in reversed(segments) if seg.length > 0)
-    layers = _walk(n, {(None, blocks): {indexed.index[bytes(end)]: 1}}, segments)
+    layer = _walk(n, {blocks: {indexed.index[bytes(end)]: 1}}, segments)
     totals = [0] * len(conjugacy_classes(n))
     class_of = indexed.class_of
-    for (_, blocks), vec in layers.items():
+    for blocks, vec in layer.items():
         if _one_block(blocks):
             for i, c in vec.items():
                 totals[class_of[i]] += c
@@ -360,13 +360,10 @@ def ranked(n: int) -> Ranking:
     return Ranking(index, act, [position[key] for key in keys])
 
 
-# A DP layer maps (floor, blocks) to a sparse count vector {perm index: count}.
-# The walk runs backward, so b falls within a segment: floor is the last b
-# used in the current segment, or None before its first step.
-# blocks is the set partition of {1..n} generated by the end's cycles and the
-# transpositions so far, as a tuple labelling each point (0-based) by the
-# least point of its block, or None when transitivity is not tracked.  Equal
-# states are merged.
+# A DP layer maps blocks to a sparse count vector {perm index: count}.  blocks
+# is the set partition of {1..n} generated by the end's cycles and the
+# transpositions so far, each point (0-based) labelled by the least point of
+# its block, or None when transitivity is not tracked.  Equal states merge.
 
 def _cycle_blocks(g):
     """The blocks of g's cycles, each point labelled by its cycle's least point."""
@@ -379,67 +376,44 @@ def _one_block(blocks):
     return blocks is None or len(set(blocks)) == 1
 
 
-def _walk(n, layers, segments):
-    """Advance a layer through the segments; each segment starts afresh
-    from floor None."""
+def _walk(n, layer, segments):
+    """Advance a layer backward through the segments.
+
+    A plain segment applies every transposition k times.  A monotone one
+    keeps k + 1 layers, left[r] holding the states with r steps still to
+    take, and runs b once from n down to 2: at each b the image of left[r]
+    under every (a b), a < b, is added into left[r - 1].  Weak segments
+    visit r falling, so a state that has just stepped at b may step at b
+    again; strict ones visit r rising, so it may not."""
     act = ranked(n).act
+    every_b = range(n, 1, -1)
     for seg in segments:
-        layers = _merge_floors(layers)
-        for _ in range(seg.length):
-            layers = _step(n, act, layers, seg.kind)
-    return layers
+        if seg.kind == PLAIN:
+            for _ in range(seg.length):
+                layer = _apply(act, every_b, layer, {})
+            continue
+        left = [{} for _ in range(seg.length)] + [layer]
+        order = range(seg.length, 0, -1) if seg.kind == WEAK else range(1, seg.length + 1)
+        for b in every_b:
+            for r in order:
+                _apply(act, (b,), left[r], left[r - 1])
+        layer = left[0]
+    return layer
 
 
-def _step(n, act, layers, kind):
-    # b falls from n to 2.  A weak step to b leaves from every floor >= b
-    # and a strict one from every floor > b, so the source floors are merged
-    # as b falls and each transposition row is applied once per b.  Plain
-    # steps only ever see floor None.
-    by_floor: dict = {}
-    for (floor, blocks), vec in layers.items():
-        by_floor.setdefault(floor, []).append((blocks, vec))
-    source: dict = {}
-
-    def absorb(floor):
-        for blocks, vec in by_floor.get(floor, ()):
-            _accumulate(source, blocks, vec)
-
-    absorb(None)
-    new: dict = {}
-    for b in range(n, 1, -1):
-        if kind == WEAK:
-            absorb(b)
-        to_floor = b if kind != PLAIN else None
-        for blocks, vec in source.items():
-            items = vec.items()
+def _apply(act, bs, layer, out):
+    """Add into out the image of layer under every (a b), a < b, b in bs."""
+    for blocks, vec in layer.items():
+        items = vec.items()
+        for b in bs:
             for a in range(1, b):
                 row = act[(a, b)]
-                key = (to_floor, blocks if blocks is None else _join(blocks, a, b))
-                out = new.setdefault(key, {})
-                get = out.get
+                target = out.setdefault(blocks if blocks is None else _join(blocks, a, b), {})
+                get = target.get
                 for i, c in items:
                     j = row[i]
-                    out[j] = get(j, 0) + c
-        if kind == STRICT:
-            absorb(b)
-    return new
-
-
-def _accumulate(acc, key, vec):
-    target = acc.get(key)
-    if target is None:
-        acc[key] = dict(vec)
-        return
-    get = target.get
-    for i, c in vec.items():
-        target[i] = get(i, 0) + c
-
-
-def _merge_floors(layers):
-    merged: dict = {}
-    for (_, blocks), vec in layers.items():
-        _accumulate(merged, (None, blocks), vec)
-    return merged
+                    target[j] = get(j, 0) + c
+    return out
 
 
 def _count_dp(n, from_type, segments, transitive=False) -> dict[Partition, int]:

@@ -40,12 +40,12 @@ def format_partition(lam: Partition) -> str:
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n: int, cap: int = PARTITION_CAP) -> tuple[Partition, ...]:
+def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, exactly once, in canonical (descending lex) order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise SizeLimitError(f"partitions_of({n}) exceeds the cap {cap}")
+    if n > PARTITION_CAP:
+        raise SizeLimitError(f"partitions_of({n}) exceeds the cap {PARTITION_CAP}")
     if n == 0:
         return ((),)
     result = []

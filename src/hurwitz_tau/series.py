@@ -174,9 +174,6 @@ class TruncSeries:
             return not self.terms
         return self.terms == {(0,) * len(self.space.params): value}
 
-    def __hash__(self):
-        return hash((self.space.params, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "0"

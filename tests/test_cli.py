@@ -461,6 +461,44 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.err.startswith("hurwitz-tau: error:")
 
 
+WALK_3 = ("walks", "--n", "3", "--from", "3", "--to", "3")
+HCIZ_1 = ("tau", "--family", "hciz", "--N", "1", "--a", "1", "--b", "2")
+ALPHA_Q_1 = ("tau", "--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", "1", "--b", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("walks", "--n", "-1", "--from", "", "--to", ""), "--n must be >= 0, got -1"),
+        ((*WALK_3, "--steps", "-1"), "--steps must be >= 0, got -1"),
+        ((*WALK_3, "--kind", "mixed", "--steps", "2", "--p", "-1"), "--p must be >= 0, got -1"),
+        (
+            (*WALK_3, "--kind", "multi", "--segments", "1,x"),
+            "--segments takes comma-separated integers, got '1,x'",
+        ),
+        (
+            (*WALK_3, "--kind", "weakstrict", "--segments", "1,"),
+            "--segments takes comma-separated integers, got '1,'",
+        ),
+        (("gmatrix", "--n", "3", "--cap", "-1"), "--cap must be >= 0, got -1"),
+        (("gmatrix", "--n", "-2"), "--n must be >= 0, got -2"),
+        ((*HCIZ_1, "--zcap", "-1"), "--zcap must be >= 0, got -1"),
+        ((*ALPHA_Q_1, "--qcap", "-1"), "--qcap must be >= 0, got -1"),
+        (("chartable", "--n", "-1"), "--n must be >= 0, got -1"),
+        (("table", "--family", "plain", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
+        (("table", "--family", "plain", "--kmax=-2"), "--kmax must be >= 0, got -2"),
+        (("table", "--family", "multi", "--bmax=-1"), "--bmax must be >= 0, got -1"),
+        (("verify", "characters", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
+        (("verify", "characters", "--nmax", "0"), "nmax must be >= 1, got 0"),
+    ],
+)
+def test_negative_sizes_name_their_flag(capsys, argv, error):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"hurwitz-tau: error: {error}\n"
+
+
 def test_unparsable_walk_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("HURWITZ_MAX_N", "abc")
     code = main(["walks", "--n", "3", "--from", "3", "--to", "3"])

@@ -56,6 +56,15 @@ def test_arithmetic_and_equality():
     assert a == a * Fraction(2) / 2
 
 
+def test_series_are_unhashable():
+    # a series equals its scalar (one() == 1) but could not hash like it
+    sp = space()
+    assert sp.one() == 1
+    for series in (sp.one(), sp.zero(), sp.geom(2, "z")):
+        with pytest.raises(TypeError):
+            hash(series)
+
+
 def test_inverse():
     sp = space()
     u = sp.one() - sp.monomial(1, z=1) * 2 + sp.monomial(1, w=1)

@@ -1,7 +1,9 @@
+import json
 import os
 import subprocess
 import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from hurwitz_tau.groupalg import (
     weak_then_strict,
     weakly_monotone,
 )
-from hurwitz_tau.partitions import partitions_of
+from hurwitz_tau.partitions import format_partition, partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
 from hurwitz_tau.twists import connection_coeffs
 
@@ -309,6 +311,35 @@ def test_every_walk_count_is_one_back_walk_per_end(monkeypatch):
         monkeypatch.setattr(groupalg, name, lambda *args, **kwargs: rows.append(args))
     assert all(result.passed for result in verify.run_suite("walks", nmax=2))
     assert rows == [] and not hasattr(verify, "count_walks_all_targets")
+
+
+WALK_COLUMNS_N6 = Path(__file__).parent / "goldens" / "walk_columns_n6.json"
+
+
+def test_n6_columns_match_the_golden():
+    # past brute-force reach: every end class of S_6, plain/weak/strict
+    # k <= 4 and the nine two-segment orders at 2 + 2, transitive both ways
+    orders = [[(kind, k)] for kind in ("plain", "weak", "strict") for k in range(5)]
+    orders += [[(a, 2), (b, 2)] for a, b in product(("plain", "weak", "strict"), repeat=2)]
+    rows = [
+        {
+            "end": format_partition(mu),
+            "segments": [list(seg) for seg in order],
+            "transitive": transitive,
+            "counts": {
+                format_partition(lam): c
+                for lam, c in count_walks_to(
+                    6, class_representative(mu, 6),
+                    tuple(Segment(kind, k) for kind, k in order), transitive,
+                ).items()
+            },
+        }
+        for transitive in (False, True)
+        for order in orders
+        for mu in partitions_of(6)
+    ]
+    assert len(rows) == 528
+    assert rows == json.loads(WALK_COLUMNS_N6.read_text())
 
 
 @st.composite
