@@ -119,9 +119,12 @@ def cmd_chartable(args) -> int:
 
 def _lengths(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        lengths = [int(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(f"--segments takes comma-separated integers, got {text!r}") from None
+    if min(lengths) < 0:
+        raise ValueError(f"--segments lengths must be >= 0, got {text!r}")
+    return lengths
 
 
 def _mixed(args):

@@ -145,17 +145,6 @@ def dimension(lam: Partition) -> int:
     return factorial(size(lam)) // hook_product(lam)
 
 
-def pochhammer(a: Fraction, k: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+k-1)."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    value = Fraction(1)
-    a = Fraction(a)
-    for step in range(k):
-        value *= a + step
-    return value
-
-
 def pochhammer_partition(a, lam: Partition) -> Fraction:
     """Partition Pochhammer (a)_lam = prod_i (a - i + 1)_{lam_i}, the cell
     product prod_{(i,j) in lam} (a + j - i): for a = p/q, the integer

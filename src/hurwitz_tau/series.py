@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
+from operator import add
 
 from .errors import ExactDivisionError
 
@@ -87,6 +88,10 @@ class SeriesSpace:
         return TruncSeries(self, {(0,) * len(self.params): Fraction(c)})
 
     def one(self) -> "TruncSeries":
+        return self._one
+
+    @cached_property
+    def _one(self) -> "TruncSeries":
         return self.scalar(1)
 
     def monomial(self, coeff, **powers) -> "TruncSeries":
@@ -209,9 +214,10 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product, truncated to the caps.  Two series are packed at the
-        dense slots, each over its own lcm D, and multiplied once
-        (packed_product); the cap box is read back over D_a D_b."""
+        """The product, truncated to the caps.  A one-term factor shifts and
+        scales each term of the other; otherwise the two series are packed at
+        the dense slots, each over its own lcm D, and multiplied once
+        (packed_product), and the cap box is read back over D_a D_b."""
         space = self.space
         if not isinstance(other, TruncSeries):
             c = Fraction(other)
@@ -221,6 +227,10 @@ class TruncSeries:
         self._check(other)
         if not self.terms or not other.terms:
             return space.zero()
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            mono, rest = (other, self) if len(other.terms) == 1 else (self, other)
+            (f, c), = mono.terms.items()
+            return TruncSeries(space, {tuple(map(add, e, f)): a * c for e, a in rest.terms.items()})
         slots = space._slots
         (da, (a,)), (db, (b,)) = numerators([self.terms], slots), numerators([other.terms], slots)
         return read(space, packed_product(a, b, slots[space.caps] + 1), slots, da * db)

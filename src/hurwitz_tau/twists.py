@@ -20,11 +20,12 @@ built from integer content sequences in the twist's own space;
 okounkov_coeff and multimonotone_coeff are views of it.  The sum runs on
 packed integers (series_character_sum, in the values' space), dividing
 once at the end.  TwistConvolution takes every twist to the convolution
-side: families rho_j / r_j = rho_j/rho_{j-1} and the shifted content product
+side.  A convolution family is its weights r_j = rho_j/rho_{j-1}: rho_j
+(rho_0 = 1) and the shifted content product
 
-    r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i},
+    r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i},  r_0(N) = prod_{j<N} rho_j,
 
-built from series products, whose r_lam(0) q^{|lam|} is the eigenvalue.
+derive from them by series products; r_lam(0) q^{|lam|} is the eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from .partitions import (
     contents,
     hook_product,
     partitions_of,
-    pochhammer,
     pochhammer_partition,
     size,
     z_of,
@@ -89,6 +89,10 @@ class TwistSpec:
 
     def space(self) -> SeriesSpace:
         return SeriesSpace(self.params(), self.caps)
+
+    def q_param(self) -> str | None:
+        """The q parameter of the first Exp or Scale atom; None without one."""
+        return next((f.q_param for f in self.factors if isinstance(f, (Exp, Scale))), None)
 
 
 def twist(factors, caps) -> TwistSpec:
@@ -220,19 +224,21 @@ def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
 # -- convolution coefficient families ----------------------------------------
 
 class ConvolutionCoeffs:
-    """Shared shape of the rho_j / r_j = rho_j/rho_{j-1} families and the
-    shifted content product r_lam(N) = r_0(N) prod r_{N+j-i}.
-
-    Every value is a TruncSeries in the family's ``space``; rho_j has
-    constant term 1 for j <= 0, so r_0(N) for N < 0 is a series inverse."""
+    """A family is its weights r_j, TruncSeries in ``space`` (units for
+    j <= 0); the rest derives from them, each r_k built once per instance:
+    rho_0 = 1, rho_j = rho_{j-1} r_j (j > 0), rho_j = rho_{j+1} / r_{j+1}
+    (j < 0), and r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i}."""
 
     space: SeriesSpace
 
-    def rho(self, j: int) -> TruncSeries:
-        raise NotImplementedError
-
     def r(self, j: int) -> TruncSeries:
         raise NotImplementedError
+
+    def _r(self, k: int) -> TruncSeries:
+        memo = vars(self).setdefault("_rk", {})
+        if k not in memo:
+            memo[k] = self.r(k)
+        return memo[k]
 
     def _product(self, factors) -> TruncSeries:
         """The product of the factors that are not one, one for none."""
@@ -242,81 +248,61 @@ class ConvolutionCoeffs:
                 value = f if value == one else value * f
         return value
 
+    def rho(self, j: int) -> TruncSeries:
+        """rho_j, filling the memo from the known index nearest j toward 0."""
+        memo = vars(self).setdefault("_rho", {0: self.space.one()})
+        step = 1 if j > 0 else -1
+        known = next(k for k in range(j, -step, -step) if k in memo)
+        for k in range(known + step, j + step, step):
+            factor = self._r(k) if step > 0 else self._r(k + 1).inverse()
+            memo[k] = self._product((memo[k - step], factor))
+        return memo[j]
+
     def r0(self, N: int) -> TruncSeries:
-        """prod_{j<N} rho_j (over rho_j for N <= j < 0), memoised per N."""
-        memo = vars(self).setdefault("_r0", {})
-        if N not in memo:
-            value = self._product(self.rho(j) for j in range(min(N, 0), max(N, 0)))
-            memo[N] = value if N >= 0 else value.inverse()
-        return memo[N]
+        """prod_{j<N} rho_j (over rho_j for N <= j < 0), the empty r_lambda."""
+        return self.r_lambda((), N)
 
     def r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         """r_0(N) prod_{(i,j) in lam} r_{N+j-i}, memoised per (lam, N) as lam
-        less its last cell (i, j) times r_{N+j-i}, each r_k built once."""
-        memo, r = vars(self).setdefault("_r_lambda", {}), vars(self).setdefault("_r", {})
+        less its last cell (i, j) times r_{N+j-i}."""
+        memo = vars(self).setdefault("_r_lambda", {})
         lam = tuple(lam)
         if (lam, N) not in memo:
-            if not lam:
-                memo[lam, N] = self.r0(N)
-            else:
+            if lam:
                 i, j = len(lam), lam[-1]
-                k = N + j - i
-                if k not in r:
-                    r[k] = self.r(k)
                 rest = self.r_lambda(lam[:-1] + (j - 1,) * (j > 1), N)
-                memo[lam, N] = self._product((rest, r[k]))
+                memo[lam, N] = self._product((rest, self._r(N + j - i)))
+            else:
+                value = self._product(self.rho(j) for j in range(min(N, 0), max(N, 0)))
+                memo[lam, N] = value if N >= 0 else value.inverse()
         return memo[lam, N]
 
-    def check_ratio(self, j_lo: int, j_hi: int) -> None:
-        """Check r_j * rho_{j-1} = rho_j on a range of indices; raises
-        ArithmeticError at the first index where it fails."""
-        for j in range(j_lo, j_hi + 1):
-            if self._product((self.r(j), self.rho(j - 1))) != self.rho(j):
-                raise ArithmeticError(f"r_{j} * rho_{j-1} != rho_{j}")
 
-
-# atom -> (r_j, 1/r_j) builders, called at j and -j in the atom's parameter
-ATOM_R = {
-    H: (SeriesSpace.geom, SeriesSpace.linear),  # 1/(1 - j z), 1 - j z
-    E: (SeriesSpace.linear, SeriesSpace.geom),  # 1 + j w, 1/(1 + j w)
-    Exp: (SeriesSpace.exp_linear, SeriesSpace.exp_linear),  # e^{j beta}, e^{-j beta}
-}
+# atom -> its r_j builder at j: 1/(1 - j z), 1 + j w, e^{j beta}
+ATOM_R = {H: SeriesSpace.geom, E: SeriesSpace.linear, Exp: SeriesSpace.exp_linear}
 
 
 class TwistConvolution(ConvolutionCoeffs):
     """Image of a twist: r_j = G(j) has one ATOM_R factor per atom (Scale:
-    r_j = 1; the q^{|lam|} of Exp and Scale is a grading outside rho), and
-    rho_j = prod_{k=1..j} r_k (j > 0), prod_{k=j+1..0} 1/r_k (j <= 0)."""
+    r_j = 1; the q^{|lam|} of Exp and Scale is a grading outside rho)."""
 
     def __init__(self, spec: TwistSpec):
         self.space = spec.space()  # raises TypeError on an unknown atom
         self.atoms = [(ATOM_R[type(f)], f.beta_param if isinstance(f, Exp) else f.param)
                       for f in spec.factors if not isinstance(f, Scale)]
 
-    def _factors(self, j: int, inverse: bool) -> TruncSeries:
-        return self._product(row[inverse](self.space, -j if inverse else j, name)
-                             for row, name in self.atoms)
-
-    def rho(self, j: int) -> TruncSeries:
-        memo = vars(self).setdefault("_rho", {0: self.space.one()})
-        if j not in memo:
-            memo[j] = self._product((self.rho(j - 1), self._factors(j, False)) if j > 0
-                                    else (self.rho(j + 1), self._factors(j + 1, True)))
-        return memo[j]
-
     def r(self, j: int) -> TruncSeries:
-        return self._factors(j, False)
+        return self._product(build(self.space, j, name) for build, name in self.atoms)
 
 
 class AlphaQConvolution(ConvolutionCoeffs):
     """Two-parameter family with a free exponent alpha (not a positive
-    integer) and formal q:
+    integer) and formal q, defined by
 
-        rho_j = q^j (1-alpha)_j / j!   (j >= 1),  rho_j = 1  (j <= 0)
-        r_j   = q (j-alpha)/j          (j >= 1),  r_j   = 1  (j <= 0)
+        r_j = q (j-alpha)/j   (j >= 1),   r_j = 1   (j <= 0),
 
-    and r_lam(N) = r_0(N) q^{|lam|} (N-alpha)_lam / (N)_lam for
-    l(lam) <= N.
+    so that rho_j = q^j (1-alpha)_j / j! (j >= 1), rho_j = 1 (j <= 0), and
+    r_lam(N) = r_0(N) q^{|lam|} (N-alpha)_lam / (N)_lam for l(lam) <= N.
     """
 
     def __init__(self, alpha, space: SeriesSpace):
@@ -326,33 +312,25 @@ class AlphaQConvolution(ConvolutionCoeffs):
         self.alpha = alpha
         self.space = space
 
-    def rho(self, j: int) -> TruncSeries:
-        if j <= 0:
-            return self.space.one()
-        return self.space.monomial(pochhammer(1 - self.alpha, j) / factorial(j), q=j)
-
     def r(self, j: int) -> TruncSeries:
-        if j <= 0:
-            return self.space.one()
-        return self.space.monomial(Fraction(j - self.alpha, j), q=1)
+        return self.space.monomial(Fraction(j - self.alpha, j), q=1) if j > 0 else self.space.one()
 
     def closed_form_r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         """r_0(N) q^{|lam|} (N-alpha)_lam/(N)_lam via partition Pochhammers;
         zero when l(lam) > N, like schur_expansion_r_lambda."""
-        lam = tuple(lam)
         if len(lam) > N:
             return self.space.zero()
         ratio = pochhammer_partition(N - self.alpha, lam) / pochhammer_partition(N, lam)
-        # r_0(N) is one monomial c q^{N(N-1)/2} (zero past the q cap): no product
-        q0 = N * (N - 1) // 2
-        c = self.r0(N).coeff(q=q0)
-        return self.space.monomial(c * ratio, q=q0 + size(lam))
+        return self.r0(N) * self.space.monomial(ratio, q=size(lam))
 
 
 class ExpConvolution(ConvolutionCoeffs):
-    """Exponential-kernel family behind the N x N trace-coupled integral:
+    """Exponential-kernel family behind the N x N trace-coupled integral,
+    defined by
 
-        rho_j = (-N z)^j / j!   (j >= 0),   rho_j = 1   (j < 0).
+        r_j = -N z / j   (j >= 1),   r_j = 1   (j <= 0),
+
+    so that rho_j = (-N z)^j / j! (j >= 0), rho_j = 1 (j < 0).
 
     The branch product r_lam(N) carries the full prefactor
     (-N z)^{N(N-1)/2}; the Schur-expansion tables use the conventional
@@ -366,20 +344,12 @@ class ExpConvolution(ConvolutionCoeffs):
         self.N = N
         self.space = space
 
-    def rho(self, j: int) -> TruncSeries:
-        if j < 0:
-            return self.space.one()
-        return self.space.monomial(Fraction((-self.N) ** j, factorial(j)), z=j)
-
     def r(self, j: int) -> TruncSeries:
-        if j <= 0:
-            return self.space.one()
-        return self.space.monomial(Fraction(-self.N, j), z=1)
+        return self.space.monomial(Fraction(-self.N, j), z=1) if j > 0 else self.space.one()
 
     def schur_expansion_r_lambda(self, lam: Partition) -> TruncSeries:
         """(-Nz)^{|lam|}/((prod k!)(N)_lam); zero when l(lam) > N (matching
         the vanishing of Schur functions in N variables)."""
-        lam = tuple(lam)
         if len(lam) > self.N:
             return self.space.zero()
         norm = prod(factorial(k) for k in range(self.N)) * pochhammer_partition(self.N, lam)

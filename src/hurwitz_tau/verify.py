@@ -609,8 +609,7 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
         cases += [(walk.twist(top, 3), top) for walk in tauseries.WALK_KINDS.values()]
         for spec, n_top in cases:
             conv = twists.TwistConvolution(spec)
-            conv.check_ratio(-4, 6)
-            q = next((f.q_param for f in spec.factors if isinstance(f, (Exp, Scale))), None)
+            q = spec.q_param()
             for n in range(n_top + 1):
                 for lam in partitions_of(n):
                     got = conv.r_lambda(lam, 0)
@@ -634,7 +633,6 @@ def tau_suite(nmax: int = 8, seed: int = 2014) -> list:
         for alpha in (Fraction(1, 2), Fraction(-3), Fraction(7, 3)):
             space = SeriesSpace(("q",), (24,))
             fam = twists.AlphaQConvolution(alpha, space)
-            fam.check_ratio(-3, 8)
             for N in range(6):
                 for n in range(7):
                     for lam in partitions_of(n):
@@ -758,7 +756,7 @@ def graded_twist_family(atoms, N: int, cap: int):
     (a Scale(q) atom joins atoms without one), each parameter capped at cap
     but q at cap + N(N-1)/2: rho_of(space) gives l -> rho_l q^l for
     tauseries.family_determinant, r_of(lam) = r_lam(N) q^{|lam|+N(N-1)/2}."""
-    q = next((f.q_param for f in atoms if isinstance(f, (Exp, Scale))), None)
+    q = TwistSpec(atoms, ()).q_param()
     if q is None:
         q, atoms = "q", (*atoms, Scale("q"))
     shift = N * (N - 1) // 2

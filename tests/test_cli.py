@@ -490,6 +490,14 @@ ALPHA_Q_1 = ("tau", "--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", 
         (("table", "--family", "multi", "--bmax=-1"), "--bmax must be >= 0, got -1"),
         (("verify", "characters", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
         (("verify", "characters", "--nmax", "0"), "nmax must be >= 1, got 0"),
+        (
+            (*WALK_3, "--kind", "multi", "--segments", "1,-1"),
+            "--segments lengths must be >= 0, got '1,-1'",
+        ),
+        (
+            (*WALK_3, "--kind", "weakstrict", "--segments=-1,1"),
+            "--segments lengths must be >= 0, got '-1,1'",
+        ),
     ],
 )
 def test_negative_sizes_name_their_flag(capsys, argv, error):

@@ -17,7 +17,6 @@ from hurwitz_tau.partitions import (
     hook_product,
     parse_partition,
     partitions_of,
-    pochhammer,
     pochhammer_partition,
     z_of,
 )
@@ -119,7 +118,6 @@ def test_contents_conjugation():
 def test_pochhammer_row_case():
     n, k = Fraction(7), 4
     assert pochhammer_partition(n, (k,)) == 7 * 8 * 9 * 10
-    assert pochhammer(n, k) == 7 * 8 * 9 * 10
 
 
 def test_pochhammer_examples():

@@ -163,20 +163,42 @@ def test_bareiss_against_cofactor_expansion():
     space = SeriesSpace(("z",), (6,))
     rng = random.Random(3)
 
-    def random_series():
+    def random_series(space):
         return space.scalar(rng.randint(1, 4)) + space.monomial(
             rng.randint(-3, 3), z=1
         ) + space.monomial(rng.randint(-2, 2), z=2)
 
     for trial in range(5):
-        m = [[random_series() for _ in range(3)] for _ in range(3)]
+        m = [[random_series(space) for _ in range(3)] for _ in range(3)]
         got = bareiss_determinant([row[:] for row in m], "z")
-        cofactor = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        assert got == cofactor
+        assert got == _cofactor_expansion(m)
+    # zero entries reach the row swap: at cap 12 no 4 x 4 numerator is
+    # truncated, so a pivot without constant term loses no coefficient
+    wide = SeriesSpace(("z",), (12,))
+    zero = wide.zero()
+    for trial in range(60):
+        size_n = 2 + trial % 3
+        m = [[random_series(wide) if rng.random() < 0.6 else zero for _ in range(size_n)]
+             for _ in range(size_n)]
+        m[0][0] = zero if trial % 2 else m[0][0]  # a zero first pivot
+        assert bareiss_determinant([row[:] for row in m], "z") == _cofactor_expansion(m)
+    one, two = wide.one(), wide.scalar(2)
+    swapped_late = [[one, one, two], [one, one, one], [two, one, one]]  # second pivot 0
+    singular = [[zero, one, two], [zero, two, one], [zero, one, one]]  # no pivot to swap in
+    for m in (swapped_late, singular):
+        assert bareiss_determinant([row[:] for row in m], "z") == _cofactor_expansion(m)
+    assert bareiss_determinant(singular, "z").is_zero()
+
+
+def _cofactor_expansion(m):
+    """det m by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = m[0][0].space.zero()
+    for j, entry in enumerate(m[0]):
+        minor = _cofactor_expansion([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + entry * minor * (-1) ** j
+    return total
 
 
 def test_bareiss_inverts_each_pivot_once(monkeypatch):

@@ -216,7 +216,6 @@ def test_twist_convolution_rho_branches():
     assert conv.rho(0) == space.one()
     assert conv.rho(-1) == space.one()
     assert conv.rho(-2) == space.linear(1, "z")
-    conv.check_ratio(-5, 6)
 
 
 def test_twist_convolution_rho_by_hand_for_e_and_exp():
@@ -252,9 +251,7 @@ def test_twist_convolution_eigenvalue_identity():
 @pytest.mark.parametrize("kind", sorted(WALK_KINDS))
 def test_twist_convolution_every_walk_kind(kind):
     spec = WALK_KINDS[kind].twist(5, 3)
-    conv = TwistConvolution(spec)
-    conv.check_ratio(-4, 6)
-    assert _graded_r_lambda_is_eigenvalue(conv, spec, 5)
+    assert _graded_r_lambda_is_eigenvalue(TwistConvolution(spec), spec, 5)
 
 
 @pytest.mark.parametrize("atom", (H("z"), E("w"), Exp("q", "beta")), ids=repr)
@@ -312,25 +309,48 @@ def test_r0_recursion_across_zero():
 
 
 def test_r0_is_built_once_per_n():
+    # rho_1..rho_3 (for r_0(4)) and the cells of every lam of 4 at N = 4
+    # (r_1..r_7) share one memo: each r_k is built once
     fam = AlphaQConvolution(Fraction(1, 2), SeriesSpace(("q",), (8,)))
-    calls, rho = [], fam.rho
-    fam.rho = lambda j: calls.append(j) or rho(j)
+    calls, r = [], fam.r
+    fam.r = lambda j: calls.append(j) or r(j)
     for lam in partitions_of(4):
         fam.closed_form_r_lambda(lam, 4)
         fam.r_lambda(lam, 4)
-    assert calls == [0, 1, 2, 3]
+    assert calls == list(range(1, 8))
     assert fam.r0(0) == fam.space.one()
 
 
-def test_check_ratio_raises_on_wrong_r():
-    class WrongR(TwistConvolution):
-        def r(self, j):
-            return 2 * super().r(j)
+def test_rho_is_the_same_in_any_order():
+    # rho fills its memo outward from the nearest known index
+    spec = twist((H("z"), E("w")), (4, 3))
+    fresh = [TwistConvolution(spec).rho(j) for j in range(-4, 6)]
+    conv = TwistConvolution(spec)
+    for j in (-2, 3, -4, 5, 0, -1, 1):
+        assert conv.rho(j) == fresh[j + 4]
+    assert [conv.rho(j) for j in range(-4, 6)] == fresh
 
-    spec = twist((H("z"),), (4,))
-    TwistConvolution(spec).check_ratio(-3, 2)
-    with pytest.raises(ArithmeticError):
-        WrongR(spec).check_ratio(-3, 2)
+
+def test_exp_convolution_rho_closed_form():
+    # r_j = -N z / j (j >= 1) gives rho_j = (-N z)^j / j! (j >= 0), 1 (j < 0)
+    space = SeriesSpace(("z",), (6,))
+    for N in (1, 2, 3):
+        fam = ExpConvolution(N, space)
+        for j in range(-3, 9):
+            want = space.monomial(Fraction((-N) ** j, factorial(j)), z=j) if j >= 0 else space.one()
+            assert fam.rho(j) == want, (N, j)
+
+
+def test_alpha_q_rho_closed_form():
+    # r_j = q (j - alpha)/j (j >= 1) gives rho_j = q^j (1-alpha)_j / j! (j >= 1), 1 (j <= 0)
+    space = SeriesSpace(("q",), (6,))
+    for alpha in (Fraction(1, 2), Fraction(-3), Fraction(7, 3)):
+        fam = AlphaQConvolution(alpha, space)
+        for j in range(-3, 9):
+            want = space.one()
+            if j > 0:
+                want = space.monomial(pochhammer_partition(1 - alpha, (j,)) / factorial(j), q=j)
+            assert fam.rho(j) == want, (alpha, j)
 
 
 def test_alpha_q_rejects_positive_integer_alpha():
@@ -344,7 +364,6 @@ def test_alpha_q_branch_equals_closed_form():
     space = SeriesSpace(("q",), (20,))
     for alpha in (Fraction(1, 2), Fraction(-3), Fraction(7, 3)):
         fam = AlphaQConvolution(alpha, space)
-        fam.check_ratio(-3, 6)
         for N in range(6):
             for n in range(6):
                 for lam in partitions_of(n):
@@ -382,15 +401,16 @@ def test_alpha_q_closed_form_past_the_q_cap():
 def test_alpha_q_single_row_is_plain_pochhammer():
     # r_lambda with lam=(k) at N=1 reduces to q^k (1-alpha)_k / k!
     space = SeriesSpace(("q",), (12,))
-    fam = AlphaQConvolution(Fraction(1, 2), space)
+    alpha = Fraction(1, 2)
+    fam = AlphaQConvolution(alpha, space)
     for k in range(5):
-        assert fam.r_lambda((k,) if k else (), 1) == fam.rho(k)
+        want = space.monomial(pochhammer_partition(1 - alpha, (k,)) / factorial(k), q=k)
+        assert fam.r_lambda((k,) if k else (), 1) == want
 
 
 def test_exp_convolution_branch_vs_schur_normalisation():
     space = SeriesSpace(("z",), (10,))
     fam = ExpConvolution(2, space)
-    fam.check_ratio(-3, 5)
     for n in range(5):
         for lam in partitions_of(n):
             branch = fam.r_lambda(lam, 2)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz_tau import center, groupalg, symfunc, tauseries, verify
+from hurwitz_tau import center, groupalg, symfunc, tauseries, twists, verify
 from hurwitz_tau.series import TruncSeries
 
 GOLDEN = Path(__file__).parent / "goldens" / "verify_all.json"
@@ -266,3 +266,33 @@ def test_reparametrization_check_reads_the_library_eigenvalue(monkeypatch):
     )
     check = reparametrization()
     assert not check.passed and "at (2, 1)" in check.detail
+
+
+@pytest.mark.parametrize(
+    ("family", "names"),
+    [
+        (twists.AlphaQConvolution, ("tau.alpha_q_family", "tau.alpha_q_report")),
+        (twists.ExpConvolution, ("tau.hciz_determinant",)),
+    ],
+    ids=("alpha_q", "exp"),
+)
+def test_a_wrong_weight_fails_its_family_checks(monkeypatch, family, names):
+    # a family is its r_j: rho and r_0(N) derive from r, so a wrong r_2 must
+    # reach the determinant route and fail against the closed forms
+    assert all(r.passed for r in _run_named(verify.tau_suite(), *names).values())
+    exact = family.r
+    monkeypatch.setattr(family, "r", lambda self, j: exact(self, j) * (1 + (j == 2)))
+    results = _run_named(verify.tau_suite(), *names)
+    assert set(results) == set(names)
+    assert not any(r.passed for r in results.values())
+
+
+def test_a_shifted_rho_fails_the_intertwining_check(monkeypatch):
+    # rho_1 read as rho_2: the determinant route of every graded family at
+    # N = 1 then misses the Schur side
+    name = "tau.intertwining_theorem"
+    assert _run_named(verify.tau_suite(), name)[name].passed
+    exact = twists.ConvolutionCoeffs.rho
+    monkeypatch.setattr(twists.ConvolutionCoeffs, "rho", lambda self, j: exact(self, j + (j == 1)))
+    check = _run_named(verify.tau_suite(), name)[name]
+    assert not check.passed and "determinant route fails at N=1" in check.detail
