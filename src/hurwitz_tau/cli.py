@@ -30,7 +30,7 @@ from .groupalg import (
 )
 from .partitions import format_partition, parse_partition, partitions_of
 from .series import series_json
-from .twists import connection_coeffs
+from .twists import connection_text
 
 # gmatrix spells the twist of the plain walks "exp"
 GMATRIX_KINDS = {("exp" if kind == "plain" else kind): kind for kind in tauseries.WALK_KINDS}
@@ -185,20 +185,14 @@ def cmd_walks(args) -> int:
 
 def cmd_gmatrix(args) -> int:
     kind = tauseries.WALK_KINDS[GMATRIX_KINDS[args.twist]]
-    coeffs = connection_coeffs(kind.twist(args.n, args.cap), args.n)
-    entries = []
-    for lam in partitions_of(args.n):
-        for mu in partitions_of(args.n):
-            series = coeffs[(lam, mu)]
-            if not series:
-                continue
-            entries.append(
-                {
-                    "from": format_partition(lam),
-                    "to": format_partition(mu),
-                    "series": series_json(series),
-                }
-            )
+    text = connection_text(kind.twist(args.n, args.cap), args.n)
+    label = {lam: format_partition(lam) for lam in partitions_of(args.n)}
+    entries = [
+        {"from": label[lam], "to": label[mu], "series": text[(lam, mu)]}
+        for lam in label
+        for mu in label
+        if text[(lam, mu)]
+    ]
     emit({"n": args.n, "twist": kind.label, "entries": entries}, args.out)
     return 0
 

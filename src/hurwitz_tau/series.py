@@ -8,16 +8,18 @@ truncation).  Coefficients are Fractions throughout.
 Packed integers, the fast exact path, have one format, known only here:
 numerators puts coefficient dicts over one D, the lcm of their
 denominators, as (slot, numerator) pairs; pack sets them in signed W-bit
-slots of one int, unpack takes them apart, and read turns fields over D
-back into a series.  Slots are dense (SeriesSpace._slots: stride 2 cap + 1
-per axis, so no two exponent sums share one) or one per exponent tuple of
-a sparse support.  Each kernel sizes W for its own sums.
+slots of one int, and unpack takes them apart.  read turns fields over D
+into a series; the text reader, read_text, turns them into the printed
+dict, the one series_json gives for that series.  Slots are dense
+(SeriesSpace._slots: stride 2 cap + 1 per axis, so no two exponent sums
+share one) or one per exponent tuple of a sparse support.  Each kernel
+sizes W for its own sums.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add
 
 from .errors import ExactDivisionError
@@ -67,7 +69,8 @@ class SeriesSpace:
 
     @cached_property
     def _labels(self) -> "_Labels":
-        """{exponents: monomial_label}, filled as series_json prints."""
+        """{exponents: monomial_label}, each label built on its first lookup
+        by series_json or a caller of read_text."""
         return _Labels(self.params)
 
     def axis(self, name: str) -> int:
@@ -314,6 +317,19 @@ def read(space: SeriesSpace, fields, slot: dict, d: int) -> TruncSeries:
     """The series of ``space`` whose coefficient at e is fields[slot[e]] / d."""
     terms = {e: Fraction(fields[k], d) for e, k in slot.items() if fields[k]}
     return TruncSeries._trusted(space, terms)
+
+
+def read_text(fields, labels, d: int) -> dict[str, str]:
+    """{labels[k]: "num/den"} for the nonzero fields[k] / d, slots in exponent
+    order: series_json of the series read(...) would build, with one gcd per
+    nonzero field and no Fraction.  As str(Fraction) prints it, the sign goes
+    on the numerator and an integer has no denominator; d must be positive."""
+    out = {}
+    for x, label in zip(fields, labels):
+        if x:
+            g = gcd(x, d)
+            out[label] = f"{x // g}/{d // g}" if g != d else str(x // g)
+    return out
 
 
 def pack(fields, width: int) -> int:

@@ -41,7 +41,7 @@ from math import factorial
 
 from .characters import character_table
 from .config import TAU_NMAX_CAP
-from .errors import VandermondeError
+from .errors import ExactDivisionError, VandermondeError
 from .groupalg import (
     mixed,
     multi_monotone,
@@ -288,37 +288,57 @@ def _join(slices) -> TensorSymFunc:
 # -- determinants over truncated series ----------------------------------------
 
 def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries:
-    """Fraction-free (Bareiss) determinant over the truncated-series ring.
+    """Fraction-free (Bareiss) determinant over the truncated-series ring,
+    returned to the degree in x (the named parameter) that it knows.
 
     Each step after the first divides by the previous pivot prev = x^v u
-    (x the named parameter, u a unit): u is inverted once per step, and
-    each entry is shifted down by v before the product, so a term of too
-    low an x-degree raises ExactDivisionError."""
+    (u a unit): u is inverted once per step, and each numerator is shifted
+    down by v before the product, so a term of too low an x-degree raises
+    ExactDivisionError.  The numerators were truncated at the cap C of x
+    before the shift, so the quotients lose their top v degrees: the
+    determinant is returned with the cap of x lowered to C minus the sum of
+    the v, and ExactDivisionError is raised when that is below 0."""
     size_n = len(rows)
     m = [list(r) for r in rows]
     if size_n == 0:
         raise ValueError("empty matrix")
     space = m[0][0].space
+    known = space.caps[space.axis(name)]
+    v = 0
     for k in range(size_n - 1):
-        pivot = m[k][k]
-        if pivot.is_zero():
+        if k:
+            v = prev.valuation(name)
+        if m[k][k].is_zero():
             swap = next((r for r in range(k + 1, size_n) if not m[r][k].is_zero()), None)
             if swap is None:
-                return space.zero()
+                # the determinant is the trailing block's over prev^(size_n - k - 1),
+                # and that block has a column of zeros
+                return _known_to(space.zero(), name, known - (size_n - k - 1) * v)
             m[k], m[swap] = m[swap], m[k]
             # a row swap flips the sign; fold it into the swapped-in row
             m[k] = [entry * Fraction(-1) for entry in m[k]]
-            pivot = m[k][k]
         if k:
-            v = prev.valuation(name)
             unit_inv = (prev.shift_down(name, v) if v else prev).inverse()
+            known -= v
         for i in range(k + 1, size_n):
             for j in range(k + 1, size_n):
                 m[i][j] = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 if k:
                     m[i][j] = (m[i][j].shift_down(name, v) if v else m[i][j]) * unit_inv
-        prev = pivot
-    return m[size_n - 1][size_n - 1]
+        prev = m[k][k]
+    return _known_to(m[-1][-1], name, known)
+
+
+def _known_to(series: TruncSeries, name: str, degree: int) -> TruncSeries:
+    """series with the cap of ``name`` lowered to ``degree``; ExactDivisionError
+    when no coefficient is known."""
+    space = series.space
+    if degree < 0:
+        raise ExactDivisionError(f"no {name} coefficient of the determinant is known")
+    if degree == space.caps[space.axis(name)]:
+        return series
+    caps = [degree if p == name else c for p, c in zip(space.params, space.caps)]
+    return series.truncate_to(SeriesSpace(space.params, caps))
 
 
 def vandermonde(values) -> Fraction:
@@ -339,29 +359,40 @@ def family_determinant(family, N: int, a_vals, b_vals, space, pivot: str) -> Tru
     F(x) = sum_l rho_l x^l and r_lam(N) = prod_i rho_{lam_i+N-i} (Cauchy-Binet).
 
     family(space) gives l -> rho_l, of degree >= l in the pivot parameter.
-    Bareiss ends by dividing by the leading (N-2)x(N-2) minor, of pivot
-    degree m(m-1)/2 (m = N - 2), so the entries are built that much deeper
-    in the pivot; the determinant is truncated back to ``space``."""
+    Bareiss divides by the leading k x k minors, k = 1..m (m = N - 2), of
+    pivot degree k(k-1)/2 when each rho_l has degree exactly l, and each
+    division costs the quotients that many top degrees; so the entries are
+    built (m+1)m(m-1)/6 deeper in the pivot.  Where the determinant still
+    comes back short of the cap (minors that vanish to a higher order),
+    the entries are rebuilt deeper by the shortfall until it does not.
+    The result is truncated to ``space``."""
     if len(a_vals) != N or len(b_vals) != N:
         raise ValueError("need exactly N evaluation points on each side")
     if N == 0:  # the empty determinant, 1 = r_0(0)
         return space.one()
     m = max(N - 2, 0)
-    deeper = [c + m * (m - 1) // 2 if p == pivot else c for p, c in zip(space.params, space.caps)]
-    guard = SeriesSpace(space.params, deeper)
-    rho = family(guard)
-    rhos = [rho(l).terms for l in range(guard.caps[guard.axis(pivot)] + 1)]
+    axis, cap = space.axis(pivot), space.caps[space.axis(pivot)]
+    depth = (m + 1) * m * (m - 1) // 6
+    while True:
+        deeper = [c + depth if k == axis else c for k, c in enumerate(space.caps)]
+        guard = SeriesSpace(space.params, deeper)
+        rho = family(guard)
+        rhos = [rho(l).terms for l in range(cap + depth + 1)]
+        rows = [[_entry(guard, rhos, Fraction(ai) * bj) for bj in b_vals] for ai in a_vals]
+        det = bareiss_determinant(rows, pivot)
+        known = det.space.caps[axis]
+        if known >= cap:
+            return (det / (vandermonde(a_vals) * vandermonde(b_vals))).truncate_to(space)
+        depth += cap - known
 
-    def entry(x):
-        terms = {}
-        for l, rho_l in enumerate(rhos):
-            for exps, c in rho_l.items():
-                terms[exps] = terms.get(exps, 0) + c * x**l
-        return TruncSeries._trusted(guard, terms)
 
-    rows = [[entry(Fraction(ai) * bj) for bj in b_vals] for ai in a_vals]
-    det = bareiss_determinant(rows, pivot) / (vandermonde(a_vals) * vandermonde(b_vals))
-    return det.truncate_to(space)
+def _entry(space: SeriesSpace, rhos, x) -> TruncSeries:
+    """F(x) = sum_l rho_l x^l in ``space``, rhos[l] the terms of rho_l."""
+    terms = {}
+    for l, rho_l in enumerate(rhos):
+        for exps, c in rho_l.items():
+            terms[exps] = terms.get(exps, 0) + c * x**l
+    return TruncSeries._trusted(space, terms)
 
 
 def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:

@@ -19,8 +19,11 @@ eigenvalue (twist_eigenvalue, memoised per spec by cached_eigenvalue) is
 built from integer content sequences in the twist's own space;
 okounkov_coeff and multimonotone_coeff are views of it.  The sum runs on
 packed integers (series_character_sum, in the values' space), dividing
-once at the end.  TwistConvolution takes every twist to the convolution
-side.  A convolution family is its weights r_j = rho_j/rho_{j-1}: rho_j
+once at the end.  connection_coeffs reads each G_{lam mu} back as a
+series; connection_text, the gmatrix route, reads the same packed sums
+straight into the text series_json would print, building no series.
+TwistConvolution takes every twist to the convolution side.  A
+convolution family is its weights r_j = rho_j/rho_{j-1}: rho_j
 (rho_0 = 1) and the shifted content product
 
     r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i},  r_0(N) = prod_{j<N} rho_j,
@@ -30,6 +33,7 @@ derive from them by series products; r_lam(0) q^{|lam|} is the eigenvalue.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, prod
 
 from .center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem
@@ -44,7 +48,9 @@ from .partitions import (
     size,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries, numerators, pack, packed_product, read, unpack
+from .series import (
+    SeriesSpace, TruncSeries, numerators, pack, packed_product, read, read_text, unpack,
+)
 
 # -- twist specifications ----------------------------------------------------
 
@@ -148,37 +154,51 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
     return TruncSeries._trusted(space, {e: Fraction(x, denominator) for e, x in terms.items()})
 
 
-def _packed_series(values: dict, bound: int):
+class _PackedSeries:
     """Every series of ``values`` (one space) over one D at sparse slots, one
     per exponent tuple in any value, for integer combinations with
     coefficients summing to at most ``bound`` in size: a slot stays below
     bound M (M the largest numerator), so W = bit_length(bound M) + 1.
-    Returns {key: packed int} and read_back(total, scale), a combination's
-    series over D scale."""
-    space = next((value.space for value in values.values()), None)  # None: nothing to read
-    support = sorted({e for value in values.values() for e in value.terms})
-    slot = {e: k for k, e in enumerate(support)}
-    denom, rows = numerators([value.terms for value in values.values()], slot)
-    width = (bound * max((abs(x) for row in rows for _, x in row), default=0)).bit_length() + 1
+    ``ints`` maps each key to its packed int; read and text read a
+    combination over D scale, as a series or as series_json prints it."""
 
-    def read_back(total: int, scale: int = 1) -> TruncSeries:
-        return read(space, unpack(total, width, len(slot)), slot, denom * scale)
+    def __init__(self, values: dict, bound: int):
+        self.space = next((value.space for value in values.values()), None)  # None: nothing to read
+        self.support = sorted({e for value in values.values() for e in value.terms})
+        self.slot = {e: k for k, e in enumerate(self.support)}
+        self.denom, rows = numerators([value.terms for value in values.values()], self.slot)
+        top = max((abs(x) for row in rows for _, x in row), default=0)
+        self.width = (bound * top).bit_length() + 1
+        self.ints = {key: pack(row, self.width) for key, row in zip(values, rows)}
 
-    return {key: pack(row, width) for key, row in zip(values, rows)}, read_back
+    def read(self, total: int, scale: int = 1) -> TruncSeries:
+        fields = unpack(total, self.width, len(self.support))
+        return read(self.space, fields, self.slot, self.denom * scale)
+
+    def text(self, total: int, scale: int = 1) -> dict[str, str]:
+        fields = unpack(total, self.width, len(self.support))
+        return read_text(fields, self._labels, self.denom * scale)
+
+    @cached_property
+    def _labels(self) -> list[str]:
+        """The monomial label of each slot, built on the first text read."""
+        labels = self.space._labels
+        return [labels[e] for e in self.support]
 
 
-def series_character_sum(table: CharacterTable, values, scale) -> dict:
+def series_character_sum(table: CharacterTable, values, scale, reader=_PackedSeries.read) -> dict:
     """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
-    for every ordered pair of classes, each a series in the values' space.
+    for every ordered pair of classes, each a series in the values' space,
+    or its printed text when ``reader`` is _PackedSeries.text.
 
-    The sum runs on packed integers (_packed_series): CharacterTable.
+    The sum runs on packed integers (_PackedSeries): CharacterTable.
     character_sum adds and scales whole packed ints, and each pair's slots
     are read back once over D scale(lam, mu).  Cauchy-Schwarz and column
     orthogonality give sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu)
     <= n!, the bound the slots are sized for."""
-    packed, read_back = _packed_series(values, factorial(table.n))
-    sums = table.character_sum(packed)
-    return {pair: read_back(total, scale(*pair)) for pair, total in sums.items()}
+    packed = _PackedSeries(values, factorial(table.n))
+    sums = table.character_sum(packed.ints)
+    return {pair: reader(packed, total, scale(*pair)) for pair, total in sums.items()}
 
 
 def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
@@ -193,12 +213,23 @@ def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
     return value
 
 
-def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
-    """G_{lam mu} for all lam, mu of n, via the character sum."""
+def _connection(spec: TwistSpec, n: int, reader) -> dict:
+    """G_{lam mu} for all lam, mu of n, each read by ``reader``."""
     table = character_table(n)
     eig = {nu: cached_eigenvalue(spec, nu) for nu in table.parts}
     z = {lam: z_of(lam) for lam in table.parts}
-    return series_character_sum(table, eig, lambda lam, mu: z[lam])
+    return series_character_sum(table, eig, lambda lam, mu: z[lam], reader)
+
+
+def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
+    """G_{lam mu} for all lam, mu of n, via the character sum."""
+    return _connection(spec, n, _PackedSeries.read)
+
+
+def connection_text(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], dict[str, str]]:
+    """G_{lam mu} for all lam, mu of n as series_json prints them, read as
+    text from the same packed sums as connection_coeffs: no series is built."""
+    return _connection(spec, n, _PackedSeries.text)
 
 
 def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
@@ -207,7 +238,7 @@ def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
 
     On class sums the coordinates are sum_lam chi_lam(mu) e_lam w_lam / h_lam,
     e_lam the eigenvalue and w the idempotent coordinates of v: one
-    CharacterTable.transpose_times on packed integers (_packed_series), whose
+    CharacterTable.transpose_times on packed integers (_PackedSeries), whose
     coefficients sum_lam |chi_lam(mu)| <= sqrt(p(n) n!) <= n! in size."""
     if v.basis == IDEMPOTENTS:
         coords = {lam: cached_eigenvalue(spec, lam) * c for lam, c in v.coords.items()}
@@ -216,9 +247,9 @@ def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
         lam: cached_eigenvalue(spec, lam) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).coords.items()
     }
-    packed, read_back = _packed_series(values, factorial(v.n))
-    coords = character_table(v.n).transpose_times(packed)
-    return CenterElement(v.n, CLASS_SUMS, {mu: read_back(total) for mu, total in coords.items()})
+    packed = _PackedSeries(values, factorial(v.n))
+    coords = character_table(v.n).transpose_times(packed.ints)
+    return CenterElement(v.n, CLASS_SUMS, {mu: packed.read(total) for mu, total in coords.items()})
 
 
 # -- convolution coefficient families ----------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import cli, tauseries
+from hurwitz_tau import cli, series, tauseries, twists
 from hurwitz_tau.cli import main, to_json
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import partitions_of
@@ -331,6 +332,40 @@ def test_gmatrix_twist_label(capsys, twist, label):
     code, out = run_cli(capsys, "gmatrix", "--n", "3", "--twist", twist, "--cap", "2")
     assert code == 0
     assert json.loads(out)["twist"] == label
+
+
+GMATRIX_DIGESTS = Path(__file__).parent / "goldens" / "gmatrix_digests.json"
+
+
+def test_gmatrix_output_matches_the_digests(capsys):
+    # the sha256 of gmatrix stdout for every twist at n = 0..7, caps 0, 3, 5,
+    # written before gmatrix printed its text straight from the packed sums
+    digests = {}
+    for twist in sorted(cli.GMATRIX_KINDS):
+        for n in range(8):
+            for cap in (0, 3, 5):
+                argv = ("gmatrix", "--n", str(n), "--twist", twist, "--cap", str(cap))
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                digests[f"{twist} {n} {cap}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == json.loads(GMATRIX_DIGESTS.read_text())
+
+
+def test_gmatrix_builds_no_series_to_print(capsys, monkeypatch):
+    # gmatrix reads its text from the packed sums: neither the series
+    # reader nor series_json runs
+    def refuse(*args):
+        raise AssertionError("gmatrix built a series only to print it")
+
+    for owner in (series, twists):
+        monkeypatch.setattr(owner, "read", refuse)
+    for owner in (series, cli):
+        monkeypatch.setattr(owner, "series_json", refuse)
+    for twist in sorted(cli.GMATRIX_KINDS):
+        code, out = run_cli(capsys, "gmatrix", "--n", "4", "--twist", twist, "--cap", "3")
+        assert code == 0 and json.loads(out)["entries"]
+    with pytest.raises(AssertionError, match="only to print"):
+        twists.connection_coeffs(tauseries.WALK_KINDS["monotone"].twist(4, 3), 4)
 
 
 def test_table_json_okounkov(capsys):

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz_tau.errors import ExactDivisionError
-from hurwitz_tau.series import SeriesSpace, TruncSeries, numerators, pack, read, unpack
+from hurwitz_tau.series import (
+    SeriesSpace,
+    TruncSeries,
+    numerators,
+    pack,
+    read,
+    read_text,
+    series_json,
+    unpack,
+)
 
 
 def space():
@@ -219,6 +228,42 @@ def test_read_of_numerators_gives_back_each_series(values, dense):
     width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
     for value, row in zip(values, rows):
         assert read(sp, unpack(pack(row, width), width, count), slot, d).terms == value.terms
+
+
+FIELDS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(FIELDS, max_size=12),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**70)),
+    st.integers(0, 3),
+)
+def test_read_text_prints_each_field_as_its_fraction(fields, d, multiple):
+    # negative, zero and wide fields, and every third one a multiple of d
+    # (an integer quotient, printed without "/1")
+    fields = [x * d if k % 3 == multiple else x for k, x in enumerate(fields)]
+    labels = [f"x^{k}" for k in range(len(fields))]
+    want = {label: str(Fraction(x, d)) for x, label in zip(fields, labels) if x}
+    got = read_text(fields, labels, d)
+    assert got == want and list(got) == list(want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(series_lists())
+def test_read_text_equals_series_json_of_read(values):
+    # over sparse slots, read_text prints what series_json prints of read
+    sp = values[0].space
+    support = sorted({e for v in values for e in v.terms})
+    slot = {e: k for k, e in enumerate(support)}
+    d, rows = numerators([v.terms for v in values], slot)
+    width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
+    labels = [sp._labels[e] for e in support]
+    for row in rows:
+        fields = unpack(pack(row, width), width, len(slot))
+        for scale in (1, 6):
+            want = series_json(read(sp, fields, slot, d * scale))
+            assert list(read_text(fields, labels, d * scale).items()) == list(want.items())
 
 
 def _dense(sp, coeff):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz_tau import tauseries
 from hurwitz_tau.errors import VandermondeError
 from hurwitz_tau.groupalg import (
     WalkQuery,
@@ -188,6 +189,27 @@ def test_bareiss_against_cofactor_expansion():
     for m in (swapped_late, singular):
         assert bareiss_determinant([row[:] for row in m], "z") == _cofactor_expansion(m)
     assert bareiss_determinant(singular, "z").is_zero()
+    # at cap 6 a pivot without constant term costs its quotients their top
+    # degrees: the determinant comes back to the degree it knows, and agrees
+    # with the expansion there
+    caps = set()
+    for trial in range(150):
+        m = [[space.zero() if rng.random() < 0.4 else sum(
+                (space.monomial(rng.randint(-3, 3), z=d) for d in range(3)), space.zero())
+              for _ in range(4)] for _ in range(4)]
+        got = bareiss_determinant([row[:] for row in m], "z")
+        assert got == _cofactor_expansion(m).truncate_to(got.space)
+        caps.add(got.space.caps[0])
+    assert 6 in caps and min(caps) < 5
+    # a column of zeros after a pivot without constant term: the determinant
+    # is the trailing block's over that pivot, so it is known to z^0 only
+    low = SeriesSpace(("z",), (1,))
+    z, c = low.monomial(1, z=1), low.scalar
+    m = [[c(2), c(0), -z, c(0)], [c(-1) + z, c(0), z * 2, c(-1)],
+         [c(0), z, c(0), c(2) - z], [c(2), c(1), c(0), z * 2]]
+    got = bareiss_determinant([row[:] for row in m], "z")
+    assert got.space.caps == (0,) and got == _cofactor_expansion(m).truncate_to(got.space)
+    assert _cofactor_expansion(m).coeff(z=1) != 0
 
 
 def _cofactor_expansion(m):
@@ -265,6 +287,25 @@ def test_family_determinant_fails_on_a_shifted_rho(kind, N):
     # place of rho_l must break the match with the Schur side
     assert _determinant_matches_schur_side(kind, N)
     assert not _determinant_matches_schur_side(kind, N, shifted=True)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_family_determinant_rebuilds_a_short_determinant(kind, monkeypatch):
+    # rho_{l+1} in place of rho_l vanishes deeper than the guard assumes, so
+    # the first Bareiss run comes back short of the cap; the entries are
+    # rebuilt deeper, and the result agrees with one taken six degrees deeper
+    space, pivot, family, _, _ = _family_case(kind, 3)
+    rng = random.Random(f"short/{kind}")
+    a_vals = random_rationals(rng, 3, distinct=True)
+    b_vals = random_rationals(rng, 3, distinct=True)
+    axis = space.axis(pivot)
+    wide = SeriesSpace(space.params, [c + 6 if k == axis else c for k, c in enumerate(space.caps)])
+    want = family_determinant(_shifted(family), 3, a_vals, b_vals, wide, pivot).truncate_to(space)
+    runs = []
+    bareiss = tauseries.bareiss_determinant
+    monkeypatch.setattr(tauseries, "bareiss_determinant", lambda *a: runs.append(1) or bareiss(*a))
+    assert family_determinant(_shifted(family), 3, a_vals, b_vals, space, pivot) == want
+    assert len(runs) == 2
 
 
 @pytest.mark.parametrize("kind", ("alpha_q", "twist_h"))
