@@ -94,6 +94,43 @@ def emit(payload, out_path=None):
     write(to_json(payload) + "\n", out_path)
 
 
+class _Texts(dict):
+    """{value: to_json(value)}, each text rendered on its first lookup."""
+
+    def __missing__(self, value):
+        text = self[value] = to_json(value)
+        return text
+
+
+# a hurwitz_table row as to_json renders it inside the list of rows
+_TABLE_ROW = (
+    '  {\n    "n": %s,\n    "from": %s,\n    "to": %s,\n    "steps": %s,\n'
+    '    "count": %s,\n    "connected": %s\n  }'
+)
+
+
+def table_json(rows: list[dict]) -> str:
+    """to_json(rows) for hurwitz_table rows, each printed from one template
+    in their key order.  Each n, label and count is rendered once, the flag
+    in its own memo (True == 1), and each step datum, the one dict the rows
+    of that datum share, once at the row's indent."""
+    if not rows:
+        return "[]"
+    texts, flags = _Texts(), _Texts()
+    steps = {}  # id(step datum) -> its text; the rows keep each datum alive
+    lines = []
+    for row in rows:
+        data = row["steps"]
+        text = steps.get(id(data))
+        if text is None:
+            text = steps[id(data)] = to_json(data, "    ")
+        lines.append(_TABLE_ROW % (
+            texts[row["n"]], texts[row["from"]], texts[row["to"]], text,
+            texts[row["count"]], flags[row["connected"]],
+        ))
+    return "[\n" + ",\n".join(lines) + "\n]"
+
+
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, nmax=args.nmax, seed=args.seed)
     failed = [r for r in results if not r.passed]
@@ -244,7 +281,7 @@ def cmd_table(args) -> int:
     cap = args.bmax if args.bmax is not None else args.kmax
     rows = tauseries.hurwitz_table(kind, args.nmax, cap, connected=args.connected)
     if args.format == "json":
-        emit(rows, args.out)
+        write(table_json(rows) + "\n", args.out)
         return 0
     # CSV: one column per step datum (plain's b prints under the header k)
     columns = tauseries.WALK_KINDS[kind].steps(0)[0][0]

@@ -8,9 +8,10 @@ truncation).  Coefficients are Fractions throughout.
 Packed integers, the fast exact path, have one format, known only here:
 numerators puts coefficient dicts over one D, the lcm of their
 denominators, as (slot, numerator) pairs; pack sets them in signed W-bit
-slots of one int, and unpack takes them apart.  read turns fields over D
-into a series; the text reader, read_text, turns them into the printed
-dict, the one series_json gives for that series.  Slots are dense
+slots of one int, and unpack takes them apart.  read_packed turns a packed
+int over D into a series, decoding only its live fields; the text reader,
+read_text, turns unpacked fields into the printed dict, the one
+series_json gives for that series.  Slots are dense
 (SeriesSpace._slots: stride 2 cap + 1 per axis, so no two exponent sums
 share one) or one per exponent tuple of a sparse support.  Each kernel
 sizes W for its own sums.
@@ -66,6 +67,15 @@ class SeriesSpace:
             exps: sum(e * s for e, s in zip(exps, strides))
             for exps in product(*(range(c + 1) for c in self.caps))
         }
+
+    @cached_property
+    def _exponents(self) -> list[Exponents | None]:
+        """The exponents of each dense slot, None at the gaps the stride
+        leaves for sums past the caps."""
+        exponents = [None] * (self._slots[self.caps] + 1)
+        for exps, k in self._slots.items():
+            exponents[k] = exps
+        return exponents
 
     @cached_property
     def _labels(self) -> "_Labels":
@@ -220,7 +230,7 @@ class TruncSeries:
         """The product, truncated to the caps.  A one-term factor shifts and
         scales each term of the other; otherwise the two series are packed at
         the dense slots, each over its own lcm D, and multiplied once
-        (packed_product), and the cap box is read back over D_a D_b."""
+        (packed_product), and its live fields are read back over D_a D_b."""
         space = self.space
         if not isinstance(other, TruncSeries):
             c = Fraction(other)
@@ -234,9 +244,8 @@ class TruncSeries:
             mono, rest = (other, self) if len(other.terms) == 1 else (self, other)
             (f, c), = mono.terms.items()
             return TruncSeries(space, {tuple(map(add, e, f)): a * c for e, a in rest.terms.items()})
-        slots = space._slots
-        (da, (a,)), (db, (b,)) = numerators([self.terms], slots), numerators([other.terms], slots)
-        return read(space, packed_product(a, b, slots[space.caps] + 1), slots, da * db)
+        (da, (a,)), (db, (b,)) = (numerators([s.terms], space._slots) for s in (self, other))
+        return read_packed(space, *packed_product(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -313,15 +322,29 @@ def numerators(terms_list, slot: dict) -> tuple[int, list[list[tuple[int, int]]]
                for terms in terms_list]
 
 
-def read(space: SeriesSpace, fields, slot: dict, d: int) -> TruncSeries:
-    """The series of ``space`` whose coefficient at e is fields[slot[e]] / d."""
-    terms = {e: Fraction(fields[k], d) for e, k in slot.items() if fields[k]}
-    return TruncSeries._trusted(space, terms)
+def read_packed(space: SeriesSpace, total: int, width: int, d: int, exponents=None) -> TruncSeries:
+    """The series of ``space`` whose coefficient at exponents[k] is field k
+    of the packed ``total`` over d; exponents defaults to the dense slots
+    of the space, where a field past the top slot or at a gap (None) holds
+    terms past the caps and is dropped.  Only the fields from the one
+    holding the lowest set bit of total to the one holding the highest are
+    decoded: below the lowest nonzero field total is all zero bits, and
+    the highest nonzero field k leaves |total| between 2^(width k - 1) and
+    2^(width (k + 1) - 1), so its bit length over width is k."""
+    if exponents is None:
+        exponents = space._exponents
+    low = ((total & -total).bit_length() - 1) // width  # -1 when total is 0
+    high = min(abs(total).bit_length() // width, len(exponents) - 1)
+    if low < 0 or low > high:
+        return TruncSeries._trusted(space, {})
+    fields = unpack(total >> (width * low), width, high - low + 1)
+    live = zip(exponents[low : high + 1], fields)
+    return TruncSeries._trusted(space, {e: Fraction(x, d) for e, x in live if x and e is not None})
 
 
 def read_text(fields, labels, d: int) -> dict[str, str]:
     """{labels[k]: "num/den"} for the nonzero fields[k] / d, slots in exponent
-    order: series_json of the series read(...) would build, with one gcd per
+    order: series_json of the series read_packed would build, with one gcd per
     nonzero field and no Fraction.  As str(Fraction) prints it, the sign goes
     on the numerator and an integer has no denominator; d must be positive."""
     out = {}
@@ -347,14 +370,14 @@ def unpack(total: int, width: int, count: int) -> list[int]:
     return [((total >> (width * k)) & mask) - half for k in range(count)]
 
 
-def packed_product(a, b, count: int) -> list[int]:
-    """Fields 0..count-1 of (sum a_k X^k)(sum b_k X^k), X = 2^W, for the
-    (k, a_k) pairs of a and b, by one big-int product.  A field sums at
-    most min(#a, #b) products, so it stays below min(#a, #b) max|a| max|b|
-    in size; W is that bound's bit length + 1, one bit for the sign."""
+def packed_product(a, b) -> tuple[int, int]:
+    """(total, W): (sum a_k X^k)(sum b_k X^k), X = 2^W, for the (k, a_k)
+    pairs of a and b, as one big-int product.  A field sums at most
+    min(#a, #b) products, so it stays below min(#a, #b) max|a| max|b| in
+    size; W is that bound's bit length + 1, one bit for the sign."""
     bound = min(len(a), len(b)) * max(abs(x) for _, x in a) * max(abs(x) for _, x in b)
     width = bound.bit_length() + 1
-    return unpack(pack(a, width) * pack(b, width), width, count)
+    return pack(a, width) * pack(b, width), width
 
 
 def monomial_label(params, exps) -> str:

@@ -24,7 +24,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries, numerators, pack, read, unpack
+from .series import SeriesSpace, TruncSeries, numerators, pack, read_packed
 
 
 class SymFunc:
@@ -254,7 +254,5 @@ def tensor_product_sum(pairs, grade_cap: int, scale=1) -> TensorSymFunc:
                     lam = tuple(sorted(la + lb, reverse=True))
                     key = (lam, tuple(sorted(ma + mb, reverse=True)))
                     totals[key] = totals.get(key, 0) + xa * xb
-    slots, d = space._slots, denominator * scale.denominator
-    count = slots[space.caps] + 1
-    terms = {key: read(space, unpack(x, width, count), slots, d) for key, x in totals.items()}
-    return TensorSymFunc(terms)
+    d = denominator * scale.denominator
+    return TensorSymFunc({key: read_packed(space, x, width, d) for key, x in totals.items()})

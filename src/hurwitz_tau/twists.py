@@ -49,7 +49,7 @@ from .partitions import (
     z_of,
 )
 from .series import (
-    SeriesSpace, TruncSeries, numerators, pack, packed_product, read, read_text, unpack,
+    SeriesSpace, TruncSeries, numerators, pack, packed_product, read_packed, read_text, unpack,
 )
 
 # -- twist specifications ----------------------------------------------------
@@ -143,8 +143,9 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
                 axis = space.axis(f.beta_param)
                 top = factorial(space.caps[axis])
                 c = content_sum(lam)
-                kernel = [(k, c**k * (top // factorial(k))) for k in range(len(axes[axis]))]
-                axes[axis] = packed_product(list(enumerate(axes[axis])), kernel, len(axes[axis]))
+                count = len(axes[axis])
+                kernel = [(k, c**k * (top // factorial(k))) for k in range(count)]
+                axes[axis] = unpack(*packed_product(list(enumerate(axes[axis])), kernel), count)
                 denominator *= top
         else:
             raise TypeError(f"unknown twist factor {f!r}")
@@ -172,8 +173,7 @@ class _PackedSeries:
         self.ints = {key: pack(row, self.width) for key, row in zip(values, rows)}
 
     def read(self, total: int, scale: int = 1) -> TruncSeries:
-        fields = unpack(total, self.width, len(self.support))
-        return read(self.space, fields, self.slot, self.denom * scale)
+        return read_packed(self.space, total, self.width, self.denom * scale, self.support)
 
     def text(self, total: int, scale: int = 1) -> dict[str, str]:
         fields = unpack(total, self.width, len(self.support))

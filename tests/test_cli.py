@@ -351,6 +351,33 @@ def test_gmatrix_output_matches_the_digests(capsys):
     assert digests == json.loads(GMATRIX_DIGESTS.read_text())
 
 
+TABLE_DIGESTS = Path(__file__).parent / "goldens" / "table_digests.json"
+TABLE_DIGEST_ARGV = [
+    ("--family", family, "--nmax", str(nmax), "--kmax", "4", "--format", fmt, *connected)
+    for family in ("okounkov", *WALK_KINDS)
+    for nmax in range(7)
+    for fmt in ("json", "csv")
+    for connected in ((), ("--connected",))
+] + [
+    ("--family", family, "--nmax", str(nmax), "--kmax", "4", "--connected")
+    for family in ("okounkov", "monotone")
+    for nmax in (6, 7)
+]
+
+
+def test_table_output_matches_the_digests(capsys):
+    # the sha256 of table stdout for every family at nmax 0..6, kmax 4, plain
+    # and connected, JSON and CSV, and the four connected tables at nmax 6, 7
+    # that the benchmark prints, written before the packed products decoded
+    # their live fields only and the rows printed from one template
+    digests = {}
+    for argv in TABLE_DIGEST_ARGV:
+        code, out = run_cli(capsys, "table", *argv)
+        assert code == 0
+        digests[" ".join(argv[1:])] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == json.loads(TABLE_DIGESTS.read_text())
+
+
 def test_gmatrix_builds_no_series_to_print(capsys, monkeypatch):
     # gmatrix reads its text from the packed sums: neither the series
     # reader nor series_json runs
@@ -358,7 +385,7 @@ def test_gmatrix_builds_no_series_to_print(capsys, monkeypatch):
         raise AssertionError("gmatrix built a series only to print it")
 
     for owner in (series, twists):
-        monkeypatch.setattr(owner, "read", refuse)
+        monkeypatch.setattr(owner, "read_packed", refuse)
     for owner in (series, cli):
         monkeypatch.setattr(owner, "series_json", refuse)
     for twist in sorted(cli.GMATRIX_KINDS):
@@ -665,6 +692,8 @@ EMITTED = (
      for twist in sorted(cli.GMATRIX_KINDS) for n in range(5)]
     + [("table", "--family", family, "--nmax", "4", "--kmax", "3", "--format", "json", *connected)
        for family in ("okounkov", *WALK_KINDS) for connected in ((), ("--connected",))]
+    + [("table", "--family", "monotone", "--nmax", "0", "--connected"),
+       ("table", "--family", "mixed", "--nmax", "3", "--kmax", "2", "--connected", "--out", "OUT")]
     + [(*argv, *check) for argv in (HCIZ_ARGV, ALPHA_Q_ARGV)
        for check in ((), ("--check-determinant",))]
     + [("chartable", "--n", str(n)) for n in range(7)]
@@ -672,16 +701,27 @@ EMITTED = (
 
 
 @pytest.mark.parametrize("argv", EMITTED, ids=" ".join)
-def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, argv):
+def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, tmp_path, argv):
+    # a table prints its rows from one template, not through emit: its
+    # payload is the rows hurwitz_table returned; an OUT argument is a path
     payloads = []
-    emit = cli.emit
+    emit, table = cli.emit, tauseries.hurwitz_table
 
     def recording_emit(payload, out_path=None):
         payloads.append(payload)
         emit(payload, out_path)
 
+    def recording_table(*args, **kwargs):
+        payloads.append(table(*args, **kwargs))
+        return payloads[-1]
+
     monkeypatch.setattr(cli, "emit", recording_emit)
-    code, out = run_cli(capsys, *argv)
+    monkeypatch.setattr(tauseries, "hurwitz_table", recording_table)
+    path = tmp_path / "out.json"
+    code, out = run_cli(capsys, *(str(path) if arg == "OUT" else arg for arg in argv))
+    if "OUT" in argv:
+        assert out == ""
+        out = path.read_text()
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2) + "\n"
 

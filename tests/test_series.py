@@ -12,7 +12,7 @@ from hurwitz_tau.series import (
     TruncSeries,
     numerators,
     pack,
-    read,
+    read_packed,
     read_text,
     series_json,
     unpack,
@@ -218,16 +218,15 @@ def test_read_of_numerators_gives_back_each_series(values, dense):
     # support (the character sum)
     sp = values[0].space
     if dense:
-        slot = sp._slots
-        count = slot[sp.caps] + 1
+        slot, exponents = sp._slots, None
     else:
-        slot = {e: k for k, e in enumerate(sorted({e for v in values for e in v.terms}))}
-        count = len(slot)
+        exponents = sorted({e for v in values for e in v.terms})
+        slot = {e: k for k, e in enumerate(exponents)}
     d, rows = numerators([v.terms for v in values], slot)
     assert d == lcm(*(c.denominator for v in values for c in v.terms.values()))
     width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
     for value, row in zip(values, rows):
-        assert read(sp, unpack(pack(row, width), width, count), slot, d).terms == value.terms
+        assert read_packed(sp, pack(row, width), width, d, exponents).terms == value.terms
 
 
 FIELDS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80))
@@ -260,9 +259,10 @@ def test_read_text_equals_series_json_of_read(values):
     width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
     labels = [sp._labels[e] for e in support]
     for row in rows:
-        fields = unpack(pack(row, width), width, len(slot))
+        total = pack(row, width)
+        fields = unpack(total, width, len(slot))
         for scale in (1, 6):
-            want = series_json(read(sp, fields, slot, d * scale))
+            want = series_json(read_packed(sp, total, width, d * scale, support))
             assert list(read_text(fields, labels, d * scale).items()) == list(want.items())
 
 
@@ -285,3 +285,80 @@ def test_product_slot_bound_is_reached(caps, ma, mb, sa, sb):
     # against one term: the bound is M_a M_b
     single = TruncSeries(sp, {(0,) * len(caps): Fraction(sb * mb)})
     assert (a * single).terms == fraction_product(a, single).terms
+
+
+# one, two and three parameters; past one parameter the stride 2 cap + 1
+# leaves gap fields between the slots of the leading axes
+LIVE_SPACES = (
+    SeriesSpace(("x",), (3,)),
+    SeriesSpace(("x", "y"), (2, 1)),
+    SeriesSpace(("x", "y", "z"), (1, 2, 1)),
+)
+LIVE_VALUES = (1, -1, 7, -(2**70) - 3, 2**70)
+
+
+def _read_every_field(sp, total, width, d):
+    """The whole-box reader: every field a product of two slots can reach,
+    each read at the slot it belongs to, the gaps and the fields past the
+    top slot dropped."""
+    top = sp._slots[sp.caps]
+    fields = unpack(total, width, 2 * top + 1)
+    return {e: Fraction(fields[k], d) for e, k in sp._slots.items() if fields[k]}
+
+
+@pytest.mark.parametrize("sp", LIVE_SPACES, ids=repr)
+def test_read_packed_decodes_every_field_layout(sp):
+    # one or two nonzero fields anywhere a product can put them: slot 0,
+    # the top slot, a gap, past the top slot, each sign at the top
+    width, d = 73, 6
+    count = 2 * sp._slots[sp.caps] + 1
+    assert read_packed(sp, 0, width, d).terms == {}
+    for k in range(count):
+        for x in LIVE_VALUES:
+            total = pack([(k, x)], width)
+            assert read_packed(sp, total, width, d).terms == _read_every_field(sp, total, width, d)
+            for j in range(k):
+                for y in (3, -(2**69)):
+                    total = pack([(j, y), (k, x)], width)
+                    want = _read_every_field(sp, total, width, d)
+                    assert read_packed(sp, total, width, d).terms == want
+
+
+def _live_cases(sp):
+    """(a, b) pairs, each of two terms so that the product is packed:
+    the product's only field in the caps sits in slot 0 (1 + T)(1 - T),
+    or in the top slot T, P + Q = T, (P + T)(Q - T), with the highest
+    field of the product negative in both; (1 + m)^2 puts m^2 in a gap or
+    past the top slot; the last pair is dense on both sides."""
+    top = sp.caps
+    zero = (0,) * len(top)
+    p = tuple(1 if k == 0 else 0 for k in range(len(top)))
+    q = tuple(t - e for t, e in zip(top, p))
+    m = tuple(top[-1] if k == len(top) - 1 else 0 for k in range(len(top)))
+    big = Fraction(2**70 + 1, 3)
+
+    def series(*terms):
+        return TruncSeries(sp, dict(terms))
+
+    return [
+        (series((zero, 1), (top, 1)), series((zero, 1), (top, -1))),
+        (series((zero, big), (top, -big)), series((zero, -big), (top, -big))),
+        (series((p, 1), (top, 1)), series((q, 1), (top, -1))),
+        (series((p, -big), (top, 5)), series((q, big), (top, -big))),
+        (series((zero, 1), (m, 1)), series((zero, 1), (m, 1))),
+        (series((zero, 2), (m, -big)), series((zero, -3), (m, big))),
+        (series(*((e, k - 3) for k, e in enumerate(sp._slots))),
+         series(*((e, big - k) for k, e in enumerate(sp._slots)))),
+    ]
+
+
+@pytest.mark.parametrize("sp", LIVE_SPACES, ids=repr)
+def test_product_reads_its_live_fields(sp):
+    cases = _live_cases(sp)
+    assert all(len(a.terms) == len(b.terms) == 2 for a, b in cases[:-1])
+    for a, b in cases:
+        want = fraction_product(a, b)
+        assert (a * b).terms == want.terms and (b * a).terms == want.terms
+    (a, b), (c, d) = cases[0], cases[2]
+    assert (a * b).terms == {(0,) * len(sp.caps): 1}
+    assert (c * d).terms == {sp.caps: 1}

@@ -11,7 +11,7 @@ from hurwitz_tau.oracles import (
 )
 from hurwitz_tau.partitions import partitions_of
 from hurwitz_tau import symfunc
-from hurwitz_tau.series import SeriesSpace, TruncSeries, pack, unpack
+from hurwitz_tau.series import SeriesSpace, TruncSeries, pack, read_packed, unpack
 from hurwitz_tau.symfunc import (
     TensorSymFunc,
     cauchy_sides,
@@ -306,11 +306,11 @@ def test_product_sum_slot_width_is_tight_with_scale_numerator(monkeypatch):
     ]
     widths = []
 
-    def recording_unpack(total, width, count):
+    def recording_read(space, total, width, d):
         widths.append(width)
-        return unpack(total, width, count)
+        return read_packed(space, total, width, d)
 
-    monkeypatch.setattr(symfunc, "unpack", recording_unpack)
+    monkeypatch.setattr(symfunc, "read_packed", recording_read)
     scale = Fraction(-7, 3)
     got = tensor_product_sum(pairs, 4, scale)
     fields = [-7 * 2 * big * big, 7 * 4 * big * big]
@@ -320,3 +320,48 @@ def test_product_sum_slot_width_is_tight_with_scale_numerator(monkeypatch):
     want = TruncSeries(space, {(0,): Fraction(fields[0], 3), (1,): Fraction(fields[1], 3)})
     assert got.terms == {((2, 1), (2, 1)): want}
     _assert_same(got, _sum_by_pairs(pairs, 4, scale))
+
+
+# one, two and three parameters; past one parameter the stride 2 cap + 1
+# leaves gap fields between the slots of the leading axes
+LIVE_SPACES = (
+    SeriesSpace(("x",), (3,)),
+    SeriesSpace(("x", "y"), (2, 1)),
+    SeriesSpace(("x", "y", "z"), (1, 2, 1)),
+)
+
+
+@pytest.mark.parametrize("space", LIVE_SPACES, ids=repr)
+def test_product_sum_reads_its_live_fields(space):
+    # T the top slot, P + Q = T, m the last axis at its cap: each key's
+    # total has its only field in the caps at slot 0, (1 + T)(1 - T), or
+    # at T, (P + T)(Q - T), the highest field negative in both; m^2 falls
+    # in a gap or past T; (m + T)(m - T) has no field in the caps, and two
+    # pairs that cancel leave a zero total: those keys drop out
+    top = space.caps
+    zero = (0,) * len(top)
+    p = tuple(1 if k == 0 else 0 for k in range(len(top)))
+    q = tuple(t - e for t, e in zip(top, p))
+    m = tuple(top[-1] if k == len(top) - 1 else 0 for k in range(len(top)))
+    big = Fraction(2**70 + 1, 3)
+
+    def tensor(key, *terms):
+        return TensorSymFunc({key: TruncSeries(space, dict(terms))})
+
+    one, two = ((1,), (1,)), ((2,), (1, 1))
+    a, b = tensor(one, (zero, 1), (top, big)), tensor(two, (zero, 1), (top, -big))
+    cases = [
+        [(a, b)],
+        [(tensor(one, (p, 1), (top, 1)), tensor(two, (q, big), (top, -big)))],
+        [(tensor(one, (zero, 1), (m, 1)), tensor(one, (zero, -3), (m, big)))],
+        [(tensor(one, (m, 1), (top, 1)), tensor(two, (m, 1), (top, -1)))],
+        [(a, b), (a, b.scale(-1))],
+    ]
+    for pairs in cases:
+        for scale in (1, Fraction(-7, 3)):
+            _assert_same(tensor_product_sum(pairs, 4, scale), _sum_by_pairs(pairs, 4, scale))
+    key = ((2, 1), (1, 1, 1))
+    corner = space.monomial(big, **dict(zip(space.params, top)))
+    assert tensor_product_sum(cases[0], 4).terms == {key: space.one()}
+    assert tensor_product_sum(cases[1], 4).terms == {key: corner}
+    assert tensor_product_sum(cases[3], 4).terms == tensor_product_sum(cases[4], 4).terms == {}

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -570,6 +571,35 @@ def test_hurwitz_table_connected():
                         WalkQuery(n, lam, mu, weakly_monotone(k), transitive=True)
                     )
                     assert by_key[(n, _fmt(lam), _fmt(mu), k)] == want
+
+
+@pytest.mark.parametrize("connected", (False, True), ids=("plain", "connected"))
+def test_hurwitz_table_rejects_a_non_integral_count(monkeypatch, connected):
+    # halve the (1,1) -> (2) coefficient of the source tensor (the twist's
+    # for the plain table, the log's for the connected one): its b = 1
+    # count, one walk either way, reads 1/2, and the error names the class
+    # pair and the step datum
+    key = ((1, 1), (2,))
+
+    def halved(tensor):
+        return TensorSymFunc({k: v * Fraction(1, 2) if k == key else v
+                              for k, v in tensor.terms.items()})
+
+    if connected:
+        log = tauseries.log_tau
+        monkeypatch.setattr(tauseries, "log_tau", lambda t: halved(log(t)))
+    else:
+        twist_tau = tauseries.twist_tau
+
+        def tampered(spec, n_max):
+            t = twist_tau(spec, n_max)
+            t.tensor = halved(t.tensor)
+            return t
+
+        monkeypatch.setattr(tauseries, "twist_tau", tampered)
+    message = "non-integral count 1/2 at (1, 1)->(2,), {'b': 1}"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        hurwitz_table("plain", 3, 2, connected=connected)
 
 
 def _fmt(lam):
