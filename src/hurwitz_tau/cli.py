@@ -167,6 +167,8 @@ def _lengths(text: str) -> list[int]:
 def _mixed(args):
     if args.p is None:
         raise ValueError("--kind mixed needs --p (length of the monotone prefix)")
+    if args.p > args.steps:
+        raise ValueError(f"--p must be <= --steps, got --p {args.p} and --steps {args.steps}")
     return mixed(args.p, args.steps)
 
 
@@ -271,7 +273,7 @@ def cmd_tau(args) -> int:
     if hciz and args.check_determinant:
         det = tauseries.hciz_determinant(args.N, a_vals, b_vals, cap)
         payload["determinant"] = series_json(det)
-        payload["determinant_matches"] = det == series.truncate_to(det.space)
+        payload["determinant_matches"] = det == series
     emit(payload, args.out)
     return 0 if payload.get("determinant_matches", True) else 1
 

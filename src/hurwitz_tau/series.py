@@ -280,13 +280,6 @@ class TruncSeries:
 
     # -- one-parameter helpers (determinants, q gradings) --------------------
 
-    def valuation(self, name: str) -> int:
-        """Smallest exponent of the named parameter over all terms."""
-        if not self.terms:
-            raise ValueError("valuation of the zero series is undefined")
-        axis = self.space.axis(name)
-        return min(e[axis] for e in self.terms)
-
     def shift_down(self, name: str, amount: int) -> "TruncSeries":
         """Exact division by x^amount; every term must be divisible."""
         axis = self.space.axis(name)

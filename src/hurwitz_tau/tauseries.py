@@ -25,7 +25,8 @@ what the tau command prints (hciz, and alpha_q with and without
 hciz_family / alpha_q_family, the definitions hciz_tau and alpha_q_tau
 build their TauSeries from.  One determinant route, family_determinant,
 checks it without reading r_nu: det[sum_l rho_l (a_i b_j)^l] for any
-family's rho, by fraction-free Bareiss elimination over truncated series.
+family's rho (Cauchy-Binet on the fermionic vacuum element), by a
+division-free expansion over column subsets that is exact to every cap.
 The tau command runs its exp and binomial cases under --check-determinant
 (hciz_determinant, alpha_q_determinant); verify runs every walk-kind twist.
 tau_eval (the power-sum tensor of a TauSeries at the points) and
@@ -41,7 +42,7 @@ from math import factorial
 
 from .characters import character_table
 from .config import TAU_NMAX_CAP
-from .errors import ExactDivisionError, VandermondeError
+from .errors import VandermondeError
 from .groupalg import (
     mixed,
     multi_monotone,
@@ -287,58 +288,34 @@ def _join(slices) -> TensorSymFunc:
 
 # -- determinants over truncated series ----------------------------------------
 
-def bareiss_determinant(rows: list[list[TruncSeries]], name: str) -> TruncSeries:
-    """Fraction-free (Bareiss) determinant over the truncated-series ring,
-    returned to the degree in x (the named parameter) that it knows.
+def determinant(rows: list[list[TruncSeries]]) -> TruncSeries:
+    """Division-free determinant over the truncated-series ring.  Truncation
+    is a ring map and nothing is divided, so entries exact to the caps give
+    a determinant exact to the caps, in every parameter at once.
 
-    Each step after the first divides by the previous pivot prev = x^v u
-    (u a unit): u is inverted once per step, and each numerator is shifted
-    down by v before the product, so a term of too low an x-degree raises
-    ExactDivisionError.  The numerators were truncated at the cap C of x
-    before the shift, so the quotients lose their top v degrees: the
-    determinant is returned with the cap of x lowered to C minus the sum of
-    the v, and ExactDivisionError is raised when that is below 0."""
-    size_n = len(rows)
-    m = [list(r) for r in rows]
-    if size_n == 0:
+    minors[S] is the minor of the first |S| rows on the columns of the
+    bitmask S; the next row k adds (-1)^(columns of S above j) row_k[j] D(S)
+    to D(S + j), N (2^(N-1) - 1) products in all.  The table starts from the
+    first row's entries."""
+    if not rows:
         raise ValueError("empty matrix")
-    space = m[0][0].space
-    known = space.caps[space.axis(name)]
-    v = 0
-    for k in range(size_n - 1):
-        if k:
-            v = prev.valuation(name)
-        if m[k][k].is_zero():
-            swap = next((r for r in range(k + 1, size_n) if not m[r][k].is_zero()), None)
-            if swap is None:
-                # the determinant is the trailing block's over prev^(size_n - k - 1),
-                # and that block has a column of zeros
-                return _known_to(space.zero(), name, known - (size_n - k - 1) * v)
-            m[k], m[swap] = m[swap], m[k]
-            # a row swap flips the sign; fold it into the swapped-in row
-            m[k] = [entry * Fraction(-1) for entry in m[k]]
-        if k:
-            unit_inv = (prev.shift_down(name, v) if v else prev).inverse()
-            known -= v
-        for i in range(k + 1, size_n):
-            for j in range(k + 1, size_n):
-                m[i][j] = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                if k:
-                    m[i][j] = (m[i][j].shift_down(name, v) if v else m[i][j]) * unit_inv
-        prev = m[k][k]
-    return _known_to(m[-1][-1], name, known)
+    minors = {1 << j: entry for j, entry in enumerate(rows[0]) if entry}
+    for row in rows[1:]:
+        grown = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or not entry:
+                    continue
+                term = entry * minor
+                term = -term if (cols >> j).bit_count() % 2 else term  # columns of S above j
+                key = cols | 1 << j
+                grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors.get((1 << len(rows)) - 1, rows[0][0].space.zero())
 
 
-def _known_to(series: TruncSeries, name: str, degree: int) -> TruncSeries:
-    """series with the cap of ``name`` lowered to ``degree``; ExactDivisionError
-    when no coefficient is known."""
-    space = series.space
-    if degree < 0:
-        raise ExactDivisionError(f"no {name} coefficient of the determinant is known")
-    if degree == space.caps[space.axis(name)]:
-        return series
-    caps = [degree if p == name else c for p, c in zip(space.params, space.caps)]
-    return series.truncate_to(SeriesSpace(space.params, caps))
+# the name perfbench/tracing.py spans; family_determinant calls determinant
+bareiss_determinant = determinant
 
 
 def vandermonde(values) -> Fraction:
@@ -354,36 +331,20 @@ def vandermonde(values) -> Fraction:
     return det
 
 
-def family_determinant(family, N: int, a_vals, b_vals, space, pivot: str) -> TruncSeries:
+def family_determinant(rho, N: int, a_vals, b_vals, space, pivot: str) -> TruncSeries:
     """det[F(a_i b_j)] / (Delta(a) Delta(b)) = sum_{l(lam)<=N} r_lam(N) S_lam(a) S_lam(b),
     F(x) = sum_l rho_l x^l and r_lam(N) = prod_i rho_{lam_i+N-i} (Cauchy-Binet).
 
-    family(space) gives l -> rho_l, of degree >= l in the pivot parameter.
-    Bareiss divides by the leading k x k minors, k = 1..m (m = N - 2), of
-    pivot degree k(k-1)/2 when each rho_l has degree exactly l, and each
-    division costs the quotients that many top degrees; so the entries are
-    built (m+1)m(m-1)/6 deeper in the pivot.  Where the determinant still
-    comes back short of the cap (minors that vanish to a higher order),
-    the entries are rebuilt deeper by the shortfall until it does not.
-    The result is truncated to ``space``."""
+    rho(l) is rho_l in ``space``, of degree >= l in the pivot parameter, so F
+    stops at the pivot's cap.  Its entries are exact to the caps, and so is
+    the division-free determinant, which comes back in ``space``."""
     if len(a_vals) != N or len(b_vals) != N:
         raise ValueError("need exactly N evaluation points on each side")
     if N == 0:  # the empty determinant, 1 = r_0(0)
         return space.one()
-    m = max(N - 2, 0)
-    axis, cap = space.axis(pivot), space.caps[space.axis(pivot)]
-    depth = (m + 1) * m * (m - 1) // 6
-    while True:
-        deeper = [c + depth if k == axis else c for k, c in enumerate(space.caps)]
-        guard = SeriesSpace(space.params, deeper)
-        rho = family(guard)
-        rhos = [rho(l).terms for l in range(cap + depth + 1)]
-        rows = [[_entry(guard, rhos, Fraction(ai) * bj) for bj in b_vals] for ai in a_vals]
-        det = bareiss_determinant(rows, pivot)
-        known = det.space.caps[axis]
-        if known >= cap:
-            return (det / (vandermonde(a_vals) * vandermonde(b_vals))).truncate_to(space)
-        depth += cap - known
+    rhos = [rho(l).terms for l in range(space.caps[space.axis(pivot)] + 1)]
+    rows = [[_entry(space, rhos, Fraction(ai) * bj) for bj in b_vals] for ai in a_vals]
+    return determinant(rows) / (vandermonde(a_vals) * vandermonde(b_vals))
 
 
 def _entry(space: SeriesSpace, rhos, x) -> TruncSeries:
@@ -402,7 +363,7 @@ def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
     dividing that monomial out exactly makes the series start at 1."""
     shift = N * (N - 1) // 2
     space = SeriesSpace(("z",), (z_cap + shift,))
-    det = family_determinant(lambda s: ExpConvolution(N, s).rho, N, a_vals, b_vals, space, "z")
+    det = family_determinant(ExpConvolution(N, space).rho, N, a_vals, b_vals, space, "z")
     # shift_down raises ExactDivisionError unless det vanishes to that order
     det = det.shift_down("z", shift) * Fraction(1, (-N) ** shift)
     return det.truncate_to(SeriesSpace(("z",), (z_cap,)))
@@ -419,9 +380,7 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
     b_vals = [Fraction(x) for x in b_vals]
     space, r_of = alpha_q_family(alpha, N, q_cap, q_cap)
     schur_side = tau_at_points(space, q_cap, r_of, a_vals, b_vals)  # first: checks q_cap
-    det = family_determinant(
-        lambda s: AlphaQConvolution(alpha, s).rho, N, a_vals, b_vals, space, "q"
-    )
+    det = family_determinant(AlphaQConvolution(alpha, space).rho, N, a_vals, b_vals, space, "q")
     return {
         "N": N,
         "alpha": str(alpha),

@@ -96,7 +96,7 @@ def test_tau_hciz_with_determinant(capsys):
 
 
 def test_tau_hciz_determinant_n4(capsys):
-    # N = 4 needs a guard degree for the Bareiss division by the 2x2 minor
+    # N = 4: a 4 x 4 determinant of exp entries, exact to z^(6 + 6) before the z^6 shift
     code, out = run_cli(
         capsys,
         "tau", "--family", "hciz", "--N", "4", "--a=1/2,-2/3,5/4,2/9",
@@ -139,8 +139,7 @@ def test_tau_rejects_a_point_count_other_than_n(argv, check):
 
 def test_tau_hciz_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
     # give r_(2) the value of r_(1,1): the printed Schur-diagonal series then
-    # differs from the Bareiss determinant of the exp entries, and the op
-    # exits 1
+    # differs from the determinant of the exp entries, and the op exits 1
     r_of = ExpConvolution.schur_expansion_r_lambda
     monkeypatch.setattr(
         ExpConvolution,
@@ -473,6 +472,16 @@ def test_mixed_requires_p(capsys):
         ["walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "mixed", "--steps", "2"]
     )
     assert code == 2
+
+
+def test_mixed_p_above_steps_names_both_flags(capsys):
+    code = main(["walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "mixed", "--p", "3",
+                 "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "hurwitz-tau: error: --p must be <= --steps, got --p 3 and --steps 2"
+    ]
 
 
 @pytest.mark.parametrize(

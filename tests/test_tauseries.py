@@ -1,7 +1,6 @@
 import random
 import re
 from fractions import Fraction
-from functools import partial
 from math import factorial
 from types import SimpleNamespace
 
@@ -22,15 +21,23 @@ from hurwitz_tau.oracles import cauchy_kernel_coeff, random_rationals
 from hurwitz_tau.partitions import partitions_of, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
 from hurwitz_tau.symfunc import TensorSymFunc, powersum_products
-from hurwitz_tau.twists import AlphaQConvolution, E, ExpConvolution, H
+from hurwitz_tau.twists import (
+    AlphaQConvolution,
+    E,
+    ExpConvolution,
+    H,
+    Scale,
+    TwistConvolution,
+    twist,
+)
 from hurwitz_tau.verify import graded_twist_family
 from hurwitz_tau.tauseries import (
     WALK_KINDS,
     alpha_q_determinant,
     alpha_q_tau,
-    bareiss_determinant,
-    exp_tensor,
     alpha_q_family,
+    determinant,
+    exp_tensor,
     family_determinant,
     hciz_determinant,
     hciz_family,
@@ -97,7 +104,7 @@ def test_hciz_determinant_identity():
         t = hciz_tau(N, 6, 6)
         det_side = hciz_determinant(N, a_vals, b_vals, 6)
         schur_side = tau_eval(t, a_vals, b_vals)
-        assert det_side == schur_side.truncate_to(det_side.space)
+        assert det_side == schur_side
         assert schur_side == tau_eval_schur_side(t, a_vals, b_vals)
 
 
@@ -172,45 +179,58 @@ def test_bareiss_against_cofactor_expansion():
 
     for trial in range(5):
         m = [[random_series(space) for _ in range(3)] for _ in range(3)]
-        got = bareiss_determinant([row[:] for row in m], "z")
-        assert got == _cofactor_expansion(m)
-    # zero entries reach the row swap: at cap 12 no 4 x 4 numerator is
-    # truncated, so a pivot without constant term loses no coefficient
+        assert determinant(m) == _cofactor_expansion(m)
+    # zero entries, a zero first entry and leading minors that vanish
     wide = SeriesSpace(("z",), (12,))
     zero = wide.zero()
     for trial in range(60):
         size_n = 2 + trial % 3
         m = [[random_series(wide) if rng.random() < 0.6 else zero for _ in range(size_n)]
              for _ in range(size_n)]
-        m[0][0] = zero if trial % 2 else m[0][0]  # a zero first pivot
-        assert bareiss_determinant([row[:] for row in m], "z") == _cofactor_expansion(m)
+        m[0][0] = zero if trial % 2 else m[0][0]
+        assert determinant(m) == _cofactor_expansion(m)
     one, two = wide.one(), wide.scalar(2)
-    swapped_late = [[one, one, two], [one, one, one], [two, one, one]]  # second pivot 0
-    singular = [[zero, one, two], [zero, two, one], [zero, one, one]]  # no pivot to swap in
+    swapped_late = [[one, one, two], [one, one, one], [two, one, one]]  # leading 2x2 minor 0
+    singular = [[zero, one, two], [zero, two, one], [zero, one, one]]  # a column of zeros
     for m in (swapped_late, singular):
-        assert bareiss_determinant([row[:] for row in m], "z") == _cofactor_expansion(m)
-    assert bareiss_determinant(singular, "z").is_zero()
-    # at cap 6 a pivot without constant term costs its quotients their top
-    # degrees: the determinant comes back to the degree it knows, and agrees
-    # with the expansion there
-    caps = set()
+        assert determinant(m) == _cofactor_expansion(m)
+    assert determinant(singular).is_zero()
+    # entries without constant term at cap 6: nothing is divided, so the
+    # determinant stays in the input space and is exact to its cap
     for trial in range(150):
         m = [[space.zero() if rng.random() < 0.4 else sum(
                 (space.monomial(rng.randint(-3, 3), z=d) for d in range(3)), space.zero())
               for _ in range(4)] for _ in range(4)]
-        got = bareiss_determinant([row[:] for row in m], "z")
-        assert got == _cofactor_expansion(m).truncate_to(got.space)
-        caps.add(got.space.caps[0])
-    assert 6 in caps and min(caps) < 5
-    # a column of zeros after a pivot without constant term: the determinant
-    # is the trailing block's over that pivot, so it is known to z^0 only
+        got = determinant(m)
+        assert got.space == space and got == _cofactor_expansion(m)
+    # a column of zeros after a leading minor without constant term: the
+    # z^1 coefficient is known too
     low = SeriesSpace(("z",), (1,))
     z, c = low.monomial(1, z=1), low.scalar
     m = [[c(2), c(0), -z, c(0)], [c(-1) + z, c(0), z * 2, c(-1)],
          [c(0), z, c(0), c(2) - z], [c(2), c(1), c(0), z * 2]]
-    got = bareiss_determinant([row[:] for row in m], "z")
-    assert got.space.caps == (0,) and got == _cofactor_expansion(m).truncate_to(got.space)
-    assert _cofactor_expansion(m).coeff(z=1) != 0
+    got = determinant(m)
+    assert got.space == low and got == _cofactor_expansion(m)
+    assert got.coeff(z=1) != 0
+
+
+def test_determinant_over_two_parameters():
+    # leading minors divisible by y as well as by z: a division by them
+    # would need y inverted; the expansion divides by nothing and agrees
+    # with the cofactor expansion in the full space
+    space = SeriesSpace(("z", "y"), (4, 1))
+    rng = random.Random(63)
+
+    def random_series():
+        terms = {(d, e): Fraction(rng.randint(-3, 3)) for d in range(3) for e in range(2)
+                 if rng.random() < 0.5}
+        return TruncSeries(space, terms)
+
+    for trial in range(100):
+        size_n = 2 + trial % 4
+        m = [[random_series() for _ in range(size_n)] for _ in range(size_n)]
+        got = determinant(m)
+        assert got.space == space and got == _cofactor_expansion(m)
 
 
 def _cofactor_expansion(m):
@@ -225,8 +245,7 @@ def _cofactor_expansion(m):
 
 
 def test_bareiss_inverts_each_pivot_once(monkeypatch):
-    # one inverse per elimination step after the first, which divides by
-    # nothing: at most N - 2 for an N x N matrix
+    # the determinant route divides by no series: no inverse at all
     calls = []
     inverse = TruncSeries.inverse
 
@@ -236,45 +255,47 @@ def test_bareiss_inverts_each_pivot_once(monkeypatch):
 
     monkeypatch.setattr(TruncSeries, "inverse", counting)
     rng = random.Random(31)
-    for N in (1, 2, 3, 4):
-        calls.clear()
+    for N in (1, 2, 3, 4, 5):
         a_vals = random_rationals(rng, N, distinct=True)
         b_vals = random_rationals(rng, N, distinct=True)
         hciz_determinant(N, a_vals, b_vals, 8)
-        assert len(calls) <= max(N - 2, 0), (N, len(calls))
+        assert calls == [], N
+
+
+TWIST_ATOMS = {"twist_h": (H("z"),), "twist_e": (E("w1"), E("w2"))}
 
 
 def _family_case(kind, N):
-    """(space, pivot, family, r_of, n_max) of one family kind at N points,
+    """(space, pivot, rho, r_of, n_max) of one family kind at N points,
     the determinant reaching |lam| <= n_max beyond r_0(N)."""
     if kind in ("exp", "alpha_q"):
         pivot = "z" if kind == "exp" else "q"
         space = SeriesSpace((pivot,), (4 + N * (N - 1) // 2,))
-        alpha = Fraction(7, 3)
-        make = partial(ExpConvolution, N) if kind == "exp" else partial(AlphaQConvolution, alpha)
-        conv = make(space)
-        return space, pivot, lambda s: make(s).rho, lambda lam: conv.r_lambda(lam, N), 4
-    atoms = (H("z"),) if kind == "twist_h" else (E("w1"), E("w2"))
-    space, q, rho_of, r_of = graded_twist_family(atoms, N, 3)
-    return space, q, rho_of, r_of, 3
+        conv = _convolution(kind, N, space)
+        return space, pivot, conv.rho, lambda lam: conv.r_lambda(lam, N), 4
+    space, q, rho, r_of = graded_twist_family(TWIST_ATOMS[kind], N, 3)
+    return space, q, rho, r_of, 3
 
 
-def _shifted(family):
-    """The family with rho_{l+1} in place of rho_l."""
+def _convolution(kind, N, space):
+    if kind == "exp":
+        return ExpConvolution(N, space)
+    if kind == "alpha_q":
+        return AlphaQConvolution(Fraction(7, 3), space)
+    return TwistConvolution(twist((*TWIST_ATOMS[kind], Scale("q")), space.caps))
 
-    def shifted(space):
-        rho = family(space)
-        return lambda l: rho(l + 1)
 
-    return shifted
+def _shifted(rho):
+    """rho_{l+1} in place of rho_l."""
+    return lambda l: rho(l + 1)
 
 
 def _determinant_matches_schur_side(kind, N, shifted=False):
-    space, pivot, family, r_of, n_max = _family_case(kind, N)
+    space, pivot, rho, r_of, n_max = _family_case(kind, N)
     rng = random.Random(f"{kind}/{N}")
     a_vals = random_rationals(rng, N, distinct=True)
     b_vals = random_rationals(rng, N, distinct=True)
-    det = family_determinant(_shifted(family) if shifted else family, N, a_vals, b_vals, space, pivot)
+    det = family_determinant(_shifted(rho) if shifted else rho, N, a_vals, b_vals, space, pivot)
     return det == tau_at_points(space, n_max, r_of, a_vals, b_vals)
 
 
@@ -291,35 +312,33 @@ def test_family_determinant_fails_on_a_shifted_rho(kind, N):
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_family_determinant_rebuilds_a_short_determinant(kind, monkeypatch):
-    # rho_{l+1} in place of rho_l vanishes deeper than the guard assumes, so
-    # the first Bareiss run comes back short of the cap; the entries are
-    # rebuilt deeper, and the result agrees with one taken six degrees deeper
-    space, pivot, family, _, _ = _family_case(kind, 3)
+def test_family_determinant_is_exact_to_the_caps(kind):
+    # rho_{l+1} in place of rho_l makes leading minors that vanish deeper
+    # than rho_l's; the determinant still agrees, to every cap of its own
+    # space, with one taken six degrees deeper
+    space, pivot, rho, _, _ = _family_case(kind, 3)
+    wide = SeriesSpace(space.params, [c + 6 if p == pivot else c
+                                      for p, c in zip(space.params, space.caps)])
+    conv = _convolution(kind, 3, wide)
+    wide_rho = conv.rho if kind in ("exp", "alpha_q") else lambda l: conv.rho(l).shift_up(pivot, l)
     rng = random.Random(f"short/{kind}")
     a_vals = random_rationals(rng, 3, distinct=True)
     b_vals = random_rationals(rng, 3, distinct=True)
-    axis = space.axis(pivot)
-    wide = SeriesSpace(space.params, [c + 6 if k == axis else c for k, c in enumerate(space.caps)])
-    want = family_determinant(_shifted(family), 3, a_vals, b_vals, wide, pivot).truncate_to(space)
-    runs = []
-    bareiss = tauseries.bareiss_determinant
-    monkeypatch.setattr(tauseries, "bareiss_determinant", lambda *a: runs.append(1) or bareiss(*a))
-    assert family_determinant(_shifted(family), 3, a_vals, b_vals, space, pivot) == want
-    assert len(runs) == 2
+    want = family_determinant(_shifted(wide_rho), 3, a_vals, b_vals, wide, pivot)
+    got = family_determinant(_shifted(rho), 3, a_vals, b_vals, space, pivot)
+    assert got.space == space and got == want.truncate_to(space)
 
 
 @pytest.mark.parametrize("kind", ("alpha_q", "twist_h"))
 def test_family_determinant_of_no_points_is_one(kind):
     # Cauchy-Binet at N = 0: the empty determinant is 1 = r_0(0)
-    space, pivot, family, _, _ = _family_case(kind, 0)
-    assert family_determinant(family, 0, [], [], space, pivot) == space.one()
+    space, pivot, rho, _, _ = _family_case(kind, 0)
+    assert family_determinant(rho, 0, [], [], space, pivot) == space.one()
     assert _determinant_matches_schur_side(kind, 0)
 
 
 def test_family_determinant_at_five_points():
-    # guard m(m-1)/2 = 3 degrees for m = N - 2 = 3: the alpha-q entries
-    # no longer carry the N extra q degrees they were built with before
+    # 5 x 5: 75 entry-by-minor products, no division
     rng = random.Random(5)
     a_vals = random_rationals(rng, 5, distinct=True)
     b_vals = random_rationals(rng, 5, distinct=True)
@@ -330,10 +349,10 @@ def test_family_determinant_at_five_points():
 
 def test_family_determinant_needs_n_points_per_side():
     space = SeriesSpace(("q",), (4,))
-    family = partial(AlphaQConvolution, Fraction(1, 2))
+    rho = AlphaQConvolution(Fraction(1, 2), space).rho
     for a_vals, b_vals in (([1], [1, 2]), ([1, 2], [3]), ([1, 2, 3], [4, 5, 6])):
         with pytest.raises(ValueError, match="N evaluation points"):
-            family_determinant(lambda s: family(s).rho, 2, a_vals, b_vals, space, "q")
+            family_determinant(rho, 2, a_vals, b_vals, space, "q")
     with pytest.raises(ValueError, match="N evaluation points"):
         hciz_determinant(2, [1], [1, 2], 4)
     with pytest.raises(ValueError, match="N evaluation points"):

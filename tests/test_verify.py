@@ -69,9 +69,9 @@ def test_run_suite_nmax_sets_the_intertwining_size():
 
 
 def test_intertwining_check_never_multiplies_by_one(monkeypatch):
-    # r_0(N), r_lambda, rho_j, the atom factors, the q grading and Bareiss'
-    # first step all start from their first real factor: a series product
-    # by one would be a whole packed product for nothing
+    # r_0(N), r_lambda, rho_j, the atom factors, the q grading and the
+    # determinant's first row all start from their first real factor: a
+    # series product by one would be a whole packed product for nothing
     calls, by_one = [], []
     original = TruncSeries.__mul__
 
