@@ -265,7 +265,7 @@ class TruncSeries:
             raise ExactDivisionError("series has no constant term; not a unit")
         zero = (0,) * len(self.space.params)
         rest = [(f, c) for f, c in self.terms.items() if f != zero]
-        inv0 = 1 / c0
+        inv0 = Fraction(1) / c0
         b = {zero: inv0}
         for e in product(*(range(c + 1) for c in self.space.caps)):
             total = 0

@@ -12,6 +12,8 @@ two conversions are exact mutual inverses.  Multiplication, evaluation and
 equality go through the p-basis, where multiplication is partition
 concatenation.  Values at points come from one table per basis:
 powersum_products (every p_lam) and schur_values (every nonzero S_nu).
+TensorSymFunc products are weighted sums of pair products on packed
+integers, and euler_recurrence runs the formal log and exp on them.
 """
 
 from fractions import Fraction
@@ -197,62 +199,128 @@ class TensorSymFunc:
     def __eq__(self, other):
         return isinstance(other, TensorSymFunc) and self.terms == other.terms
 
-    def scale(self, c):
-        return TensorSymFunc({k: v * c for k, v in self.terms.items()})
-
     def mul(self, other, grade_cap: int) -> "TensorSymFunc":
         """Bilinear product; p-monomials concatenate on each tensor leg.
         Terms whose x-degree exceeds grade_cap are dropped."""
-        return tensor_product_sum([(self, other)], grade_cap)
+        return tensor_product_sum([(self, other, 1)], grade_cap)
 
 
 _SCALARS = SeriesSpace((), ())  # the slot layout when no coefficient is a series
 
 
-def _numerators(f: TensorSymFunc, space: SeriesSpace) -> tuple[int, int, int, list]:
-    """(D, E, M, [(x-degree, lam, mu, [(slot, numerator)])]): the E
-    numerators of f over D at the dense slots of ``space``, M the largest
-    in size; a Fraction sits in the constant slot."""
+def _coefficient_space(tensors) -> SeriesSpace:
+    """The one space of the series coefficients of the tensors; _SCALARS
+    when every coefficient is a Fraction."""
+    series = [c for f in tensors for c in f.terms.values() if isinstance(c, TruncSeries)]
+    space = series[0].space if series else _SCALARS
+    if any(c.space is not space and c.space != space for c in series):
+        raise ValueError(f"series spaces differ: {sorted({c.space for c in series}, key=repr)}")
+    return space
+
+
+def _numerators(f: TensorSymFunc, space: SeriesSpace) -> tuple[int, int, int, dict]:
+    """(D, E, M, {lam: [(mu, [(slot, numerator)])]}): the E numerators of f
+    over D at the dense slots of ``space``, grouped by the x-partition, M
+    the largest in size; a Fraction sits in the constant slot."""
     zero = (0,) * len(space.params)
     coeffs = [c.terms if isinstance(c, TruncSeries) else {zero: c} for c in f.terms.values()]
     d, rows = numerators(coeffs, space._slots)
     sizes = [abs(x) for row in rows for _, x in row]
-    keyed = [(sum(lam), lam, mu, row) for (lam, mu), row in zip(f.terms, rows)]
-    return d, len(sizes), max(sizes), keyed
+    groups = {}
+    for (lam, mu), row in zip(f.terms, rows):
+        groups.setdefault(lam, []).append((mu, row))
+    return d, len(sizes), max(sizes), groups
 
 
 def tensor_product_sum(pairs, grade_cap: int, scale=1) -> TensorSymFunc:
-    """scale * sum_i a_i b_i over tensor pairs (a_i, b_i), terms of x-degree
-    above grade_cap dropped, on packed integers: each coefficient is packed
-    once at the dense slots, pair i's products times num(scale) D / (D_a D_b),
-    D the lcm of the D_a D_b, add into one int per output key, and each key
-    is read back once as a series over D den(scale).  An output key and slot
-    and a term and slot of a fix those of b, so a field sums at most
-    min(E_a, E_b) products per pair (E the number of numerators, M the
-    largest) and stays below |num(scale)| sum_i min(E_a, E_b) M_a M_b
-    D / (D_a D_b): W is that bound's bit length + 1."""
-    scale = Fraction(scale)
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    series = [c for a, b in pairs for c in (*a.terms.values(), *b.terms.values())
-              if isinstance(c, TruncSeries)]
-    space = series[0].space if series else _SCALARS
-    if any(c.space is not space and c.space != space for c in series):
-        raise ValueError(f"series spaces differ: {sorted({c.space for c in series}, key=repr)}")
-    operands = [(_numerators(a, space), _numerators(b, space)) for a, b in pairs]
-    denominator = lcm(*(a[0] * b[0] for a, b in operands))
-    multipliers = [scale.numerator * denominator // (da * db) for (da, *_), (db, *_) in operands]
+    """scale * sum_i w_i a_i b_i over weighted tensor pairs (a_i, b_i, w_i),
+    w_i an int, terms of x-degree above grade_cap dropped (_packed_sum)."""
+    pairs = [(a, b, w) for a, b, w in pairs if a.terms and b.terms]
+    space = _coefficient_space(f for a, b, _ in pairs for f in (a, b))
+    operands = [(_numerators(a, space), _numerators(b, space), w) for a, b, w in pairs]
+    return _packed_sum(operands, grade_cap, Fraction(scale), space)
+
+
+def euler_recurrence(f: TensorSymFunc, n_max: int, log: bool) -> TensorSymFunc:
+    """The formal log (log=True) or exp of f through x-degree n_max, from
+    its x-degree slices by the Euler recurrence
+
+        n tau_n = sum_{k=1}^{n} k F_k tau_{n-k},   tau_0 = 1,
+
+    D tau = tau DF for D the Euler operator in the x-degree (the sheet
+    grading, |lam| = |mu|): F from the slices of tau = f (log) or tau from
+    those of F = f (exp).  Slice n is one _packed_sum over the pairs
+    (F_k, tau_{n-k}) of weight k, k < n, and f's own slice n times 1:
+
+        F_n = -(1/n) (sum_{k<n} k F_k tau_{n-k} - n tau_n)   (log),
+        tau_n = (1/n) (sum_{k<n} k F_k tau_{n-k} + n F_n)    (exp),
+
+    each slice's numerators taken once, on its first use as an operand.
+    Terms of f above x-degree n_max are dropped; its x-degree-0 slice is
+    read by neither."""
+    given = [{} for _ in range(n_max + 1)]
+    for (lam, mu), c in f.terms.items():
+        if sum(lam) <= n_max:
+            given[sum(lam)][lam, mu] = c
+    given = [TensorSymFunc(terms) for terms in given]
+    space = _coefficient_space(given)
+    one = TensorSymFunc({((), ()): Fraction(1)})
+    taus, logs = (given, [TensorSymFunc({})]) if log else ([one], given)
+    solved, sign = (logs, -1) if log else (taus, 1)
+    numerated = {}  # id of a slice -> its _numerators, for this call only
+
+    def operand(g):
+        if id(g) not in numerated:
+            numerated[id(g)] = _numerators(g, space)
+        return numerated[id(g)]
+
+    for n in range(1, n_max + 1):
+        pairs = [(logs[k], taus[n - k], k) for k in range(1, n)] + [(given[n], one, sign * n)]
+        operands = [(operand(a), operand(b), w) for a, b, w in pairs if a.terms and b.terms]
+        solved.append(_packed_sum(operands, n, Fraction(sign, n), space))
+    return TensorSymFunc({key: c for part in solved for key, c in part.terms.items()})
+
+
+def _packed_sum(operands, grade_cap: int, scale: Fraction, space: SeriesSpace) -> TensorSymFunc:
+    """scale * sum_i w_i a_i b_i over numerated operands (_numerators of a_i,
+    of b_i, w_i), terms of x-degree above grade_cap dropped, on packed
+    integers: each coefficient is packed at the dense slots, pair i's
+    products times w_i num(scale) D / (D_a D_b), D the lcm of the D_a D_b,
+    add into one int per output key, and each key is read back once as a
+    series over D den(scale).  An output key and slot and a term and slot
+    of a fix those of b, so a field sums at most min(E_a, E_b) products per
+    pair (E the number of numerators, M the largest) and stays below
+    sum_i |w_i num(scale)| min(E_a, E_b) M_a M_b D / (D_a D_b): W is that
+    bound's bit length + 1.  Each union of two partitions is sorted once
+    per call."""
+    denominator = lcm(*(a[0] * b[0] for a, b, _ in operands))
+    multipliers = [w * scale.numerator * denominator // (da * db)
+                   for (da, *_), (db, *_), w in operands]
     bound = sum(min(ea, eb) * ma * mb * abs(m)
-                for ((_, ea, ma, _), (_, eb, mb, _)), m in zip(operands, multipliers))
+                for ((_, ea, ma, _), (_, eb, mb, _), _), m in zip(operands, multipliers))
     width = bound.bit_length() + 1
+    unions = {}
+
+    def union(a, b):
+        u = unions.get((a, b))
+        if u is None:
+            u = unions[a, b] = tuple(sorted(a + b, reverse=True))
+        return u
+
     totals = {}
-    for ((*_, rows_a), (*_, rows_b)), multiplier in zip(operands, multipliers):
-        right = [(*head, pack(row, width)) for *head, row in rows_b]
-        for degree_a, la, ma, row in rows_a:
-            xa = pack(row, width) * multiplier
-            for degree_b, lb, mb, xb in right:
-                if degree_a + degree_b <= grade_cap:
-                    lam = tuple(sorted(la + lb, reverse=True))
-                    key = (lam, tuple(sorted(ma + mb, reverse=True)))
-                    totals[key] = totals.get(key, 0) + xa * xb
+    for ((*_, groups_a), (*_, groups_b), _), multiplier in zip(operands, multipliers):
+        right = [(sum(lb), lb, [(mb, pack(row, width)) for mb, row in rows])
+                 for lb, rows in groups_b.items()]
+        for la, rows in groups_a.items():
+            degree_a = sum(la)
+            left = [(ma, pack(row, width) * multiplier) for ma, row in rows]
+            for degree_b, lb, right_rows in right:
+                if degree_a + degree_b > grade_cap:
+                    continue
+                lam = union(la, lb)
+                for ma, xa in left:
+                    for mb, xb in right_rows:
+                        key = (lam, union(ma, mb))
+                        totals[key] = totals.get(key, 0) + xa * xb
     d = denominator * scale.denominator
     return TensorSymFunc({key: read_packed(space, x, width, d) for key, x in totals.items()})

@@ -59,11 +59,11 @@ from .partitions import (
 from .series import SeriesSpace, TruncSeries, series_json
 from .symfunc import (
     TensorSymFunc,
+    euler_recurrence,
     evaluate,
     powersum_products,
     s_basis,
     schur_values,
-    tensor_product_sum,
     to_powersum,
 )
 from .twists import (
@@ -227,10 +227,6 @@ def tau_eval_schur_side(t: TauSeries, a_vals, b_vals) -> TruncSeries:
 
 # -- formal logarithm: connected counts ---------------------------------------
 
-def tensor_one() -> TensorSymFunc:
-    return TensorSymFunc({((), ()): Fraction(1)})
-
-
 def log_tau(t: TauSeries) -> TensorSymFunc:
     """Formal log of the double series in its sheet grading.
 
@@ -240,14 +236,7 @@ def log_tau(t: TauSeries) -> TensorSymFunc:
     const = t.tensor.coeff((), ())
     if const is None or const != t.space.one():
         raise ValueError("log_tau needs constant term 1")
-    taus = _slices(t.tensor, t.n_max)
-    logs, dlogs = [TensorSymFunc({})], [TensorSymFunc({})]
-    for n in range(1, t.n_max + 1):
-        pairs = [(dlogs[k], taus[n - k]) for k in range(1, n)]
-        pairs.append((taus[n], tensor_one().scale(-n)))
-        logs.append(tensor_product_sum(pairs, n, Fraction(-1, n)))
-        dlogs.append(logs[n].scale(n))
-    return _join(logs)
+    return euler_recurrence(t.tensor, t.n_max, log=True)
 
 
 def exp_tensor(f: TensorSymFunc, n_max: int) -> TensorSymFunc:
@@ -255,35 +244,7 @@ def exp_tensor(f: TensorSymFunc, n_max: int) -> TensorSymFunc:
     f must have no term of x-degree 0."""
     if any(not lam for lam, _ in f.terms):
         raise ValueError("exp_tensor needs a series without x-degree-0 terms")
-    logs = _slices(f, n_max)
-    dlogs = [logs[k].scale(k) for k in range(n_max + 1)]
-    exps = [tensor_one()]
-    for n in range(1, n_max + 1):
-        pairs = [(dlogs[k], exps[n - k]) for k in range(1, n + 1)]
-        exps.append(tensor_product_sum(pairs, n, Fraction(1, n)))
-    return _join(exps)
-
-
-# log and exp solve D tau = tau DF slice by slice, D the Euler operator in
-# the x-degree (the sheet grading, |lam| = |mu|).  At x-degree n it reads
-# n tau_n = sum_{k=1}^{n} k F_k tau_{n-k}, so with tau_0 = 1 each slice is
-# one packed product sum (tensor_product_sum) over the pairs
-#     F_n = -(1/n) (sum_{k=1}^{n-1} k F_k tau_{n-k} - n tau_n)   (log),
-#     tau_n = (1/n) sum_{k=1}^{n} k F_k tau_{n-k}                 (exp).
-
-def _slices(f: TensorSymFunc, n_max: int) -> list[TensorSymFunc]:
-    """f split into its homogeneous x-degree slices 0..n_max; terms of
-    higher degree are dropped."""
-    slices = [{} for _ in range(n_max + 1)]
-    for key, c in f.terms.items():
-        degree = sum(key[0])
-        if degree <= n_max:
-            slices[degree][key] = c
-    return [TensorSymFunc(terms) for terms in slices]
-
-
-def _join(slices) -> TensorSymFunc:
-    return TensorSymFunc({key: c for part in slices for key, c in part.terms.items()})
+    return euler_recurrence(f, n_max, log=False)
 
 
 # -- determinants over truncated series ----------------------------------------
@@ -427,7 +388,9 @@ class WalkKind:
         """(step data, segments, read) for every step datum of total length
         <= cap; read(series, n, weight=1) is the walk count held by the
         coefficient series of a sheet-n class pair (q = n, times k! per
-        beta^k), times the integer weight: one rational multiply."""
+        beta^k), times the integer weight: an integer quotient,
+        divmod(numerator k! weight, denominator), and a Fraction only when
+        that leaves a remainder."""
         params = TwistSpec(self.atoms, ()).params()
 
         def reader(exps):
@@ -439,7 +402,11 @@ class WalkKind:
                 if key is None:
                     key = keys[n] = tuple(n if p == "q" else exps.get(p, 0) for p in params)
                 coeff = series.terms.get(key)
-                return Fraction(0) if coeff is None else coeff * (scale * weight)
+                if coeff is None:
+                    return 0
+                top = coeff.numerator * scale * weight
+                count, rest = divmod(top, coeff.denominator)
+                return Fraction(top, coeff.denominator) if rest else count
 
             return read
 
@@ -510,8 +477,8 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
             for mu in partitions_of(n):
                 series = source.coeff(lam, mu)
                 for step_data, _, read in steps:
-                    value = Fraction(0) if series is None else read(series, n, z[mu])
-                    if value.denominator != 1:
+                    value = 0 if series is None else read(series, n, z[mu])
+                    if isinstance(value, Fraction):
                         raise ArithmeticError(
                             f"non-integral count {value} at {lam}->{mu}, {step_data}"
                         )
@@ -521,7 +488,7 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
                             "from": label[lam],
                             "to": label[mu],
                             "steps": step_data,
-                            "count": str(value.numerator),
+                            "count": str(value),
                             "connected": connected,
                         }
                     )

@@ -83,6 +83,15 @@ def test_inverse():
         sp.monomial(1, z=1).inverse()
 
 
+def test_inverse_of_int_coefficients_is_exact():
+    # an int constant term is inverted as a Fraction, not in float
+    sp = SeriesSpace(("z",), (3,))
+    a = TruncSeries(sp, {(0,): 2, (1,): 1})
+    b = a.inverse()
+    assert all(isinstance(c, Fraction) for c in b.terms.values())
+    assert b * a == sp.one()
+
+
 def test_exp_log_roundtrip():
     sp = space()
     e = sp.exp_linear(Fraction(3), "z")

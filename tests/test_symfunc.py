@@ -189,21 +189,22 @@ def test_tensor_product_grading():
 
 
 def _sum_by_pairs(pairs, grade_cap, scale=1):
-    """scale * sum_i a_i b_i, every term pair of every (a_i, b_i) added into
-    one dict; term pairs of x-degree above grade_cap are dropped."""
+    """scale * sum_i w_i a_i b_i, every term pair of every (a_i, b_i, w_i)
+    added into one dict; term pairs of x-degree above grade_cap are
+    dropped."""
     terms = {}
-    for a, b in pairs:
+    for a, b, w in pairs:
         for (la, ma), ca in a.terms.items():
             for (lb, mb), cb in b.terms.items():
                 if sum(la) + sum(lb) > grade_cap:
                     continue
                 key = (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ma + mb, reverse=True)))
-                terms[key] = terms.get(key, 0) + ca * cb
-    return TensorSymFunc(terms).scale(scale)
+                terms[key] = terms.get(key, 0) + ca * cb * w
+    return TensorSymFunc({key: c * Fraction(scale) for key, c in terms.items()})
 
 
 def _mul_by_pairs(a, b, grade_cap):
-    return _sum_by_pairs([(a, b)], grade_cap)
+    return _sum_by_pairs([(a, b, 1)], grade_cap)
 
 
 def _assert_same(got, want):
@@ -252,15 +253,22 @@ def test_tensor_mul_matches_every_pair():
 
 
 def test_product_sum_with_negative_scale_matches_pair_loop():
+    # weights of either sign, as the Euler recurrence passes them (k, -n),
+    # and two pairs whose weights cancel
     rng = random.Random(13)
     for spaces in SPACE_MIXES:
         for _ in range(15):
             pairs = [
-                (_random_tensor(rng, 3, spaces), _random_tensor(rng, 3, spaces))
+                (_random_tensor(rng, 3, spaces), _random_tensor(rng, 3, spaces),
+                 rng.choice((1, -1)) * rng.randint(1, 7))
                 for _ in range(rng.randint(1, 4))
             ]
+            a, b = _random_tensor(rng, 3, spaces), _random_tensor(rng, 3, spaces)
+            k = rng.randint(1, 7)
             scale = Fraction(-rng.randint(1, 7), rng.randint(1, 5))
-            _assert_same(tensor_product_sum(pairs, 5, scale), _sum_by_pairs(pairs, 5, scale))
+            for case in (pairs, [(a, b, k), (a, b, -k)], pairs + [(a, b, -k), (a, b, k)]):
+                _assert_same(tensor_product_sum(case, 5, scale), _sum_by_pairs(case, 5, scale))
+            assert tensor_product_sum([(a, b, k), (a, b, -k)], 5, scale) == TensorSymFunc({})
     assert tensor_product_sum([], 3, -1) == TensorSymFunc({})
 
 
@@ -268,42 +276,10 @@ def test_product_sum_rejects_series_of_two_spaces():
     a = TensorSymFunc({((1,), (1,)): SeriesSpace(("q",), (2,)).one()})
     b = TensorSymFunc({((1,), (1,)): SeriesSpace(("z",), (2,)).one()})
     with pytest.raises(ValueError, match="series spaces differ"):
-        tensor_product_sum([(a, b)], 3)
+        tensor_product_sum([(a, b, 1)], 3)
 
 
-def test_product_sum_slot_width_is_tight():
-    # two pairs land M^2 (1 - q)^2 each on one key: fields 2M^2, -4M^2 in
-    # adjacent slots, and -4M^2 reaches the width bound 2 * min(2, 3) M M
-    # exactly, so one bit less wraps it; their other products cancel
-    space = SeriesSpace(("q",), (1,))
-    big = 3**40
-    factor = space.scalar(big) - space.monomial(big, q=1)
-    a = TensorSymFunc({((1,), (1,)): factor})
-    b_plus, b_minus = (
-        TensorSymFunc({((2,), (2,)): factor, ((1, 1), (2,)): c})
-        for c in (Fraction(big), Fraction(-big))
-    )
-    pairs = [(a, b_plus), (a, b_minus)]
-    square = big * big
-    got = tensor_product_sum(pairs, 4, -1)
-    want = TruncSeries(space, {(0,): Fraction(-2 * square), (1,): Fraction(4 * square)})
-    assert got.terms == {((2, 1), (2, 1)): want}
-    _assert_same(got, _sum_by_pairs(pairs, 4, -1))
-
-
-def test_product_sum_slot_width_is_tight_with_scale_numerator(monkeypatch):
-    # num(scale) = -7 is folded into each pair's multiplier, so the field
-    # 4M^2 of the test above becomes -7 * 4M^2 before the read-back over 3:
-    # it reaches the bound |num(scale)| 2 min(2, 3) M M exactly, and one
-    # bit less than the width the kernel chose would wrap it
-    space = SeriesSpace(("q",), (1,))
-    big = 3**40
-    factor = space.scalar(big) - space.monomial(big, q=1)
-    a = TensorSymFunc({((1,), (1,)): factor})
-    pairs = [
-        (a, TensorSymFunc({((2,), (2,)): factor, ((1, 1), (2,)): c}))
-        for c in (Fraction(big), Fraction(-big))
-    ]
+def _recorded_widths(monkeypatch):
     widths = []
 
     def recording_read(space, total, width, d):
@@ -311,15 +287,45 @@ def test_product_sum_slot_width_is_tight_with_scale_numerator(monkeypatch):
         return read_packed(space, total, width, d)
 
     monkeypatch.setattr(symfunc, "read_packed", recording_read)
-    scale = Fraction(-7, 3)
+    return widths
+
+
+def _check_tight_width(widths, weight, scale):
+    # two pairs of one weight land weight M^2 (1 - q)^2 each on one key and
+    # their other products cancel; weight and num(scale) are folded into
+    # each pair's multiplier, so the fields are weight num(scale) (2M^2,
+    # -4M^2) before the read-back over den(scale): the second reaches the
+    # bound |weight num(scale)| 2 min(2, 3) M M exactly, and one bit less
+    # than the width the kernel chose wraps it
+    space = SeriesSpace(("q",), (1,))
+    big = 3**40
+    factor = space.scalar(big) - space.monomial(big, q=1)
+    a = TensorSymFunc({((1,), (1,)): factor})
+    pairs = [
+        (a, TensorSymFunc({((2,), (2,)): factor, ((1, 1), (2,)): c}), weight)
+        for c in (Fraction(big), Fraction(-big))
+    ]
+    widths.clear()
     got = tensor_product_sum(pairs, 4, scale)
-    fields = [-7 * 2 * big * big, 7 * 4 * big * big]
+    fields = [weight * scale.numerator * f * big * big for f in (2, -4)]
     assert set(widths) == {fields[1].bit_length() + 1}
     narrow = widths[0] - 1
     assert unpack(pack(enumerate(fields), narrow), narrow, 2) != fields
-    want = TruncSeries(space, {(0,): Fraction(fields[0], 3), (1,): Fraction(fields[1], 3)})
+    want = TruncSeries(space, {(k,): Fraction(x, scale.denominator) for k, x in enumerate(fields)})
     assert got.terms == {((2, 1), (2, 1)): want}
     _assert_same(got, _sum_by_pairs(pairs, 4, scale))
+
+
+def test_product_sum_slot_width_is_tight(monkeypatch):
+    widths = _recorded_widths(monkeypatch)
+    for weight in (1, 3, -5):
+        _check_tight_width(widths, weight, Fraction(-1))
+
+
+def test_product_sum_slot_width_is_tight_with_scale_numerator(monkeypatch):
+    widths = _recorded_widths(monkeypatch)
+    for weight in (1, -2):
+        _check_tight_width(widths, weight, Fraction(-7, 3))
 
 
 # one, two and three parameters; past one parameter the stride 2 cap + 1
@@ -351,11 +357,11 @@ def test_product_sum_reads_its_live_fields(space):
     one, two = ((1,), (1,)), ((2,), (1, 1))
     a, b = tensor(one, (zero, 1), (top, big)), tensor(two, (zero, 1), (top, -big))
     cases = [
-        [(a, b)],
-        [(tensor(one, (p, 1), (top, 1)), tensor(two, (q, big), (top, -big)))],
-        [(tensor(one, (zero, 1), (m, 1)), tensor(one, (zero, -3), (m, big)))],
-        [(tensor(one, (m, 1), (top, 1)), tensor(two, (m, 1), (top, -1)))],
-        [(a, b), (a, b.scale(-1))],
+        [(a, b, 1)],
+        [(tensor(one, (p, 1), (top, 1)), tensor(two, (q, big), (top, -big)), 1)],
+        [(tensor(one, (zero, 1), (m, 1)), tensor(one, (zero, -3), (m, big)), 1)],
+        [(tensor(one, (m, 1), (top, 1)), tensor(two, (m, 1), (top, -1)), 1)],
+        [(a, b, 1), (a, b, -1)],
     ]
     for pairs in cases:
         for scale in (1, Fraction(-7, 3)):

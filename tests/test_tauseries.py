@@ -1,14 +1,17 @@
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import tauseries
+from hurwitz_tau import symfunc, tauseries
 from hurwitz_tau.errors import VandermondeError
 from hurwitz_tau.groupalg import (
     WalkQuery,
@@ -19,7 +22,7 @@ from hurwitz_tau.groupalg import (
 )
 from hurwitz_tau.oracles import cauchy_kernel_coeff, random_rationals
 from hurwitz_tau.partitions import partitions_of, z_of
-from hurwitz_tau.series import SeriesSpace, TruncSeries
+from hurwitz_tau.series import SeriesSpace, TruncSeries, series_json
 from hurwitz_tau.symfunc import TensorSymFunc, powersum_products
 from hurwitz_tau.twists import (
     AlphaQConvolution,
@@ -49,7 +52,6 @@ from hurwitz_tau.tauseries import (
     tau_at_points,
     tau_eval,
     tau_eval_schur_side,
-    tensor_one,
     twist_tau,
     vacuum_tau,
     vandermonde,
@@ -441,6 +443,64 @@ def test_exp_log_roundtrip():
     assert exp_tensor(log_tau(t), 4) == t.tensor
 
 
+LOG_TAU_DIGESTS = Path(__file__).parent / "goldens" / "log_tau_digests.json"
+
+
+def _log_tau_cases():
+    """(name, tau) for every walk-kind twist and okounkov_tau, monotone_tau
+    at n_max 5 and 7, cap 4."""
+    for n_max in (5, 7):
+        for kind, walk in WALK_KINDS.items():
+            yield f"{kind} twist {n_max}", twist_tau(walk.twist(n_max, 4), n_max)
+        yield f"okounkov_tau {n_max}", okounkov_tau(n_max, 4)
+        yield f"monotone_tau {n_max}", monotone_tau(n_max, 4)
+
+
+def _terms_digest(tensor):
+    """sha256 of the terms sorted by (lam, mu), each coefficient as series_json."""
+    terms = [[lam, mu, series_json(c)] for (lam, mu), c in sorted(tensor.terms.items())]
+    return hashlib.sha256(json.dumps(terms).encode()).hexdigest()
+
+
+def test_log_tau_matches_the_digests():
+    # the sha256 of the log_tau terms of each case, written before the Euler
+    # recurrence took its weights as integer multipliers and numerated each
+    # slice once, and exp_tensor taking each log back to the tensor
+    got = {}
+    for name, t in _log_tau_cases():
+        log = log_tau(t)
+        got[name] = {"log_sha256": _terms_digest(log),
+                     "exp_round_trip": exp_tensor(log, t.n_max) == t.tensor}
+    assert got == json.loads(LOG_TAU_DIGESTS.read_text())
+
+
+def test_log_and_exp_numerate_each_slice_once(monkeypatch):
+    # the Euler recurrence passes k and -n as integer weights, so no series
+    # is multiplied, and each x-degree slice is put over its denominator
+    # once, not once per product sum that reads it
+    t = okounkov_tau(6, 3)
+    calls = []
+    numerators = symfunc.numerators
+
+    def counted(terms_list, slot):
+        calls.append(len(terms_list))
+        return numerators(terms_list, slot)
+
+    def refuse(self, other):
+        raise AssertionError("a series was multiplied")
+
+    monkeypatch.setattr(symfunc, "numerators", counted)
+    monkeypatch.setattr(TruncSeries, "__mul__", refuse)
+    monkeypatch.setattr(TruncSeries, "__rmul__", refuse)
+    log = log_tau(t)
+    assert 0 < len(calls) <= 2 * (t.n_max + 1)
+    calls.clear()
+    back = exp_tensor(log, t.n_max)
+    assert 0 < len(calls) <= 2 * (t.n_max + 1)
+    monkeypatch.undo()
+    assert back == t.tensor
+
+
 def _product(a, b, grade_cap):
     """a b through x-degree grade_cap, one term pair at a time (the oracle
     never calls the packed product it checks)."""
@@ -456,7 +516,7 @@ def _product(a, b, grade_cap):
 def _power_sum(u, n_max, coeff):
     """sum_{k >= 0} coeff(k) u^k through x-degree n_max, u without constant
     term: the series definition of log and exp, kept as their oracle."""
-    terms, power = {}, tensor_one()
+    terms, power = {}, TensorSymFunc({((), ()): Fraction(1)})
     for k in range(n_max + 1):
         for key, c in power.terms.items():
             terms[key] = terms.get(key, 0) + c * coeff(k)
