@@ -36,15 +36,15 @@ from .twists import connection_text
 GMATRIX_KINDS = {("exp" if kind == "plain" else kind): kind for kind in tauseries.WALK_KINDS}
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} takes rationals num/den, got {text!r}") from None
 
 
-def parse_fraction_list(text: str) -> list[Fraction]:
-    return [parse_fraction(piece) for piece in text.split(",") if piece.strip()]
+def parse_fraction_list(text: str, flag: str) -> list[Fraction]:
+    return [parse_fraction(piece, flag) for piece in text.split(",") if piece.strip()]
 
 
 def write(text: str, out_path=None) -> None:
@@ -94,40 +94,31 @@ def emit(payload, out_path=None):
     write(to_json(payload) + "\n", out_path)
 
 
-class _Texts(dict):
-    """{value: to_json(value)}, each text rendered on its first lookup."""
-
-    def __missing__(self, value):
-        text = self[value] = to_json(value)
-        return text
-
-
-# a hurwitz_table row as to_json renders it inside the list of rows
+# a hurwitz_table row as to_json renders it inside the list of rows: the
+# one place that knows the printed keys and their order
 _TABLE_ROW = (
-    '  {\n    "n": %s,\n    "from": %s,\n    "to": %s,\n    "steps": %s,\n'
-    '    "count": %s,\n    "connected": %s\n  }'
+    '  {\n    "n": %d,\n    "from": %s,\n    "to": %s,\n    "steps": %s,\n'
+    '    "count": "%d",\n    "connected": %s\n  }'
 )
 
 
-def table_json(rows: list[dict]) -> str:
-    """to_json(rows) for hurwitz_table rows, each printed from one template
-    in their key order.  Each n, label and count is rendered once, the flag
-    in its own memo (True == 1), and each step datum, the one dict the rows
-    of that datum share, once at the row's indent."""
+def table_json(rows: list, connected: bool) -> str:
+    """to_json of the hurwitz_table rows as dicts in _TABLE_ROW's key order
+    (n, from, to, steps, count, connected), the count as a string, each row
+    printed from the template.  Each partition label is rendered once, and
+    each step datum, the one dict the rows of that datum share, once at the
+    row's indent."""
     if not rows:
         return "[]"
-    texts, flags = _Texts(), _Texts()
+    label = functools.cache(lambda lam: _quote(format_partition(lam)))
+    flag = "true" if connected else "false"
     steps = {}  # id(step datum) -> its text; the rows keep each datum alive
     lines = []
-    for row in rows:
-        data = row["steps"]
+    for n, lam, mu, data, count in rows:
         text = steps.get(id(data))
         if text is None:
             text = steps[id(data)] = to_json(data, "    ")
-        lines.append(_TABLE_ROW % (
-            texts[row["n"]], texts[row["from"]], texts[row["to"]], text,
-            texts[row["count"]], flags[row["connected"]],
-        ))
+        lines.append(_TABLE_ROW % (n, label(lam), label(mu), text, count, flag))
     return "[\n" + ",\n".join(lines) + "\n]"
 
 
@@ -173,7 +164,7 @@ def _mixed(args):
 
 
 def _weakstrict(args):
-    lengths = _lengths(args.segments) if args.segments else []
+    lengths = [] if args.segments is None else _lengths(args.segments)
     if len(lengths) != 2:
         raise ValueError("--kind weakstrict needs --segments k,l (weak, then strict length)")
     return weak_then_strict(*lengths)
@@ -187,7 +178,7 @@ WALK_SEGMENTS = {
     "mixed": _mixed,
     "weakstrict": _weakstrict,
     "multi": lambda args: multi_monotone(
-        _lengths(args.segments) if args.segments else [args.steps]
+        [args.steps] if args.segments is None else _lengths(args.segments)
     ),
 }
 
@@ -249,7 +240,7 @@ def cmd_tau(args) -> int:
     needs = ("N", "a", "b") if hciz else ("N", "alpha", "a", "b")
     if any(getattr(args, name) is None for name in needs):
         raise ValueError(f"--family {args.family} needs " + ", ".join(f"--{n}" for n in needs))
-    a_vals, b_vals = parse_fraction_list(args.a), parse_fraction_list(args.b)
+    a_vals, b_vals = parse_fraction_list(args.a, "--a"), parse_fraction_list(args.b, "--b")
     if len(a_vals) != args.N or len(b_vals) != args.N:
         raise ValueError(
             f"--a and --b need exactly N = {args.N} points each,"
@@ -259,7 +250,7 @@ def cmd_tau(args) -> int:
     if hciz:
         space, r_of = tauseries.hciz_family(args.N, cap)
     else:
-        alpha = parse_fraction(args.alpha)
+        alpha = parse_fraction(args.alpha, "--alpha")
         if args.check_determinant:
             report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, cap)
             emit(report, args.out)
@@ -283,19 +274,18 @@ def cmd_table(args) -> int:
     cap = args.bmax if args.bmax is not None else args.kmax
     rows = tauseries.hurwitz_table(kind, args.nmax, cap, connected=args.connected)
     if args.format == "json":
-        write(table_json(rows) + "\n", args.out)
+        write(table_json(rows, args.connected) + "\n", args.out)
         return 0
     # CSV: one column per step datum (plain's b prints under the header k)
     columns = tauseries.WALK_KINDS[kind].steps(0)[0][0]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["n", "from", "to", *("k" if c == "b" else c for c in columns), "count"])
-    for row in rows:
+    for n, lam, mu, data, count in rows:
         step_values = [
-            ",".join(str(d) for d in v) if isinstance(v, list) else v
-            for v in row["steps"].values()
+            ",".join(str(d) for d in v) if isinstance(v, list) else v for v in data.values()
         ]
-        writer.writerow([row["n"], row["from"], row["to"], *step_values, row["count"]])
+        writer.writerow([n, format_partition(lam), format_partition(mu), *step_values, count])
     write(buffer.getvalue(), args.out)
     return 0
 
@@ -306,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hurwitz-tau",
         description=(
             "Exact walk-counting generating functions on symmetric-group"
-            " Cayley graphs; HURWITZ_MAX_N overrides the walk-size cap (<= 8)"
+            " Cayley graphs; walks take n <= 8"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,10 +2,8 @@
 
 Everything here is a desk-scale guard: the algorithms are exact but
 factorial-sized, so each module refuses sizes beyond its cap instead of
-grinding forever.
+grinding forever.  The caps are constants; nothing reads the environment.
 """
-
-import os
 
 # Largest n for partition enumeration.
 PARTITION_CAP = 12
@@ -13,9 +11,8 @@ PARTITION_CAP = 12
 # Largest n for full character tables.
 CHARTABLE_CAP = 10
 
-# Walk oracle: default cap and the absolute maximum.
-WALK_CAP_DEFAULT = 7
-WALK_CAP_HARD = 8
+# Largest n for the walk oracle and the enumeration of S_n behind it.
+WALK_CAP = 8
 
 # Default degree cap for formal series parameters (z, w, beta, ...).
 SERIES_CAP_DEFAULT = 6
@@ -23,21 +20,10 @@ SERIES_CAP_DEFAULT = 6
 # Default sheet-count cap for tau series.
 TAU_NMAX_CAP = 8
 
+# Largest N for family_determinant, which expands over N 2^(N-1) column
+# subsets (about 5 s at N = 10, a minute at N = 12).
+DETERMINANT_CAP = 10
+
 # Seed used for reproducible random rational test points.
 DEFAULT_SEED = 2014
 
-
-def walk_cap() -> int:
-    """Effective n cap for the walk oracle.
-
-    HURWITZ_MAX_N overrides the default, but never beyond WALK_CAP_HARD;
-    a value that is not an integer raises ValueError.
-    """
-    raw = os.environ.get("HURWITZ_MAX_N")
-    if raw is None:
-        return WALK_CAP_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HURWITZ_MAX_N must be an integer, got {raw!r}") from None
-    return max(0, min(value, WALK_CAP_HARD))

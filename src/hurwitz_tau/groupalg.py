@@ -91,8 +91,8 @@ def class_representative(mu: Partition, n: int | None = None) -> Perm:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(n: int) -> dict[Partition, tuple[Perm, ...]]:
-    """All of S_n grouped by cycle type (n <= hard walk cap)."""
-    if n > config.WALK_CAP_HARD:
+    """All of S_n grouped by cycle type (n <= the walk cap)."""
+    if n > config.WALK_CAP:
         raise SizeLimitError(f"refusing to enumerate S_{n}")
     grouped: dict[Partition, list[Perm]] = {}
     for images in _all_perms(range(1, n + 1)):
@@ -316,9 +316,8 @@ def count_walks_to(
     Counted backwards from end = t_k ... t_1 g: segments reversed, b
     falling, the end vector summed per start class.  The group <g, t's>
     equals <end, t's>, so the blocks start as end's cycles."""
-    cap = config.walk_cap()
-    if n > cap:
-        raise SizeLimitError(f"walk counting capped at n <= {cap}, got {n}")
+    if n > config.WALK_CAP:
+        raise SizeLimitError(f"walk counting capped at n <= {config.WALK_CAP}, got {n}")
     end = tuple(end)
     if sorted(end) != list(range(1, n + 1)):
         raise ValueError(f"{end} is not a permutation of 1..{n}")

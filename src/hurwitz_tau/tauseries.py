@@ -41,8 +41,8 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import character_table
-from .config import TAU_NMAX_CAP
-from .errors import VandermondeError
+from .config import DETERMINANT_CAP, TAU_NMAX_CAP
+from .errors import SizeLimitError, VandermondeError
 from .groupalg import (
     mixed,
     multi_monotone,
@@ -51,11 +51,7 @@ from .groupalg import (
     weak_then_strict,
     weakly_monotone,
 )
-from .partitions import (
-    format_partition,
-    partitions_of,
-    z_of,
-)
+from .partitions import partitions_of, z_of
 from .series import SeriesSpace, TruncSeries, series_json
 from .symfunc import (
     TensorSymFunc,
@@ -109,15 +105,6 @@ class TauSeries:
             sums = series_character_sum(table, r_vals, lambda lam, mu: z[lam] * z[mu])
             terms.update((pair, total) for pair, total in sums.items() if total)
         self.tensor = TensorSymFunc(terms)
-
-    def coeff(self, lam, mu) -> TruncSeries:
-        """Coefficient of p_lam(x) p_mu(y), i.e. Z_mu^{-1} G_{lam mu}."""
-        value = self.tensor.coeff(lam, mu)
-        return value if value is not None else self.space.zero()
-
-    def walk_generating_value(self, lam, mu) -> TruncSeries:
-        """D(lam, mu) = G_{lam mu}: fixed-end-representative walk counts."""
-        return self.coeff(lam, mu) * z_of(tuple(mu))
 
 
 # -- named families -----------------------------------------------------------
@@ -231,8 +218,8 @@ def log_tau(t: TauSeries) -> TensorSymFunc:
     """Formal log of the double series in its sheet grading.
 
     The (lam, mu) coefficient of the result, times Z_mu, is the connected
-    (transitive) walk count in the same convention as
-    walk_generating_value."""
+    (transitive) walk count in the convention of the disconnected
+    D(lam, mu) = Z_mu c(lam, mu)."""
     const = t.tensor.coeff((), ())
     if const is None or const != t.space.one():
         raise ValueError("log_tau needs constant term 1")
@@ -298,7 +285,10 @@ def family_determinant(rho, N: int, a_vals, b_vals, space, pivot: str) -> TruncS
 
     rho(l) is rho_l in ``space``, of degree >= l in the pivot parameter, so F
     stops at the pivot's cap.  Its entries are exact to the caps, and so is
-    the division-free determinant, which comes back in ``space``."""
+    the division-free determinant, which comes back in ``space``.  N is
+    capped at DETERMINANT_CAP."""
+    if N > DETERMINANT_CAP:
+        raise SizeLimitError(f"the determinant is capped at N <= {DETERMINANT_CAP}, got N = {N}")
     if len(a_vals) != N or len(b_vals) != N:
         raise ValueError("need exactly N evaluation points on each side")
     if N == 0:  # the empty determinant, 1 = r_0(0)
@@ -455,8 +445,10 @@ WALK_KINDS = {
 }
 
 
-def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False) -> list[dict]:
-    """Walk-count table rows, one per (n, from, to, step data).
+def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False) -> list:
+    """Walk-count table rows (n, lam, mu, step data, count), one per class
+    pair of each sheet n and step datum; the rows of one datum share its
+    dict, and the counts are ints.
 
     Counts are D(lam, mu): walks from any element of the start class to the
     fixed representative of the end class.  Disconnected counts come from
@@ -471,10 +463,10 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
     source = log_tau(tau) if connected else tau.tensor
     rows = []
     for n in range(1, n_max + 1):
-        z = {mu: z_of(mu) for mu in partitions_of(n)}
-        label = {lam: format_partition(lam) for lam in partitions_of(n)}
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
+        parts = partitions_of(n)
+        z = {mu: z_of(mu) for mu in parts}
+        for lam in parts:
+            for mu in parts:
                 series = source.coeff(lam, mu)
                 for step_data, _, read in steps:
                     value = 0 if series is None else read(series, n, z[mu])
@@ -482,14 +474,5 @@ def hurwitz_table(kind: str, n_max: int, step_cap: int, connected: bool = False)
                         raise ArithmeticError(
                             f"non-integral count {value} at {lam}->{mu}, {step_data}"
                         )
-                    rows.append(
-                        {
-                            "n": n,
-                            "from": label[lam],
-                            "to": label[mu],
-                            "steps": step_data,
-                            "count": str(value),
-                            "connected": connected,
-                        }
-                    )
+                    rows.append((n, lam, mu, step_data, value))
     return rows

@@ -4,14 +4,15 @@ Every comparison is exact rational equality; the only tolerances are the
 stated runtime budgets, asserted against wall-clock time.
 """
 
+import io
 import json
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from hurwitz_tau import verify
-from hurwitz_tau.tauseries import hurwitz_table
+from hurwitz_tau import cli, verify
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 REPORT_DIR = Path(__file__).parent.parent / "reports"
@@ -123,7 +124,10 @@ def test_criterion_7_connectivity():
 def test_criterion_8_multimonotone_table():
     start = time.perf_counter()
     results = _run(verify.tau_suite(5), "tau.multimonotone_table")
-    fresh = hurwitz_table("multi", 5, 4)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["table", "--family", "multi", "--nmax", "5", "--kmax", "4"])
+    fresh = json.loads(out.getvalue()) if code == 0 else None
     golden_path = GOLDEN_DIR / "multimonotone_table.json"
     golden = json.loads(golden_path.read_text())
     matches = fresh == golden

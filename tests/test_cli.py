@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hurwitz_tau import cli, series, tauseries, twists
 from hurwitz_tau.cli import main, to_json
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
-from hurwitz_tau.partitions import partitions_of
+from hurwitz_tau.partitions import format_partition, partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
 from hurwitz_tau.twists import ExpConvolution
 from hurwitz_tau.verify import SUITES, run_suite
@@ -521,6 +521,10 @@ def test_mixed_p_above_steps_names_both_flags(capsys):
          "--segments", "1,2", "--steps", "1"),
         ("walks", "--n", "3", "--from", "3", "--to", "2,1", "--kind", "monotone",
          "--p", "1", "--steps", "2"),
+        ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "multi", "--segments", "",
+         "--steps", "2"),
+        ("tau", "--family", "hciz", "--N", "1", "--a=x", "--b", "2"),
+        ("tau", "--family", "alpha_q", "--N", "1", "--alpha=x", "--a", "1", "--b", "2"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -569,6 +573,33 @@ ALPHA_Q_1 = ("tau", "--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", 
             (*WALK_3, "--kind", "weakstrict", "--segments=-1,1"),
             "--segments lengths must be >= 0, got '-1,1'",
         ),
+        (
+            (*WALK_3, "--kind", "multi", "--segments", "", "--steps", "2"),
+            "--segments takes comma-separated integers, got ''",
+        ),
+        (
+            (*WALK_3, "--kind", "weakstrict", "--segments="),
+            "--segments takes comma-separated integers, got ''",
+        ),
+        (("tau", "--family", "hciz", "--N", "1", "--a=x", "--b", "2"),
+         "--a takes rationals num/den, got 'x'"),
+        (("tau", "--family", "hciz", "--N", "2", "--a", "1,2", "--b", "1,1/0"),
+         "--b takes rationals num/den, got '1/0'"),
+        (("tau", "--family", "alpha_q", "--N", "1", "--alpha=x", "--a", "1", "--b", "2"),
+         "--alpha takes rationals num/den, got 'x'"),
+        (("walks", "--n", "9", "--from", "9", "--to", "9"),
+         "walk counting capped at n <= 8, got 9"),
+        (
+            ("tau", "--family", "hciz", "--N", "11", "--a=" + ",".join(map(str, range(1, 12))),
+             "--b=" + ",".join(f"1/{i}" for i in range(2, 13)), "--check-determinant"),
+            "the determinant is capped at N <= 10, got N = 11",
+        ),
+        (
+            ("tau", "--family", "alpha_q", "--N", "11", "--alpha", "1/2",
+             "--a=" + ",".join(map(str, range(1, 12))),
+             "--b=" + ",".join(f"1/{i}" for i in range(2, 13)), "--check-determinant"),
+            "the determinant is capped at N <= 10, got N = 11",
+        ),
     ],
 )
 def test_negative_sizes_name_their_flag(capsys, argv, error):
@@ -578,11 +609,11 @@ def test_negative_sizes_name_their_flag(capsys, argv, error):
     assert captured.err == f"hurwitz-tau: error: {error}\n"
 
 
-def test_unparsable_walk_cap_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("HURWITZ_MAX_N", "abc")
-    code = main(["walks", "--n", "3", "--from", "3", "--to", "3"])
-    assert code == 2
-    assert "HURWITZ_MAX_N" in capsys.readouterr().err
+def test_walks_take_n_up_to_8(capsys):
+    # one constant walk cap, 8, the cap of table --nmax: no environment
+    # variable is needed to re-count an n = 8 table row
+    code, out = run_cli(capsys, "walks", "--n", "8", "--from", "8", "--to", "8")
+    assert code == 0 and out.splitlines()[0] == "1"
 
 
 SIZE = st.integers(-2, 4)
@@ -712,7 +743,8 @@ EMITTED = (
 @pytest.mark.parametrize("argv", EMITTED, ids=" ".join)
 def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, tmp_path, argv):
     # a table prints its rows from one template, not through emit: its
-    # payload is the rows hurwitz_table returned; an OUT argument is a path
+    # payload is the rows hurwitz_table returned, each as the dict the
+    # table prints; an OUT argument is a path
     payloads = []
     emit, table = cli.emit, tauseries.hurwitz_table
 
@@ -720,9 +752,14 @@ def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, tmp_path, argv
         payloads.append(payload)
         emit(payload, out_path)
 
-    def recording_table(*args, **kwargs):
-        payloads.append(table(*args, **kwargs))
-        return payloads[-1]
+    def recording_table(*args, connected=False):
+        rows = table(*args, connected=connected)
+        payloads.append([
+            {"n": n, "from": format_partition(lam), "to": format_partition(mu),
+             "steps": data, "count": str(count), "connected": connected}
+            for n, lam, mu, data, count in rows
+        ])
+        return rows
 
     monkeypatch.setattr(cli, "emit", recording_emit)
     monkeypatch.setattr(tauseries, "hurwitz_table", recording_table)
@@ -793,6 +830,19 @@ def test_out_path_writes_the_stdout_bytes(capsys, tmp_path, argv):
     code, printed = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and printed == ""
     assert path.read_bytes() == out.encode()
+
+
+def test_src_reads_no_environment():
+    # every cap and default is a constant in config; no os.environ or os.getenv
+    src = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv", "environb")
+    ]
+    assert not found, f"environment read in src/: {found}"
 
 
 def test_src_has_no_bare_assert():

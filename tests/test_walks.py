@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from itertools import permutations, product
 from pathlib import Path
 
@@ -9,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import config, groupalg, verify
+from hurwitz_tau import groupalg, verify
 from hurwitz_tau.errors import SizeLimitError
 from hurwitz_tau.groupalg import (
     Segment,
@@ -146,27 +143,20 @@ def test_transitive_at_most_plain():
                     assert 0 <= connected <= free
 
 
-def test_walk_cap_and_env_override():
-    with pytest.raises(SizeLimitError):
-        count_walks(WalkQuery(8, (8,), (8,), plain(0)))
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, HURWITZ_MAX_N="8")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(repo, "src"), env.get("PYTHONPATH")])
-    )
-    script = (
-        "from hurwitz_tau.groupalg import WalkQuery, count_walks, plain;"
-        "print(count_walks(WalkQuery(8, (8,), (8,), plain(0))))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        cwd=repo,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "1"
+def test_n_9_is_refused_before_enumerating_s_9(monkeypatch):
+    # one constant cap, 8: n = 9 raises before S_9 is listed or ranked
+    with pytest.raises(SizeLimitError, match="S_9"):
+        conjugacy_classes(9)
+
+    def enumerate_s_n(n):
+        raise AssertionError(f"enumerated S_{n}")
+
+    monkeypatch.setattr(groupalg, "ranked", enumerate_s_n)
+    monkeypatch.setattr(groupalg, "conjugacy_classes", enumerate_s_n)
+    with pytest.raises(SizeLimitError, match="capped at n <= 8, got 9"):
+        count_walks_to(9, tuple(range(1, 10)), plain(0))
+    with pytest.raises(SizeLimitError, match="capped at n <= 8, got 9"):
+        count_walks(WalkQuery(9, (9,), (9,), plain(0)))
 
 
 def test_representative_definition_matches_query():
@@ -191,19 +181,12 @@ def test_classical_factorization_counts():
         assert count_walks(WalkQuery(n, one_n, full, strictly_monotone(n - 1))) == 1
 
 
-def test_walk_args_are_checked_before_counting(monkeypatch):
+def test_walk_args_are_checked_before_counting():
     with pytest.raises(ValueError, match="not a partition of 5"):
         count_walks_all_targets(5, (3,), plain(1))
     for end in ((1, 2, 3), (1, 2, 2, 4, 5), (0, 1, 2, 3, 4), (2, 3, 4, 5, 6)):
         with pytest.raises(ValueError, match="not a permutation of 1..5"):
             count_walks_to(5, end, plain(1))
-    with pytest.raises(SizeLimitError):
-        count_walks_to(8, tuple(range(1, 9)), plain(0))
-    monkeypatch.setenv("HURWITZ_MAX_N", "abc")
-    with pytest.raises(ValueError, match="HURWITZ_MAX_N"):
-        config.walk_cap()
-    with pytest.raises(ValueError, match="HURWITZ_MAX_N"):
-        count_walks_all_targets(3, (3,), plain(1))
 
 
 # -- differential test against a direct enumeration ------------------------------
