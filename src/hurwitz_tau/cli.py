@@ -44,7 +44,7 @@ def parse_fraction(text: str, flag: str) -> Fraction:
 
 
 def parse_fraction_list(text: str, flag: str) -> list[Fraction]:
-    return [parse_fraction(piece, flag) for piece in text.split(",") if piece.strip()]
+    return [parse_fraction(piece, flag) for piece in text.split(",")] if text else []
 
 
 def write(text: str, out_path=None) -> None:
@@ -56,70 +56,58 @@ def write(text: str, out_path=None) -> None:
         sys.stdout.write(text)
 
 
-# the C string encoder; it raises TypeError on anything but a str
-_quote = json.encoder.encode_basestring_ascii
-
-
-def to_json(value, indent: str = "") -> str:
-    """value as json.dumps(value, indent=2) renders it, byte for byte, when
-    nested at ``indent``.  Each container is one join of its rendered items
-    (json.dumps with any indent runs the pure-Python generator encoder).
-    A dict key that is not a str raises TypeError."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            _quote(key) + ": " + (_quote(item) if type(item) is str else to_json(item, inner))
-            for key, item in value.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [to_json(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return json.dumps(value)
-
-
 def emit(payload, out_path=None):
-    write(to_json(payload) + "\n", out_path)
+    write(json.dumps(payload, indent=2) + "\n", out_path)
 
 
-# a hurwitz_table row as to_json renders it inside the list of rows: the
-# one place that knows the printed keys and their order
+# a table row and a gmatrix entry as json.dumps(indent=2) prints them in
+# place: the one place that knows each printed key order
 _TABLE_ROW = (
     '  {\n    "n": %d,\n    "from": %s,\n    "to": %s,\n    "steps": %s,\n'
     '    "count": "%d",\n    "connected": %s\n  }'
 )
+_GMATRIX_ENTRY = (
+    '    {\n      "from": %s,\n      "to": %s,\n      "series": {\n        %s\n      }\n    }'
+)
 
 
 def table_json(rows: list, connected: bool) -> str:
-    """to_json of the hurwitz_table rows as dicts in _TABLE_ROW's key order
-    (n, from, to, steps, count, connected), the count as a string, each row
-    printed from the template.  Each partition label is rendered once, and
-    each step datum, the one dict the rows of that datum share, once at the
-    row's indent."""
+    """json.dumps(indent=2) of the hurwitz_table rows as dicts in _TABLE_ROW's
+    key order (n, from, to, steps, count, connected), the count as a string,
+    each row printed from the template.  Each partition label is rendered
+    once, and each step datum, the one dict the rows of that datum share,
+    once at the row's indent."""
     if not rows:
         return "[]"
-    label = functools.cache(lambda lam: _quote(format_partition(lam)))
+    label = functools.cache(lambda lam: json.dumps(format_partition(lam)))
     flag = "true" if connected else "false"
     steps = {}  # id(step datum) -> its text; the rows keep each datum alive
     lines = []
     for n, lam, mu, data, count in rows:
         text = steps.get(id(data))
         if text is None:
-            text = steps[id(data)] = to_json(data, "    ")
+            text = steps[id(data)] = json.dumps(data, indent=2).replace("\n", "\n    ")
         lines.append(_TABLE_ROW % (n, label(lam), label(mu), text, count, flag))
     return "[\n" + ",\n".join(lines) + "\n]"
+
+
+def gmatrix_json(n: int, twist: str, text: dict) -> str:
+    """json.dumps(indent=2) of {"n", "twist", "entries"}: one entry per pair
+    (lam, mu) of partitions of n with a nonzero series text[(lam, mu)], each
+    printed from _GMATRIX_ENTRY.  The zero-step term makes every diagonal
+    entry nonzero, so neither the entries nor a series is ever empty.  The
+    monomial labels and "num/den" texts need no escaping."""
+    label = {lam: json.dumps(format_partition(lam)) for lam in partitions_of(n)}
+    entries = [
+        _GMATRIX_ENTRY % (
+            label[lam], label[mu], ",\n        ".join(f'"{k}": "{v}"' for k, v in series.items())
+        )
+        for lam in label
+        for mu in label
+        if (series := text[(lam, mu)])
+    ]
+    head = '{\n  "n": %d,\n  "twist": %s,\n  "entries": [\n' % (n, json.dumps(twist))
+    return head + ",\n".join(entries) + "\n  ]\n}"
 
 
 def cmd_verify(args) -> int:
@@ -216,14 +204,7 @@ def cmd_walks(args) -> int:
 def cmd_gmatrix(args) -> int:
     kind = tauseries.WALK_KINDS[GMATRIX_KINDS[args.twist]]
     text = connection_text(kind.twist(args.n, args.cap), args.n)
-    label = {lam: format_partition(lam) for lam in partitions_of(args.n)}
-    entries = [
-        {"from": label[lam], "to": label[mu], "series": text[(lam, mu)]}
-        for lam in label
-        for mu in label
-        if text[(lam, mu)]
-    ]
-    emit({"n": args.n, "twist": kind.label, "entries": entries}, args.out)
+    write(gmatrix_json(args.n, kind.label, text) + "\n", args.out)
     return 0
 
 
@@ -271,8 +252,7 @@ def cmd_tau(args) -> int:
 
 def cmd_table(args) -> int:
     kind = {"okounkov": "plain"}.get(args.family, args.family)
-    cap = args.bmax if args.bmax is not None else args.kmax
-    rows = tauseries.hurwitz_table(kind, args.nmax, cap, connected=args.connected)
+    rows = tauseries.hurwitz_table(kind, args.nmax, args.kmax, connected=args.connected)
     if args.format == "json":
         write(table_json(rows, args.connected) + "\n", args.out)
         return 0
@@ -361,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--bmax", type=int, default=None)
     p.add_argument("--connected", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -375,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # every integer flag that holds a size, a length or a cap
-        for name in ("n", "N", "steps", "p", "cap", "zcap", "qcap", "nmax", "kmax", "bmax"):
+        for name in ("n", "N", "steps", "p", "cap", "zcap", "qcap", "nmax", "kmax"):
             value = getattr(args, name, None)
             if value is not None and value < 0:
                 raise ValueError(f"--{name} must be >= 0, got {value}")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz_tau import cli, series, tauseries, twists
-from hurwitz_tau.cli import main, to_json
+from hurwitz_tau.cli import main
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import format_partition, partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
@@ -170,7 +170,7 @@ def test_tau_alpha_q_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
     half, third = Fraction(1, 2), Fraction(1, 3)
     report = tauseries.alpha_q_determinant(2, half, [half, third], [1, 2], 5)
     assert report["entrywise_matches_schur_expansion"] is False
-    assert out == to_json(report) + "\n"
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_tau_alpha_q_determinant_at_no_points(capsys):
@@ -397,7 +397,7 @@ def test_gmatrix_builds_no_series_to_print(capsys, monkeypatch):
 def test_table_json_okounkov(capsys):
     code, out = run_cli(
         capsys,
-        "table", "--family", "okounkov", "--nmax", "3", "--bmax", "2",
+        "table", "--family", "okounkov", "--nmax", "3", "--kmax", "2",
     )
     assert code == 0
     rows = json.loads(out)
@@ -510,8 +510,8 @@ def test_mixed_p_above_steps_names_both_flags(capsys):
         ("verify", "characters", "--nmax", "-1"),
         ("verify", "characters", "--nmax", "0"),
         ("verify", "all", "--nmax", "3"),
-        ("table", "--family", "plain", "--nmax", "2", "--kmax=-1", "--bmax", "2"),
-        ("table", "--family", "plain", "--nmax", "2", "--kmax", "2", "--bmax=-1"),
+        ("table", "--family", "plain", "--nmax", "2", "--kmax=-1"),
+        ("table", "--family", "monotone", "--nmax", "2", "--kmax=-1", "--format", "csv"),
         ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind", "weakstrict"),
         ("walks", "--n", "3", "--from", "3", "--to", "3", "--kind=weakstrict", "--segments=1,1,1"),
         ("tau", "--family", "hciz", "--N", "2", "--a", "1,2"),
@@ -562,7 +562,7 @@ ALPHA_Q_1 = ("tau", "--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", 
         (("chartable", "--n", "-1"), "--n must be >= 0, got -1"),
         (("table", "--family", "plain", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
         (("table", "--family", "plain", "--kmax=-2"), "--kmax must be >= 0, got -2"),
-        (("table", "--family", "multi", "--bmax=-1"), "--bmax must be >= 0, got -1"),
+        (("table", "--family", "multi", "--kmax=-1"), "--kmax must be >= 0, got -1"),
         (("verify", "characters", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
         (("verify", "characters", "--nmax", "0"), "nmax must be >= 1, got 0"),
         (
@@ -600,6 +600,12 @@ ALPHA_Q_1 = ("tau", "--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", 
              "--b=" + ",".join(f"1/{i}" for i in range(2, 13)), "--check-determinant"),
             "the determinant is capped at N <= 10, got N = 11",
         ),
+        # an empty piece is an error; only an empty list means no points
+        (("tau", "--family", "hciz", "--N", "2", "--a", "1,,2", "--b", "1/2,1/3"),
+         "--a takes rationals num/den, got ''"),
+        (("tau", "--family", "hciz", "--N", "2", "--a", "1,2,", "--b", "1/2,1/3"),
+         "--a takes rationals num/den, got ''"),
+        ((*ALPHA_Q_1[:-2], "--b", ",2"), "--b takes rationals num/den, got ''"),
     ],
 )
 def test_negative_sizes_name_their_flag(capsys, argv, error):
@@ -607,6 +613,14 @@ def test_negative_sizes_name_their_flag(capsys, argv, error):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"hurwitz-tau: error: {error}\n"
+
+
+def test_table_has_no_bmax(capsys):
+    # --kmax is the one flag for the step cap of a table
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--family", "monotone", "--nmax", "2", "--kmax", "1", "--bmax", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --bmax 3" in capsys.readouterr().err
 
 
 def test_walks_take_n_up_to_8(capsys):
@@ -670,12 +684,12 @@ def cli_cases(draw):
         argv = ["gmatrix", number("--n", SIZE), f"--twist={twist}", number("--cap", CAP)]
     elif command == "table":
         family = draw(st.sampled_from(("okounkov", *WALK_KINDS)))
-        flags = [flag for flag in ("--kmax", "--bmax") if draw(st.booleans())]
         argv = [
             "table", f"--family={family}", number("--nmax", SIZE),
-            *(number(flag, CAP) for flag in flags),
             f"--format={draw(st.sampled_from(('json', 'csv')))}",
         ]
+        if draw(st.booleans()):
+            argv.append(number("--kmax", CAP))
         if draw(st.booleans()):
             argv.append("--connected")
     else:
@@ -742,11 +756,12 @@ EMITTED = (
 
 @pytest.mark.parametrize("argv", EMITTED, ids=" ".join)
 def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, tmp_path, argv):
-    # a table prints its rows from one template, not through emit: its
-    # payload is the rows hurwitz_table returned, each as the dict the
-    # table prints; an OUT argument is a path
+    # tables and gmatrix print from templates, not through emit: a table's
+    # payload is the rows hurwitz_table returned, each as the dict the table
+    # prints, and a gmatrix payload holds the nonzero connection_text series
+    # in partition order; an OUT argument is a path
     payloads = []
-    emit, table = cli.emit, tauseries.hurwitz_table
+    emit, table, text_of = cli.emit, tauseries.hurwitz_table, cli.connection_text
 
     def recording_emit(payload, out_path=None):
         payloads.append(payload)
@@ -761,8 +776,20 @@ def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, tmp_path, argv
         ])
         return rows
 
+    def recording_text(spec, n):
+        text = text_of(spec, n)
+        twist = WALK_KINDS[cli.GMATRIX_KINDS[argv[argv.index("--twist") + 1]]].label
+        payloads.append({"n": n, "twist": twist, "entries": [
+            {"from": format_partition(lam), "to": format_partition(mu), "series": text[(lam, mu)]}
+            for lam in partitions_of(n)
+            for mu in partitions_of(n)
+            if text[(lam, mu)]
+        ]})
+        return text
+
     monkeypatch.setattr(cli, "emit", recording_emit)
     monkeypatch.setattr(tauseries, "hurwitz_table", recording_table)
+    monkeypatch.setattr(cli, "connection_text", recording_text)
     path = tmp_path / "out.json"
     code, out = run_cli(capsys, *(str(path) if arg == "OUT" else arg for arg in argv))
     if "OUT" in argv:
@@ -770,46 +797,6 @@ def test_emitted_json_is_json_dumps_indent_2(capsys, monkeypatch, tmp_path, argv
         out = path.read_text()
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2) + "\n"
-
-
-EDGE_VALUES = [
-    {}, [], (), {"a": {}}, {"a": []}, [{}], [[]], [[], {}, [[{}]]],
-    {"a": {"b": {"c": []}}}, ("x", (1, 2), [()]),
-    True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
-    0, -1, -(10**40), 10**40, [-3, 0, 7],
-    0.0, -0.0, 1.5, -2.25, 1e300, 1e-300, float("inf"), float("-inf"), float("nan"),
-    "", "plain", 'quote " and backslash \\', "tab\tnewline\nreturn\rnul\x00unit\x1fdel\x7f",
-    "café", "日本語", "\u2028\u2029", "\U0001f600", "\ud800 lone surrogate",
-    {"é key": "ü value", 'k"ey': "v\\al", "": ""},
-]
-
-
-@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
-def test_to_json_edge_cases(value):
-    assert to_json(value) == json.dumps(value, indent=2)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_to_json_matches_json_dumps(value):
-    assert to_json(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {(1,): 2}, {"a": {2: "b"}}, [{"ok": 1}, {3: 4}]],
-    ids=repr,
-)
-def test_to_json_rejects_non_str_keys(value):
-    with pytest.raises(TypeError):
-        to_json(value)
 
 
 @pytest.mark.parametrize(
