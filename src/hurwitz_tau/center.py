@@ -29,7 +29,7 @@ from .groupalg import (
     cycle_type,
 )
 from .partitions import Partition, hook_product, multiplicities, partitions_of, z_of
-from .symfunc import SymFunc, p_basis, s_basis, to_powersum
+from .symfunc import SymFunc, s_basis
 
 CLASS_SUMS = "C"
 IDEMPOTENTS = "F"
@@ -105,8 +105,8 @@ def characteristic_map(v: CenterElement) -> SymFunc:
     """C_mu -> P_mu/Z_mu on the class basis, F_lam -> S_lam/h_lam on the
     idempotent basis; the two agree through the basis change."""
     if v.basis == CLASS_SUMS:
-        return p_basis({mu: Fraction(c, 1) / z_of(mu) for mu, c in v.coords.items()})
-    return s_basis({lam: Fraction(c, 1) / hook_product(lam) for lam, c in v.coords.items()})
+        return SymFunc({mu: Fraction(c, z_of(mu)) for mu, c in v.coords.items()})
+    return s_basis({lam: Fraction(c, hook_product(lam)) for lam, c in v.coords.items()})
 
 
 def project_to_classes(a: GroupAlgebraElement) -> CenterElement:
@@ -146,7 +146,7 @@ def class_structure_constants(n: int) -> dict[tuple[Partition, Partition], dict[
 
 def euler_operator(f: SymFunc) -> SymFunc:
     """sum_k k p_k d/dp_k: multiplies a degree-n homogeneous term by n."""
-    return p_basis({lam: c * sum(lam) for lam, c in to_powersum(f).terms.items()})
+    return SymFunc({lam: c * sum(lam) for lam, c in f.terms.items()})
 
 
 def cut_and_join_operator(f: SymFunc) -> SymFunc:
@@ -155,7 +155,6 @@ def cut_and_join_operator(f: SymFunc) -> SymFunc:
     On the image of the characteristic map this is multiplication by the
     transposition class sum.
     """
-    g = to_powersum(f)
     out: dict[Partition, Fraction] = {}
 
     def add(lam, c):
@@ -164,7 +163,7 @@ def cut_and_join_operator(f: SymFunc) -> SymFunc:
         key = tuple(sorted(lam, reverse=True))
         out[key] = out.get(key, Fraction(0)) + c
 
-    for lam, coeff in g.terms.items():
+    for lam, coeff in f.terms.items():
         mult = multiplicities(lam)
         # cut: (i+j) p_i p_j d/dp_{i+j}, i+j running over parts of lam
         for v, m in mult.items():
@@ -184,7 +183,7 @@ def cut_and_join_operator(f: SymFunc) -> SymFunc:
                     ways = mi * mj
                     removed = _remove(lam, (i, j))
                 add(removed + (i + j,), coeff * ways * i * j * Fraction(1, 2))
-    return p_basis(out)
+    return SymFunc(out)
 
 
 def _remove(lam: Partition, parts) -> Partition:

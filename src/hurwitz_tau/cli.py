@@ -143,31 +143,30 @@ def _lengths(text: str) -> list[int]:
     return lengths
 
 
-def _mixed(args):
-    if args.p is None:
+def _mixed(p, lengths):
+    (steps,) = lengths
+    if p is None:
         raise ValueError("--kind mixed needs --p (length of the monotone prefix)")
-    if args.p > args.steps:
-        raise ValueError(f"--p must be <= --steps, got --p {args.p} and --steps {args.steps}")
-    return mixed(args.p, args.steps)
+    if p > steps:
+        raise ValueError(f"--p must be <= --steps, got --p {p} and --steps {steps}")
+    return mixed(p, steps)
 
 
-def _weakstrict(args):
-    lengths = [] if args.segments is None else _lengths(args.segments)
+def _weakstrict(p, lengths):
     if len(lengths) != 2:
         raise ValueError("--kind weakstrict needs --segments k,l (weak, then strict length)")
     return weak_then_strict(*lengths)
 
 
-# walks --kind: the groupalg segments of each tauseries.WALK_KINDS kind
+# walks --kind: the groupalg segments of each tauseries.WALK_KINDS kind, from
+# --p and the walk lengths (--segments, else the one length --steps)
 WALK_SEGMENTS = {
-    "plain": lambda args: plain(args.steps),
-    "monotone": lambda args: weakly_monotone(args.steps),
-    "strict": lambda args: strictly_monotone(args.steps),
+    "plain": lambda p, lengths: plain(*lengths),
+    "monotone": lambda p, lengths: weakly_monotone(*lengths),
+    "strict": lambda p, lengths: strictly_monotone(*lengths),
     "mixed": _mixed,
     "weakstrict": _weakstrict,
-    "multi": lambda args: multi_monotone(
-        [args.steps] if args.segments is None else _lengths(args.segments)
-    ),
+    "multi": lambda p, lengths: multi_monotone(lengths),
 }
 
 
@@ -176,7 +175,16 @@ def cmd_walks(args) -> int:
         raise ValueError("--p applies to --kind mixed only")
     if args.segments is not None and args.kind not in ("multi", "weakstrict"):
         raise ValueError("--segments applies to --kind multi and weakstrict only")
-    segments = WALK_SEGMENTS[args.kind](args)
+    if args.segments is None:
+        lengths = [args.steps or 0]
+    else:
+        lengths = _lengths(args.segments)
+        if args.steps not in (None, sum(lengths)):
+            raise ValueError(
+                "--steps must equal the sum of --segments when both are given,"
+                f" got --steps {args.steps} and --segments {args.segments!r}"
+            )
+    segments = WALK_SEGMENTS[args.kind](args.p, lengths)
     query = WalkQuery(
         args.n,
         parse_partition(getattr(args, "from")),
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--kind", choices=tuple(tauseries.WALK_KINDS), default="plain")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=int, default=None, help="walk length, default 0")
     p.add_argument("--p", type=int, default=None, help="monotone prefix length for --kind mixed")
     p.add_argument(
         "--segments",

@@ -113,15 +113,8 @@ def contents(lam: Partition) -> tuple[int, ...]:
 
 
 def content_sum(lam: Partition) -> int:
-    """Sum of contents; cross-checked against the closed form
-    (1/2) sum_i lam_i (lam_i - 2i + 1)."""
-    direct = sum(j - i for i, j in cells(lam))
-    closed = Fraction(
-        sum(part * (part - 2 * i + 1) for i, part in enumerate(lam, start=1)), 2
-    )
-    if closed != direct:
-        raise ArithmeticError(f"content sum formulas disagree on {lam}")
-    return direct
+    """Sum of the contents j - i over the cells (i, j) of lam."""
+    return sum(j - i for i, j in cells(lam))
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:

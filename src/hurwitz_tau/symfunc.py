@@ -1,23 +1,24 @@
 """The ring of symmetric functions.
 
-A SymFunc stores its coefficients on the power-sum basis ('p') or on the
-Schur basis ('s').  The two are related degree by degree through the
-character table, by the Frobenius expansions
+A SymFunc stores its coefficients on the power-sum basis, where
+multiplication is partition concatenation and evaluation is a product of
+power sums.  Schur coordinates cross into and out of it through two
+conversions, degree by degree through the character table, by the
+Frobenius expansions
 
     S_lam = sum_mu chi_lam(mu) P_mu / Z_mu,
-    P_mu  = sum_lam chi_lam(mu) S_lam,
+    P_mu  = sum_lam chi_lam(mu) S_lam:
 
-one product with chi^T (then 1/Z_mu) or with chi per degree slice, so the
-two conversions are exact mutual inverses.  Multiplication, evaluation and
-equality go through the p-basis, where multiplication is partition
-concatenation.  Values at points come from one table per basis:
-powersum_products (every p_lam) and schur_values (every nonzero S_nu).
-TensorSymFunc products are weighted sums of pair products on packed
-integers, and euler_recurrence runs the formal log and exp on them.
+s_basis takes Schur coefficients in (chi^T, then 1/Z_mu) and to_schur
+reads them out (chi), so the two are exact mutual inverses.  Values at
+points come from one table per basis: powersum_products (every p_lam) and
+schur_values (every nonzero S_nu).  TensorSymFunc products are weighted
+sums of pair products on packed integers, and euler_recurrence runs the
+formal log and exp on them.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .characters import character_table
 from .partitions import (
@@ -30,47 +31,34 @@ from .series import SeriesSpace, TruncSeries, numerators, pack, read_packed
 
 
 class SymFunc:
-    """Sparse symmetric function: mapping partition -> coefficient."""
+    """Sparse symmetric function on the power-sum basis: mapping partition
+    -> coefficient of p_lam."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, basis, terms):
-        if basis not in ("p", "s"):
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
+    def __init__(self, terms):
         clean = {}
         for lam, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
             lam = tuple(lam)
-            clean[lam] = clean.get(lam, Fraction(0)) + coeff
+            clean[lam] = clean.get(lam, 0) + Fraction(coeff)
         self.terms = {k: v for k, v in clean.items() if v}
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return to_powersum(self).terms == to_powersum(other).terms
+        return self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
         for lam in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            bits.append(f"{self.terms[lam]}*{self.basis}[{format_partition(lam)}]")
+            bits.append(f"{self.terms[lam]}*p[{format_partition(lam)}]")
         return " + ".join(bits)
 
     def scale(self, c) -> "SymFunc":
         c = Fraction(c)
-        return SymFunc(self.basis, {lam: coeff * c for lam, coeff in self.terms.items()})
-
-
-def p_basis(terms) -> SymFunc:
-    return SymFunc("p", terms)
-
-
-def s_basis(terms) -> SymFunc:
-    return SymFunc("s", terms)
+        return SymFunc({lam: coeff * c for lam, coeff in self.terms.items()})
 
 
 def _degree_slices(terms: dict) -> dict[int, dict]:
@@ -80,54 +68,40 @@ def _degree_slices(terms: dict) -> dict[int, dict]:
     return slices
 
 
-def to_powersum(f: SymFunc) -> SymFunc:
-    if f.basis == "p":
-        return f
-    terms = {}
-    for n, part in _degree_slices(f.terms).items():
+def s_basis(terms) -> SymFunc:
+    """sum_lam c_lam S_lam for terms = {lam: c_lam}, on the p-basis."""
+    out = {}
+    for n, part in _degree_slices(terms).items():
         for mu, c in character_table(n).transpose_times(part).items():
-            terms[mu] = c / z_of(mu)
-    return SymFunc("p", terms)
+            out[mu] = Fraction(c, z_of(mu))
+    return SymFunc(out)
 
 
-def to_schur(f: SymFunc) -> SymFunc:
-    if f.basis == "s":
-        return f
-    terms = {}
+def to_schur(f: SymFunc) -> dict[Partition, Fraction]:
+    """The Schur coordinates {lam: c_lam} of f = sum_lam c_lam S_lam."""
+    out = {}
     for n, part in _degree_slices(f.terms).items():
-        terms.update(character_table(n).times(part))
-    return SymFunc("s", terms)
+        out.update(character_table(n).times(part))
+    return out
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product in the ring; computed on the p-basis where it is monomial
-    concatenation, then returned on the p-basis."""
-    a, b = to_powersum(f), to_powersum(g)
+    """Product in the ring: p-monomials concatenate."""
     terms: dict[Partition, Fraction] = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
+    for lam, ca in f.terms.items():
+        for mu, cb in g.terms.items():
             key = tuple(sorted(lam + mu, reverse=True))
             terms[key] = terms.get(key, Fraction(0)) + ca * cb
-    return SymFunc("p", terms)
+    return SymFunc(terms)
 
 
 def evaluate(f: SymFunc, xs) -> Fraction:
-    """Evaluate at a finite list of values via p_k -> sum_a x_a^k."""
+    """Evaluate at a finite list of values via p_k -> sum_a x_a^k, one
+    power sum per part size up to the largest part of f."""
     xs = [Fraction(x) for x in xs]
-    g = to_powersum(f)
-    max_part = max((max(lam) for lam in g.terms if lam), default=0)
-    power_sums = {}
-    powers = [Fraction(1)] * len(xs)
-    for k in range(1, max_part + 1):
-        powers = [p * x for p, x in zip(powers, xs)]
-        power_sums[k] = sum(powers, Fraction(0))
-    total = Fraction(0)
-    for lam, coeff in g.terms.items():
-        value = coeff
-        for part in lam:
-            value *= power_sums[part]
-        total += value
-    return total
+    top = max((max(lam) for lam in f.terms if lam), default=0)
+    p = {k: sum((x**k for x in xs), Fraction(0)) for k in range(1, top + 1)}
+    return sum((c * prod(p[k] for k in lam) for lam, c in f.terms.items()), Fraction(0))
 
 
 def powersum_products(values, n_max: int) -> dict:

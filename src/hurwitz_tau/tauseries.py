@@ -60,7 +60,6 @@ from .symfunc import (
     powersum_products,
     s_basis,
     schur_values,
-    to_powersum,
 )
 from .twists import (
     AlphaQConvolution,
@@ -205,7 +204,7 @@ def tau_eval_schur_side(t: TauSeries, a_vals, b_vals) -> TruncSeries:
     of the two routes is the twisted Cauchy-Littlewood identity at a point."""
     total = t.space.zero()
     for nu, r in t.r.items():
-        s_nu = to_powersum(s_basis({nu: 1}))
+        s_nu = s_basis({nu: 1})
         weight = evaluate(s_nu, a_vals) * evaluate(s_nu, b_vals)
         if weight:
             total = total + r * weight
@@ -330,7 +329,12 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
     a_vals = [Fraction(x) for x in a_vals]
     b_vals = [Fraction(x) for x in b_vals]
     space, r_of = alpha_q_family(alpha, N, q_cap, q_cap)
-    schur_side = tau_at_points(space, q_cap, r_of, a_vals, b_vals)  # first: checks q_cap
+    _check_n_max(q_cap)
+    # r_nu(N) starts at q^(|nu| + N(N-1)/2), so only |nu| <= q_cap - N(N-1)/2
+    # survive the truncation; when q_cap < N(N-1)/2 none does, and both sides
+    # are compared as the zero series
+    top = q_cap - N * (N - 1) // 2
+    schur_side = tau_at_points(space, top, r_of, a_vals, b_vals) if top >= 0 else space.zero()
     det = family_determinant(AlphaQConvolution(alpha, space).rho, N, a_vals, b_vals, space, "q")
     return {
         "N": N,

@@ -58,7 +58,7 @@ def test_walks_multi_segments(capsys):
     code, out = run_cli(
         capsys,
         "walks", "--n", "4", "--from", "2,1,1", "--to", "3,1",
-        "--kind", "multi", "--segments", "2,1", "--steps", "0",
+        "--kind", "multi", "--segments", "2,1",
     )
     assert code == 0
     assert int(out.strip().splitlines()[0]) >= 0
@@ -606,6 +606,22 @@ ALPHA_Q_1 = ("tau", "--family", "alpha_q", "--N", "1", "--alpha", "1/2", "--a", 
         (("tau", "--family", "hciz", "--N", "2", "--a", "1,2,", "--b", "1/2,1/3"),
          "--a takes rationals num/den, got ''"),
         ((*ALPHA_Q_1[:-2], "--b", ",2"), "--b takes rationals num/den, got ''"),
+        # a walk length comes from one flag: a --steps beside --segments must agree
+        (
+            (*WALK_3, "--kind", "multi", "--steps", "3", "--segments", "1,1"),
+            "--steps must equal the sum of --segments when both are given,"
+            " got --steps 3 and --segments '1,1'",
+        ),
+        (
+            (*WALK_3, "--kind", "weakstrict", "--steps", "5", "--segments", "1,1"),
+            "--steps must equal the sum of --segments when both are given,"
+            " got --steps 5 and --segments '1,1'",
+        ),
+        (
+            (*WALK_3, "--kind", "multi", "--steps", "0", "--segments", "2,1"),
+            "--steps must equal the sum of --segments when both are given,"
+            " got --steps 0 and --segments '2,1'",
+        ),
     ],
 )
 def test_negative_sizes_name_their_flag(capsys, argv, error):

@@ -11,7 +11,7 @@ from hurwitz_tau.center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_
 from hurwitz_tau.characters import character, character_table
 from hurwitz_tau.partitions import hook_product, partitions_of, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
-from hurwitz_tau.symfunc import p_basis, s_basis, to_powersum, to_schur
+from hurwitz_tau.symfunc import SymFunc, s_basis, to_schur
 
 COEFF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 
@@ -102,12 +102,12 @@ def test_symfunc_conversions_on_several_degrees(terms):
         slice_ = entrywise(n, by_degree(terms, n), Fraction(0), character, by_row=False)
         want.update({mu: c / z_of(mu) for mu, c in slice_.items()})
     f = s_basis(terms)
-    assert to_powersum(f).terms == want
-    assert to_schur(to_powersum(f)).terms == f.terms
+    assert f.terms == want
+    assert to_schur(f) == terms
     # P_mu = sum_lam chi_lam(mu) S_lam, degree by degree
     want = {}
     for n in degrees:
         want.update(entrywise(n, by_degree(terms, n), Fraction(0), character, by_row=True))
-    g = p_basis(terms)
-    assert to_schur(g).terms == want
-    assert to_powersum(to_schur(g)).terms == g.terms
+    g = SymFunc(terms)
+    assert to_schur(g) == want
+    assert s_basis(to_schur(g)) == g

@@ -108,6 +108,14 @@ def test_contents():
     assert content_sum((4, 2, 1)) == 3
 
 
+def test_content_sum_matches_closed_form():
+    # (1/2) sum_i lam_i (lam_i - 2i + 1), rows numbered from 1
+    for n in range(11):
+        for lam in partitions_of(n):
+            closed = sum(part * (part - 2 * i + 1) for i, part in enumerate(lam, start=1))
+            assert closed % 2 == 0 and content_sum(lam) == closed // 2
+
+
 def test_contents_conjugation():
     for n in range(9):
         for lam in partitions_of(n):

@@ -13,28 +13,27 @@ from hurwitz_tau.partitions import partitions_of
 from hurwitz_tau import symfunc
 from hurwitz_tau.series import SeriesSpace, TruncSeries, pack, read_packed, unpack
 from hurwitz_tau.symfunc import (
+    SymFunc,
     TensorSymFunc,
     cauchy_sides,
     evaluate,
     multiply,
-    p_basis,
     powersum_products,
     s_basis,
     schur_values,
     tensor_product_sum,
-    to_powersum,
     to_schur,
 )
 
 
 def schur_to_powersum(lam):
     """Expansion of a single Schur function on the power-sum basis."""
-    return to_powersum(s_basis({lam: 1}))
+    return s_basis({lam: 1})
 
 
 def powersum_to_schur(mu):
-    """Expansion of a single power-sum monomial on the Schur basis."""
-    return to_schur(p_basis({mu: 1}))
+    """Schur coordinates of a single power-sum monomial."""
+    return to_schur(SymFunc({mu: 1}))
 
 
 def evaluate_schur(lam, xs):
@@ -56,9 +55,9 @@ def test_schur_to_powersum_examples():
 
 
 def test_powersum_to_schur_examples():
-    assert powersum_to_schur((1, 1)).terms == {(2,): Fraction(1), (1, 1): Fraction(1)}
-    assert powersum_to_schur((2,)).terms == {(2,): Fraction(1), (1, 1): Fraction(-1)}
-    assert powersum_to_schur((3,)).terms == {
+    assert powersum_to_schur((1, 1)) == {(2,): Fraction(1), (1, 1): Fraction(1)}
+    assert powersum_to_schur((2,)) == {(2,): Fraction(1), (1, 1): Fraction(-1)}
+    assert powersum_to_schur((3,)) == {
         (3,): Fraction(1),
         (2, 1): Fraction(-1),
         (1, 1, 1): Fraction(1),
@@ -68,22 +67,20 @@ def test_powersum_to_schur_examples():
 def test_roundtrip_up_to_8():
     for n in range(9):
         for mu in partitions_of(n):
-            f = to_powersum(powersum_to_schur(mu))
-            assert f.terms == {mu: Fraction(1)}
-            g = to_schur(schur_to_powersum(mu))
-            assert g.terms == {mu: Fraction(1)}
+            assert s_basis(powersum_to_schur(mu)).terms == {mu: Fraction(1)}
+            assert to_schur(schur_to_powersum(mu)) == {mu: Fraction(1)}
 
 
 def test_multiply_powersum_concatenation():
-    f = p_basis({(2,): 1})
-    g = p_basis({(1,): 1})
+    f = SymFunc({(2,): 1})
+    g = SymFunc({(1,): 1})
     assert multiply(f, g).terms == {(2, 1): Fraction(1)}
 
 
 def test_multiply_pieri():
     s1 = s_basis({(1,): 1})
     product = to_schur(multiply(s1, s1))
-    assert product.terms == {(2,): Fraction(1), (1, 1): Fraction(1)}
+    assert product == {(2,): Fraction(1), (1, 1): Fraction(1)}
 
 
 def test_multiply_s2_times_s11():
@@ -95,11 +92,13 @@ def test_multiply_s2_times_s11():
         (2, 2): Fraction(-1, 4),
     }
     # Littlewood-Richardson cross-check: S2 * S11 = S31 + S211
-    assert to_schur(product).terms == {(3, 1): Fraction(1), (2, 1, 1): Fraction(1)}
+    assert to_schur(product) == {(3, 1): Fraction(1), (2, 1, 1): Fraction(1)}
 
 
 def test_evaluate_examples():
-    assert evaluate(p_basis({(2,): 1}), [1, 2]) == 5
+    assert evaluate(SymFunc({(2,): 1}), [1, 2]) == 5
+    # no size cap: parts and partitions past the partition tables' cap
+    assert evaluate(SymFunc({(13,): 1, (7, 7): 2}), [1, 2]) == 1 + 2**13 + 2 * (1 + 2**7) ** 2
     assert powersum_products([1, 2], 3)[(2, 1)] == 5 * 3
     assert schur_values([1, 1, 1], 3)[(2, 1)] == ssyt_count((2, 1), 3) == 8
     assert schur_values([1, 1], 3).get((1, 1, 1)) is None  # S_(1,1,1)(1, 1) = 0
@@ -152,8 +151,8 @@ def test_evaluate_is_ring_homomorphism():
     rng = random.Random(5)
     pool = [lam for n in range(7) for lam in partitions_of(n)]
     for _ in range(12):
-        f = p_basis({rng.choice(pool): Fraction(rng.randint(-4, 4))})
-        g = p_basis({rng.choice(pool): Fraction(rng.randint(-4, 4))})
+        f = SymFunc({rng.choice(pool): Fraction(rng.randint(-4, 4))})
+        g = SymFunc({rng.choice(pool): Fraction(rng.randint(-4, 4))})
         xs = random_rationals(rng, 3)
         assert evaluate(multiply(f, g), xs) == evaluate(f, xs) * evaluate(g, xs)
 

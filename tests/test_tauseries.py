@@ -31,6 +31,7 @@ from hurwitz_tau.twists import (
     H,
     Scale,
     TwistConvolution,
+    alpha_q_coeff,
     twist,
 )
 from hurwitz_tau.verify import graded_twist_family
@@ -385,6 +386,30 @@ def test_alpha_q_determinant_n2_exploratory():
     )
     assert report["entrywise_matches_schur_expansion"] is True
     assert report["det_power_reading_defined"] is False
+
+
+@pytest.mark.parametrize("N, q_cap", [(1, 4), (2, 5), (3, 5), (3, 3), (3, 2), (4, 5)])
+def test_alpha_q_determinant_builds_only_the_surviving_sheets(monkeypatch, N, q_cap):
+    # r_nu(N) starts at q^(|nu| + N(N-1)/2): the Schur side asks only for
+    # |nu| <= q_cap - N(N-1)/2, none when that is negative, and loses nothing
+    # against the sum over every |nu| <= q_cap
+    alpha = Fraction(1, 2)
+    a_vals = [Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3)][:N]
+    b_vals = [Fraction(1), Fraction(2), Fraction(1, 5), Fraction(1, 7)][:N]
+    asked = []
+
+    def recording_coeff(nu, family, n_points):
+        asked.append(nu)
+        return alpha_q_coeff(nu, family, n_points)
+
+    monkeypatch.setattr(tauseries, "alpha_q_coeff", recording_coeff)
+    report = alpha_q_determinant(N, alpha, a_vals, b_vals, q_cap)
+    top = q_cap - N * (N - 1) // 2
+    assert (max(map(sum, asked)) == top) if top >= 0 else (asked == [])
+    space, r_of = alpha_q_family(alpha, N, q_cap, q_cap)
+    every_sheet = tau_at_points(space, q_cap, r_of, a_vals, b_vals)
+    assert report["schur_expansion"] == series_json(every_sheet)
+    assert report["entrywise_matches_schur_expansion"] is True
 
 
 def test_alpha_q_determinant_rejects_a_q_cap_past_the_tau_cap():
