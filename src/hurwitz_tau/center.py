@@ -7,18 +7,21 @@ The two bases are related through the character table,
 
 and multiplication is diagonal on the idempotent side (F_lam F_lam =
 F_lam, F_lam F_nu = 0).  Each basis change is one product with the character
-matrix between diagonal scalings.  Coordinates may be Fractions or
-TruncSeries; the changes only ever scale by rationals, so both work
-unchanged.
+matrix between diagonal scalings; on rational coordinates the character
+product runs on integer numerators over one common denominator.
+Coordinates may be Fractions or TruncSeries for the basis changes and
+center_multiply, which only ever scale by rationals.
 
 The characteristic map sends C_mu to P_mu/Z_mu and F_lam to S_lam/h_lam;
 it identifies the center with the homogeneous degree-n symmetric
 functions, which is what connects walk counts to symmetric-function
-identities downstream.
+identities downstream.  It takes rational coordinates only, since SymFunc
+holds rational coefficients, and raises TypeError on any other.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .characters import character_table
 from .groupalg import (
@@ -103,7 +106,13 @@ def center_multiply(u: CenterElement, v: CenterElement) -> CenterElement:
 
 def characteristic_map(v: CenterElement) -> SymFunc:
     """C_mu -> P_mu/Z_mu on the class basis, F_lam -> S_lam/h_lam on the
-    idempotent basis; the two agree through the basis change."""
+    idempotent basis; the two agree through the basis change.  Coordinates
+    must be rational (int or Fraction): TypeError otherwise."""
+    for c in v.coords.values():
+        if not isinstance(c, Rational):
+            raise TypeError(
+                f"characteristic_map takes rational coordinates, got {type(c).__name__}"
+            )
     if v.basis == CLASS_SUMS:
         return SymFunc({mu: Fraction(c, z_of(mu)) for mu, c in v.coords.items()})
     return s_basis({lam: Fraction(c, hook_product(lam)) for lam, c in v.coords.items()})

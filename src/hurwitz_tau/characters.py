@@ -14,6 +14,8 @@ publish finished values, so concurrent callers read identical results.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial
+from operator import mul
 
 from .config import CHARTABLE_CAP
 from .errors import SizeLimitError
@@ -24,6 +26,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
+from .series import numerators
 
 _mn_cache: dict[tuple[Partition, tuple[int, ...]], int] = {}
 
@@ -99,9 +102,16 @@ class CharacterTable:
 
     def _product(self, rows, v) -> dict:
         """Coefficients lie in any ring that ints scale (Fraction,
-        TruncSeries); each entry starts from its first nonzero term and
-        zero entries are dropped."""
-        entries = [(self.position[k], c) for k, c in v.items()]
+        TruncSeries, packed ints); zero entries are dropped.  When every
+        coefficient is a Fraction the rows run on the integer numerators
+        over D = lcm of the denominators, and each entry is one
+        Fraction(total, D); otherwise D = 1 and each entry is the ring's own
+        sum, started from its first nonzero term."""
+        den = None
+        if all(isinstance(c, Fraction) for c in v.values()):
+            den, (entries,) = numerators([v], self.position)
+        else:
+            entries = [(self.position[k], c) for k, c in v.items()]
         out = {}
         for key, row in zip(self.parts, rows):
             total = None
@@ -110,7 +120,7 @@ class CharacterTable:
                     term = c * row[j]
                     total = term if total is None else total + term
             if total:
-                out[key] = total
+                out[key] = total if den is None else Fraction(total, den)
         return out
 
     def character_sum(self, values) -> dict:
@@ -137,22 +147,23 @@ class CharacterTable:
     def validate(self) -> None:
         """Check both orthogonality relations and the dimension column."""
         parts = self.parts
+        cols = list(zip(*self.chi))
         for a, mu in enumerate(parts):
             for b, nu in enumerate(parts):
-                dot = sum(row[a] * row[b] for row in self.chi)
-                expected = z_of(mu) if a == b else 0
-                if dot != expected:
+                dot = sum(map(mul, cols[a], cols[b]))
+                if dot != (z_of(mu) if a == b else 0):
                     raise ArithmeticError(
                         f"column orthogonality fails at n={self.n}, {mu}, {nu}"
                     )
+        # Rows in integers: sum_mu chi_lam(mu) chi_kap(mu) n!/z_mu = n! delta,
+        # the class sizes n!/z_mu taken from z_of, not from the table.
+        order = factorial(self.n)
+        sizes = [order // z_of(mu) for mu in parts]
         for a, lam in enumerate(parts):
+            weighted = list(map(mul, self.chi[a], sizes))
             for b, kap in enumerate(parts):
-                dot = sum(
-                    Fraction(self.chi[a][m] * self.chi[b][m], z_of(mu))
-                    for m, mu in enumerate(parts)
-                )
-                expected = 1 if a == b else 0
-                if dot != expected:
+                dot = sum(map(mul, weighted, self.chi[b]))
+                if dot != (order if a == b else 0):
                     raise ArithmeticError(
                         f"row orthogonality fails at n={self.n}, {lam}, {kap}"
                     )

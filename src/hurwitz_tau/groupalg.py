@@ -103,11 +103,15 @@ def conjugacy_classes(n: int) -> dict[Partition, tuple[Perm, ...]]:
 # -- sparse group algebra ----------------------------------------------------
 
 class GroupAlgebraElement:
-    """Sparse map permutation -> Fraction, supported in one S_n."""
+    """Sparse map permutation -> rational coefficient, supported in one S_n.
+
+    Coefficients are ints until a non-integer factor enters (through scale
+    or a Fraction-valued term), so products of class sums and JM elements
+    stay in the integers; an int and an equal Fraction compare equal."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Perm, Fraction]):
+    def __init__(self, n: int, terms: dict[Perm, int | Fraction]):
         self.n = n
         self.terms = {g: c for g, c in terms.items() if c}
 
@@ -117,7 +121,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def unit(cls, n: int) -> "GroupAlgebraElement":
-        return cls(n, {identity(n): Fraction(1)})
+        return cls(n, {identity(n): 1})
 
     def _check(self, other):
         if self.n != other.n:
@@ -141,7 +145,8 @@ class GroupAlgebraElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         return GroupAlgebraElement(
             self.n, {g: coeff * c for g, coeff in self.terms.items()}
         )
@@ -151,7 +156,7 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return self.scale(other)
         self._check(other)
-        terms: dict[Perm, Fraction] = {}
+        terms: dict[Perm, int | Fraction] = {}
         for g, cg in self.terms.items():
             for h, ch in other.terms.items():
                 key = compose(g, h)
@@ -167,10 +172,10 @@ class GroupAlgebraElement:
     def commutes_with(self, other) -> bool:
         return self * other == other * self
 
-    def class_coordinates(self) -> dict[Partition, Fraction]:
+    def class_coordinates(self) -> dict[Partition, int | Fraction]:
         """Coordinates on the class-sum basis; raises CentralityError when
         the element is not constant on conjugacy classes."""
-        first_seen: dict[Partition, tuple[Perm, Fraction]] = {}
+        first_seen: dict[Partition, tuple[Perm, int | Fraction]] = {}
         coverage: dict[Partition, int] = {}
         for g, c in self.terms.items():
             t = cycle_type(g)
@@ -199,7 +204,7 @@ def class_sum(n: int, mu) -> GroupAlgebraElement:
     if sum(mu) != n:
         raise ValueError(f"{mu} is not a partition of {n}")
     members = conjugacy_classes(n).get(mu, ())
-    return GroupAlgebraElement(n, {g: Fraction(1) for g in members})
+    return GroupAlgebraElement(n, dict.fromkeys(members, 1))
 
 
 def jm_element(n: int, b: int) -> GroupAlgebraElement:
@@ -207,7 +212,7 @@ def jm_element(n: int, b: int) -> GroupAlgebraElement:
     if not 1 <= b <= n:
         raise ValueError(f"b must lie in 1..{n}, got {b}")
     return GroupAlgebraElement(
-        n, {transposition(n, a, b): Fraction(1) for a in range(1, b)}
+        n, {transposition(n, a, b): 1 for a in range(1, b)}
     )
 
 

@@ -20,6 +20,7 @@ from hurwitz_tau.characters import character_table
 from hurwitz_tau.errors import CentralityError
 from hurwitz_tau.groupalg import GroupAlgebraElement, class_sum, jm_element, jm_power_sum
 from hurwitz_tau.partitions import class_size, partitions_of
+from hurwitz_tau.series import SeriesSpace
 from hurwitz_tau.symfunc import SymFunc, s_basis, to_schur
 
 
@@ -186,3 +187,30 @@ def test_center_element_validation():
         CenterElement(3, "C", {(2, 2): Fraction(1)})
     with pytest.raises(ValueError):
         CenterElement(3, "X", {})
+
+
+def test_characteristic_map_rejects_series_coordinates():
+    q = SeriesSpace(("q",), (2,)).monomial(1, q=1)
+    for basis in ("C", "F"):
+        with pytest.raises(TypeError, match="characteristic_map takes rational"):
+            characteristic_map(CenterElement(2, basis, {(2,): q}))
+
+
+def test_series_coordinates_round_trip():
+    space = SeriesSpace(("q",), (3,))
+    parts = partitions_of(4)
+    coords = {
+        mu: space.monomial(Fraction(k + 1, 3), q=k % 4) + space.scalar(k - 2)
+        for k, mu in enumerate(parts)
+    }
+    directions = (("C", class_to_idem, idem_to_class), ("F", idem_to_class, class_to_idem))
+    for basis, there, back in directions:
+        v = CenterElement(4, basis, coords)
+        moved = there(v)
+        assert back(moved).coords == v.coords
+        # each power of q moves as the rational vector of its coefficients
+        for d in range(4):
+            slice_d = CenterElement(4, basis, {mu: c.coeff(q=d) for mu, c in coords.items()})
+            want = there(slice_d).coords
+            got = {lam: c.coeff(q=d) for lam, c in moved.coords.items() if c.coeff(q=d)}
+            assert got == want

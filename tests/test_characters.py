@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau.characters import (
     CharacterTable,
@@ -162,3 +164,49 @@ def test_validate_raises_on_a_corrupted_table():
     broken = CharacterTable(3, table.parts, tuple(tuple(row) for row in chi))
     with pytest.raises(ArithmeticError, match="orthogonality"):
         broken.validate()
+
+
+def test_validate_catches_swapped_rows_by_the_dimension_column():
+    # Both orthogonality relations survive a row swap; only the dimension
+    # column tells (4) from (3,1).
+    table = character_table(4)
+    chi = list(table.chi)
+    a, b = table.position[(4,)], table.position[(3, 1)]
+    chi[a], chi[b] = chi[b], chi[a]
+    broken = CharacterTable(4, table.parts, tuple(chi))
+    with pytest.raises(ArithmeticError, match="dimension column"):
+        broken.validate()
+
+
+@st.composite
+def rational_vectors(draw):
+    n = draw(st.integers(0, 6))
+    parts = partitions_of(n)
+    keys = draw(st.lists(st.sampled_from(parts), unique=True))
+    coeff = st.fractions(max_denominator=60, min_value=-20, max_value=20)
+    return n, {k: draw(coeff) for k in keys}
+
+
+def per_term_product(rows, parts, v):
+    """{key: sum of Fraction(c) * entry} over v = {part: c}, zeros dropped."""
+    position = {p: j for j, p in enumerate(parts)}
+    out = {}
+    for key, row in zip(parts, rows):
+        total = sum((Fraction(c) * row[position[k]] for k, c in v.items()), Fraction(0))
+        if total:
+            out[key] = total
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rational_vectors())
+def test_rational_products_match_the_per_term_sum(case):
+    n, v = case
+    table = character_table(n)
+    for got, rows in (
+        (table.times(v), table.chi),
+        (table.transpose_times(v), list(zip(*table.chi))),
+    ):
+        want = per_term_product(rows, table.parts, v)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.values())

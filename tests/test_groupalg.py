@@ -121,3 +121,34 @@ def test_conjugacy_classes_partition_the_group():
         classes = conjugacy_classes(n)
         assert sum(len(v) for v in classes.values()) == factorial(n)
         assert set(classes) == set(partitions_of(n))
+
+
+def fraction_twin(x):
+    """The same element with every coefficient a Fraction."""
+    return GroupAlgebraElement(x.n, {g: Fraction(c) for g, c in x.terms.items()})
+
+
+def test_builders_hold_int_coefficients():
+    for x in (GroupAlgebraElement.unit(4), class_sum(4, (2, 2)), jm_element(4, 3)):
+        assert x.terms and all(type(c) is int for c in x.terms.values())
+    assert all(type(c) is int for c in jm_power_sum(4, 0).terms.values())
+
+
+def test_fraction_scaling_returns_to_the_int_twin():
+    x = class_sum(4, (3, 1)) + jm_power_sum(4, 2)
+    back = x.scale(Fraction(1, 2)).scale(2)
+    assert any(type(c) is Fraction for c in back.terms.values())
+    assert back == x
+    assert x.scale(Fraction(1, 2)) != x
+    assert fraction_twin(x) == x and x == fraction_twin(x)
+
+
+def test_int_products_equal_their_fraction_twins():
+    for n in range(1, 6):
+        factors = [class_sum(n, mu) for mu in partitions_of(n)]
+        factors += [jm_power_sum(n, i) for i in range(3)]
+        for a in factors:
+            for b in factors:
+                product = a * b
+                assert all(type(c) is int for c in product.terms.values())
+                assert product == fraction_twin(a) * fraction_twin(b)
