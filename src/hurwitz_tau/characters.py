@@ -125,7 +125,8 @@ class CharacterTable:
 
     def character_sum(self, values) -> dict:
         """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu)} for every
-        ordered pair of classes, skipping nu whose weight chi_nu(lam)
+        unordered pair of classes, lam at or before mu in ``parts`` (the sum
+        is symmetric in lam and mu), skipping nu whose weight chi_nu(lam)
         chi_nu(mu) vanishes.  ``values`` maps each nu to an element of any
         ring that ints scale; callers apply their own normalisation.  The
         trivial character gives every pair a nonzero weight, so each sum
@@ -134,7 +135,7 @@ class CharacterTable:
         weighted = [(row, values[nu]) for row, nu in zip(self.chi, self.parts)]
         out = {}
         for a, lam in enumerate(self.parts):
-            for b, mu in enumerate(self.parts):
+            for b, mu in enumerate(self.parts[a:], a):
                 total = None
                 for row, value in weighted:
                     weight = row[a] * row[b]

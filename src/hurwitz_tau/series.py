@@ -8,13 +8,13 @@ truncation).  Coefficients are Fractions throughout.
 Packed integers, the fast exact path, have one format, known only here:
 numerators puts coefficient dicts over one D, the lcm of their
 denominators, as (slot, numerator) pairs; pack sets them in signed W-bit
-slots of one int, and unpack takes them apart.  read_packed turns a packed
-int over D into a series, decoding only its live fields; the text reader,
-read_text, turns unpacked fields into the printed dict, the one
-series_json gives for that series.  Slots are dense
+slots of one int, and unpack takes them apart.  Slots are dense
 (SeriesSpace._slots: stride 2 cap + 1 per axis, so no two exponent sums
-share one) or one per exponent tuple of a sparse support.  Each kernel
-sizes W for its own sums.
+share one) or one per exponent tuple of a sparse support.  Unpacked
+fields over D are read by read_fields, as a series, or by read_text, as
+the printed dict series_json gives for that series.  read_packed turns a
+packed int at the dense slots into a series, unpacking only its live
+fields.  Each kernel sizes W for its own sums.
 """
 
 from fractions import Fraction
@@ -315,29 +315,33 @@ def numerators(terms_list, slot: dict) -> tuple[int, list[list[tuple[int, int]]]
                for terms in terms_list]
 
 
-def read_packed(space: SeriesSpace, total: int, width: int, d: int, exponents=None) -> TruncSeries:
-    """The series of ``space`` whose coefficient at exponents[k] is field k
-    of the packed ``total`` over d; exponents defaults to the dense slots
-    of the space, where a field past the top slot or at a gap (None) holds
-    terms past the caps and is dropped.  Only the fields from the one
+def read_packed(space: SeriesSpace, total: int, width: int, d: int) -> TruncSeries:
+    """The series of ``space`` whose coefficient at the dense slot k is field
+    k of the packed ``total`` over d; a field past the top slot or at a gap
+    holds terms past the caps and is dropped.  Only the fields from the one
     holding the lowest set bit of total to the one holding the highest are
     decoded: below the lowest nonzero field total is all zero bits, and
     the highest nonzero field k leaves |total| between 2^(width k - 1) and
     2^(width (k + 1) - 1), so its bit length over width is k."""
-    if exponents is None:
-        exponents = space._exponents
+    exponents = space._exponents
     low = ((total & -total).bit_length() - 1) // width  # -1 when total is 0
     high = min(abs(total).bit_length() // width, len(exponents) - 1)
     if low < 0 or low > high:
         return TruncSeries._trusted(space, {})
     fields = unpack(total >> (width * low), width, high - low + 1)
-    live = zip(exponents[low : high + 1], fields)
+    return read_fields(space, fields, exponents[low : high + 1], d)
+
+
+def read_fields(space: SeriesSpace, fields, exponents, d: int) -> TruncSeries:
+    """The series of ``space`` whose coefficient at exponents[k] is fields[k]
+    over d; a field whose exponents are None (a gap) is dropped."""
+    live = zip(exponents, fields)
     return TruncSeries._trusted(space, {e: Fraction(x, d) for e, x in live if x and e is not None})
 
 
 def read_text(fields, labels, d: int) -> dict[str, str]:
     """{labels[k]: "num/den"} for the nonzero fields[k] / d, slots in exponent
-    order: series_json of the series read_packed would build, with one gcd per
+    order: series_json of the series read_fields would build, with one gcd per
     nonzero field and no Fraction.  As str(Fraction) prints it, the sign goes
     on the numerator and an integer has no denominator; d must be positive."""
     out = {}

@@ -15,14 +15,15 @@ coefficients
     G_{lam mu} = (1/Z_lam) sum_nu G(cont(nu)) chi_nu(lam) chi_nu(mu),
 
 whose series coefficients count constrained transposition walks.  The
-eigenvalue (twist_eigenvalue, memoised per spec by cached_eigenvalue) is
-built from integer content sequences in the twist's own space;
-okounkov_coeff and multimonotone_coeff are views of it.  The sum runs on
-packed integers (series_character_sum, in the values' space), dividing
-once at the end.  connection_coeffs reads each G_{lam mu} back as a
-series; connection_text, the gmatrix route, reads the same packed sums
-straight into the text series_json would print, building no series.
-TwistConvolution takes every twist to the convolution side.  A
+eigenvalue's integer numerators over the spec's one denominator come from
+integer content sequences (eigenvalue_numerators, memoised per spec by
+cached_numerators); twist_eigenvalue is their series (memoised by
+cached_eigenvalue), and okounkov_coeff and multimonotone_coeff are views
+of it.  The sum runs on the packed numerators once per unordered class
+pair, dividing once at the end: connection_coeffs reads each G_{lam mu}
+back as a series, and connection_text, the gmatrix route, as the text
+series_json would print, building no series.  TwistConvolution takes
+every twist to the convolution side.  A
 convolution family is its weights r_j = rho_j/rho_{j-1}: rho_j
 (rho_0 = 1) and the shifted content product
 
@@ -34,7 +35,7 @@ derive from them by series products; r_lam(0) q^{|lam|} is the eigenvalue.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem
 from .characters import CharacterTable, character_table
@@ -49,7 +50,7 @@ from .partitions import (
     z_of,
 )
 from .series import (
-    SeriesSpace, TruncSeries, numerators, pack, packed_product, read_packed, read_text, unpack,
+    SeriesSpace, TruncSeries, pack, packed_product, read_fields, read_text, unpack,
 )
 
 # -- twist specifications ----------------------------------------------------
@@ -100,6 +101,11 @@ class TwistSpec:
         """The q parameter of the first Exp or Scale atom; None without one."""
         return next((f.q_param for f in self.factors if isinstance(f, (Exp, Scale))), None)
 
+    def denominator(self) -> int:
+        """Every eigenvalue's denominator: the beta cap! of each Exp atom."""
+        caps = dict(zip(self.params(), self.caps))
+        return prod(factorial(caps[f.beta_param]) for f in self.factors if isinstance(f, Exp))
+
 
 def twist(factors, caps) -> TwistSpec:
     factors = tuple(factors)
@@ -110,21 +116,21 @@ def twist(factors, caps) -> TwistSpec:
     return TwistSpec(factors, caps)
 
 
-def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
-    """Content-product eigenvalue of the twist on F_lam, in spec.space().
+def eigenvalue_numerators(spec: TwistSpec, lam: Partition) -> dict:
+    """{exponents: numerator} of the content-product eigenvalue of the twist
+    on F_lam in spec.space(), over spec.denominator().
 
-    Each parameter axis carries an integer sequence a_0..a_cap over a
-    denominator.  H multiplies its axis by 1/(1 - c x) for every content c,
-    giving h_k(contents); E multiplies it by 1 + c x, giving e_k(contents);
-    Exp shifts its q axis by |lam| and convolves its beta axis with
-    C^k cap!/k! over cap!, C the content sum; Scale shifts its q axis by
-    |lam|.  Atoms on one axis compose by convolution, and the series is the
-    outer product of the axes over the product of their denominators."""
+    Each parameter axis carries an integer sequence a_0..a_cap.  H multiplies
+    its axis by 1/(1 - c x) for every content c, giving h_k(contents); E
+    multiplies it by 1 + c x, giving e_k(contents); Exp shifts its q axis by
+    |lam| and convolves its beta axis with C^k cap!/k! (over cap!, a factor
+    of the denominator), C the content sum; Scale shifts its q axis by |lam|.
+    Atoms on one axis compose by convolution, and the numerators are the
+    outer product of the axes."""
     lam = tuple(lam)
     space = spec.space()
     cs = contents(lam)
     axes = [[1] + [0] * cap for cap in space.caps]
-    denominator = 1
     for f in spec.factors:
         if isinstance(f, H):
             seq = axes[space.axis(f.param)]
@@ -146,37 +152,71 @@ def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
                 count = len(axes[axis])
                 kernel = [(k, c**k * (top // factorial(k))) for k in range(count)]
                 axes[axis] = unpack(*packed_product(list(enumerate(axes[axis])), kernel), count)
-                denominator *= top
         else:
             raise TypeError(f"unknown twist factor {f!r}")
     terms = {(): 1}
     for seq in axes:
         terms = {e + (k,): x * a for e, x in terms.items() for k, a in enumerate(seq) if a}
-    return TruncSeries._trusted(space, {e: Fraction(x, denominator) for e, x in terms.items()})
+    return terms
+
+
+def _memo(owner, name: str, key, build):
+    """build(), once per key, in the memo ``name`` kept on the owner."""
+    memo = vars(owner).setdefault(name, {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def cached_numerators(spec: TwistSpec, lam: Partition) -> dict:
+    """eigenvalue_numerators(spec, lam), built once per (spec, tuple(lam))."""
+    return _memo(spec, "_numerators", tuple(lam), lambda: eigenvalue_numerators(spec, lam))
+
+
+def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
+    """The content-product eigenvalue of the twist on F_lam, in spec.space():
+    the memo's numerators (cached_numerators) over spec.denominator()."""
+    d, terms = spec.denominator(), cached_numerators(spec, lam).items()
+    return TruncSeries._trusted(spec.space(), {e: Fraction(x, d) for e, x in terms})
+
+
+def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
+    """twist_eigenvalue(spec, lam), its series built once per memo entry."""
+    return _memo(spec, "_eigenvalues", tuple(lam), lambda: twist_eigenvalue(spec, lam))
 
 
 class _PackedSeries:
-    """Every series of ``values`` (one space) over one D at sparse slots, one
-    per exponent tuple in any value, for integer combinations with
-    coefficients summing to at most ``bound`` in size: a slot stays below
-    bound M (M the largest numerator), so W = bit_length(bound M) + 1.
-    ``ints`` maps each key to its packed int; read and text read a
-    combination over D scale, as a series or as series_json prints it."""
+    """Series of ``space`` as rows[key] = {exponents: numerator} over one D,
+    at sparse slots, one per exponent tuple in any row, for integer
+    combinations with coefficients summing to at most ``bound`` in size: a
+    slot stays below bound M (M the largest numerator), so W =
+    bit_length(bound M) + 1.  ``ints`` maps each key to its packed int;
+    read and text read a combination's fields over D scale."""
 
-    def __init__(self, values: dict, bound: int):
-        self.space = next((value.space for value in values.values()), None)  # None: nothing to read
-        self.support = sorted({e for value in values.values() for e in value.terms})
-        self.slot = {e: k for k, e in enumerate(self.support)}
-        self.denom, rows = numerators([value.terms for value in values.values()], self.slot)
-        top = max((abs(x) for row in rows for _, x in row), default=0)
+    def __init__(self, space: SeriesSpace, denom: int, rows: dict, bound: int):
+        self.space, self.denom = space, denom
+        self.support = sorted({e for row in rows.values() for e in row})
+        slot = {e: k for k, e in enumerate(self.support)}
+        top = max((abs(x) for row in rows.values() for x in row.values()), default=0)
         self.width = (bound * top).bit_length() + 1
-        self.ints = {key: pack(row, self.width) for key, row in zip(values, rows)}
+        self.ints = {key: pack([(slot[e], x) for e, x in row.items()], self.width)
+                     for key, row in rows.items()}
 
-    def read(self, total: int, scale: int = 1) -> TruncSeries:
-        return read_packed(self.space, total, self.width, self.denom * scale, self.support)
+    @classmethod
+    def of(cls, values: dict, bound: int) -> "_PackedSeries":
+        """The series ``values`` (space None if none) over the lcm of their denominators."""
+        d = lcm(*(c.denominator for value in values.values() for c in value.terms.values()))
+        rows = {key: {e: c.numerator * (d // c.denominator) for e, c in value.terms.items()}
+                for key, value in values.items()}
+        return cls(next((value.space for value in values.values()), None), d, rows, bound)
 
-    def text(self, total: int, scale: int = 1) -> dict[str, str]:
-        fields = unpack(total, self.width, len(self.support))
+    def fields(self, total: int) -> list[int]:
+        return unpack(total, self.width, len(self.support))
+
+    def read(self, fields, scale: int) -> TruncSeries:
+        return read_fields(self.space, fields, self.support, self.denom * scale)
+
+    def text(self, fields, scale: int) -> dict[str, str]:
         return read_text(fields, self._labels, self.denom * scale)
 
     @cached_property
@@ -186,39 +226,37 @@ class _PackedSeries:
         return [labels[e] for e in self.support]
 
 
-def series_character_sum(table: CharacterTable, values, scale, reader=_PackedSeries.read) -> dict:
+def series_character_sum(table: CharacterTable, values, scale) -> dict:
     """{(lam, mu): sum_nu values[nu] chi_nu(lam) chi_nu(mu) / scale(lam, mu)}
-    for every ordered pair of classes, each a series in the values' space,
-    or its printed text when ``reader`` is _PackedSeries.text.
+    for every ordered pair of classes, each a series in the values' space.
 
     The sum runs on packed integers (_PackedSeries): CharacterTable.
-    character_sum adds and scales whole packed ints, and each pair's slots
-    are read back once over D scale(lam, mu).  Cauchy-Schwarz and column
-    orthogonality give sum_nu |chi_nu(lam) chi_nu(mu)| <= sqrt(Z_lam Z_mu)
-    <= n!, the bound the slots are sized for."""
-    packed = _PackedSeries(values, factorial(table.n))
-    sums = table.character_sum(packed.ints)
-    return {pair: reader(packed, total, scale(*pair)) for pair, total in sums.items()}
+    character_sum adds and scales whole packed ints, once per unordered
+    pair; each total is unpacked once and read over D scale(lam, mu) and
+    D scale(mu, lam), one read for both when the scales agree.  By
+    Cauchy-Schwarz and column orthogonality sum_nu |chi_nu(lam) chi_nu(mu)|
+    <= sqrt(Z_lam Z_mu) <= n!, the bound the slots are sized for."""
+    packed = _PackedSeries.of(values, factorial(table.n))
+    return _character_sums(table, packed, scale, _PackedSeries.read)
 
 
-def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
-    """twist_eigenvalue(spec, lam), built once per (spec, tuple(lam)): the
-    memo is kept on the spec, so every caller holding the spec shares it,
-    and it holds no reference back to the spec."""
-    memo = vars(spec).setdefault("_eigenvalues", {})
-    lam = tuple(lam)
-    value = memo.get(lam)
-    if value is None:
-        value = memo[lam] = twist_eigenvalue(spec, lam)
-    return value
+def _character_sums(table: CharacterTable, packed: _PackedSeries, scale, reader) -> dict:
+    out = {}
+    for (lam, mu), total in table.character_sum(packed.ints).items():
+        fields, there, back = packed.fields(total), scale(lam, mu), scale(mu, lam)
+        out[lam, mu] = reader(packed, fields, there)
+        out[mu, lam] = out[lam, mu] if back == there else reader(packed, fields, back)
+    return out
 
 
 def _connection(spec: TwistSpec, n: int, reader) -> dict:
-    """G_{lam mu} for all lam, mu of n, each read by ``reader``."""
+    """G_{lam mu} for all lam, mu of n, each read by ``reader``, from the
+    memo's numerators as they are."""
     table = character_table(n)
-    eig = {nu: cached_eigenvalue(spec, nu) for nu in table.parts}
+    rows = {nu: cached_numerators(spec, nu) for nu in table.parts}
+    packed = _PackedSeries(spec.space(), spec.denominator(), rows, factorial(n))
     z = {lam: z_of(lam) for lam in table.parts}
-    return series_character_sum(table, eig, lambda lam, mu: z[lam], reader)
+    return _character_sums(table, packed, lambda lam, mu: z[lam], reader)
 
 
 def connection_coeffs(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition], TruncSeries]:
@@ -247,9 +285,10 @@ def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
         lam: cached_eigenvalue(spec, lam) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).coords.items()
     }
-    packed = _PackedSeries(values, factorial(v.n))
+    packed = _PackedSeries.of(values, factorial(v.n))
     coords = character_table(v.n).transpose_times(packed.ints)
-    return CenterElement(v.n, CLASS_SUMS, {mu: packed.read(total) for mu, total in coords.items()})
+    coords = {mu: packed.read(packed.fields(total), 1) for mu, total in coords.items()}
+    return CenterElement(v.n, CLASS_SUMS, coords)
 
 
 # -- convolution coefficient families ----------------------------------------
@@ -266,10 +305,7 @@ class ConvolutionCoeffs:
         raise NotImplementedError
 
     def _r(self, k: int) -> TruncSeries:
-        memo = vars(self).setdefault("_rk", {})
-        if k not in memo:
-            memo[k] = self.r(k)
-        return memo[k]
+        return _memo(self, "_rk", k, lambda: self.r(k))
 
     def _product(self, factors) -> TruncSeries:
         """The product of the factors that are not one, one for none."""

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hurwitz_tau.characters import character, character_table
 from hurwitz_tau.partitions import content_sum, contents, partitions_of, size, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
-from hurwitz_tau.twists import E, Exp, H, Scale, series_character_sum, twist, twist_eigenvalue
+from hurwitz_tau.twists import (
+    E, Exp, H, Scale, cached_numerators, series_character_sum, twist, twist_eigenvalue,
+)
 
 SCALES = {
     "Z_lam": lambda lam, mu: z_of(lam),
@@ -42,6 +44,20 @@ def assert_matches_fraction_sum(n, values, space, scale):
     for pair, series in got.items():
         assert series.space == space
         assert series.terms == want[pair], pair
+
+
+def test_character_sum_builds_one_sum_per_unordered_pair():
+    # the sum is symmetric in lam and mu, so it is built for lam at or
+    # before mu only: p(n)(p(n) + 1)/2 sums at n = 6, each the plain sum
+    table = character_table(6)
+    values = {nu: k + 1 for k, nu in enumerate(table.parts)}
+    sums = table.character_sum(values)
+    p = len(table.parts)
+    assert len(sums) == p * (p + 1) // 2 == 66
+    for lam, mu in sums:
+        assert table.position[lam] <= table.position[mu]
+        want = sum(x * character(nu, lam) * character(nu, mu) for nu, x in values.items())
+        assert sums[lam, mu] == want
 
 
 @st.composite
@@ -142,3 +158,7 @@ def test_twist_eigenvalue_matches_series_products(spec):
         for lam in partitions_of(n):
             eig = twist_eigenvalue(spec, lam)
             assert eig.space == space and eig == series_eigenvalue(spec, lam, space), lam
+            # the memo's integer numerators over the spec's one denominator
+            numerators, d = cached_numerators(spec, lam), spec.denominator()
+            assert all(type(x) is int for x in numerators.values())
+            assert {e: Fraction(x, d) for e, x in numerators.items()} == eig.terms, lam

@@ -378,13 +378,14 @@ def test_table_output_matches_the_digests(capsys):
 
 
 def test_gmatrix_builds_no_series_to_print(capsys, monkeypatch):
-    # gmatrix reads its text from the packed sums: neither the series
-    # reader nor series_json runs
+    # gmatrix reads its text from the packed sums of the eigenvalues'
+    # integer numerators: no series is constructed, by either of the two
+    # constructors, and series_json does not run
     def refuse(*args):
         raise AssertionError("gmatrix built a series only to print it")
 
-    for owner in (series, twists):
-        monkeypatch.setattr(owner, "read_packed", refuse)
+    for name in ("__init__", "_trusted"):
+        monkeypatch.setattr(series.TruncSeries, name, refuse)
     for owner in (series, cli):
         monkeypatch.setattr(owner, "series_json", refuse)
     for twist in sorted(cli.GMATRIX_KINDS):

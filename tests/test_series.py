@@ -12,6 +12,7 @@ from hurwitz_tau.series import (
     TruncSeries,
     numerators,
     pack,
+    read_fields,
     read_packed,
     read_text,
     series_json,
@@ -222,11 +223,11 @@ def series_lists(draw):
 @given(series_lists(), st.booleans())
 def test_read_of_numerators_gives_back_each_series(values, dense):
     # the packed boundary both ways, at the dense slots of the space (the
-    # series product, the tensor kernel) and at the slots of a sparse
-    # support (the character sum)
+    # series product, the tensor kernel: read_packed) and at the slots of a
+    # sparse support (the character sum: read_fields of the unpacked fields)
     sp = values[0].space
     if dense:
-        slot, exponents = sp._slots, None
+        slot = sp._slots
     else:
         exponents = sorted({e for v in values for e in v.terms})
         slot = {e: k for k, e in enumerate(exponents)}
@@ -234,7 +235,12 @@ def test_read_of_numerators_gives_back_each_series(values, dense):
     assert d == lcm(*(c.denominator for v in values for c in v.terms.values()))
     width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
     for value, row in zip(values, rows):
-        assert read_packed(sp, pack(row, width), width, d, exponents).terms == value.terms
+        total = pack(row, width)
+        if dense:
+            got = read_packed(sp, total, width, d)
+        else:
+            got = read_fields(sp, unpack(total, width, len(exponents)), exponents, d)
+        assert got.terms == value.terms
 
 
 FIELDS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80))
@@ -259,7 +265,8 @@ def test_read_text_prints_each_field_as_its_fraction(fields, d, multiple):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(series_lists())
 def test_read_text_equals_series_json_of_read(values):
-    # over sparse slots, read_text prints what series_json prints of read
+    # over sparse slots, read_text prints what series_json prints of
+    # read_fields on the same fields
     sp = values[0].space
     support = sorted({e for v in values for e in v.terms})
     slot = {e: k for k, e in enumerate(support)}
@@ -270,7 +277,7 @@ def test_read_text_equals_series_json_of_read(values):
         total = pack(row, width)
         fields = unpack(total, width, len(slot))
         for scale in (1, 6):
-            want = series_json(read_packed(sp, total, width, d * scale, support))
+            want = series_json(read_fields(sp, fields, support, d * scale))
             assert list(read_text(fields, labels, d * scale).items()) == list(want.items())
 
 

@@ -15,7 +15,7 @@ from hurwitz_tau.center import (
 )
 from hurwitz_tau.groupalg import WalkQuery, count_walks, plain, weakly_monotone
 from hurwitz_tau.partitions import content_sum, partitions_of, pochhammer_partition, size, z_of
-from hurwitz_tau.series import SeriesSpace, TruncSeries
+from hurwitz_tau.series import SeriesSpace, TruncSeries, series_json
 from hurwitz_tau.tauseries import WALK_KINDS, twist_tau
 from hurwitz_tau.twists import (
     AlphaQConvolution,
@@ -29,6 +29,7 @@ from hurwitz_tau.twists import (
     alpha_q_coeff,
     apply_twist,
     connection_coeffs,
+    connection_text,
     multimonotone_coeff,
     okounkov_coeff,
     symmetry_check,
@@ -119,30 +120,32 @@ def test_packed_apply_twist_matches_the_term_by_term_route(kind):
 @pytest.mark.parametrize("magnitude", (1, 7, 2**61 - 1))
 @pytest.mark.parametrize("n", range(1, 7))
 def test_packed_apply_twist_slot_bound(monkeypatch, n, magnitude, sign):
-    # every eigenvalue is +-M on every slot.  From C_(1^n) the values are
+    # every eigenvalue is +-M on every slot (numerators +-M over the
+    # denominator 1 of a twist without Exp).  From C_(1^n) the values are
     # +-M dim_lam / n!, numerators +-M dim_lam D / n! over one denominator D,
     # and the C_(1^n) slot of the result sums them weighted by dim_lam: +-M D.
     # At n <= 2 (every dim 1) that is n! times the largest numerator, the
     # bound the slot width is sized for
     space = SeriesSpace(("z", "w"), (1, 1))
     one = TruncSeries(space, dict.fromkeys(((0, 0), (1, 0), (0, 1), (1, 1)), Fraction(1)))
-    monkeypatch.setattr(twists, "twist_eigenvalue", lambda spec, lam: one * (sign * magnitude))
+    numerators = dict.fromkeys(one.terms, sign * magnitude)
+    monkeypatch.setattr(twists, "eigenvalue_numerators", lambda spec, lam: numerators)
     spec = twist((H("z"), E("w")), (1, 1))
-    assert spec.space() == space
+    assert spec.space() == space and spec.denominator() == 1
     identity = (1,) * n
     got = assert_matches_term_by_term(spec, unit_class(n, identity))
     assert got.coeff(identity).terms == dict.fromkeys(one.terms, Fraction(sign * magnitude))
 
 
 def test_twisted_cauchy_builds_each_eigenvalue_once(monkeypatch):
-    # five families x the 30 partitions of n <= 6: one twist_eigenvalue call
-    # per (spec, lam), shared by connection_coeffs, apply_twist and
+    # five families x the 30 partitions of n <= 6: one eigenvalue_numerators
+    # call per (spec, lam), shared by connection_coeffs, apply_twist and
     # the point identity's Schur side
     from hurwitz_tau import verify
 
-    calls, build = [], twists.twist_eigenvalue
+    calls, build = [], twists.eigenvalue_numerators
     monkeypatch.setattr(
-        twists, "twist_eigenvalue", lambda *args: calls.append(args[1]) or build(*args)
+        twists, "eigenvalue_numerators", lambda *args: calls.append(args[1]) or build(*args)
     )
     ((name, check),) = [c for c in verify.tau_suite() if c[0] == "tau.twisted_cauchy"]
     result = verify._run(name, check)
@@ -154,13 +157,16 @@ def test_cached_eigenvalue_is_kept_per_spec(monkeypatch):
     spec = WALK_KINDS["mixed"].twist(4, 3)
     for lam in partitions_of(4):
         assert twists.cached_eigenvalue(spec, lam) == twist_eigenvalue(spec, lam)
-    calls, build = [], twists.twist_eigenvalue
+    calls, build = [], twists.eigenvalue_numerators
     monkeypatch.setattr(
-        twists, "twist_eigenvalue", lambda *args: calls.append(args[1]) or build(*args)
+        twists, "eigenvalue_numerators", lambda *args: calls.append(args[1]) or build(*args)
     )
-    # a list lam hits the entry its tuple made
+    # a list lam hits the entry its tuple made, and the series view is
+    # built once per entry
     for lam in partitions_of(4):
-        assert twists.cached_eigenvalue(spec, list(lam)) == build(spec, lam)
+        value = twists.cached_eigenvalue(spec, list(lam))
+        assert value is twists.cached_eigenvalue(spec, lam)
+        assert twists.cached_numerators(spec, list(lam)) == build(spec, lam)
     assert calls == []
     # an equal spec built anew starts its own memo
     twists.cached_eigenvalue(WALK_KINDS["mixed"].twist(4, 3), (4,))
@@ -176,6 +182,33 @@ def test_twist_tau_and_connection_coeffs_share_the_memo(monkeypatch):
     twist_tau(spec, 4)
     connection_coeffs(spec, 4)
     assert sorted(calls) == sorted(lam for n in range(5) for lam in partitions_of(n))
+
+
+def test_connection_text_unpacks_each_unordered_total_once(monkeypatch):
+    # G_{lam mu} Z_lam and G_{mu lam} Z_mu are one character sum: with the
+    # memo warm, connection_text unpacks p(n)(p(n) + 1)/2 totals at n = 6
+    spec = WALK_KINDS["mixed"].twist(6, 4)
+    want = connection_text(spec, 6)
+    calls, unpack = [], twists.unpack
+    monkeypatch.setattr(twists, "unpack", lambda *args: calls.append(args) or unpack(*args))
+    assert connection_text(spec, 6) == want
+    p = len(partitions_of(6))
+    assert len(calls) == p * (p + 1) // 2 == 66
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_KINDS))
+def test_gmatrix_route_builds_no_fraction_per_eigenvalue_term(monkeypatch, kind):
+    # connection_text packs the memo's integer numerators as they are: from
+    # a cold memo it constructs no Fraction in twists, and prints the same
+    # text as connection_coeffs' series
+    want = {pair: series_json(value)
+            for pair, value in connection_coeffs(WALK_KINDS[kind].twist(6, 4), 6).items()}
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was constructed on the gmatrix route")
+
+    monkeypatch.setattr(twists, "Fraction", refuse)
+    assert connection_text(WALK_KINDS[kind].twist(6, 4), 6) == want
 
 
 def test_connection_coeffs_computes_z_once_per_partition(monkeypatch):
