@@ -1,9 +1,11 @@
-"""The center of C[S_n]: class-sum and orthogonal-idempotent bases.
+"""The center of C[S_n] on the class-sum basis.
 
-The two bases are related through the character table,
+A CenterElement holds coordinates on the class sums C_mu.  The orthogonal
+idempotents F_lam are the other basis; their coordinates are plain
+{lam: coefficient} dicts that cross over through the character table,
 
-    C_mu  = (1/Z_mu) sum_lam h_lam chi_lam(mu) F_lam,
-    F_lam = (1/h_lam) sum_mu  chi_lam(mu) C_mu,
+    C_mu  = (1/Z_mu) sum_lam h_lam chi_lam(mu) F_lam   (class_to_idem),
+    F_lam = (1/h_lam) sum_mu  chi_lam(mu) C_mu          (idem_to_class),
 
 and multiplication is diagonal on the idempotent side (F_lam F_lam =
 F_lam, F_lam F_nu = 0).  Each basis change is one product with the character
@@ -12,7 +14,7 @@ product runs on integer numerators over one common denominator.
 Coordinates may be Fractions or TruncSeries for the basis changes and
 center_multiply, which only ever scale by rationals.
 
-The characteristic map sends C_mu to P_mu/Z_mu and F_lam to S_lam/h_lam;
+The characteristic map sends C_mu to P_mu/Z_mu, so F_lam to S_lam/h_lam;
 it identifies the center with the homogeneous degree-n symmetric
 functions, which is what connects walk counts to symmetric-function
 identities downstream.  It takes rational coordinates only, since SymFunc
@@ -32,21 +34,15 @@ from .groupalg import (
     cycle_type,
 )
 from .partitions import Partition, hook_product, multiplicities, partitions_of, z_of
-from .symfunc import SymFunc, s_basis
-
-CLASS_SUMS = "C"
-IDEMPOTENTS = "F"
+from .symfunc import SymFunc
 
 
 @dataclass(frozen=True)
 class CenterElement:
     n: int
-    basis: str
-    coords: dict  # Partition -> Fraction | TruncSeries
+    coords: dict  # Partition -> Fraction | TruncSeries, on the class sums
 
     def __post_init__(self):
-        if self.basis not in (CLASS_SUMS, IDEMPOTENTS):
-            raise ValueError(f"unknown basis {self.basis!r}")
         clean = {}
         for lam, c in self.coords.items():
             lam = tuple(lam)
@@ -61,67 +57,52 @@ class CenterElement:
 
 
 def unit_class(n: int, mu) -> CenterElement:
-    return CenterElement(n, CLASS_SUMS, {tuple(mu): Fraction(1)})
+    return CenterElement(n, {tuple(mu): Fraction(1)})
 
 
 def unit_idempotent(n: int, lam) -> CenterElement:
-    return CenterElement(n, IDEMPOTENTS, {tuple(lam): Fraction(1)})
+    """F_lam on the class sums."""
+    return idem_to_class(n, {tuple(lam): Fraction(1)})
 
 
-def class_to_idem(v: CenterElement) -> CenterElement:
-    """Rewrite class-sum coordinates on the idempotent basis: scale by
-    1/Z_mu, multiply by chi, scale by h_lam."""
-    if v.basis == IDEMPOTENTS:
-        return v
+def class_to_idem(v: CenterElement) -> dict:
+    """{lam: coefficient of F_lam} of v: scale by 1/Z_mu, multiply by chi,
+    scale by h_lam."""
     scaled = {mu: c * Fraction(1, z_of(mu)) for mu, c in v.coords.items()}
     coords = character_table(v.n).times(scaled)
-    return CenterElement(
-        v.n, IDEMPOTENTS, {lam: c * hook_product(lam) for lam, c in coords.items()}
-    )
+    return {lam: c * hook_product(lam) for lam, c in coords.items()}
 
 
-def idem_to_class(v: CenterElement) -> CenterElement:
-    """Rewrite idempotent coordinates on the class-sum basis: scale by
-    1/h_lam, multiply by chi^T."""
-    if v.basis == CLASS_SUMS:
-        return v
-    scaled = {lam: c * Fraction(1, hook_product(lam)) for lam, c in v.coords.items()}
-    return CenterElement(v.n, CLASS_SUMS, character_table(v.n).transpose_times(scaled))
+def idem_to_class(n: int, coords: dict) -> CenterElement:
+    """sum_lam coords[lam] F_lam on the class sums: scale by 1/h_lam,
+    multiply by chi^T."""
+    scaled = {tuple(lam): c * Fraction(1, hook_product(lam)) for lam, c in coords.items()}
+    return CenterElement(n, character_table(n).transpose_times(scaled))
 
 
 def center_multiply(u: CenterElement, v: CenterElement) -> CenterElement:
-    """Product in the center, computed diagonally on the idempotent basis;
-    returned on the basis of the first argument."""
+    """Product in the center, computed diagonally on the idempotent basis."""
     if u.n != v.n:
         raise ValueError("mismatched group sizes")
     a, b = class_to_idem(u), class_to_idem(v)
-    coords = {}
-    for lam, ca in a.coords.items():
-        cb = b.coords.get(lam)
-        if cb:
-            coords[lam] = ca * cb
-    product = CenterElement(u.n, IDEMPOTENTS, coords)
-    return product if u.basis == IDEMPOTENTS else idem_to_class(product)
+    return idem_to_class(u.n, {lam: c * b[lam] for lam, c in a.items() if lam in b})
 
 
 def characteristic_map(v: CenterElement) -> SymFunc:
-    """C_mu -> P_mu/Z_mu on the class basis, F_lam -> S_lam/h_lam on the
-    idempotent basis; the two agree through the basis change.  Coordinates
-    must be rational (int or Fraction): TypeError otherwise."""
+    """C_mu -> P_mu/Z_mu.  Coordinates must be rational (int or Fraction):
+    TypeError otherwise."""
     for c in v.coords.values():
         if not isinstance(c, Rational):
             raise TypeError(
                 f"characteristic_map takes rational coordinates, got {type(c).__name__}"
             )
-    if v.basis == CLASS_SUMS:
-        return SymFunc({mu: Fraction(c, z_of(mu)) for mu, c in v.coords.items()})
-    return s_basis({lam: Fraction(c, hook_product(lam)) for lam, c in v.coords.items()})
+    return SymFunc({mu: Fraction(c, z_of(mu)) for mu, c in v.coords.items()})
 
 
 def project_to_classes(a: GroupAlgebraElement) -> CenterElement:
     """Read off class-sum coordinates of a central element (CentralityError
     with a witness pair otherwise)."""
-    return CenterElement(a.n, CLASS_SUMS, a.class_coordinates())
+    return CenterElement(a.n, a.class_coordinates())
 
 
 def class_structure_constants(n: int) -> dict[tuple[Partition, Partition], dict[Partition, int]]:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm, prod
 
-from .center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem
+from .center import CenterElement, class_to_idem
 from .characters import CharacterTable, character_table
 from .partitions import (
     Partition,
@@ -95,7 +95,8 @@ class TwistSpec:
         return tuple(dict.fromkeys(names))
 
     def space(self) -> SeriesSpace:
-        return SeriesSpace(self.params(), self.caps)
+        """The spec's series space, built once per spec."""
+        return _memo(self, "_space", (), lambda: SeriesSpace(self.params(), self.caps))
 
     def q_param(self) -> str | None:
         """The q parameter of the first Exp or Scale atom; None without one."""
@@ -271,24 +272,21 @@ def connection_text(spec: TwistSpec, n: int) -> dict[tuple[Partition, Partition]
 
 
 def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
-    """Multiply a center element by the twist: diagonal on idempotents,
-    a linear combination on class sums; series-valued coordinates.
+    """Multiply a center element by the twist; series-valued coordinates.
 
-    On class sums the coordinates are sum_lam chi_lam(mu) e_lam w_lam / h_lam,
-    e_lam the eigenvalue and w the idempotent coordinates of v: one
-    CharacterTable.transpose_times on packed integers (_PackedSeries), whose
-    coefficients sum_lam |chi_lam(mu)| <= sqrt(p(n) n!) <= n! in size."""
-    if v.basis == IDEMPOTENTS:
-        coords = {lam: cached_eigenvalue(spec, lam) * c for lam, c in v.coords.items()}
-        return CenterElement(v.n, IDEMPOTENTS, coords)
+    The twist is diagonal on the idempotents, so the class-sum coordinates
+    are sum_lam chi_lam(mu) e_lam w_lam / h_lam, e_lam the eigenvalue and w
+    the idempotent coordinates of v: one CharacterTable.transpose_times on
+    packed integers (_PackedSeries), whose coefficients sum_lam
+    |chi_lam(mu)| <= sqrt(p(n) n!) <= n! in size."""
     values = {
         lam: cached_eigenvalue(spec, lam) * (c / hook_product(lam))
-        for lam, c in class_to_idem(v).coords.items()
+        for lam, c in class_to_idem(v).items()
     }
     packed = _PackedSeries.of(values, factorial(v.n))
     coords = character_table(v.n).transpose_times(packed.ints)
     coords = {mu: packed.read(packed.fields(total), 1) for mu, total in coords.items()}
-    return CenterElement(v.n, CLASS_SUMS, coords)
+    return CenterElement(v.n, coords)
 
 
 # -- convolution coefficient families ----------------------------------------

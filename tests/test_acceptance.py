@@ -145,12 +145,13 @@ def test_criterion_9_alpha_q_report():
     start = time.perf_counter()
     report_path = REPORT_DIR / "alpha_q_determinant.json"
     assert report_path.exists(), "exploratory report artifact missing"
-    committed = json.loads(report_path.read_text())
-    regenerated = verify.build_alpha_q_report()
+    committed = report_path.read_bytes()
+    regenerated = (json.dumps(verify.build_alpha_q_report(), indent=2) + "\n").encode()
     elapsed = time.perf_counter() - start
     ok = committed == regenerated
     print(f"{'PASS' if ok else 'FAIL'} criterion 9: alpha-q determinant report committed and reproducible ({elapsed:.1f}s)")
     assert ok, "committed report is stale; regenerate via verify.build_alpha_q_report()"
     # the report must resolve or document the parenthesization question
-    assert "resolution" in committed and committed["cases"]
+    report = json.loads(committed)
+    assert "resolution" in report and report["cases"]
     assert (REPORT_DIR / "alpha_q_determinant.md").exists()

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau.center import CLASS_SUMS, IDEMPOTENTS, CenterElement, class_to_idem, idem_to_class
+from hurwitz_tau.center import CenterElement, class_to_idem, idem_to_class
 from hurwitz_tau.characters import character, character_table
 from hurwitz_tau.partitions import hook_product, partitions_of, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries
@@ -67,14 +67,14 @@ def test_center_basis_changes_match_textbook_formulas(case):
         lambda lam, mu: Fraction(hook_product(lam) * character(lam, mu), z_of(mu)),
         by_row=True,
     )
-    assert class_to_idem(CenterElement(n, CLASS_SUMS, v)).coords == want
+    assert class_to_idem(CenterElement(n, v)) == want
     # F_lam = h_lam^-1 sum_mu chi_lam(mu) C_mu
     want = entrywise(
         n, v, zero,
         lambda lam, mu: Fraction(character(lam, mu), hook_product(lam)),
         by_row=False,
     )
-    assert idem_to_class(CenterElement(n, IDEMPOTENTS, v)).coords == want
+    assert idem_to_class(n, v).coords == want
 
 
 @st.composite

@@ -5,8 +5,6 @@ import pytest
 
 from hurwitz_tau import twists
 from hurwitz_tau.center import (
-    CLASS_SUMS,
-    IDEMPOTENTS,
     CenterElement,
     class_to_idem,
     idem_to_class,
@@ -75,7 +73,7 @@ def test_apply_twist_diagonal_on_idempotents():
     spec = twist((H("z"),), (4,))
     for lam in partitions_of(3):
         twisted = apply_twist(spec, unit_idempotent(3, lam))
-        assert twisted.coords == {lam: twist_eigenvalue(spec, lam)}
+        assert class_to_idem(twisted) == {lam: twist_eigenvalue(spec, lam)}
 
 
 def test_apply_twist_beta_squared_coefficient():
@@ -90,16 +88,12 @@ def term_by_term_twist(spec, v):
     """The twist of a class-basis element through the idempotent basis,
     converted back by center.idem_to_class over series, one series product
     per character entry."""
-    coords = {
-        lam: twists.twist_eigenvalue(spec, lam) * c
-        for lam, c in class_to_idem(v).coords.items()
-    }
-    return idem_to_class(CenterElement(v.n, IDEMPOTENTS, coords))
+    coords = {lam: twists.twist_eigenvalue(spec, lam) * c for lam, c in class_to_idem(v).items()}
+    return idem_to_class(v.n, coords)
 
 
 def assert_matches_term_by_term(spec, v):
     got, want = apply_twist(spec, v), term_by_term_twist(spec, v)
-    assert got.basis == want.basis == CLASS_SUMS
     assert got.coords == want.coords
     return got
 
@@ -113,7 +107,7 @@ def test_packed_apply_twist_matches_the_term_by_term_route(kind):
             assert_matches_term_by_term(spec, unit_class(n, mu))
         # a signed combination of classes, over several denominators
         mixed = {mu: Fraction((-1) ** k * (k + 1), k + 2) for k, mu in enumerate(parts)}
-        assert_matches_term_by_term(spec, CenterElement(n, CLASS_SUMS, mixed))
+        assert_matches_term_by_term(spec, CenterElement(n, mixed))
 
 
 @pytest.mark.parametrize("sign", (-1, 1))
@@ -151,6 +145,28 @@ def test_twisted_cauchy_builds_each_eigenvalue_once(monkeypatch):
     result = verify._run(name, check)
     assert result.passed, result.detail
     assert len(calls) <= 150
+
+
+def test_space_is_built_once_per_spec():
+    spec = WALK_KINDS["mixed"].twist(4, 3)
+    assert spec.space() is spec.space()
+    assert spec.space() == SeriesSpace(spec.params(), spec.caps)
+    # the memo is no field: an equal spec built anew is equal and hashes alike
+    again = WALK_KINDS["mixed"].twist(4, 3)
+    assert again == spec and hash(again) == hash(spec)
+
+
+def test_cold_gmatrix_op_builds_one_series_space(monkeypatch, capsys):
+    # eigenvalue_numerators and _connection share the fresh spec's space
+    from hurwitz_tau import cli
+
+    calls, init = [], SeriesSpace.__init__
+    monkeypatch.setattr(
+        SeriesSpace, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+    )
+    assert cli.main(["gmatrix", "--n", "6", "--twist", "mixed", "--cap", "4"]) == 0
+    assert '"entries"' in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_cached_eigenvalue_is_kept_per_spec(monkeypatch):

@@ -244,6 +244,23 @@ def test_nmax_clamps_each_check_at_its_ceiling():
     assert "walks.n6_spot_checks" in dict(verify.walks_suite(6))
 
 
+def test_symmetry_check_fails_on_an_asymmetric_oracle_count(monkeypatch):
+    # one count off by one, from C_(1,1,1) to the 3-cycle at n = 3, breaks
+    # D(lam, mu) Z_lam = D(mu, lam) Z_mu
+    count = verify.count_walks_to
+
+    def skewed(n, end, segments, *args):
+        column = count(n, end, segments, *args)
+        if n == 3 and groupalg.cycle_type(end) == (3,):
+            column[1, 1, 1] = column.get((1, 1, 1), 0) + 1
+        return column
+
+    monkeypatch.setattr(verify, "count_walks_to", skewed)
+    check = _run_named(verify.walks_suite(), "walks.symmetry")["walks.symmetry"]
+    assert not check.passed
+    assert check.detail.startswith("symmetry fails at n=3, (1, 1, 1)->(3,)")
+
+
 def test_class_dp_check_builds_each_class_matrix_once():
     # 440 class-DP counts over n <= 5 read one cached matrix per n
     groupalg.transposition_class_matrix.cache_clear()
