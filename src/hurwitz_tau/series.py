@@ -3,25 +3,33 @@
 A SeriesSpace fixes the parameter names and their individual degree caps;
 every TruncSeries belongs to one space and all arithmetic stays inside it,
 silently dropping monomials whose exponent exceeds a cap (formal
-truncation).  Coefficients are Fractions throughout.
+truncation).
+
+A series is integer numerators over one denominator, the layout of FLINT's
+fmpq_poly: den > 0 and nums = {exponents: nonzero int}, kept in lowest
+terms (gcd(den, *nums) = 1, the zero series 1 and {}), so equal series
+hold equal integers and den never outgrows the coefficients.  The ring
+operations run on the integers and reduce once per result; terms is the
+{exponents: Fraction} view, built on its first read.  Scalars are exact
+rationals (numbers.Rational): a str or a float is refused.
 
 Packed integers, the fast exact path, have one format, known only here:
-numerators puts coefficient dicts over one D, the lcm of their
-denominators, as (slot, numerator) pairs; pack sets them in signed W-bit
-slots of one int, and unpack takes them apart.  Slots are dense
-(SeriesSpace._slots: stride 2 cap + 1 per axis, so no two exponent sums
-share one) or one per exponent tuple of a sparse support.  Unpacked
-fields over D are read by read_fields, as a series, or by read_text, as
-the printed dict series_json gives for that series.  read_packed turns a
-packed int at the dense slots into a series, unpacking only its live
-fields.  Each kernel sizes W for its own sums.
+pack sets (slot, numerator) pairs in signed W-bit slots of one int, and
+unpack takes them apart.  Slots are dense (SeriesSpace._slots: stride
+2 cap + 1 per axis, so no two exponent sums share one) or one per exponent
+tuple of a sparse support.  Unpacked fields over D are read by
+read_fields, as a series, or by read_text, as the printed dict
+series_json gives for that series.  read_packed turns a packed int at the
+dense slots into a series, unpacking only its live fields.  Each kernel
+sizes W for its own sums.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add
+from numbers import Rational
+from operator import add, le
 
 from .errors import ExactDivisionError
 
@@ -92,13 +100,17 @@ class SeriesSpace:
             exps[self._index[name]] = e
         return tuple(exps)
 
+    def inside(self, exps: Exponents) -> bool:
+        """Whether every exponent is within its cap."""
+        return all(map(le, exps, self.caps))
+
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "TruncSeries":
-        return TruncSeries(self, {})
+        return TruncSeries._trusted(self, 1, {})
 
     def scalar(self, c) -> "TruncSeries":
-        return TruncSeries(self, {(0,) * len(self.params): Fraction(c)})
+        return TruncSeries(self, {(0,) * len(self.params): c})
 
     def one(self) -> "TruncSeries":
         return self._one
@@ -108,7 +120,7 @@ class SeriesSpace:
         return self.scalar(1)
 
     def monomial(self, coeff, **powers) -> "TruncSeries":
-        return TruncSeries(self, {self.exponents(**powers): Fraction(coeff)})
+        return TruncSeries(self, {self.exponents(**powers): coeff})
 
     def axis_series(self, name: str, ratio) -> "TruncSeries":
         """sum_k a_k x^k up to the cap of x, with a_0 = 1 and
@@ -139,61 +151,87 @@ class SeriesSpace:
 
 
 class TruncSeries:
-    __slots__ = ("space", "terms")
+    """nums[e] / den is the coefficient of the monomial e; see the module
+    docstring for the canonical form."""
+
+    __slots__ = ("space", "den", "nums", "_terms")
 
     def __init__(self, space: SeriesSpace, terms: dict):
-        self.space = space
-        caps = space.caps
-        clean = {}
+        """The series {exponents: coefficient} of ``space``, each coefficient
+        a numbers.Rational in lowest terms (an int or a Fraction); zero
+        coefficients and exponents past the caps are dropped.  Over the lcm
+        of the kept denominators the numerators are already in lowest terms."""
+        kept = {}
         for exps, coeff in terms.items():
+            if not isinstance(coeff, Rational):
+                raise TypeError(f"coefficients must be exact rationals, got {coeff!r}")
             if not coeff:
                 continue
-            if len(exps) != len(caps):
+            if len(exps) != len(space.caps):
                 raise ValueError(f"exponents {exps} do not match the parameters {space.params}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if all(e <= c for e, c in zip(exps, caps)):
-                clean[exps] = coeff
-        self.terms = clean
+            if space.inside(exps):
+                kept[exps] = coeff
+        den = lcm(*(c.denominator for c in kept.values()))
+        self.space, self.den, self._terms = space, den, None
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in kept.items()}
 
     @classmethod
-    def _trusted(cls, space: SeriesSpace, terms: dict) -> "TruncSeries":
-        """A series from exponents known to lie inside the caps (the ring's
-        own results); only zero coefficients are dropped."""
+    def _trusted(cls, space: SeriesSpace, den: int, nums: dict) -> "TruncSeries":
+        """The series nums / den from nonzero int numerators at exponents
+        inside the caps and den > 0 (the ring's own results), divided by
+        gcd(den, *nums)."""
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: x // g for e, x in nums.items()}
         series = cls.__new__(cls)
-        series.space = space
-        series.terms = {e: c for e, c in terms.items() if c}
+        series.space, series.den, series.nums, series._terms = space, den, nums, None
         return series
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """{exponents: Fraction}, built on the first read and kept."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {e: Fraction(x, den) for e, x in self.nums.items()}
+        return self._terms
+
     def coeff(self, **powers) -> Fraction:
-        coeff = self.terms.get(self.space.exponents(**powers))
-        return Fraction(0) if coeff is None else coeff
+        return Fraction(self.nums.get(self.space.exponents(**powers), 0), self.den)
 
     def constant_term(self) -> Fraction:
-        coeff = self.terms.get((0,) * len(self.space.params))
-        return Fraction(0) if coeff is None else coeff
+        return Fraction(self.nums.get((0,) * len(self.space.params), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
+        """Equal integers for a series of the same parameters; a rational
+        scalar is compared as the constant series.  Anything else is
+        NotImplemented."""
         if isinstance(other, TruncSeries):
             if self.space.params != other.space.params:
                 return NotImplemented
-            return self.terms == other.terms
-        # scalar comparison
-        value = Fraction(other)
-        if not value:
-            return not self.terms
-        return self.terms == {(0,) * len(self.space.params): value}
+            return self.den == other.den and self.nums == other.nums
+        if not isinstance(other, Rational):
+            return NotImplemented
+        if not other:
+            return not self.nums
+        zero = (0,) * len(self.space.params)
+        return self.den == other.denominator and self.nums == {zero: other.numerator}
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for exps in sorted(self.terms):
@@ -207,112 +245,132 @@ class TruncSeries:
         if self.space != other.space:
             raise ValueError(f"series spaces differ: {self.space} vs {other.space}")
 
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
+    def _combine(self, other, sign: int):
+        """self + sign other over the lcm of the two denominators."""
+        if isinstance(other, TruncSeries):
+            self._check(other)
+        elif isinstance(other, Rational):
             other = self.space.scalar(other)
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return TruncSeries._trusted(self.space, terms)
+        else:
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        nums = {e: x * ma for e, x in self.nums.items()} if ma != 1 else dict(self.nums)
+        for e, x in other.nums.items():
+            nums[e] = nums.get(e, 0) + x * mb
+        return TruncSeries._trusted(self.space, den, {e: x for e, x in nums.items() if x})
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncSeries._trusted(self.space, {e: -c for e, c in self.terms.items()})
-
     def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = self.space.scalar(other)
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        nums = {e: -x for e, x in self.nums.items()}
+        return TruncSeries._trusted(self.space, self.den, nums)
+
+    def _scaled(self, p: int, q: int) -> "TruncSeries":
+        """self p / q for q > 0: p scales the numerators, q the denominator."""
+        nums = {e: x * p for e, x in self.nums.items()} if p else {}
+        return TruncSeries._trusted(self.space, self.den * q, nums)
 
     def __mul__(self, other):
-        """The product, truncated to the caps.  A one-term factor shifts and
-        scales each term of the other; otherwise the two series are packed at
-        the dense slots, each over its own lcm D, and multiplied once
-        (packed_product), and its live fields are read back over D_a D_b."""
+        """The product, truncated to the caps.  A rational scales the
+        numerators and the denominator; a one-term factor shifts and scales
+        each term of the other; otherwise the numerators of the two series
+        are packed at the dense slots and multiplied once (packed_product),
+        and the product's live fields are read back over den_a den_b."""
         space = self.space
         if not isinstance(other, TruncSeries):
-            c = Fraction(other)
-            if not c:
-                return space.zero()
-            return TruncSeries._trusted(space, {e: coeff * c for e, coeff in self.terms.items()})
+            if not isinstance(other, Rational):
+                return NotImplemented
+            return self._scaled(other.numerator, other.denominator)
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self.nums or not other.nums:
             return space.zero()
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            mono, rest = (other, self) if len(other.terms) == 1 else (self, other)
-            (f, c), = mono.terms.items()
-            return TruncSeries(space, {tuple(map(add, e, f)): a * c for e, a in rest.terms.items()})
-        (da, (a,)), (db, (b,)) = (numerators([s.terms], space._slots) for s in (self, other))
-        return read_packed(space, *packed_product(a, b), da * db)
+        den = self.den * other.den
+        if len(self.nums) == 1 or len(other.nums) == 1:
+            mono, rest = (other, self) if len(other.nums) == 1 else (self, other)
+            (f, c), = mono.nums.items()
+            shifted = ((tuple(map(add, e, f)), x * c) for e, x in rest.nums.items())
+            return TruncSeries._trusted(space, den, {e: x for e, x in shifted if space.inside(e)})
+        slots = space._slots
+        a = [(slots[e], x) for e, x in self.nums.items()]
+        b = [(slots[e], x) for e, x in other.nums.items()]
+        return read_packed(space, *packed_product(a, b), den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, TruncSeries):
             return self * other.inverse()
-        return self * (1 / Fraction(other))
+        if not isinstance(other, Rational):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("series divided by zero")
+        p, q = other.denominator, other.numerator
+        return self._scaled(-p, -q) if q < 0 else self._scaled(p, q)
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; requires an invertible constant term.
 
-        One pass over the exponent box: b_0 = 1/a_0 and
-        b_e = -(1/a_0) sum_{0 != f <= e} a_f b_{e-f}.  The box is walked in
-        lexicographic order, which lists every e - f before e."""
-        c0 = self.constant_term()
-        if not c0:
-            raise ExactDivisionError("series has no constant term; not a unit")
+        With a = A / den and a_0 = A_0 / den, 1/a = den / A, and A^-1 at e is
+        c_e / A_0^(|e| + 1) for the integers c_0 = 1 and
+        c_e = -sum_{0 != f <= e} A_f c_{e-f} A_0^(|f| - 1), |e| the total
+        degree.  The box is walked in lexicographic order, which lists every
+        e - f before e; the result is read over |A_0|^(T + 1), T the top
+        total degree of the box."""
         zero = (0,) * len(self.space.params)
-        rest = [(f, c) for f, c in self.terms.items() if f != zero]
-        inv0 = Fraction(1) / c0
-        b = {zero: inv0}
-        for e in product(*(range(c + 1) for c in self.space.caps)):
+        a0 = self.nums.get(zero)
+        if not a0:
+            raise ExactDivisionError("series has no constant term; not a unit")
+        top = sum(self.space.caps)
+        powers = [a0**k for k in range(top + 1)]
+        rest = [(f, x * powers[sum(f) - 1]) for f, x in self.nums.items() if f != zero]
+        c = {zero: 1}
+        for e in product(*(range(cap + 1) for cap in self.space.caps)):
             total = 0
-            for f, c in rest:
-                if all(x <= y for x, y in zip(f, e)):
-                    prev = b.get(tuple(y - x for x, y in zip(f, e)))
+            for f, x in rest:
+                if all(map(le, f, e)):
+                    prev = c.get(tuple(y - z for z, y in zip(f, e)))
                     if prev is not None:
-                        total += c * prev
+                        total += x * prev
             if total:
-                b[e] = -inv0 * total
-        return TruncSeries._trusted(self.space, b)
+                c[e] = -total
+        whole = powers[top] * a0
+        scale = self.den if whole > 0 else -self.den
+        nums = {e: scale * x * powers[top - sum(e)] for e, x in c.items()}
+        return TruncSeries._trusted(self.space, abs(whole), nums)
 
     # -- one-parameter helpers (determinants, q gradings) --------------------
 
     def shift_down(self, name: str, amount: int) -> "TruncSeries":
         """Exact division by x^amount; every term must be divisible."""
         axis = self.space.axis(name)
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, x in self.nums.items():
             if exps[axis] < amount:
                 raise ExactDivisionError(
                     f"term {exps} not divisible by {name}^{amount}"
                 )
-            new = list(exps)
-            new[axis] -= amount
-            terms[tuple(new)] = coeff
-        return TruncSeries._trusted(self.space, terms)
+            nums[exps[:axis] + (exps[axis] - amount,) + exps[axis + 1 :]] = x
+        return TruncSeries._trusted(self.space, self.den, nums)
 
     def shift_up(self, name: str, amount: int) -> "TruncSeries":
         """Multiplication by x^amount, truncated to the cap of x."""
-        axis = self.space.axis(name)
-        terms = {e[:axis] + (e[axis] + amount,) + e[axis + 1 :]: c for e, c in self.terms.items()}
-        return TruncSeries(self.space, terms)
+        axis, space = self.space.axis(name), self.space
+        shifted = ((e[:axis] + (e[axis] + amount,) + e[axis + 1 :], x) for e, x in self.nums.items())
+        return TruncSeries._trusted(space, self.den, {e: x for e, x in shifted if space.inside(e)})
 
     def truncate_to(self, space: SeriesSpace) -> "TruncSeries":
         """Reinterpret in a space with the same parameters but smaller caps."""
         if space.params != self.space.params:
             raise ValueError("truncate_to needs identical parameter names")
-        return TruncSeries(space, dict(self.terms))
-
-
-def numerators(terms_list, slot: dict) -> tuple[int, list[list[tuple[int, int]]]]:
-    """D, the lcm of every denominator in terms_list, and for each dict its
-    (slot[e], numerator over D) pairs."""
-    d = lcm(*(c.denominator for terms in terms_list for c in terms.values()))
-    return d, [[(slot[e], c.numerator * (d // c.denominator)) for e, c in terms.items()]
-               for terms in terms_list]
+        nums = {e: x for e, x in self.nums.items() if space.inside(e)}
+        return TruncSeries._trusted(space, self.den, nums)
 
 
 def read_packed(space: SeriesSpace, total: int, width: int, d: int) -> TruncSeries:
@@ -327,16 +385,17 @@ def read_packed(space: SeriesSpace, total: int, width: int, d: int) -> TruncSeri
     low = ((total & -total).bit_length() - 1) // width  # -1 when total is 0
     high = min(abs(total).bit_length() // width, len(exponents) - 1)
     if low < 0 or low > high:
-        return TruncSeries._trusted(space, {})
+        return space.zero()
     fields = unpack(total >> (width * low), width, high - low + 1)
     return read_fields(space, fields, exponents[low : high + 1], d)
 
 
 def read_fields(space: SeriesSpace, fields, exponents, d: int) -> TruncSeries:
     """The series of ``space`` whose coefficient at exponents[k] is fields[k]
-    over d; a field whose exponents are None (a gap) is dropped."""
+    over d > 0, reduced by one gcd chain; a field whose exponents are None
+    (a gap) is dropped."""
     live = zip(exponents, fields)
-    return TruncSeries._trusted(space, {e: Fraction(x, d) for e, x in live if x and e is not None})
+    return TruncSeries._trusted(space, d, {e: x for e, x in live if x and e is not None})
 
 
 def read_text(fields, labels, d: int) -> dict[str, str]:
@@ -398,6 +457,7 @@ class _Labels(dict):
 
 def series_json(series: TruncSeries) -> dict[str, str]:
     """The series as {monomial label: "num/den"} in exponent order; integer
-    coefficients print without a denominator."""
-    labels = series.space._labels
-    return {labels[exps]: str(coeff) for exps, coeff in sorted(series.terms.items())}
+    coefficients print without a denominator (read_text, one gcd per term)."""
+    labels, nums = series.space._labels, series.nums
+    exps = sorted(nums)
+    return read_text([nums[e] for e in exps], [labels[e] for e in exps], series.den)

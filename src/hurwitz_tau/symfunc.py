@@ -27,7 +27,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries, numerators, pack, read_packed
+from .series import SeriesSpace, TruncSeries, pack, read_packed
 
 
 class SymFunc:
@@ -116,24 +116,33 @@ def powersum_products(values, n_max: int) -> dict:
     return products
 
 
-def schur_values(xs, n_max: int) -> dict[Partition, Fraction]:
-    """{nu: S_nu(xs)} for every partition of size <= n_max whose value is
-    nonzero, so no nu longer than len(xs) appears.
+def schur_numerators(xs, n_max: int) -> tuple[dict[Partition, int], list[int]]:
+    """({nu: s_nu}, dens) with S_nu(xs) = s_nu / dens[|nu|] for every
+    partition nu of size <= n_max whose value is nonzero, so no nu longer
+    than len(xs) appears.
 
     Each degree n is one CharacterTable.times on integers: with D the lcm
     of the denominators of xs, S_nu(xs) = sum_mu chi_nu(mu) (n!/Z_mu)
-    p_mu(D xs) / (n! D^n), and each nu is read back once over n! D^n."""
+    p_mu(D xs) / (n! D^n), so dens[n] = n! D^n."""
     xs = [Fraction(x) for x in xs]
     d = lcm(*(x.denominator for x in xs))
     ints = [x.numerator * (d // x.denominator) for x in xs]
     powers = powersum_products(ints, n_max)
-    values = {}
+    numerators, dens = {}, []
     for n in range(n_max + 1):
         table, top = character_table(n), factorial(n)
         weights = {mu: top // z_of(mu) * powers[mu] for mu in table.parts}
-        den = top * d**n
-        values.update((nu, Fraction(s, den)) for nu, s in table.times(weights).items())
-    return values
+        numerators.update(table.times(weights))
+        dens.append(top * d**n)
+    return numerators, dens
+
+
+def schur_values(xs, n_max: int) -> dict[Partition, Fraction]:
+    """{nu: S_nu(xs)} for every partition of size <= n_max whose value is
+    nonzero: each schur_numerators entry read back once over its degree's
+    denominator."""
+    numerators, dens = schur_numerators(xs, n_max)
+    return {nu: Fraction(s, dens[sum(nu)]) for nu, s in numerators.items()}
 
 
 def cauchy_sides(n: int, xs, ys) -> tuple[Fraction, Fraction]:
@@ -194,16 +203,20 @@ def _coefficient_space(tensors) -> SeriesSpace:
 
 def _numerators(f: TensorSymFunc, space: SeriesSpace) -> tuple[int, int, int, dict]:
     """(D, E, M, {lam: [(mu, [(slot, numerator)])]}): the E numerators of f
-    over D at the dense slots of ``space``, grouped by the x-partition, M
-    the largest in size; a Fraction sits in the constant slot."""
+    over D, the lcm of the coefficients' denominators, at the dense slots of
+    ``space``, grouped by the x-partition, M the largest in size; a
+    Fraction sits in the constant slot."""
     zero = (0,) * len(space.params)
-    coeffs = [c.terms if isinstance(c, TruncSeries) else {zero: c} for c in f.terms.values()]
-    d, rows = numerators(coeffs, space._slots)
-    sizes = [abs(x) for row in rows for _, x in row]
-    groups = {}
-    for (lam, mu), row in zip(f.terms, rows):
-        groups.setdefault(lam, []).append((mu, row))
-    return d, len(sizes), max(sizes), groups
+    coeffs = [(c.den, c.nums) if isinstance(c, TruncSeries) else (c.denominator, {zero: c.numerator})
+              for c in f.terms.values()]
+    d, slot = lcm(*(den for den, _ in coeffs)), space._slots
+    groups, count, top = {}, 0, 0
+    for (lam, mu), (den, nums) in zip(f.terms, coeffs):
+        m = d // den
+        groups.setdefault(lam, []).append((mu, [(slot[e], x * m) for e, x in nums.items()]))
+        count += len(nums)
+        top = max(top, max(map(abs, nums.values())) * m)
+    return d, count, top, groups
 
 
 def tensor_product_sum(pairs, grade_cap: int, scale=1) -> TensorSymFunc:

@@ -18,8 +18,9 @@ sweeps all read it.
 
 At numeric points a family's series is evaluated on the Schur diagonal:
 tau_at_points sums r_nu S_nu(a) S_nu(b) over the nu with S_nu(a) S_nu(b)
-!= 0, the Schur values coming from one integer character-table product
-per degree (symfunc.schur_values), and never builds a TauSeries.  This is
+!= 0, the Schur values coming as integers over one denominator per
+degree from one character-table product (symfunc.schur_numerators), and
+never builds a TauSeries.  This is
 what the tau command prints (hciz, and alpha_q with and without
 --check-determinant), with each family's (space, r_of) read from
 hciz_family / alpha_q_family, the definitions hciz_tau and alpha_q_tau
@@ -38,7 +39,7 @@ and perfbench's checker compare against them.
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .characters import character_table
 from .config import DETERMINANT_CAP, TAU_NMAX_CAP
@@ -59,7 +60,7 @@ from .symfunc import (
     evaluate,
     powersum_products,
     s_basis,
-    schur_values,
+    schur_numerators,
 )
 from .twists import (
     AlphaQConvolution,
@@ -70,9 +71,9 @@ from .twists import (
     Scale,
     TwistSpec,
     alpha_q_coeff,
-    cached_eigenvalue,
     series_character_sum,
     twist,
+    twist_eigenvalue,
 )
 
 
@@ -116,8 +117,8 @@ def vacuum_tau(n_max: int) -> TauSeries:
 
 def twist_tau(spec: TwistSpec, n_max: int) -> TauSeries:
     """Tau series whose Schur coefficient r_nu is the twist's eigenvalue on
-    F_nu, read through the spec's memo (cached_eigenvalue)."""
-    return TauSeries(spec.space(), n_max, lambda nu: cached_eigenvalue(spec, nu))
+    F_nu, read from the spec's memo (twist_eigenvalue)."""
+    return TauSeries(spec.space(), n_max, lambda nu: twist_eigenvalue(spec, nu))
 
 
 def okounkov_tau(n_max: int, beta_cap: int) -> TauSeries:
@@ -166,19 +167,34 @@ def alpha_q_tau(alpha, N: int, n_max: int, q_cap: int | None = None) -> TauSerie
 def tau_at_points(space: SeriesSpace, n_max: int, r_of, a_vals, b_vals) -> TruncSeries:
     """sum_{|nu| <= n_max} r_nu S_nu(a) S_nu(b) on the Schur diagonal, with
     no power-sum tensor: the value of TauSeries(space, n_max, r_of) at x ->
-    a, y -> b.  S_nu(a) and S_nu(b) come from symfunc.schur_values, which
-    drops the zero values, so r_of is called only for nu with
-    l(nu) <= min(len(a), len(b))."""
+    a, y -> b.  S_nu(a) and S_nu(b) come as numerators over their
+    degree's denominator from symfunc.schur_numerators, which drops the
+    zero values, so r_of is called only for nu with
+    l(nu) <= min(len(a), len(b)); every term is summed over one
+    denominator."""
     _check_n_max(n_max)
-    sa, sb = schur_values(a_vals, n_max), schur_values(b_vals, n_max)
-    total = {}
+    (sa, da), (sb, db) = schur_numerators(a_vals, n_max), schur_numerators(b_vals, n_max)
+    terms = []
     for nu, x in sa.items():
         y = sb.get(nu)
         if y is not None:
-            weight = x * y
-            for exps, coeff in r_of(nu).terms.items():
-                total[exps] = total.get(exps, 0) + coeff * weight
-    return TruncSeries(space, total)
+            r, n = r_of(nu), sum(nu)
+            terms.append((r.nums, x * y, r.den * da[n] * db[n]))
+    return _sum_over_one_denominator(space, terms)
+
+
+def _sum_over_one_denominator(space: SeriesSpace, terms) -> TruncSeries:
+    """sum_i c_i nums_i / d_i over (nums_i, c_i, d_i), nums_i the numerators
+    of a series of ``space``, c_i an int and d_i > 0: each nums_i times
+    c_i D / d_i adds into one dict over D, the lcm of the d_i, reduced
+    once."""
+    d = lcm(*(den for *_, den in terms))
+    total = {}
+    for nums, c, den in terms:
+        m = c * (d // den)
+        for e, x in nums.items():
+            total[e] = total.get(e, 0) + x * m
+    return TruncSeries._trusted(space, d, {e: x for e, x in total.items() if x})
 
 
 def tau_eval(t: TauSeries, a_vals, b_vals) -> TruncSeries:
@@ -292,18 +308,23 @@ def family_determinant(rho, N: int, a_vals, b_vals, space, pivot: str) -> TruncS
         raise ValueError("need exactly N evaluation points on each side")
     if N == 0:  # the empty determinant, 1 = r_0(0)
         return space.one()
-    rhos = [rho(l).terms for l in range(space.caps[space.axis(pivot)] + 1)]
+    rhos = [rho(l) for l in range(space.caps[space.axis(pivot)] + 1)]
     rows = [[_entry(space, rhos, Fraction(ai) * bj) for bj in b_vals] for ai in a_vals]
     return determinant(rows) / (vandermonde(a_vals) * vandermonde(b_vals))
 
 
-def _entry(space: SeriesSpace, rhos, x) -> TruncSeries:
-    """F(x) = sum_l rho_l x^l in ``space``, rhos[l] the terms of rho_l."""
-    terms = {}
-    for l, rho_l in enumerate(rhos):
-        for exps, c in rho_l.items():
-            terms[exps] = terms.get(exps, 0) + c * x**l
-    return TruncSeries._trusted(space, terms)
+def _entry(space: SeriesSpace, rhos, x: Fraction) -> TruncSeries:
+    """F(x) = sum_l rho_l x^l in ``space``, rhos[l] = rho_l: with x = p/q
+    and L the top l, rho_l x^l = nums_l p^l q^(L-l) / (den_l q^L), each
+    power of p and q taken once."""
+    p, q, top = x.numerator, x.denominator, len(rhos) - 1
+    powers_p, powers_q = [1], [1]
+    for _ in range(top):
+        powers_p.append(powers_p[-1] * p)
+        powers_q.append(powers_q[-1] * q)
+    terms = [(rho.nums, powers_p[l] * powers_q[top - l], rho.den * powers_q[top])
+             for l, rho in enumerate(rhos)]
+    return _sum_over_one_denominator(space, terms)
 
 
 def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
@@ -395,12 +416,12 @@ class WalkKind:
                 key = keys.get(n)
                 if key is None:
                     key = keys[n] = tuple(n if p == "q" else exps.get(p, 0) for p in params)
-                coeff = series.terms.get(key)
+                coeff = series.nums.get(key)
                 if coeff is None:
                     return 0
-                top = coeff.numerator * scale * weight
-                count, rest = divmod(top, coeff.denominator)
-                return Fraction(top, coeff.denominator) if rest else count
+                top = coeff * scale * weight
+                count, rest = divmod(top, series.den)
+                return Fraction(top, series.den) if rest else count
 
             return read
 

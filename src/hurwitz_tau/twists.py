@@ -17,10 +17,10 @@ coefficients
 whose series coefficients count constrained transposition walks.  The
 eigenvalue's integer numerators over the spec's one denominator come from
 integer content sequences (eigenvalue_numerators, memoised per spec by
-cached_numerators); twist_eigenvalue is their series (memoised by
-cached_eigenvalue), and okounkov_coeff and multimonotone_coeff are views
-of it.  The sum runs on the packed numerators once per unordered class
-pair, dividing once at the end: connection_coeffs reads each G_{lam mu}
+cached_numerators); twist_eigenvalue is their series over it, and
+okounkov_coeff and multimonotone_coeff are views of it.  The sum runs on
+the packed numerators once per unordered class pair, dividing once at
+the end: connection_coeffs reads each G_{lam mu}
 back as a series, and connection_text, the gmatrix route, as the text
 series_json would print, building no series.  TwistConvolution takes
 every twist to the convolution side.  A
@@ -176,14 +176,9 @@ def cached_numerators(spec: TwistSpec, lam: Partition) -> dict:
 
 def twist_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
     """The content-product eigenvalue of the twist on F_lam, in spec.space():
-    the memo's numerators (cached_numerators) over spec.denominator()."""
-    d, terms = spec.denominator(), cached_numerators(spec, lam).items()
-    return TruncSeries._trusted(spec.space(), {e: Fraction(x, d) for e, x in terms})
-
-
-def cached_eigenvalue(spec: TwistSpec, lam: Partition) -> TruncSeries:
-    """twist_eigenvalue(spec, lam), its series built once per memo entry."""
-    return _memo(spec, "_eigenvalues", tuple(lam), lambda: twist_eigenvalue(spec, lam))
+    the memo's numerators (cached_numerators) over spec.denominator(),
+    reduced to lowest terms."""
+    return TruncSeries._trusted(spec.space(), spec.denominator(), cached_numerators(spec, lam))
 
 
 class _PackedSeries:
@@ -205,9 +200,11 @@ class _PackedSeries:
 
     @classmethod
     def of(cls, values: dict, bound: int) -> "_PackedSeries":
-        """The series ``values`` (space None if none) over the lcm of their denominators."""
-        d = lcm(*(c.denominator for value in values.values() for c in value.terms.values()))
-        rows = {key: {e: c.numerator * (d // c.denominator) for e, c in value.terms.items()}
+        """The series ``values`` (space None if none) over the lcm of their
+        denominators, a series over that lcm packed as it is."""
+        d = lcm(*(value.den for value in values.values()))
+        rows = {key: value.nums if value.den == d else
+                {e: x * (d // value.den) for e, x in value.nums.items()}
                 for key, value in values.items()}
         return cls(next((value.space for value in values.values()), None), d, rows, bound)
 
@@ -280,7 +277,7 @@ def apply_twist(spec: TwistSpec, v: CenterElement) -> CenterElement:
     packed integers (_PackedSeries), whose coefficients sum_lam
     |chi_lam(mu)| <= sqrt(p(n) n!) <= n! in size."""
     values = {
-        lam: cached_eigenvalue(spec, lam) * (c / hook_product(lam))
+        lam: twist_eigenvalue(spec, lam) * (c / hook_product(lam))
         for lam, c in class_to_idem(v).items()
     }
     packed = _PackedSeries.of(values, factorial(v.n))

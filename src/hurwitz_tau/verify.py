@@ -585,14 +585,14 @@ def tau_suite(nmax: int = 8, seed: int = DEFAULT_SEED) -> list:
                 lhs = space.zero()
                 for lam in parts:
                     for mu in parts:
-                        weight = px[lam] * py[mu] / z_of(mu)
+                        weight = px[lam] * py[mu] * Fraction(1, z_of(mu))
                         if weight:
                             lhs = lhs + coeffs[(lam, mu)] * weight
                 rhs = space.zero()
                 for nu in parts:
                     weight = sx.get(nu, 0) * sy.get(nu, 0)
                     if weight:
-                        rhs = rhs + twists.cached_eigenvalue(spec, nu) * weight
+                        rhs = rhs + twists.twist_eigenvalue(spec, nu) * weight
                 _require(lhs == rhs, f"{walk.label}: point identity fails at n={n}")
         return f"corrected twisted Cauchy identity, all families, n<={cauchy_nmax}"
 

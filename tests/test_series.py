@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from hurwitz_tau.errors import ExactDivisionError
 from hurwitz_tau.series import (
     SeriesSpace,
     TruncSeries,
-    numerators,
     pack,
     read_fields,
     read_packed,
@@ -219,6 +218,13 @@ def series_lists(draw):
     return [TruncSeries(sp, t) for t in draw(st.lists(terms, min_size=1, max_size=4))]
 
 
+def numerators(values, slot):
+    """D, the lcm of the series' denominators, and for each series its
+    (slot[e], numerator over D) pairs."""
+    d = lcm(*(v.den for v in values))
+    return d, [[(slot[e], x * (d // v.den)) for e, x in v.nums.items()] for v in values]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(series_lists(), st.booleans())
 def test_read_of_numerators_gives_back_each_series(values, dense):
@@ -231,7 +237,7 @@ def test_read_of_numerators_gives_back_each_series(values, dense):
     else:
         exponents = sorted({e for v in values for e in v.terms})
         slot = {e: k for k, e in enumerate(exponents)}
-    d, rows = numerators([v.terms for v in values], slot)
+    d, rows = numerators(values, slot)
     assert d == lcm(*(c.denominator for v in values for c in v.terms.values()))
     width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
     for value, row in zip(values, rows):
@@ -241,6 +247,7 @@ def test_read_of_numerators_gives_back_each_series(values, dense):
         else:
             got = read_fields(sp, unpack(total, width, len(exponents)), exponents, d)
         assert got.terms == value.terms
+        assert (got.den, got.nums) == (value.den, value.nums)
 
 
 FIELDS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80))
@@ -270,7 +277,7 @@ def test_read_text_equals_series_json_of_read(values):
     sp = values[0].space
     support = sorted({e for v in values for e in v.terms})
     slot = {e: k for k, e in enumerate(support)}
-    d, rows = numerators([v.terms for v in values], slot)
+    d, rows = numerators(values, slot)
     width = max((abs(x) for row in rows for _, x in row), default=0).bit_length() + 1
     labels = [sp._labels[e] for e in support]
     for row in rows:
@@ -377,3 +384,159 @@ def test_product_reads_its_live_fields(sp):
     (a, b), (c, d) = cases[0], cases[2]
     assert (a * b).terms == {(0,) * len(sp.caps): 1}
     assert (c * d).terms == {sp.caps: 1}
+
+
+# -- exact scalars only ------------------------------------------------------
+
+def test_series_never_equals_none():
+    sp = space()
+    for series in (sp.one(), sp.zero()):
+        assert (series == None) is False  # noqa: E711
+        assert (series != None) is True  # noqa: E711
+
+
+def test_series_is_not_in_a_list_of_none():
+    assert space().one() not in [None]
+    assert space().geom(2, "z") not in [None, "1", 1.0]
+
+
+def test_series_never_equals_a_str():
+    sp = space()
+    assert sp.one() != "1"
+    assert sp.zero() != "0"
+    assert sp.one() == 1 and sp.one() == Fraction(1) and sp.zero() == 0
+
+
+RING_OPERATIONS = {
+    "add": lambda s, c: s + c,
+    "radd": lambda s, c: c + s,
+    "sub": lambda s, c: s - c,
+    "mul": lambda s, c: s * c,
+    "rmul": lambda s, c: c * s,
+    "truediv": lambda s, c: s / c,
+}
+
+
+@pytest.mark.parametrize("op", RING_OPERATIONS)
+@pytest.mark.parametrize("scalar", ("2", 0.5, 2.0, "1/2"), ids=repr)
+def test_ring_operations_refuse_str_and_float_scalars(op, scalar):
+    with pytest.raises(TypeError):
+        RING_OPERATIONS[op](space().geom(2, "z"), scalar)
+
+
+def test_constructor_refuses_str_and_float_coefficients():
+    for coeff in ("1/2", 0.5):
+        with pytest.raises(TypeError, match="exact rationals"):
+            TruncSeries(space(), {(0, 0): coeff})
+
+
+# -- the integer ring against a per-term Fraction reference --------------------
+
+def assert_canonical(series):
+    """den > 0, gcd(den, *nums) = 1, no zero numerator, every exponent
+    inside the caps, and the zero series 1 over {}."""
+    assert series.den > 0 and gcd(series.den, *series.nums.values()) == 1
+    assert all(series.nums.values())
+    assert all(series.space.inside(e) for e in series.nums)
+    assert series.nums or series.den == 1
+
+
+def truncated(sp, terms):
+    """{e: c} of the nonzero c at exponents inside the caps of sp."""
+    return {e: c for e, c in terms.items() if c and sp.inside(e)}
+
+
+def reference_product(sp, ta, tb):
+    terms = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            terms[e] = terms.get(e, 0) + ca * cb
+    return truncated(sp, terms)
+
+
+def reference_inverse(sp, ta):
+    """b_0 = 1/a_0, b_e = -(1/a_0) sum_{0 != f <= e} a_f b_{e-f}, in Fractions."""
+    zero = (0,) * len(sp.caps)
+    b = {zero: 1 / Fraction(ta[zero])}
+    for e in product(*(range(c + 1) for c in sp.caps)):
+        if e != zero:
+            total = sum(c * b.get(tuple(y - x for x, y in zip(f, e)), 0)
+                        for f, c in ta.items() if f != zero and all(x <= y for x, y in zip(f, e)))
+            b[e] = -b[zero] * total
+    return truncated(sp, b)
+
+
+SMALL = st.builds(Fraction, st.integers(-(2**40), 2**40), st.sampled_from((1, 2, 3, 4, 6, 9, 12)))
+
+
+@st.composite
+def ring_cases(draw):
+    """A 1- or 2-parameter space, caps 0-4, two coefficient dicts on it
+    (empty, one term or many; some exponents past the caps) and a rational."""
+    caps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    sp = SeriesSpace([f"x{k}" for k in range(len(caps))], caps)
+    exponent = st.tuples(*(st.integers(0, c + 1) for c in caps))
+    terms = st.one_of(
+        st.just({}),
+        st.dictionaries(exponent, SMALL, min_size=1, max_size=1),
+        st.dictionaries(exponent, SMALL, max_size=12),
+    )
+    return sp, draw(terms), draw(terms), draw(SMALL)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ring_cases())
+def test_integer_ring_matches_the_fraction_reference(case):
+    sp, ta, tb, c = case
+    a, b = TruncSeries(sp, ta), TruncSeries(sp, tb)
+    ta, tb = truncated(sp, ta), truncated(sp, tb)
+    keys = set(ta) | set(tb)
+    checks = [
+        (a, ta),
+        (a + b, truncated(sp, {e: ta.get(e, 0) + tb.get(e, 0) for e in keys})),
+        (a - b, truncated(sp, {e: ta.get(e, 0) - tb.get(e, 0) for e in keys})),
+        (a - a, {}),
+        (-a, {e: -x for e, x in ta.items()}),
+        (a + c, truncated(sp, {**ta, (0,) * len(sp.caps): ta.get((0,) * len(sp.caps), 0) + c})),
+        (a * c, truncated(sp, {e: x * c for e, x in ta.items()})),
+        (c * a, truncated(sp, {e: x * c for e, x in ta.items()})),
+        (a * b, reference_product(sp, ta, tb)),
+        (a * sp.monomial(c, x0=1), reference_product(sp, ta, {sp.exponents(x0=1): c})),
+    ]
+    if c:
+        checks.append((a / c, {e: x / c for e, x in ta.items()}))
+    if ta.get((0,) * len(sp.caps)):
+        checks.append((a.inverse(), reference_inverse(sp, ta)))
+        checks.append((b / a, reference_product(sp, tb, reference_inverse(sp, ta))))
+    for k in range(3):
+        checks.append((a.shift_up("x0", k), truncated(sp, {
+            (e[0] + k,) + e[1:]: x for e, x in ta.items()})))
+        if all(e[0] >= k for e in ta):
+            checks.append((a.shift_down("x0", k), {(e[0] - k,) + e[1:]: x for e, x in ta.items()}))
+        else:
+            with pytest.raises(ExactDivisionError):
+                a.shift_down("x0", k)
+    low = SeriesSpace(sp.params, [max(cap - 1, 0) for cap in sp.caps])
+    checks.append((a.truncate_to(low), truncated(low, ta)))
+    for got, want in checks:
+        assert_canonical(got)
+        assert got.terms == want
+        assert got == TruncSeries(got.space, want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 2), min_size=1, max_size=2).flatmap(
+        lambda caps: st.tuples(st.just(caps), st.lists(FIELDS, min_size=1, max_size=9))),
+    st.sampled_from((1, 2, 6, 35, 2**64 + 2)),
+)
+def test_read_fields_matches_the_fraction_reference(case, d):
+    # fields at the dense slots, the gaps (None) among them dropped
+    caps, fields = case
+    sp = SeriesSpace([f"x{k}" for k in range(len(caps))], caps)
+    exponents = sp._exponents[: len(fields)]
+    fields = fields[: len(exponents)]
+    got = read_fields(sp, fields, exponents, d)
+    assert_canonical(got)
+    assert got.terms == {e: Fraction(x, d) for e, x in zip(exponents, fields) if x and e is not None}

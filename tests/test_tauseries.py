@@ -3,7 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -168,6 +168,47 @@ def test_hciz_determinant_0_1_points():
     d = hciz_determinant(2, [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)], 6)
     for k in range(7):
         assert d.coeff(z=k) == Fraction((-2) ** k, factorial(k + 1))
+
+
+def test_hciz_determinant_at_seven_points_keeps_its_denominator_reduced():
+    # past N = 5 a product denominator left unreduced grows as the product
+    # of its factors'; points with distinct prime denominators make that
+    # growth largest.  The determinant equals the Schur diagonal, both held
+    # in lowest terms.
+    a_vals = [Fraction(k + 1, p) for k, p in enumerate((2, 3, 5, 7, 11, 13, 17))]
+    b_vals = [Fraction(-k - 2, p) for k, p in enumerate((19, 23, 29, 31, 37, 41, 43))]
+    det = hciz_determinant(7, a_vals, b_vals, 5)
+    space, r_of = hciz_family(7, 5)
+    want = tau_at_points(space, 5, r_of, a_vals, b_vals)
+    assert det == want and det.terms == want.terms and len(det.terms) == 6
+    assert det.den > 0 and gcd(det.den, *det.nums.values()) == 1
+
+
+def _warm_fraction_count(monkeypatch, build) -> int:
+    """The Fractions a second, warm build() constructs."""
+    build()
+    count, new = [0], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    build()
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_tau_routes_build_no_fraction_per_series_term(monkeypatch):
+    # series hold integer numerators over one denominator, so the tau routes
+    # construct a Fraction only for an input point, a scalar or a closed
+    # form: 48 and 7 on CPython 3.11, where one Fraction per series
+    # term made 479 and 574
+    a = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5)]
+    b = [Fraction(5, 7), Fraction(-1, 4), Fraction(4, 9)]
+    assert _warm_fraction_count(monkeypatch, lambda: hciz_determinant(3, a, b, 5)) <= 64
+    table = _warm_fraction_count(monkeypatch, lambda: hurwitz_table("plain", 6, 4, connected=True))
+    assert table <= 16
 
 
 def test_vandermonde_guard():
@@ -511,16 +552,16 @@ def test_log_and_exp_numerate_each_slice_once(monkeypatch):
     # once, not once per product sum that reads it
     t = okounkov_tau(6, 3)
     calls = []
-    numerators = symfunc.numerators
+    numerators = symfunc._numerators
 
-    def counted(terms_list, slot):
-        calls.append(len(terms_list))
-        return numerators(terms_list, slot)
+    def counted(f, space):
+        calls.append(f)
+        return numerators(f, space)
 
     def refuse(self, other):
         raise AssertionError("a series was multiplied")
 
-    monkeypatch.setattr(symfunc, "numerators", counted)
+    monkeypatch.setattr(symfunc, "_numerators", counted)
     monkeypatch.setattr(TruncSeries, "__mul__", refuse)
     monkeypatch.setattr(TruncSeries, "__rmul__", refuse)
     log = log_tau(t)

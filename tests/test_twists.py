@@ -169,23 +169,24 @@ def test_cold_gmatrix_op_builds_one_series_space(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_cached_eigenvalue_is_kept_per_spec(monkeypatch):
+def test_twist_eigenvalue_reads_the_memo_per_spec(monkeypatch):
     spec = WALK_KINDS["mixed"].twist(4, 3)
     for lam in partitions_of(4):
-        assert twists.cached_eigenvalue(spec, lam) == twist_eigenvalue(spec, lam)
+        twist_eigenvalue(spec, lam)
     calls, build = [], twists.eigenvalue_numerators
     monkeypatch.setattr(
         twists, "eigenvalue_numerators", lambda *args: calls.append(args[1]) or build(*args)
     )
-    # a list lam hits the entry its tuple made, and the series view is
-    # built once per entry
+    # a list lam hits the entry its tuple made, and the series is the
+    # memo's numerators over the spec's denominator
+    d = spec.denominator()
     for lam in partitions_of(4):
-        value = twists.cached_eigenvalue(spec, list(lam))
-        assert value is twists.cached_eigenvalue(spec, lam)
+        want = {e: Fraction(x, d) for e, x in build(spec, lam).items()}
+        assert twist_eigenvalue(spec, list(lam)).terms == want
         assert twists.cached_numerators(spec, list(lam)) == build(spec, lam)
     assert calls == []
     # an equal spec built anew starts its own memo
-    twists.cached_eigenvalue(WALK_KINDS["mixed"].twist(4, 3), (4,))
+    twist_eigenvalue(WALK_KINDS["mixed"].twist(4, 3), (4,))
     assert calls == [(4,)]
 
 
