@@ -13,7 +13,7 @@ publish finished values, so concurrent callers read identical results.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import mul
 
@@ -26,7 +26,6 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import TruncSeries, pack, read_packed
 
 _mn_cache: dict[tuple[Partition, tuple[int, ...]], int] = {}
 
@@ -103,31 +102,15 @@ class CharacterTable:
     def _product(self, rows, v) -> dict:
         """Coefficients lie in any ring that ints scale (Fraction,
         TruncSeries, packed ints); zero entries are dropped.  When every
-        coefficient is a Fraction, or every one a series, the rows run on
-        integers over D, the lcm of the denominators: a Fraction's numerator
-        over D, a series' numerators over D packed at the dense slots of its
-        space, each slot wide enough for the largest sum of |chi| in a row.
-        Each entry is read back once over D.  Otherwise D = 1 and each entry
-        is the ring's own sum, started from its first nonzero term."""
-        rows, coeffs = list(rows), v.values()
-        first = next(iter(coeffs), None)
-        read = None
-        if all(isinstance(c, Fraction) for c in coeffs):
-            den = lcm(*(c.denominator for c in coeffs))
+        coefficient is a Fraction the rows run on the integer numerators
+        over D = lcm of the denominators, and each entry is one
+        Fraction(total, D); otherwise D = 1 and each entry is the ring's own
+        sum, started from its first nonzero term."""
+        den = None
+        if all(isinstance(c, Fraction) for c in v.values()):
+            den = lcm(*(c.denominator for c in v.values()))
             entries = [(self.position[k], c.numerator * (den // c.denominator))
                        for k, c in v.items()]
-            read = partial(Fraction, denominator=den)
-        elif isinstance(first, TruncSeries) and all(
-                isinstance(c, TruncSeries) and c.space == first.space for c in coeffs):
-            space, den = first.space, lcm(*(c.den for c in coeffs))
-            scaled = {k: (den // c.den, c.nums) for k, c in v.items()}
-            top = max((abs(x) * m for m, nums in scaled.values() for x in nums.values()),
-                      default=0)
-            width = (max(sum(map(abs, row)) for row in rows) * top).bit_length() + 1
-            slots = space._slots
-            entries = [(self.position[k], pack([(slots[e], x * m) for e, x in nums.items()], width))
-                       for k, (m, nums) in scaled.items()]
-            read = partial(read_packed, space, width=width, d=den)
         else:
             entries = [(self.position[k], c) for k, c in v.items()]
         out = {}
@@ -138,7 +121,7 @@ class CharacterTable:
                     term = c * row[j]
                     total = term if total is None else total + term
             if total:
-                out[key] = total if read is None else read(total)
+                out[key] = total if den is None else Fraction(total, den)
         return out
 
     def character_sum(self, values) -> dict:

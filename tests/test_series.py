@@ -424,10 +424,15 @@ def test_ring_operations_refuse_str_and_float_scalars(op, scalar):
         RING_OPERATIONS[op](space().geom(2, "z"), scalar)
 
 
-def test_constructor_refuses_str_and_float_coefficients():
-    for coeff in ("1/2", 0.5):
-        with pytest.raises(TypeError, match="exact rationals"):
-            TruncSeries(space(), {(0, 0): coeff})
+@pytest.mark.parametrize("coeff", ("1/2", 0.5, 0.1), ids=repr)
+@pytest.mark.parametrize("build", (
+    lambda c: TruncSeries(space(), {(0, 0): c}),
+    lambda c: space().geom(c, "z"),
+    lambda c: space().exp_linear(c, "z"),
+), ids=("constructor", "geom", "exp_linear"))
+def test_builders_refuse_str_and_float_coefficients(build, coeff):
+    with pytest.raises(TypeError, match="exact rationals"):
+        build(coeff)
 
 
 # -- the integer ring against a per-term Fraction reference --------------------
