@@ -21,18 +21,13 @@ identities downstream.  It takes rational coordinates only, since SymFunc
 holds rational coefficients, and raises TypeError on any other.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .characters import character_table
-from .groupalg import (
-    GroupAlgebraElement,
-    class_representative,
-    compose,
-    conjugacy_classes,
-    cycle_type,
-)
+from .groupalg import GroupAlgebraElement, class_representative, conjugacy_classes, ranked
 from .partitions import Partition, hook_product, multiplicities, partitions_of, z_of
 from .symfunc import SymFunc
 
@@ -112,23 +107,26 @@ def class_structure_constants(n: int) -> dict[tuple[Partition, Partition], dict[
 
     c^kappa_{mu nu} counts the factorizations g_kappa = x y with x in C_mu
     and y in C_nu.  Since C_mu is closed under inverses this is
-    #{y in C_mu : y g_kappa in C_nu} for one representative g_kappa, so the
-    count takes one compose and one cycle type per (kappa, y): p(n) n!
-    steps.  Only kappa with a nonzero count are listed.  Counting at one
-    representative assumes C_mu C_nu is central; that is certified apart
-    from this function, by verify's center.multiply_oracle (n <= 5), which
-    projects the raw convolution C_mu * C_nu onto classes and raises on
-    any non-central product.
+    #{y in C_mu : y g_kappa in C_nu} for one representative g_kappa, and
+    y g_kappa is conjugate to g_kappa y, the bytes of y translated by
+    g_kappa, whose class groupalg.ranked(n) looks up: one translate per
+    (kappa, y), p(n) n! in all.  Only kappa with a nonzero count are
+    listed.  Counting at one representative assumes C_mu C_nu is central;
+    that is certified apart from this function, by verify's
+    center.multiply_oracle (n <= 5), which projects the raw convolution
+    C_mu * C_nu onto classes and raises on any non-central product.
     """
     parts = partitions_of(n)
     classes = conjugacy_classes(n)
+    position = list(classes)
+    index, class_of = ranked(n).index, ranked(n).class_of
+    members = {mu: [bytes(y) for y in classes[mu]] for mu in parts}
     out = {(mu, nu): {} for mu in parts for nu in parts}
     for kappa in parts:
-        g = class_representative(kappa)
+        g = bytes.maketrans(bytes(range(1, n + 1)), bytes(class_representative(kappa, n)))
         for mu in parts:
-            for y in classes[mu]:
-                row = out[(mu, cycle_type(compose(y, g)))]
-                row[kappa] = row.get(kappa, 0) + 1
+            for c, count in Counter(class_of[index[y.translate(g)]] for y in members[mu]).items():
+                out[(mu, position[c])][kappa] = count
     return out
 
 

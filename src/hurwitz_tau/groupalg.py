@@ -1,13 +1,16 @@
 """Explicit computation in the symmetric group algebra C[S_n].
 
 Permutations are tuples of images on {1..n} (images[i-1] = image of i),
-composed apply-right-first: (g*h)(x) = g(h(x)).  Walks in the Cayley graph
+composed apply-right-first: (g*h)(x) = g(h(x)).  A product in C[S_n] reads
+each left term at one itemgetter per right term.  Walks in the Cayley graph
 generated by transpositions are counted by a dynamic program on permutation
 indices (S_n ranked once per n, one action table per transposition).  It
 runs backward from one end permutation, segments reversed; a monotone
 segment runs b once from n down to 2 over one layer per number of steps
-left.  The end vector, summed per class, gives the counts from every start
-class at once.  Transitive counts also carry the set partition of {1..n}
+taken.  The end vector, summed per class, gives the counts from every start
+class at once, and the layers of the last segment run (the first in
+application order) give them for every length of that segment from one
+back-walk.  Transitive counts also carry the set partition of {1..n}
 generated so far, seeded from the end's cycles, equal states merged.  These
 counts are the independent oracle for the character-sum coefficients;
 nothing here uses characters.
@@ -17,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_perms
+from numbers import Rational
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import config
@@ -91,13 +96,47 @@ def class_representative(mu: Partition, n: int | None = None) -> Perm:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(n: int) -> dict[Partition, tuple[Perm, ...]]:
-    """All of S_n grouped by cycle type (n <= the walk cap)."""
+    """All of S_n grouped by cycle type (n <= the walk cap): each class in
+    lexicographic order, the classes in the order of their least members.
+
+    Built depth-first: m joins a permutation g of 1..m-1 as a fixed point or
+    right after i on i's cycle (i -> m -> g(i)).  lengths[x] is the length
+    of the cycle through x + 1; it says which part of the type grows, and at
+    the last level each child goes straight to its class."""
     if n > config.WALK_CAP:
         raise SizeLimitError(f"refusing to enumerate S_{n}")
+    if n == 0:
+        return {(): ((),)}
     grouped: dict[Partition, list[Perm]] = {}
-    for images in _all_perms(range(1, n + 1)):
-        grouped.setdefault(cycle_type(images), []).append(images)
-    return {mu: tuple(members) for mu, members in grouped.items()}
+
+    def grow(g, lengths, mu):
+        m = len(g) + 1
+        if m == n:
+            add = {l: grouped.setdefault(_raised(mu, l), []).append for l in set(lengths)}
+            grouped.setdefault(mu + (1,), []).append(g + (m,))
+            for i, l in enumerate(lengths):
+                add[l](g[:i] + (m,) + g[i + 1:] + (g[i],))
+            return
+        grow(g + (m,), lengths + (1,), mu + (1,))
+        for i, l in enumerate(lengths):
+            longer = list(lengths)
+            x = i
+            for _ in range(l):
+                longer[x] = l + 1
+                x = g[x] - 1
+            longer.append(l + 1)
+            grow(g[:i] + (m,) + g[i + 1:] + (g[i],), tuple(longer), _raised(mu, l))
+
+    grow((), (), ())
+    for members in grouped.values():
+        members.sort()
+    return {mu: tuple(members) for mu, members in sorted(grouped.items(), key=lambda kv: kv[1][0])}
+
+
+def _raised(mu: Partition, l: int) -> Partition:
+    """mu with one part l raised to l + 1 (the first, so it stays sorted)."""
+    i = mu.index(l)
+    return mu[:i] + (l + 1,) + mu[i + 1:]
 
 
 # -- sparse group algebra ----------------------------------------------------
@@ -145,25 +184,36 @@ class GroupAlgebraElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "GroupAlgebraElement":
-        if not isinstance(c, int):
-            c = Fraction(c)
+        """Every coefficient times the exact rational c; a str, a float or
+        anything else is a TypeError."""
+        if not isinstance(c, Rational):
+            raise TypeError(f"scalars must be exact rationals, got {c!r}")
         return GroupAlgebraElement(
             self.n, {g: coeff * c for g, coeff in self.terms.items()}
         )
 
     def __mul__(self, other):
-        """Convolution product; right factor acts first."""
+        """Convolution product; right factor acts first: g*h reads g at h's
+        images, through one itemgetter per term h built once per product."""
         if not isinstance(other, GroupAlgebraElement):
             return self.scale(other)
         self._check(other)
+        # itemgetter of one index returns the bare item; S_0 and S_1 hold
+        # the identity alone, and g*id = g
+        right = [
+            (itemgetter(*[x - 1 for x in h]) if self.n > 1 else tuple, ch)
+            for h, ch in other.terms.items()
+        ]
         terms: dict[Perm, int | Fraction] = {}
         for g, cg in self.terms.items():
-            for h, ch in other.terms.items():
-                key = compose(g, h)
+            for read, ch in right:
+                key = read(g)
                 terms[key] = terms.get(key, 0) + cg * ch
         return GroupAlgebraElement(self.n, terms)
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"group algebra powers must be >= 0, got {k}")
         result = GroupAlgebraElement.unit(self.n)
         for _ in range(k):
             result = result * self
@@ -321,22 +371,40 @@ def count_walks_to(
     Counted backwards from end = t_k ... t_1 g: segments reversed, b
     falling, the end vector summed per start class.  The group <g, t's>
     equals <end, t's>, so the blocks start as end's cycles."""
+    return _class_counts(n, _back_walk(n, end, segments, transitive)[-1])
+
+
+def graded_walks_to(
+    n: int, end, segments: tuple[Segment, ...], transitive: bool = False
+) -> list[dict[Partition, int]]:
+    """count_walks_to for every length of the first segment, from one
+    back-walk: entry s counts the walks whose first segment (application
+    order) is cut to s steps, the later ones as given.  The back-walk runs
+    that segment last, so its layers are these counts."""
+    return [_class_counts(n, layer) for layer in _back_walk(n, end, segments, transitive)]
+
+
+def _back_walk(n, end, segments, transitive):
+    """The layers _walk returns, walked back from end."""
     if n > config.WALK_CAP:
         raise SizeLimitError(f"walk counting capped at n <= {config.WALK_CAP}, got {n}")
     end = tuple(end)
     if sorted(end) != list(range(1, n + 1)):
         raise ValueError(f"{end} is not a permutation of 1..{n}")
-    indexed = ranked(n)
     blocks = _cycle_blocks(end) if transitive else None
-    segments = tuple(seg for seg in reversed(segments) if seg.length > 0)
-    layer = _walk(n, {blocks: {indexed.index[bytes(end)]: 1}}, segments)
-    totals = [0] * len(conjugacy_classes(n))
-    class_of = indexed.class_of
+    return _walk(n, {blocks: {ranked(n).index[bytes(end)]: 1}}, tuple(reversed(segments)))
+
+
+def _class_counts(n, layer) -> dict[Partition, int]:
+    """{lam: the layer's transitive (or untracked) counts summed over C_lam}."""
+    classes = conjugacy_classes(n)
+    totals = [0] * len(classes)
+    class_of = ranked(n).class_of
     for blocks, vec in layer.items():
         if _one_block(blocks):
             for i, c in vec.items():
                 totals[class_of[i]] += c
-    return {lam: c for lam, c in zip(conjugacy_classes(n), totals) if c}
+    return {lam: c for lam, c in zip(classes, totals) if c}
 
 
 class Ranking(NamedTuple):
@@ -352,6 +420,8 @@ def ranked(n: int) -> Ranking:
     index of (a b) * g for g at index i, one bytes.translate per entry
     swapping the values a and b) and each index's class, as a position in
     conjugacy_classes(n)."""
+    if n > config.WALK_CAP:
+        raise SizeLimitError(f"refusing to enumerate S_{n}")
     keys = [bytes(g) for g in _all_perms(range(1, n + 1))]
     index = {key: i for i, key in enumerate(keys)}
     act = {}
@@ -381,28 +451,31 @@ def _one_block(blocks):
 
 
 def _walk(n, layer, segments):
-    """Advance a layer backward through the segments.
+    """Advance a layer backward through the segments, and return every layer
+    of the last one run, indexed by its steps taken ([layer] for none).
 
-    A plain segment applies every transposition k times.  A monotone one
-    keeps k + 1 layers, left[r] holding the states with r steps still to
-    take, and runs b once from n down to 2: at each b the image of left[r]
-    under every (a b), a < b, is added into left[r - 1].  Weak segments
-    visit r falling, so a state that has just stepped at b may step at b
-    again; strict ones visit r rising, so it may not."""
+    A plain segment applies every transposition once per step.  A monotone
+    one of k steps keeps k + 1 layers, taken[s] holding the states that
+    have taken s of its steps, and runs b once from n down to 2: at each b
+    the image of taken[s] under every (a b), a < b, is added into
+    taken[s + 1].  Weak segments visit s rising, so a state that has just
+    stepped at b may step at b again; strict ones visit s falling, so it
+    may not."""
     act = ranked(n).act
     every_b = range(n, 1, -1)
+    taken = [layer]
     for seg in segments:
+        taken = [taken[-1]]
         if seg.kind == PLAIN:
             for _ in range(seg.length):
-                layer = _apply(act, every_b, layer, {})
+                taken.append(_apply(act, every_b, taken[-1], {}))
             continue
-        left = [{} for _ in range(seg.length)] + [layer]
-        order = range(seg.length, 0, -1) if seg.kind == WEAK else range(1, seg.length + 1)
+        taken += [{} for _ in range(seg.length)]
+        order = range(seg.length) if seg.kind == WEAK else range(seg.length - 1, -1, -1)
         for b in every_b:
-            for r in order:
-                _apply(act, (b,), left[r], left[r - 1])
-        layer = left[0]
-    return layer
+            for s in order:
+                _apply(act, (b,), taken[s], taken[s + 1])
+    return taken
 
 
 def _apply(act, bs, layer, out):

@@ -22,12 +22,14 @@ from .config import CHARTABLE_CAP, DEFAULT_SEED
 from .errors import CentralityError
 from .groupalg import (
     GroupAlgebraElement,
+    Segment,
     WalkQuery,
     class_representative,
     class_sum,
     conjugacy_classes,
     count_walks,
     count_walks_to,
+    graded_walks_to,
     jm_power_sum,
     mixed,
     multi_monotone,
@@ -367,11 +369,18 @@ def center_suite(nmax: int = 8) -> list:
 
 def _oracle_counts(kind: str, n: int, cap: int, transitive: bool = False):
     """(lam, mu, step data, read, oracle count) for every class pair of n and
-    every step datum of the walk kind of total length <= cap."""
+    every step datum of the walk kind of total length <= cap.  Step data
+    that differ only in the length of their first segment read one graded
+    back-walk per end class, that segment as long as the cap allows."""
     parts = partitions_of(n)
-    for data, segments, read in tauseries.WALK_KINDS[kind].steps(cap):
+    graded = {}
+    for data, (first, *rest), read in tauseries.WALK_KINDS[kind].steps(cap):
+        longest = (Segment(first.kind, cap - sum(seg.length for seg in rest)), *rest)
         for mu in parts:
-            column = count_walks_to(n, class_representative(mu, n), segments, transitive)
+            if (longest, mu) not in graded:
+                end = class_representative(mu, n)
+                graded[longest, mu] = graded_walks_to(n, end, longest, transitive)
+            column = graded[longest, mu][first.length]
             for lam in parts:
                 yield lam, mu, data, read, column.get(lam, 0)
 

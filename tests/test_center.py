@@ -18,7 +18,16 @@ from hurwitz_tau.center import (
 )
 from hurwitz_tau.characters import character_table
 from hurwitz_tau.errors import CentralityError
-from hurwitz_tau.groupalg import GroupAlgebraElement, class_sum, jm_element, jm_power_sum
+from hurwitz_tau.groupalg import (
+    GroupAlgebraElement,
+    class_representative,
+    class_sum,
+    compose,
+    conjugacy_classes,
+    cycle_type,
+    jm_element,
+    jm_power_sum,
+)
 from hurwitz_tau.partitions import class_size, partitions_of
 from hurwitz_tau.series import SeriesSpace
 from hurwitz_tau.symfunc import SymFunc, s_basis, to_schur
@@ -83,6 +92,21 @@ def test_structure_constants_equal_convolution():
             for nu in partitions_of(n):
                 slow = project_to_classes(class_sum(n, mu) * class_sum(n, nu))
                 assert constants[(mu, nu)] == slow.coords, (mu, nu)
+
+
+def test_structure_constants_equal_a_compose_recount():
+    # y * g_kappa for every y, its class by cycle_type: the counts read off
+    # ranked lookups of g_kappa * y must agree
+    for n in range(1, 6):
+        parts = partitions_of(n)
+        want = {(mu, nu): {} for mu in parts for nu in parts}
+        for kappa in parts:
+            g = class_representative(kappa, n)
+            for mu in parts:
+                for y in conjugacy_classes(n)[mu]:
+                    row = want[(mu, cycle_type(compose(y, g)))]
+                    row[kappa] = row.get(kappa, 0) + 1
+        assert class_structure_constants(n) == want
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -121,6 +123,15 @@ def test_conjugacy_classes_partition_the_group():
         classes = conjugacy_classes(n)
         assert sum(len(v) for v in classes.values()) == factorial(n)
         assert set(classes) == set(partitions_of(n))
+    # the depth-first build against itertools in lexicographic order, grouped
+    # by cycle type: same classes, class order and member order
+    for n in range(9):
+        grouped = {}
+        for g in permutations(range(1, n + 1)):
+            grouped.setdefault(cycle_type(g), []).append(g)
+        classes = conjugacy_classes(n)
+        assert list(classes) == list(grouped)
+        assert all(classes[mu] == tuple(members) for mu, members in grouped.items())
 
 
 def fraction_twin(x):
@@ -152,3 +163,39 @@ def test_int_products_equal_their_fraction_twins():
                 product = a * b
                 assert all(type(c) is int for c in product.terms.values())
                 assert product == fraction_twin(a) * fraction_twin(b)
+
+
+def test_products_equal_the_compose_reference():
+    rng = random.Random(5)
+    for n in range(6):
+        group = list(permutations(range(1, n + 1)))
+        for exact in (int, lambda a: Fraction(a, rng.randint(1, 3))):
+            def element():
+                picks = rng.sample(group, min(len(group), 7))
+                return GroupAlgebraElement(n, {g: exact(rng.randint(-4, 4)) for g in picks})
+
+            for _ in range(4):
+                a, b = element(), element()
+                want = {}
+                for g, cg in a.terms.items():
+                    for h, ch in b.terms.items():
+                        key = compose(g, h)
+                        want[key] = want.get(key, 0) + cg * ch
+                assert (a * b).terms == {g: c for g, c in want.items() if c}
+
+
+def test_negative_powers_are_refused():
+    with pytest.raises(ValueError, match="powers must be >= 0, got -1"):
+        jm_element(3, 3) ** -1
+    assert jm_element(3, 3) ** 0 == GroupAlgebraElement.unit(3)
+
+
+def test_scalars_must_be_exact_rationals():
+    x = jm_element(3, 3)
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError, match="exact rationals"):
+            x.scale(bad)
+        with pytest.raises(TypeError, match="exact rationals"):
+            x * bad
+    assert x * Fraction(1, 2) == x.scale(Fraction(1, 2))
+

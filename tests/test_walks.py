@@ -17,6 +17,7 @@ from hurwitz_tau.groupalg import (
     count_walks,
     count_walks_all_targets,
     count_walks_to,
+    graded_walks_to,
     mixed,
     multi_monotone,
     plain,
@@ -145,11 +146,13 @@ def test_transitive_at_most_plain():
 
 def test_n_9_is_refused_before_enumerating_s_9(monkeypatch):
     # one constant cap, 8: n = 9 raises before S_9 is listed or ranked
-    with pytest.raises(SizeLimitError, match="S_9"):
-        conjugacy_classes(9)
-
     def enumerate_s_n(n):
         raise AssertionError(f"enumerated S_{n}")
+
+    monkeypatch.setattr(groupalg, "_all_perms", enumerate_s_n)
+    for build in (conjugacy_classes, groupalg.ranked):
+        with pytest.raises(SizeLimitError, match="S_9"):
+            build(9)
 
     monkeypatch.setattr(groupalg, "ranked", enumerate_s_n)
     monkeypatch.setattr(groupalg, "conjugacy_classes", enumerate_s_n)
@@ -294,6 +297,31 @@ def test_every_walk_count_is_one_back_walk_per_end(monkeypatch):
         monkeypatch.setattr(groupalg, name, lambda *args, **kwargs: rows.append(args))
     assert all(result.passed for result in verify.run_suite("walks", nmax=2))
     assert rows == [] and not hasattr(verify, "count_walks_all_targets")
+
+
+def test_graded_layers_equal_each_cut_count():
+    # layer s of one back-walk = the exact count with the first segment cut
+    # to s steps, for every walk kind's segment orders, plain and transitive
+    for n in range(1, 6):
+        for kind, walk in WALK_KINDS.items():
+            for _, (first, *rest), _ in walk.steps(3):
+                for mu in partitions_of(n):
+                    end = class_representative(mu, n)
+                    for transitive in (False, True):
+                        layers = graded_walks_to(n, end, (first, *rest), transitive)
+                        assert len(layers) == first.length + 1
+                        for s, counts in enumerate(layers):
+                            cut = (Segment(first.kind, s), *rest)
+                            assert counts == count_walks_to(n, end, cut, transitive), (kind, cut)
+
+
+def test_the_sweep_runs_one_back_walk_per_later_segments_and_end(monkeypatch):
+    # multi at cap 5 has 21 step data but 6 second-segment lengths: 6 p(4)
+    # back-walks at n = 4, where one per datum and end class made 105
+    calls, walk = [], groupalg._walk
+    monkeypatch.setattr(groupalg, "_walk", lambda *args: calls.append(args) or walk(*args))
+    verify._twist_matches_oracle("multi", 4, 5)
+    assert len(calls) <= 6 * len(partitions_of(4))
 
 
 WALK_COLUMNS_N6 = Path(__file__).parent / "goldens" / "walk_columns_n6.json"
