@@ -11,8 +11,8 @@ and multiplication is diagonal on the idempotent side (F_lam F_lam =
 F_lam, F_lam F_nu = 0).  Each basis change is one product with the character
 matrix between diagonal scalings; on rational coordinates the character
 product runs on integer numerators over one common denominator.
-Coordinates may be Fractions or TruncSeries for the basis changes and
-center_multiply, which only ever scale by rationals.
+Coordinates are exact rationals or TruncSeries, anything else a TypeError;
+the basis changes and center_multiply only ever scale them by rationals.
 
 The characteristic map sends C_mu to P_mu/Z_mu, so F_lam to S_lam/h_lam;
 it identifies the center with the homogeneous degree-n symmetric
@@ -29,6 +29,7 @@ from numbers import Rational
 from .characters import character_table
 from .groupalg import GroupAlgebraElement, class_representative, conjugacy_classes, ranked
 from .partitions import Partition, hook_product, multiplicities, partitions_of, z_of
+from .series import TruncSeries
 from .symfunc import SymFunc
 
 
@@ -43,6 +44,8 @@ class CenterElement:
             lam = tuple(lam)
             if sum(lam) != self.n:
                 raise ValueError(f"{lam} is not a partition of {self.n}")
+            if not isinstance(c, (Rational, TruncSeries)):
+                raise TypeError(f"coordinates must be exact rationals or series, got {c!r}")
             if c:
                 clean[lam] = c
         object.__setattr__(self, "coords", clean)

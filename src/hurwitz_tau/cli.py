@@ -237,16 +237,16 @@ def cmd_tau(args) -> int:
         )
     payload = {"family": args.family, "N": args.N}
     if hciz:
-        space, r_of = tauseries.hciz_family(args.N, cap)
+        view = tauseries.hciz_family(args.N, cap)
     else:
         alpha = parse_fraction(args.alpha, "--alpha")
         if args.check_determinant:
             report = tauseries.alpha_q_determinant(args.N, alpha, a_vals, b_vals, cap)
             emit(report, args.out)
             return 0 if report["entrywise_matches_schur_expansion"] else 1
-        space, r_of = tauseries.alpha_q_family(alpha, args.N, cap)
+        view = tauseries.alpha_q_family(alpha, args.N, cap)
         payload["alpha"] = str(alpha)
-    series = tauseries.tau_at_points(space, cap, r_of, a_vals, b_vals)
+    series = view.printed(tauseries.tau_at_points(view.space, cap, view.r_of, a_vals, b_vals))
     payload.update(a=[str(x) for x in a_vals], b=[str(x) for x in b_vals])
     payload[flag[2:]] = cap
     payload["series"] = series_json(series)

@@ -137,7 +137,7 @@ class SeriesSpace:
 
     def geom(self, c, name: str) -> "TruncSeries":
         """1/(1 - c*x) = sum_k c^k x^k up to the cap of x."""
-        c = Fraction(_exact(c))
+        c = Fraction(exact(c))
         return self.axis_series(name, lambda k: c)
 
     def linear(self, c, name: str) -> "TruncSeries":
@@ -146,11 +146,11 @@ class SeriesSpace:
 
     def exp_linear(self, c, name: str) -> "TruncSeries":
         """exp(c*x) = sum_k c^k x^k / k! up to the cap of x."""
-        c = Fraction(_exact(c))
+        c = Fraction(exact(c))
         return self.axis_series(name, lambda k: c / (k + 1))
 
 
-def _exact(c):
+def exact(c):
     """c itself when it is an exact rational (numbers.Rational); a str, a
     float or anything else is a TypeError."""
     if not isinstance(c, Rational):
@@ -171,7 +171,7 @@ class TruncSeries:
         of the kept denominators the numerators are already in lowest terms."""
         kept = {}
         for exps, coeff in terms.items():
-            if not _exact(coeff):
+            if not exact(coeff):
                 continue
             if len(exps) != len(space.caps):
                 raise ValueError(f"exponents {exps} do not match the parameters {space.params}")

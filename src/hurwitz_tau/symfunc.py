@@ -27,12 +27,12 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import SeriesSpace, TruncSeries, pack, read_packed
+from .series import SeriesSpace, TruncSeries, exact, pack, read_packed
 
 
 class SymFunc:
     """Sparse symmetric function on the power-sum basis: mapping partition
-    -> coefficient of p_lam."""
+    -> coefficient of p_lam, an exact rational (a TypeError otherwise)."""
 
     __slots__ = ("terms",)
 
@@ -40,7 +40,7 @@ class SymFunc:
         clean = {}
         for lam, coeff in terms.items():
             lam = tuple(lam)
-            clean[lam] = clean.get(lam, 0) + Fraction(coeff)
+            clean[lam] = clean.get(lam, 0) + Fraction(exact(coeff))
         self.terms = {k: v for k, v in clean.items() if v}
 
     def __eq__(self, other):
@@ -57,7 +57,7 @@ class SymFunc:
         return " + ".join(bits)
 
     def scale(self, c) -> "SymFunc":
-        c = Fraction(c)
+        c = Fraction(exact(c))
         return SymFunc({lam: coeff * c for lam, coeff in self.terms.items()})
 
 

@@ -20,16 +20,16 @@ At numeric points a family's series is evaluated on the Schur diagonal:
 tau_at_points sums r_nu S_nu(a) S_nu(b) over the nu with S_nu(a) S_nu(b)
 != 0, the Schur values coming as integers over one denominator per
 degree from one character-table product (symfunc.schur_numerators), and
-never builds a TauSeries.  This is
-what the tau command prints (hciz, and alpha_q with and without
---check-determinant), with each family's (space, r_of) read from
-hciz_family / alpha_q_family, the definitions hciz_tau and alpha_q_tau
-build their TauSeries from.  One determinant route, family_determinant,
-checks it without reading r_nu: det[sum_l rho_l (a_i b_j)^l] for any
-family's rho (Cauchy-Binet on the fermionic vacuum element), by a
+never builds a TauSeries.  Every family at N points is one view,
+twists.AtPoints: hciz_family and alpha_q_family build it, and the tau
+command, hciz_tau, alpha_q_tau and both determinants read r_nu(N), its
+leading power and its zero past N rows from there.  family_determinant
+checks the Schur side from the view's rho alone: det[sum_l rho_l (a_i
+b_j)^l] (Cauchy-Binet on the fermionic vacuum element), by a
 division-free expansion over column subsets that is exact to every cap.
 The tau command runs its exp and binomial cases under --check-determinant
-(hciz_determinant, alpha_q_determinant); verify runs every walk-kind twist.
+(hciz_determinant, alpha_q_determinant); verify runs every walk-kind twist
+(twists.twist_at_points) and checks r_nu(N) against the closed forms.
 tau_eval (the power-sum tensor of a TauSeries at the points) and
 tau_eval_schur_side (each S_nu expanded on the p-basis, symfunc.evaluate)
 read the same r_nu and reach the point values by other routes; verify
@@ -64,13 +64,13 @@ from .symfunc import (
 )
 from .twists import (
     AlphaQConvolution,
+    AtPoints,
     E,
     Exp,
     ExpConvolution,
     H,
     Scale,
     TwistSpec,
-    alpha_q_coeff,
     series_character_sum,
     twist,
     twist_eigenvalue,
@@ -131,35 +131,28 @@ def monotone_tau(n_max: int, z_cap: int) -> TauSeries:
     return twist_tau(twist((Scale("q"), H("z")), (n_max, z_cap)), n_max)
 
 
-def hciz_family(N: int, n_max: int, z_cap: int | None = None) -> tuple[SeriesSpace, Callable]:
-    """(space, r_of) of the exponential-kernel family at N points; z is
-    capped at n_max unless z_cap is given."""
-    space = SeriesSpace(("z",), (n_max if z_cap is None else z_cap,))
-    return space, ExpConvolution(N, space).schur_expansion_r_lambda
+def hciz_family(N: int, z_cap: int) -> AtPoints:
+    """The exponential-kernel family at N points, pivot monomial -N z; it
+    prints with (-N z)^{N(N-1)/2} divided out (AtPoints.printed)."""
+    return AtPoints(lambda cap: ExpConvolution(N, SeriesSpace(("z",), (cap,))), N, z_cap, "z", -N)
 
 
-def alpha_q_family(
-    alpha, N: int, n_max: int, q_cap: int | None = None
-) -> tuple[SeriesSpace, Callable]:
-    """(space, r_of) of the alpha-q family at N points; q is capped at
-    n_max + N(N-1)/2, the degree of r_0(N) q^{n_max}, unless q_cap is given."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if q_cap is None:
-        q_cap = n_max + N * (N - 1) // 2
-    space = SeriesSpace(("q",), (q_cap,))
-    family = AlphaQConvolution(alpha, space)
-    return space, lambda nu: alpha_q_coeff(nu, family, N)
+def alpha_q_family(alpha, N: int, cap: int) -> AtPoints:
+    """The alpha-q family at N points, pivot monomial q, q capped at
+    cap + N(N-1)/2, the degree of r_0(N) q^{cap}."""
+    return AtPoints(lambda top: AlphaQConvolution(alpha, SeriesSpace(("q",), (top,))), N, cap, "q")
 
 
 def hciz_tau(N: int, n_max: int, z_cap: int | None = None) -> TauSeries:
-    space, r_of = hciz_family(N, n_max, z_cap)
-    return TauSeries(space, n_max, r_of)
+    view = hciz_family(N, n_max if z_cap is None else z_cap)
+    return TauSeries(view.printed_space, n_max, lambda nu: view.printed(view.r_of(nu)))
 
 
 def alpha_q_tau(alpha, N: int, n_max: int, q_cap: int | None = None) -> TauSeries:
-    space, r_of = alpha_q_family(alpha, N, n_max, q_cap)
-    return TauSeries(space, n_max, r_of)
+    """q capped at q_cap, or at n_max + N(N-1)/2 (alpha_q_family)."""
+    cap = n_max if q_cap is None else q_cap - AtPoints.leading_power(N)
+    view = alpha_q_family(alpha, N, cap)
+    return TauSeries(view.space, n_max, view.r_of)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -330,14 +323,9 @@ def _entry(space: SeriesSpace, rhos, x: Fraction) -> TruncSeries:
 def hciz_determinant(N: int, a_vals, b_vals, z_cap: int) -> TruncSeries:
     """det(e^{-N z a_i b_j}) / (Delta(a) Delta(b) (-N z)^{N(N-1)/2})
     = sum_{l(lam)<=N} r_lam S_lam(a) S_lam(b): family_determinant of
-    ExpConvolution, whose determinant vanishes to order N(N-1)/2 in z;
-    dividing that monomial out exactly makes the series start at 1."""
-    shift = N * (N - 1) // 2
-    space = SeriesSpace(("z",), (z_cap + shift,))
-    det = family_determinant(ExpConvolution(N, space).rho, N, a_vals, b_vals, space, "z")
-    # shift_down raises ExactDivisionError unless det vanishes to that order
-    det = det.shift_down("z", shift) * Fraction(1, (-N) ** shift)
-    return det.truncate_to(SeriesSpace(("z",), (z_cap,)))
+    hciz_family, whose determinant vanishes to order N(N-1)/2 in z."""
+    view = hciz_family(N, z_cap)
+    return view.printed(family_determinant(view.rho, N, a_vals, b_vals, view.space, "z"))
 
 
 def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
@@ -345,18 +333,20 @@ def alpha_q_determinant(N: int, alpha, a_vals, b_vals, q_cap: int) -> dict:
     det((1 - q a_i b_j)^{alpha-1}) / (Delta(a) Delta(b)), the power read
     entrywise (family_determinant of AlphaQConvolution), against the Schur
     expansion of the alpha-q family at the same points; the whole-determinant
-    reading (det M)^{alpha-1} is examined structurally."""
+    reading (det M)^{alpha-1} is examined structurally.  Both sides keep
+    r_0(N)'s q^{N(N-1)/2}, with q capped at q_cap."""
     alpha = Fraction(alpha)
     a_vals = [Fraction(x) for x in a_vals]
     b_vals = [Fraction(x) for x in b_vals]
-    space, r_of = alpha_q_family(alpha, N, q_cap, q_cap)
     _check_n_max(q_cap)
-    # r_nu(N) starts at q^(|nu| + N(N-1)/2), so only |nu| <= q_cap - N(N-1)/2
-    # survive the truncation; when q_cap < N(N-1)/2 none does, and both sides
-    # are compared as the zero series
-    top = q_cap - N * (N - 1) // 2
-    schur_side = tau_at_points(space, top, r_of, a_vals, b_vals) if top >= 0 else space.zero()
-    det = family_determinant(AlphaQConvolution(alpha, space).rho, N, a_vals, b_vals, space, "q")
+    # r_nu(N) starts at q^(|nu| + N(N-1)/2), so only |nu| <= top survive the
+    # cap; when top < 0 none does, and both sides are compared as the zero
+    # series
+    top = q_cap - AtPoints.leading_power(N)
+    view = alpha_q_family(alpha, N, top)  # q capped at q_cap
+    space = view.space
+    det = family_determinant(view.rho, N, a_vals, b_vals, space, "q")
+    schur_side = tau_at_points(space, top, view.r_of, a_vals, b_vals) if top >= 0 else space.zero()
     return {
         "N": N,
         "alpha": str(alpha),

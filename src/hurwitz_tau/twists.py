@@ -30,6 +30,7 @@ convolution family is its weights r_j = rho_j/rho_{j-1}: rho_j
     r_lam(N) = r_0(N) prod_{(i,j) in lam} r_{N+j-i},  r_0(N) = prod_{j<N} rho_j,
 
 derive from them by series products; r_lam(0) q^{|lam|} is the eigenvalue.
+AtPoints alone decides r_lam(N)'s leading power and its zero past N rows.
 """
 
 from dataclasses import dataclass
@@ -320,13 +321,10 @@ class ConvolutionCoeffs:
             memo[k] = self._product((memo[k - step], factor))
         return memo[j]
 
-    def r0(self, N: int) -> TruncSeries:
-        """prod_{j<N} rho_j (over rho_j for N <= j < 0), the empty r_lambda."""
-        return self.r_lambda((), N)
-
     def r_lambda(self, lam: Partition, N: int) -> TruncSeries:
         """r_0(N) prod_{(i,j) in lam} r_{N+j-i}, memoised per (lam, N) as lam
-        less its last cell (i, j) times r_{N+j-i}."""
+        less its last cell (i, j) times r_{N+j-i}; the empty r_lambda is
+        r_0(N) = prod_{j<N} rho_j (over rho_j for N <= j < 0)."""
         memo = vars(self).setdefault("_r_lambda", {})
         lam = tuple(lam)
         if (lam, N) not in memo:
@@ -377,14 +375,6 @@ class AlphaQConvolution(ConvolutionCoeffs):
     def r(self, j: int) -> TruncSeries:
         return self.space.monomial(Fraction(j - self.alpha, j), q=1) if j > 0 else self.space.one()
 
-    def closed_form_r_lambda(self, lam: Partition, N: int) -> TruncSeries:
-        """r_0(N) q^{|lam|} (N-alpha)_lam/(N)_lam via partition Pochhammers;
-        zero when l(lam) > N, like schur_expansion_r_lambda."""
-        if len(lam) > N:
-            return self.space.zero()
-        ratio = pochhammer_partition(N - self.alpha, lam) / pochhammer_partition(N, lam)
-        return self.r0(N) * self.space.monomial(ratio, q=size(lam))
-
 
 class ExpConvolution(ConvolutionCoeffs):
     """Exponential-kernel family behind the N x N trace-coupled integral,
@@ -395,9 +385,9 @@ class ExpConvolution(ConvolutionCoeffs):
     so that rho_j = (-N z)^j / j! (j >= 0), rho_j = 1 (j < 0).
 
     The branch product r_lam(N) carries the full prefactor
-    (-N z)^{N(N-1)/2}; the Schur-expansion tables use the conventional
-    normalisation schur_expansion_r_lambda = (-N z)^{|lam|} / ((prod_{k<N} k!) (N)_lam),
-    with the two related by exactly that monomial factor.
+    (-N z)^{N(N-1)/2}; tauseries.hciz_family divides it out, leaving the
+    conventional normalisation, whose closed form (the oracle) is
+    schur_expansion_r_lambda = (-N z)^{|lam|} / ((prod_{k<N} k!) (N)_lam).
     """
 
     def __init__(self, N: int, space: SeriesSpace):
@@ -418,6 +408,56 @@ class ExpConvolution(ConvolutionCoeffs):
         return self.space.monomial(Fraction((-self.N) ** size(lam)) / norm, z=size(lam))
 
 
+class AtPoints:
+    """A family at N points, sum_{l(lam) <= N} r_lam(N) S_lam(a) S_lam(b).
+    build(top) is the family with pivot p capped at top, each r_j (j >= 1)
+    the monomial c p times a p-free series: r_lam(N) is (c p)^s times a
+    series of p-degree |lam|, s = leading_power(N).  In ``space`` (p capped
+    at cap + s) r_of(lam) is the branch product, zero when l(lam) > N, and
+    rho feeds tauseries.family_determinant.  printed() reads a sum or a
+    determinant there as the tau command prints it: a view given the lead c
+    divides (c p)^s out, into ``printed_space`` (p capped at cap); one
+    without keeps it, and may take cap < 0 (then no lam survives)."""
+
+    def __init__(self, build, N: int, cap: int, pivot: str, lead: int | None = None):
+        if N < 0:
+            raise ValueError(f"N must be >= 0, got {N}")
+        self.N, self.pivot, self.lead, self.shift = N, pivot, lead, self.leading_power(N)
+        self.family = build(cap + self.shift)
+        self.space, self.rho = self.family.space, self.family.rho
+        self.printed_space = self.space if lead is None else build(cap).space
+
+    @staticmethod
+    def leading_power(N: int) -> int:
+        """N(N-1)/2, the pivot degree of r_0(N)."""
+        return N * (N - 1) // 2
+
+    def r_of(self, lam: Partition) -> TruncSeries:
+        return self.space.zero() if len(lam) > self.N else self.family.r_lambda(lam, self.N)
+
+    def printed(self, series: TruncSeries) -> TruncSeries:
+        """ExactDivisionError when a view with a lead reads a series that
+        does not vanish to p-order s."""
+        if self.lead is None:
+            return series
+        value = series.shift_down(self.pivot, self.shift).truncate_to(self.printed_space)
+        return value / self.lead**self.shift
+
+
+def twist_at_points(atoms, N: int, cap: int) -> AtPoints:
+    """A twist's family at N points, graded by its q (Scale("q") grades a
+    twist without one): one q in every r_j, every parameter capped at cap."""
+    q = TwistSpec(atoms, ()).q_param() or "q"
+    spec = twist((*atoms, Scale(q)), cap)  # Scale(q) adds no parameter to a twist with a q
+
+    class Graded(TwistConvolution):
+        def r(self, j: int) -> TruncSeries:
+            return super().r(j) * self.space.monomial(1, **{q: 1})
+
+    return AtPoints(lambda top: Graded(
+        twist(spec.factors, [top if p == q else cap for p in spec.params()])), N, cap, q)
+
+
 # -- eigenvalue families for tau assembly ------------------------------------
 
 def okounkov_coeff(lam: Partition, space: SeriesSpace) -> TruncSeries:
@@ -433,8 +473,12 @@ def multimonotone_coeff(lam: Partition, space: SeriesSpace, w_params) -> TruncSe
 
 
 def alpha_q_coeff(lam: Partition, family: AlphaQConvolution, N: int) -> TruncSeries:
-    """r_lam^{(alpha,q)}(N) as a q-series; defined-zero when l(lam) > N."""
-    return family.closed_form_r_lambda(lam, N)
+    """The closed form r_0(N) q^{|lam|} (N-alpha)_lam/(N)_lam of the alpha-q
+    family (partition Pochhammers), zero when l(lam) > N: the oracle."""
+    if len(lam) > N:
+        return family.space.zero()
+    ratio = pochhammer_partition(N - family.alpha, lam) / pochhammer_partition(N, lam)
+    return family.r_lambda((), N) * family.space.monomial(ratio, q=size(lam))
 
 
 def symmetry_check(coeffs: dict, n: int) -> bool:

@@ -47,8 +47,8 @@ from .partitions import (
     size,
     z_of,
 )
-from .series import SeriesSpace
-from .twists import E, Exp, H, Scale, TwistSpec, connection_coeffs, twist, twist_eigenvalue
+from .series import SeriesSpace, series_json
+from .twists import E, Exp, H, connection_coeffs, twist, twist_eigenvalue
 
 
 @dataclass
@@ -426,11 +426,13 @@ def walks_suite(nmax: int = 6) -> list:
         # inversion fixes it: D(lam, mu) Z_lam = D(mu, lam) Z_mu on the counts
         for n in range(1, top + 1):
             parts = partitions_of(n)
-            for data, segments, _ in tauseries.WALK_KINDS["weakstrict"].steps(3):
-                d = {mu: count_walks_to(n, class_representative(mu, n), segments) for mu in parts}
+            by_data = {}  # repr(step data) -> (step data, {(lam, mu): D(lam, mu)})
+            for lam, mu, data, _, count in _oracle_counts("weakstrict", n, 3):
+                by_data.setdefault(repr(data), (data, {}))[1][lam, mu] = count
+            for data, d in by_data.values():
                 for i, lam in enumerate(parts):
                     for mu in parts[:i]:
-                        if d[mu].get(lam, 0) * z_of(lam) != d[lam].get(mu, 0) * z_of(mu):
+                        if d[lam, mu] * z_of(lam) != d[mu, lam] * z_of(mu):
                             raise AssertionError(f"symmetry fails at n={n}, {lam}->{mu} {data}")
         return "Z_lam D(lam,mu) = Z_mu D(mu,lam) on H*E oracle counts, k+l<=3, n<=5"
 
@@ -632,34 +634,26 @@ def tau_suite(nmax: int = 8, seed: int = DEFAULT_SEED) -> list:
         graded = [((H("z"),), 3), ((H("z1"), H("z2")), 2)]
         for atoms, n_points in graded + [(w.atoms, 2) for w in tauseries.WALK_KINDS.values()]:
             for N in range(1, n_points + 1):
-                space, q, rho, r_of = graded_twist_family(atoms, N, 3)
+                view = twists.twist_at_points(atoms, N, 3)
                 a, b = (oracles.random_rationals(rng, N, distinct=True) for _ in "ab")
-                det = tauseries.family_determinant(rho, N, a, b, space, q)
-                _require(det == tauseries.tau_at_points(space, 3, r_of, a, b),
+                det = tauseries.family_determinant(view.rho, N, a, b, view.space, view.pivot)
+                _require(det == tauseries.tau_at_points(view.space, 3, view.r_of, a, b),
                          f"determinant route fails at N={N} for {atoms}")
         return ("det route = Schur side at cap 3 for H (N<=3), H*H and every walk kind (N<=2);"
                 f" r_lambda(0) q^|lam| = content-product eigenvalue, every walk kind at cap 3"
                 f" with |lam|<={top}, H and H*H with |lam|<={intertwining_nmax}")
 
     def alpha_q_branches():
+        # the family at N points (tauseries.alpha_q_family) against the
+        # closed form, its zeros past N rows included
         for alpha in (Fraction(1, 2), Fraction(-3), Fraction(7, 3)):
-            space = SeriesSpace(("q",), (24,))
-            fam = twists.AlphaQConvolution(alpha, space)
             for N in range(6):
+                view = tauseries.alpha_q_family(alpha, N, 6)
                 for n in range(7):
                     for lam in partitions_of(n):
-                        if len(lam) > N:
-                            _require(
-                                twists.alpha_q_coeff(lam, fam, N).is_zero(),
-                                f"defined-zero flag fails at {lam}, N={N}",
-                            )
-                            continue
-                        branch = fam.r_lambda(lam, N)
-                        closed = fam.closed_form_r_lambda(lam, N)
-                        _require(
-                            branch == closed,
-                            f"alpha-q branches disagree at {lam}, N={N}, alpha={alpha}",
-                        )
+                        closed = twists.alpha_q_coeff(lam, view.family, N)
+                        _require(view.r_of(lam) == closed,
+                                 f"alpha-q branches disagree at {lam}, N={N}, alpha={alpha}")
         return "branch r_lambda = r0 q^|lam| (N-a)_lam/(N)_lam, |lam|<=6, N<=5"
 
     def hciz():
@@ -667,7 +661,10 @@ def tau_suite(nmax: int = 8, seed: int = DEFAULT_SEED) -> list:
         for N in (1, 2, 3):
             a_vals = oracles.random_rationals(rng, N, distinct=True)
             b_vals = oracles.random_rationals(rng, N, distinct=True)
-            t = tauseries.hciz_tau(N, 6, 6)
+            # the closed form reads no r_j; the determinant and the view do
+            view = tauseries.hciz_family(N, 6)
+            closed = twists.ExpConvolution(N, view.printed_space).schur_expansion_r_lambda
+            t = tauseries.TauSeries(view.printed_space, 6, closed)
             det_side = tauseries.hciz_determinant(N, a_vals, b_vals, 6)
             schur_side = tauseries.tau_eval(t, a_vals, b_vals)
             _require(det_side == schur_side, f"determinant identity fails at N={N}")
@@ -675,8 +672,7 @@ def tau_suite(nmax: int = 8, seed: int = DEFAULT_SEED) -> list:
             # so does the Schur-diagonal route the tau command prints
             other = tauseries.tau_eval_schur_side(t, a_vals, b_vals)
             _require(schur_side == other, f"p-side and Schur-side evaluations disagree at N={N}")
-            space, r_of = tauseries.hciz_family(N, 6)
-            diagonal = tauseries.tau_at_points(space, 6, r_of, a_vals, b_vals)
+            diagonal = view.printed(tauseries.tau_at_points(view.space, 6, view.r_of, a_vals, b_vals))
             _require(diagonal == schur_side, f"Schur-diagonal evaluation disagrees at N={N}")
         return "det route = Schur expansion through z^6, N=1,2,3"
 
@@ -743,6 +739,12 @@ def tau_suite(nmax: int = 8, seed: int = DEFAULT_SEED) -> list:
             report["all_entrywise_match"],
             "the entrywise determinant misses the Schur expansion in some case",
         )
+        for case in report["cases"]:  # both sides read r_j; the closed form does not
+            fam = twists.AlphaQConvolution(Fraction(case["alpha"]), SeriesSpace(("q",), (5,)))
+            r_of = partial(twists.alpha_q_coeff, family=fam, N=case["N"])
+            a, b = ([Fraction(x) for x in case[k]] for k in "ab")
+            closed = tauseries.tau_at_points(fam.space, 5, r_of, a, b)
+            _require(series_json(closed) == case["schur_expansion"], "the closed form disagrees")
         return "exploratory determinant comparison report generated"
 
     return [
@@ -758,21 +760,6 @@ def tau_suite(nmax: int = 8, seed: int = DEFAULT_SEED) -> list:
         ("tau.multimonotone_table", multimonotone_table),
         ("tau.alpha_q_report", alpha_q_report),
     ]
-
-
-def graded_twist_family(atoms, N: int, cap: int):
-    """(space, q, rho, r_of) of a twist's family at N points, graded by q
-    (a Scale(q) atom joins atoms without one), each parameter capped at cap
-    but q at cap + N(N-1)/2: rho(l) = rho_l q^l for
-    tauseries.family_determinant, r_of(lam) = r_lam(N) q^{|lam|+N(N-1)/2}."""
-    q = TwistSpec(atoms, ()).q_param()
-    if q is None:
-        q, atoms = "q", (*atoms, Scale("q"))
-    shift = N * (N - 1) // 2
-    spec = twist(atoms, [cap + shift if p == q else cap for p in TwistSpec(atoms, ()).params()])
-    conv = twists.TwistConvolution(spec)
-    return (spec.space(), q, lambda l: conv.rho(l).shift_up(q, l),
-            lambda lam: conv.r_lambda(lam, N).shift_up(q, size(lam) + shift))
 
 
 def build_alpha_q_report(seed: int = DEFAULT_SEED) -> dict:

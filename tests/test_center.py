@@ -210,6 +210,15 @@ def test_center_element_validation():
         CenterElement(3, {(2, 2): Fraction(1)})
 
 
+@pytest.mark.parametrize("bad", (0.5, 0.1, "1/2"), ids=repr)
+def test_center_element_refuses_inexact_coordinates(bad):
+    # a float or a str coordinate once passed through: 0.5 at (2, 1) times
+    # C_(2,1) came back as float coordinates {(3,): 1.5, (1, 1, 1): 1.5}
+    with pytest.raises(TypeError, match="exact rationals or series"):
+        CenterElement(3, {(2, 1): bad})
+    assert CenterElement(3, {(2, 1): Fraction(1, 2), (3,): 2}).coeff((2, 1)) == Fraction(1, 2)
+
+
 def test_characteristic_map_rejects_series_coordinates():
     q = SeriesSpace(("q",), (2,)).monomial(1, q=1)
     for v in (CenterElement(2, {(2,): q}), idem_to_class(2, {(2,): q})):

@@ -15,7 +15,6 @@ from hurwitz_tau.cli import main
 from hurwitz_tau.groupalg import WalkQuery, count_walks, weak_then_strict
 from hurwitz_tau.partitions import format_partition, partitions_of
 from hurwitz_tau.tauseries import WALK_KINDS
-from hurwitz_tau.twists import ExpConvolution
 from hurwitz_tau.verify import SUITES, run_suite
 
 
@@ -137,15 +136,18 @@ def test_tau_rejects_a_point_count_other_than_n(argv, check):
     assert len(lines) == 1 and "points" in lines[0]
 
 
-def test_tau_hciz_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
-    # give r_(2) the value of r_(1,1): the printed Schur-diagonal series then
-    # differs from the determinant of the exp entries, and the op exits 1
-    r_of = ExpConvolution.schur_expansion_r_lambda
+def _corrupt_r_2(monkeypatch):
+    """Give r_(2) the value of r_(1,1) in every family at N points."""
+    r_of = twists.AtPoints.r_of
     monkeypatch.setattr(
-        ExpConvolution,
-        "schur_expansion_r_lambda",
-        lambda self, lam: r_of(self, (1, 1) if tuple(lam) == (2,) else lam),
+        twists.AtPoints, "r_of", lambda view, lam: r_of(view, (1, 1) if tuple(lam) == (2,) else lam)
     )
+
+
+def test_tau_hciz_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
+    # a corrupted r_(2): the printed Schur-diagonal series then differs from
+    # the determinant of the exp entries, and the op exits 1
+    _corrupt_r_2(monkeypatch)
     code, out = run_cli(
         capsys,
         "tau", "--family", "hciz", "--N", "2", "--a", "1,2", "--b", "1/2,1/3",
@@ -156,14 +158,9 @@ def test_tau_hciz_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
 
 
 def test_tau_alpha_q_fails_when_one_r_nu_is_corrupted(capsys, monkeypatch):
-    # give r_(2) the value of r_(1,1): the Schur side then differs from the
-    # entrywise determinant, the report prints as it is and the op exits 1
-    r_of = tauseries.alpha_q_coeff
-    monkeypatch.setattr(
-        tauseries,
-        "alpha_q_coeff",
-        lambda lam, fam, N: r_of((1, 1) if tuple(lam) == (2,) else lam, fam, N),
-    )
+    # a corrupted r_(2): the Schur side then differs from the entrywise
+    # determinant, the report prints as it is and the op exits 1
+    _corrupt_r_2(monkeypatch)
     argv = ("--N", "2", "--alpha", "1/2", "--a", "1/2,1/3", "--b", "1,2", "--qcap", "5")
     code, out = run_cli(capsys, "tau", "--family", "alpha_q", *argv, "--check-determinant")
     assert code == 1
@@ -375,6 +372,44 @@ def test_table_output_matches_the_digests(capsys):
         assert code == 0
         digests[" ".join(argv[1:])] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == json.loads(TABLE_DIGESTS.read_text())
+
+
+TAU_DIGESTS = Path(__file__).parent / "goldens" / "tau_digests.json"
+TAU_POINTS = ("1/2,1/3,2,3,1/5", "1,2,1/5,1/7,3/2")
+
+
+def tau_digest_argv() -> list:
+    """tau for both families at N = 0..5 and caps 0, 1, 3, 5, 8, with and
+    without --check-determinant, at the first N of fixed distinct points."""
+    argv = []
+    for family, cap_flag, extra in (("hciz", "--zcap", ()), ("alpha_q", "--qcap", ("--alpha", "1/2"))):
+        for N in range(6):
+            a, b = (",".join(points.split(",")[:N]) for points in TAU_POINTS)
+            for cap in (0, 1, 3, 5, 8):
+                for check in ((), ("--check-determinant",)):
+                    argv.append(("tau", "--family", family, "--N", str(N), *extra,
+                                 f"--a={a}", f"--b={b}", cap_flag, str(cap), *check))
+    return argv
+
+
+def tau_digests() -> dict:
+    """{argv: [exit code, sha256 of stdout]} for tau_digest_argv(); rewrite
+    the golden with PYTHONPATH=src python tests/test_cli.py and say why."""
+    digests = {}
+    for argv in tau_digest_argv():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        digests[" ".join(argv[1:])] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    return digests
+
+
+def test_tau_output_matches_the_digests():
+    # the exit code and stdout of 120 tau runs, written before the N-point
+    # families were read from one view: hciz at N = 4, 5 and at N = 0 (exit
+    # 2), and alpha_q with --qcap below N(N-1)/2, which the benchmark ops
+    # never reach
+    assert tau_digests() == json.loads(TAU_DIGESTS.read_text())
 
 
 def test_gmatrix_builds_no_series_to_print(capsys, monkeypatch):
@@ -859,3 +894,7 @@ def test_src_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert in src/: {found}"
+
+
+if __name__ == "__main__":
+    TAU_DIGESTS.write_text(json.dumps(tau_digests(), indent=2) + "\n")

@@ -370,3 +370,14 @@ def test_product_sum_reads_its_live_fields(space):
     assert tensor_product_sum(cases[0], 4).terms == {key: space.one()}
     assert tensor_product_sum(cases[1], 4).terms == {key: corner}
     assert tensor_product_sum(cases[3], 4).terms == tensor_product_sum(cases[4], 4).terms == {}
+
+
+@pytest.mark.parametrize("bad", (0.1, 0.5, "1/2"), ids=repr)
+def test_symfunc_refuses_inexact_coefficients(bad):
+    # SymFunc({(1,): 0.1}) once stored 3602879701896397/36028797018963968,
+    # and a str was parsed as a rational, in the constructor and in scale
+    with pytest.raises(TypeError, match="exact rationals"):
+        SymFunc({(1,): bad})
+    with pytest.raises(TypeError, match="exact rationals"):
+        SymFunc({(1,): 1}).scale(bad)
+    assert SymFunc({(1,): Fraction(1, 10)}).scale(2).terms == {(1,): Fraction(1, 5)}

@@ -26,15 +26,12 @@ from hurwitz_tau.series import SeriesSpace, TruncSeries, series_json
 from hurwitz_tau.symfunc import TensorSymFunc, powersum_products
 from hurwitz_tau.twists import (
     AlphaQConvolution,
+    AtPoints,
     E,
-    ExpConvolution,
     H,
-    Scale,
-    TwistConvolution,
     alpha_q_coeff,
-    twist,
+    twist_at_points,
 )
-from hurwitz_tau.verify import graded_twist_family
 from hurwitz_tau.tauseries import (
     WALK_KINDS,
     alpha_q_determinant,
@@ -129,23 +126,23 @@ def test_tau_at_points_equals_the_tensor_routes(family, alpha, N, cap):
     # the per-nu p-basis Schur values (tau_eval_schur_side), at distinct
     # points with a negative one and at repeated points with a zero
     if family == "hciz":
-        (space, r_of), t = hciz_family(N, cap), hciz_tau(N, cap)
+        view, t = hciz_family(N, cap), hciz_tau(N, cap)
     else:
-        (space, r_of), t = alpha_q_family(alpha, N, cap), alpha_q_tau(alpha, N, cap)
-    assert space == t.space
+        view, t = alpha_q_family(alpha, N, cap), alpha_q_tau(alpha, N, cap)
     rng = random.Random(f"{family}/{alpha}/{N}")
     a_vals = random_rationals(rng, N, distinct=True)
     b_vals = random_rationals(rng, N, distinct=True)
     a_vals[:1] = [-abs(x) for x in a_vals[:1]]
     repeated = (a_vals[:1] * N, ([Fraction(0)] + b_vals[:1] * N)[:N])
     for a, b in ((a_vals, b_vals), repeated):
-        got = tau_at_points(space, cap, r_of, a, b)
-        assert got == tau_eval(t, a, b)
+        got = view.printed(tau_at_points(view.space, cap, view.r_of, a, b))
+        assert got.space == t.space and got == tau_eval(t, a, b)
         assert got == tau_eval_schur_side(t, a, b)
 
 
 def test_tau_at_points_never_asks_for_vanishing_nu():
-    space, r_of = hciz_family(2, 6)
+    view = hciz_family(2, 6)
+    space, r_of = view.space, view.r_of
     asked = []
     tau_at_points(space, 6, lambda nu: asked.append(nu) or r_of(nu), [1, -2], [Fraction(1, 3), 5])
     assert len(asked) == sum(len(lam) <= 2 for n in range(7) for lam in partitions_of(n))
@@ -157,9 +154,9 @@ def test_tau_at_points_never_asks_for_vanishing_nu():
 
 @pytest.mark.parametrize("n_max", (-1, 9))
 def test_tau_at_points_rejects_n_max_out_of_range(n_max):
-    space, r_of = hciz_family(1, 5)
+    view = hciz_family(1, 5)
     with pytest.raises(ValueError, match="n_max"):
-        tau_at_points(space, n_max, r_of, [1], [2])
+        tau_at_points(view.space, n_max, view.r_of, [1], [2])
 
 
 def test_hciz_determinant_0_1_points():
@@ -178,8 +175,8 @@ def test_hciz_determinant_at_seven_points_keeps_its_denominator_reduced():
     a_vals = [Fraction(k + 1, p) for k, p in enumerate((2, 3, 5, 7, 11, 13, 17))]
     b_vals = [Fraction(-k - 2, p) for k, p in enumerate((19, 23, 29, 31, 37, 41, 43))]
     det = hciz_determinant(7, a_vals, b_vals, 5)
-    space, r_of = hciz_family(7, 5)
-    want = tau_at_points(space, 5, r_of, a_vals, b_vals)
+    view = hciz_family(7, 5)
+    want = view.printed(tau_at_points(view.space, 5, view.r_of, a_vals, b_vals))
     assert det == want and det.terms == want.terms and len(det.terms) == 6
     assert det.den > 0 and gcd(det.den, *det.nums.values()) == 1
 
@@ -315,24 +312,15 @@ def test_bareiss_inverts_each_pivot_once(monkeypatch):
 TWIST_ATOMS = {"twist_h": (H("z"),), "twist_e": (E("w1"), E("w2"))}
 
 
-def _family_case(kind, N):
-    """(space, pivot, rho, r_of, n_max) of one family kind at N points,
-    the determinant reaching |lam| <= n_max beyond r_0(N)."""
-    if kind in ("exp", "alpha_q"):
-        pivot = "z" if kind == "exp" else "q"
-        space = SeriesSpace((pivot,), (4 + N * (N - 1) // 2,))
-        conv = _convolution(kind, N, space)
-        return space, pivot, conv.rho, lambda lam: conv.r_lambda(lam, N), 4
-    space, q, rho, r_of = graded_twist_family(TWIST_ATOMS[kind], N, 3)
-    return space, q, rho, r_of, 3
-
-
-def _convolution(kind, N, space):
+def _family_case(kind, N, deeper=0):
+    """(view, n_max) of one family kind at N points: the pivot capped at
+    n_max (and every twist parameter at n_max) from the leading term."""
+    n_max = (4 if kind in ("exp", "alpha_q") else 3) + deeper
     if kind == "exp":
-        return ExpConvolution(N, space)
+        return hciz_family(N, n_max), n_max
     if kind == "alpha_q":
-        return AlphaQConvolution(Fraction(7, 3), space)
-    return TwistConvolution(twist((*TWIST_ATOMS[kind], Scale("q")), space.caps))
+        return alpha_q_family(Fraction(7, 3), N, n_max), n_max
+    return twist_at_points(TWIST_ATOMS[kind], N, n_max), n_max
 
 
 def _shifted(rho):
@@ -341,12 +329,13 @@ def _shifted(rho):
 
 
 def _determinant_matches_schur_side(kind, N, shifted=False):
-    space, pivot, rho, r_of, n_max = _family_case(kind, N)
+    view, n_max = _family_case(kind, N)
     rng = random.Random(f"{kind}/{N}")
     a_vals = random_rationals(rng, N, distinct=True)
     b_vals = random_rationals(rng, N, distinct=True)
-    det = family_determinant(_shifted(rho) if shifted else rho, N, a_vals, b_vals, space, pivot)
-    return det == tau_at_points(space, n_max, r_of, a_vals, b_vals)
+    rho = _shifted(view.rho) if shifted else view.rho
+    det = family_determinant(rho, N, a_vals, b_vals, view.space, view.pivot)
+    return det == tau_at_points(view.space, n_max, view.r_of, a_vals, b_vals)
 
 
 FAMILY_KINDS = ("exp", "alpha_q", "twist_h", "twist_e")
@@ -366,24 +355,20 @@ def test_family_determinant_is_exact_to_the_caps(kind):
     # rho_{l+1} in place of rho_l makes leading minors that vanish deeper
     # than rho_l's; the determinant still agrees, to every cap of its own
     # space, with one taken six degrees deeper
-    space, pivot, rho, _, _ = _family_case(kind, 3)
-    wide = SeriesSpace(space.params, [c + 6 if p == pivot else c
-                                      for p, c in zip(space.params, space.caps)])
-    conv = _convolution(kind, 3, wide)
-    wide_rho = conv.rho if kind in ("exp", "alpha_q") else lambda l: conv.rho(l).shift_up(pivot, l)
+    (view, _), (deep, _) = _family_case(kind, 3), _family_case(kind, 3, deeper=6)
     rng = random.Random(f"short/{kind}")
     a_vals = random_rationals(rng, 3, distinct=True)
     b_vals = random_rationals(rng, 3, distinct=True)
-    want = family_determinant(_shifted(wide_rho), 3, a_vals, b_vals, wide, pivot)
-    got = family_determinant(_shifted(rho), 3, a_vals, b_vals, space, pivot)
-    assert got.space == space and got == want.truncate_to(space)
+    want = family_determinant(_shifted(deep.rho), 3, a_vals, b_vals, deep.space, deep.pivot)
+    got = family_determinant(_shifted(view.rho), 3, a_vals, b_vals, view.space, view.pivot)
+    assert got.space == view.space and got == want.truncate_to(view.space)
 
 
 @pytest.mark.parametrize("kind", ("alpha_q", "twist_h"))
 def test_family_determinant_of_no_points_is_one(kind):
     # Cauchy-Binet at N = 0: the empty determinant is 1 = r_0(0)
-    space, pivot, rho, _, _ = _family_case(kind, 0)
-    assert family_determinant(rho, 0, [], [], space, pivot) == space.one()
+    view, _ = _family_case(kind, 0)
+    assert family_determinant(view.rho, 0, [], [], view.space, view.pivot) == view.space.one()
     assert _determinant_matches_schur_side(kind, 0)
 
 
@@ -392,8 +377,9 @@ def test_family_determinant_at_five_points():
     rng = random.Random(5)
     a_vals = random_rationals(rng, 5, distinct=True)
     b_vals = random_rationals(rng, 5, distinct=True)
-    space, r_of = hciz_family(5, 4)
-    assert hciz_determinant(5, a_vals, b_vals, 4) == tau_at_points(space, 4, r_of, a_vals, b_vals)
+    view = hciz_family(5, 4)
+    assert hciz_determinant(5, a_vals, b_vals, 4) == view.printed(
+        tau_at_points(view.space, 4, view.r_of, a_vals, b_vals))
     assert _determinant_matches_schur_side("alpha_q", 5)
 
 
@@ -437,18 +423,20 @@ def test_alpha_q_determinant_builds_only_the_surviving_sheets(monkeypatch, N, q_
     alpha = Fraction(1, 2)
     a_vals = [Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3)][:N]
     b_vals = [Fraction(1), Fraction(2), Fraction(1, 5), Fraction(1, 7)][:N]
-    asked = []
+    asked, r_of = [], AtPoints.r_of
 
-    def recording_coeff(nu, family, n_points):
+    def recording(view, nu):
         asked.append(nu)
-        return alpha_q_coeff(nu, family, n_points)
+        return r_of(view, nu)
 
-    monkeypatch.setattr(tauseries, "alpha_q_coeff", recording_coeff)
+    monkeypatch.setattr(AtPoints, "r_of", recording)
     report = alpha_q_determinant(N, alpha, a_vals, b_vals, q_cap)
     top = q_cap - N * (N - 1) // 2
     assert (max(map(sum, asked)) == top) if top >= 0 else (asked == [])
-    space, r_of = alpha_q_family(alpha, N, q_cap, q_cap)
-    every_sheet = tau_at_points(space, q_cap, r_of, a_vals, b_vals)
+    # every sheet of the closed form, the oracle of the view
+    family = AlphaQConvolution(alpha, SeriesSpace(("q",), (q_cap,)))
+    closed = lambda nu: alpha_q_coeff(nu, family, N)  # noqa: E731
+    every_sheet = tau_at_points(family.space, q_cap, closed, a_vals, b_vals)
     assert report["schur_expansion"] == series_json(every_sheet)
     assert report["entrywise_matches_schur_expansion"] is True
 
@@ -457,6 +445,18 @@ def test_alpha_q_determinant_rejects_a_q_cap_past_the_tau_cap():
     # no clamp to the cap: a report labelled q_cap 8 would answer another question
     with pytest.raises(ValueError, match="n_max must lie in"):
         alpha_q_determinant(1, Fraction(1, 2), [Fraction(2, 3)], [Fraction(1, 5)], 9)
+
+
+@pytest.mark.parametrize("N, n_max, q_cap", [(1, 3, 6), (2, 3, 7), (3, 2, 4), (4, 2, 5), (3, 4, 2)])
+def test_alpha_q_tau_at_any_q_cap_is_the_closed_form(N, n_max, q_cap):
+    # q capped at q_cap on both sides of n_max + N(N-1)/2, and below N(N-1)/2
+    # (every r_nu zero): each r_nu is the closed form in that space
+    alpha = Fraction(7, 3)
+    t = alpha_q_tau(alpha, N, n_max, q_cap)
+    family = AlphaQConvolution(alpha, SeriesSpace(("q",), (q_cap,)))
+    assert t.space == family.space
+    assert all(r == alpha_q_coeff(nu, family, N) for nu, r in t.r.items())
+    assert any(r for r in t.r.values()) == (q_cap >= N * (N - 1) // 2)
 
 
 def test_alpha_q_tau_vanishing_rows():

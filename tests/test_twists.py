@@ -14,7 +14,7 @@ from hurwitz_tau.center import (
 from hurwitz_tau.groupalg import WalkQuery, count_walks, plain, weakly_monotone
 from hurwitz_tau.partitions import content_sum, partitions_of, pochhammer_partition, size, z_of
 from hurwitz_tau.series import SeriesSpace, TruncSeries, series_json
-from hurwitz_tau.tauseries import WALK_KINDS, twist_tau
+from hurwitz_tau.tauseries import WALK_KINDS, hciz_family, twist_tau
 from hurwitz_tau.twists import (
     AlphaQConvolution,
     E,
@@ -349,13 +349,13 @@ def test_h_and_e_eigenvalues_never_multiply_series(monkeypatch):
 
 
 def test_r0_recursion_across_zero():
-    # r0(N+1) = r0(N) rho(N) on both sides of N = 0; for N < 0 r0 divides
+    # r_0(N+1) = r_0(N) rho(N) on both sides of N = 0; for N < 0 r_0 divides
     specs = [twist(tuple(H(z) for z in names), 4) for names in (("z",), ("z1", "z2"))]
     specs += [twist((E("w"),), 4), twist((Exp("q", "beta"),), 4)]
     for spec in specs:
         conv = TwistConvolution(spec)
         for N in range(-4, 4):
-            assert conv.r0(N + 1) == conv.r0(N) * conv.rho(N)
+            assert conv.r_lambda((), N + 1) == conv.r_lambda((), N) * conv.rho(N)
 
 
 def test_r0_is_built_once_per_n():
@@ -365,10 +365,10 @@ def test_r0_is_built_once_per_n():
     calls, r = [], fam.r
     fam.r = lambda j: calls.append(j) or r(j)
     for lam in partitions_of(4):
-        fam.closed_form_r_lambda(lam, 4)
+        alpha_q_coeff(lam, fam, 4)
         fam.r_lambda(lam, 4)
     assert calls == list(range(1, 8))
-    assert fam.r0(0) == fam.space.one()
+    assert fam.r_lambda((), 0) == fam.space.one()
 
 
 def test_rho_is_the_same_in_any_order():
@@ -419,7 +419,7 @@ def test_alpha_q_branch_equals_closed_form():
                 for lam in partitions_of(n):
                     if len(lam) > N:
                         continue
-                    assert fam.r_lambda(lam, N) == fam.closed_form_r_lambda(lam, N)
+                    assert fam.r_lambda(lam, N) == alpha_q_coeff(lam, fam, N)
 
 
 def test_alpha_q_closed_form_is_zero_past_n_rows():
@@ -428,7 +428,7 @@ def test_alpha_q_closed_form_is_zero_past_n_rows():
     for N in range(4):
         for lam in partitions_of(4):
             if len(lam) > N:
-                assert fam.closed_form_r_lambda(lam, N) == fam.space.zero()
+                assert alpha_q_coeff(lam, fam, N) == fam.space.zero()
 
 
 def test_alpha_q_closed_form_past_the_q_cap():
@@ -441,9 +441,9 @@ def test_alpha_q_closed_form_past_the_q_cap():
             for lam in partitions_of(n):
                 if len(lam) > N:
                     continue
-                closed = fam.closed_form_r_lambda(lam, N)
+                closed = alpha_q_coeff(lam, fam, N)
                 ratio = pochhammer_partition(N - fam.alpha, lam) / pochhammer_partition(N, lam)
-                assert closed == fam.r0(N) * space.monomial(ratio, q=n)
+                assert closed == fam.r_lambda((), N) * space.monomial(ratio, q=n)
                 assert closed == fam.r_lambda(lam, N)
                 assert closed.is_zero() == (N == 4 or n > 2)
 
@@ -459,17 +459,20 @@ def test_alpha_q_single_row_is_plain_pochhammer():
 
 
 def test_exp_convolution_branch_vs_schur_normalisation():
-    space = SeriesSpace(("z",), (10,))
-    fam = ExpConvolution(2, space)
-    for n in range(5):
-        for lam in partitions_of(n):
-            branch = fam.r_lambda(lam, 2)
-            if len(lam) > 2:
-                assert fam.schur_expansion_r_lambda(lam).is_zero()
-                continue
-            # branch product = (-Nz)^{N(N-1)/2} * conventional coefficient
-            shift = space.monomial(Fraction(-2), z=1)
-            assert branch == shift * fam.schur_expansion_r_lambda(lam)
+    # the Exp oracle of the family at N points (hciz_family), as
+    # tau.alpha_q_family is for alpha-q: the branch product carries
+    # (-N z)^{N(N-1)/2}; with it divided out, r_lam(N) is the closed form
+    # schur_expansion_r_lambda, the zeros past N rows included
+    for N in range(1, 6):
+        view = hciz_family(N, 6)
+        closed, wide = ExpConvolution(N, view.printed_space), ExpConvolution(N, view.space)
+        lead = view.space.monomial((-N) ** view.shift, z=view.shift)
+        for n in range(7):
+            for lam in partitions_of(n):
+                r = view.r_of(lam)
+                assert view.printed(r) == closed.schur_expansion_r_lambda(lam), (N, lam)
+                assert r == lead * wide.schur_expansion_r_lambda(lam)
+                assert r.is_zero() == (len(lam) > N)
 
 
 def test_alpha_q_specialized_twist_eigenvalue():
@@ -518,7 +521,7 @@ def test_family_coeffs_dispatcher():
     assert ExpConvolution(2, sp_z).schur_expansion_r_lambda((1, 1, 1)).is_zero()
     sp_q = SeriesSpace(("q",), (8,))
     fam = AlphaQConvolution(Fraction(1, 2), sp_q)
-    assert alpha_q_coeff((2,), fam, 1) == fam.closed_form_r_lambda((2,), 1)
+    assert alpha_q_coeff((2,), fam, 1) == fam.r_lambda((2,), 1)
     assert alpha_q_coeff((1, 1), fam, 1).is_zero()
     sp_w = SeriesSpace(("q", "w1"), (4, 3))
     mm = multimonotone_coeff((2,), sp_w, w_params=("w1",))

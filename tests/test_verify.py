@@ -247,15 +247,16 @@ def test_nmax_clamps_each_check_at_its_ceiling():
 def test_symmetry_check_fails_on_an_asymmetric_oracle_count(monkeypatch):
     # one count off by one, from C_(1,1,1) to the 3-cycle at n = 3, breaks
     # D(lam, mu) Z_lam = D(mu, lam) Z_mu
-    count = verify.count_walks_to
+    graded = verify.graded_walks_to
 
     def skewed(n, end, segments, *args):
-        column = count(n, end, segments, *args)
+        layers = graded(n, end, segments, *args)
         if n == 3 and groupalg.cycle_type(end) == (3,):
-            column[1, 1, 1] = column.get((1, 1, 1), 0) + 1
-        return column
+            for column in layers:
+                column[1, 1, 1] = column.get((1, 1, 1), 0) + 1
+        return layers
 
-    monkeypatch.setattr(verify, "count_walks_to", skewed)
+    monkeypatch.setattr(verify, "graded_walks_to", skewed)
     check = _run_named(verify.walks_suite(), "walks.symmetry")["walks.symmetry"]
     assert not check.passed
     assert check.detail.startswith("symmetry fails at n=3, (1, 1, 1)->(3,)")
@@ -313,3 +314,16 @@ def test_a_shifted_rho_fails_the_intertwining_check(monkeypatch):
     monkeypatch.setattr(twists.ConvolutionCoeffs, "rho", lambda self, j: exact(self, j + (j == 1)))
     check = _run_named(verify.tau_suite(), name)[name]
     assert not check.passed and "determinant route fails at N=1" in check.detail
+
+
+def test_a_leading_power_off_by_one_fails_the_point_checks(monkeypatch):
+    # AtPoints.leading_power is the one N(N-1)/2 of every family at N
+    # points: one more fails the hciz determinant and the graded twists'
+    # determinant route
+    names = ("tau.hciz_determinant", "tau.intertwining_theorem")
+    assert all(r.passed for r in _run_named(verify.tau_suite(), *names).values())
+    power = twists.AtPoints.leading_power
+    monkeypatch.setattr(twists.AtPoints, "leading_power", staticmethod(lambda N: power(N) + 1))
+    results = _run_named(verify.tau_suite(), *names)
+    assert set(results) == set(names)
+    assert not any(r.passed for r in results.values())
