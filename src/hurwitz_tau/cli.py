@@ -4,7 +4,8 @@ Subcommands: verify, table, walks, tau, gmatrix, chartable.  All output is
 machine readable (JSON/CSV), rationals serialise as "num/den" strings and
 never as floats, and identical flags plus the same --seed produce
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) when stdout's reader has gone: the rest
+of the output goes to devnull, and no traceback is printed.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -366,11 +368,17 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < 0:
                 raise ValueError(f"--{name} must be >= 0, got {value}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         # bad input: unparsable values, sizes over a cap, repeated points
         print(f"hurwitz-tau: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the exit flush would raise again on the unwritten rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

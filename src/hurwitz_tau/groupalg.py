@@ -10,7 +10,10 @@ segment runs b once from n down to 2 over one layer per number of steps
 taken.  The end vector, summed per class, gives the counts from every start
 class at once, and the layers of the last segment run (the first in
 application order) give them for every length of that segment from one
-back-walk.  Transitive counts also carry the set partition of {1..n}
+back-walk.  The top layer of a single-class query is folded, not stored:
+each step into it is counted in the start class through a per-class table
+of how many of that step's transpositions land there.  Transitive counts
+also carry the set partition of {1..n}
 generated so far, seeded from the end's cycles, equal states merged.  These
 counts are the independent oracle for the character-sum coefficients;
 nothing here uses characters.
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_perms
 from numbers import Rational
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import config
@@ -347,7 +350,10 @@ def count_walks(query: WalkQuery) -> int:
     increasing as requested.  With transitive=True the subgroup generated
     by g and all the t's must act transitively on {1..n}."""
     rho = class_representative(query.to_type, query.n)
-    return count_walks_to(query.n, rho, query.segments, query.transitive).get(query.from_type, 0)
+    steps = tuple(seg for seg in query.segments if seg.length)  # empty ones do nothing
+    if query.transitive or not steps:
+        return count_walks_to(query.n, rho, query.segments, query.transitive).get(query.from_type, 0)
+    return _back_walk(query.n, rho, steps, False, query.from_type)[-1]
 
 
 def count_walks_all_targets(
@@ -384,15 +390,17 @@ def graded_walks_to(
     return [_class_counts(n, layer) for layer in _back_walk(n, end, segments, transitive)]
 
 
-def _back_walk(n, end, segments, transitive):
-    """The layers _walk returns, walked back from end."""
+def _back_walk(n, end, segments, transitive, start=None):
+    """The layers _walk returns, walked back from end; with a start class,
+    the last of them folded into its count there (see _walk)."""
     if n > config.WALK_CAP:
         raise SizeLimitError(f"walk counting capped at n <= {config.WALK_CAP}, got {n}")
     end = tuple(end)
     if sorted(end) != list(range(1, n + 1)):
         raise ValueError(f"{end} is not a permutation of 1..{n}")
     blocks = _cycle_blocks(end) if transitive else None
-    return _walk(n, {blocks: {ranked(n).index[bytes(end)]: 1}}, tuple(reversed(segments)))
+    tables = None if start is None else _class_tables(n, start)
+    return _walk(n, {blocks: {ranked(n).index[bytes(end)]: 1}}, tuple(reversed(segments)), tables)
 
 
 def _class_counts(n, layer) -> dict[Partition, int]:
@@ -434,6 +442,22 @@ def ranked(n: int) -> Ranking:
     return Ranking(index, act, [position[key] for key in keys])
 
 
+@lru_cache(maxsize=None)
+def _class_tables(n: int, lam: Partition) -> tuple[bytes, ...]:
+    """tables[b][i] = #{a < b : (a b) g_i in C_lam}, g_i the permutation at
+    index i, for b = 2..n; tables[0] sums them over b (a plain step) and
+    tables[1] is empty (J_1 = 0).  No entry passes n(n - 1)/2 < 256, so each
+    is one byte and a byte-wise sum is one big-int sum, with no carries."""
+    rank = ranked(n)
+    inside = bytes(map(list(conjugacy_classes(n)).index(lam).__eq__, rank.class_of))
+    per_b = [
+        sum(int.from_bytes(bytes(itemgetter(*rank.act[(a, b)])(inside)), "little") for a in range(1, b))
+        for b in range(2, n + 1)
+    ]
+    size = len(inside)
+    return (sum(per_b).to_bytes(size, "little"), b"", *(t.to_bytes(size, "little") for t in per_b))
+
+
 # A DP layer maps blocks to a sparse count vector {perm index: count}.  blocks
 # is the set partition of {1..n} generated by the end's cycles and the
 # transpositions so far, each point (0-based) labelled by the least point of
@@ -450,7 +474,7 @@ def _one_block(blocks):
     return blocks is None or len(set(blocks)) == 1
 
 
-def _walk(n, layer, segments):
+def _walk(n, layer, segments, tables=None):
     """Advance a layer backward through the segments, and return every layer
     of the last one run, indexed by its steps taken ([layer] for none).
 
@@ -460,21 +484,36 @@ def _walk(n, layer, segments):
     the image of taken[s] under every (a b), a < b, is added into
     taken[s + 1].  Weak segments visit s rising, so a state that has just
     stepped at b may step at b again; strict ones visit s falling, so it
-    may not."""
+    may not.
+
+    With a start class's _class_tables (blocks untracked, the last segment
+    at least one step long) the top layer is folded, not stored: each image
+    bound for it is counted in that class through its step's table, and the
+    count is returned in its place."""
     act = ranked(n).act
     every_b = range(n, 1, -1)
     taken = [layer]
-    for seg in segments:
+    last = len(segments) - 1
+    for i, seg in enumerate(segments):
+        k = seg.length
+        top = k - 1 if tables is not None and i == last else None  # the folded step
         taken = [taken[-1]]
         if seg.kind == PLAIN:
-            for _ in range(seg.length):
-                taken.append(_apply(act, every_b, taken[-1], {}))
+            for s in range(k):
+                taken.append(
+                    _fold(tables[0], taken[s]) if s == top else _apply(act, every_b, taken[s], {})
+                )
             continue
-        taken += [{} for _ in range(seg.length)]
-        order = range(seg.length) if seg.kind == WEAK else range(seg.length - 1, -1, -1)
+        taken += [{} for _ in range(k)]
+        if top is not None:
+            taken[k] = 0
+        order = range(k) if seg.kind == WEAK else range(k - 1, -1, -1)
         for b in every_b:
             for s in order:
-                _apply(act, (b,), taken[s], taken[s + 1])
+                if s == top:
+                    taken[k] += _fold(tables[b], taken[s])
+                else:
+                    _apply(act, (b,), taken[s], taken[s + 1])
     return taken
 
 
@@ -491,6 +530,11 @@ def _apply(act, bs, layer, out):
                     j = row[i]
                     target[j] = get(j, 0) + c
     return out
+
+
+def _fold(table, layer):
+    """The layer's images under one step, counted through its _class_tables table."""
+    return sum(sum(map(mul, vec.values(), map(table.__getitem__, vec))) for vec in layer.values())
 
 
 def _count_dp(n, from_type, segments, transitive=False) -> dict[Partition, int]:

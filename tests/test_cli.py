@@ -2,6 +2,9 @@ import ast
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -680,6 +683,25 @@ def test_walks_take_n_up_to_8(capsys):
     # variable is needed to re-count an n = 8 table row
     code, out = run_cli(capsys, "walks", "--n", "8", "--from", "8", "--to", "8")
     assert code == 0 and out.splitlines()[0] == "1"
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the reader is gone before the count is written: no traceback, and not
+    # exit 1, which says an identity failed
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hurwitz_tau.cli", "walks", "--n", "6",
+             "--from", "3,2,1", "--to", "2,2,2", "--steps", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 SIZE = st.integers(-2, 4)

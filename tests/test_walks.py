@@ -160,6 +160,12 @@ def test_n_9_is_refused_before_enumerating_s_9(monkeypatch):
         count_walks_to(9, tuple(range(1, 10)), plain(0))
     with pytest.raises(SizeLimitError, match="capped at n <= 8, got 9"):
         count_walks(WalkQuery(9, (9,), (9,), plain(0)))
+    # a folded count is refused before its class tables are built
+    monkeypatch.setattr(groupalg, "_class_tables", enumerate_s_n)
+    for segments in (plain(1), weakly_monotone(2), mixed(0, 1)):
+        with pytest.raises(SizeLimitError) as info:
+            count_walks(WalkQuery(9, (9,), (9,), segments))
+        assert str(info.value) == "walk counting capped at n <= 8, got 9"
 
 
 def test_representative_definition_matches_query():
@@ -313,6 +319,69 @@ def test_graded_layers_equal_each_cut_count():
                         for s, counts in enumerate(layers):
                             cut = (Segment(first.kind, s), *rest)
                             assert counts == count_walks_to(n, end, cut, transitive), (kind, cut)
+
+
+def fold_mismatches(sizes, transitive=False):
+    """The queries whose count_walks differs from the count_walks_to column
+    of its end: every walk kind at every split of total length <= 4 (empty
+    segments among them), from and to every class of S_n for n in sizes."""
+    bad = []
+    for n in sizes:
+        for walk in WALK_KINDS.values():
+            for _, segments, _ in walk.steps(4):
+                for mu in partitions_of(n):
+                    column = count_walks_to(n, class_representative(mu, n), segments, transitive)
+                    for lam in partitions_of(n):
+                        query = WalkQuery(n, lam, mu, segments, transitive)
+                        if count_walks(query) != column.get(lam, 0):
+                            bad.append(query)
+    return bad
+
+
+def test_folded_counts_equal_the_stored_column():
+    # count_walks folds its last layer into the start class; the column
+    # stores it and sums it per class
+    assert fold_mismatches(range(7)) == []
+    assert fold_mismatches(range(5), transitive=True) == []
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_one_table_entry_too_high_is_caught(monkeypatch, step):
+    # the table of a plain step (0) or of b = n (-1), one too high at the
+    # identity, where a walk back from the identity reads it first
+    build = groupalg._class_tables
+
+    def bumped(n, lam):
+        tables = list(build(n, lam))
+        entries = bytearray(tables[step])
+        entries[0] += 1
+        tables[step] = bytes(entries)
+        return tuple(tables)
+
+    monkeypatch.setattr(groupalg, "_class_tables", bumped)
+    assert fold_mismatches(range(2, 5)) != []
+
+
+def test_only_single_class_counts_build_tables():
+    # one table set per (n, start class), built by count_walks's first query
+    # from that class, n * n! bytes at most; the stored routes build none
+    tables = groupalg._class_tables
+    tables.cache_clear()
+    count_walks(WalkQuery(6, (3, 2, 1), (2, 2, 2), weakly_monotone(3)))
+    assert (tables.cache_info().misses, tables.cache_info().hits) == (1, 0)
+    count_walks(WalkQuery(6, (3, 2, 1), (4, 1, 1), mixed(1, 2)))
+    assert (tables.cache_info().misses, tables.cache_info().hits) == (1, 1)
+    end = class_representative((2, 2, 2), 6)
+    count_walks_to(6, end, strictly_monotone(3))
+    graded_walks_to(6, end, plain(2))
+    count_walks_all_targets(6, (3, 2, 1), weakly_monotone(2))
+    count_walks(WalkQuery(6, (2, 2, 1, 1), (3, 2, 1), plain(2), transitive=True))
+    count_walks(WalkQuery(6, (2, 2, 1, 1), (3, 2, 1), mixed(0, 0)))
+    assert (tables.cache_info().misses, tables.cache_info().currsize) == (1, 1)
+    for n in range(7):
+        # S_0's one permutation keeps one plain entry
+        for lam in partitions_of(n):
+            assert sum(map(len, tables(n, lam))) <= max(n, 1) * len(groupalg.ranked(n).class_of)
 
 
 def test_the_sweep_runs_one_back_walk_per_later_segments_and_end(monkeypatch):
